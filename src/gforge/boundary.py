@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .graph import EdgeInstance, Graph, GraphError, INFINITE, Path, sort_key
 from .invsgp import DomainError
-from .words import ReducedWord
+from .words import ReducedWord, ball
 
 
 class BoundaryError(ValueError):
@@ -540,13 +540,7 @@ def probe_points(g: Graph, depth: int = 3, copies: int = 2) -> list[BoundaryPoin
             if len(mu) + len(cyc) <= depth \
                     and cyc.range_vertex == mu.source_vertex:
                 pts.append(BoundaryPoint.periodic(g, mu, cyc))
-    out = []
-    seen = set()
-    for x in pts:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+    return list(dict.fromkeys(pts))
 
 
 # --------------------------------------------------------------- word calculus
@@ -559,8 +553,7 @@ def admissible_words(g: Graph, bound: int, copies: int = 2) -> list[ReducedWord]
     the shorter pair.
     """
     paths = g.paths_up_to(bound, copies)
-    seen = {ReducedWord()}
-    out = [ReducedWord()]
+    words = {ReducedWord()}
     for alpha in paths:
         for beta in paths:
             if len(alpha) + len(beta) > bound:
@@ -570,12 +563,16 @@ def admissible_words(g: Graph, bound: int, copies: int = 2) -> list[ReducedWord]
             if alpha.instances and beta.instances \
                     and alpha.instances[-1] == beta.instances[-1]:
                 continue
-            w = ReducedWord.from_pair(alpha, beta)
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-    out.sort(key=ReducedWord.sort_key)
-    return out
+            words.add(ReducedWord.from_pair(alpha, beta))
+    return sorted(words, key=ReducedWord.sort_key)
+
+
+def reduced_words(g: Graph, length: int, copies: int = 2) -> list[ReducedWord]:
+    """Every reduced word of length <= length over the edge instances,
+    infinite families capped at `copies`; the ball order of words.ball
+    with instances taken vertex by vertex."""
+    gens = [inst for v in sorted(g.vertices) for inst in g.continuations(v, copies)]
+    return [ReducedWord(w) for w in ball(gens, length)]
 
 
 def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
@@ -599,35 +596,13 @@ def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     return sorted(found, key=ReducedWord.sort_key)
 
 
-def shortest_isotropy(g: Graph, x: BoundaryPoint, bound: int):
-    ws = isotropy_words(g, x, bound)
-    return ws[0] if ws else None
-
-
 def verify_partial_action(g: Graph, word_len: int = 3, copies: int = 2) -> dict:
     """Check the partial action laws on all reduced words up to word_len.
 
     The empty word must act as the identity everywhere, inverses must undo,
     and composing two word maps must restrict the map of the product word.
     """
-    letters = []
-    for v in sorted(g.vertices):
-        for inst in g.continuations(v, copies):
-            letters.append((inst, 1))
-            letters.append((inst, -1))
-    words = [ReducedWord()]
-    seen = {ReducedWord()}
-    frontier = [ReducedWord()]
-    for _ in range(word_len):
-        nxt = []
-        for u in frontier:
-            for let in letters:
-                w = u * ReducedWord([let])
-                if w not in seen and len(w) > len(u):
-                    seen.add(w)
-                    nxt.append(w)
-        words.extend(nxt)
-        frontier = nxt
+    words = reduced_words(g, word_len, copies)
     maps = {w: PartialWord.from_word(g, w) for w in words}
 
     report = {"words": len(words), "pairs": 0, "failures": []}

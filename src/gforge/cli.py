@@ -7,13 +7,10 @@ Subcommands:
 * oe       -- cocycle and orbit-data roundtrips on built-in examples
 * sgp      -- semigroup family checks and witnesses
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage.  Setting
-GFORGE_BOUND_OVERRIDE in the environment replaces every depth and word
-bound with its value.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage.
 """
 
 import argparse
-import os
 import re
 import sys
 import time
@@ -76,21 +73,25 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- small parsers
 
-def _bound_override():
-    raw = os.environ.get("GFORGE_BOUND_OVERRIDE")
-    if raw is None:
-        return None
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(text):
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", text) or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _int_list(text):
     try:
-        return int(raw)
+        return [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ExprError(f"GFORGE_BOUND_OVERRIDE must be an integer, "
-                        f"got {raw!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
 
 
 def _effective(value, fallback):
-    over = _bound_override()
-    if over is not None:
-        return over
     return fallback if value is None else value
 
 
@@ -232,9 +233,8 @@ def _run_check(args):
 def _run_witness(args):
     g = corpus.by_name(args.graph)
     U = parse_set_expr(g, args.set)
-    depth_cap = _effective(args.depth, None)
     rep = {"graph": args.graph, "set": set_str(U)}
-    pair = find_witness(g, U, depth_cap=depth_cap)
+    pair = find_witness(g, U, depth_cap=args.depth)
     if pair is None:
         rep["found"] = False
         return rep, INCONCLUSIVE
@@ -322,11 +322,10 @@ def _run_sgp(args):
     if act == "minimality":
         if not args.stages:
             raise ExprError("minimality needs --stages")
-        moduli = [int(t) for t in args.stages.split(",") if t.strip()]
         if isinstance(fam, NkFamily):
-            stages = [(s,) * fam.k for s in moduli]
+            stages = [(s,) * fam.k for s in args.stages]
         else:
-            stages = moduli
+            stages = args.stages
         out = boundary_minimality_probe(fam, stages)
         rep.update(out)
         return rep, 0 if out["proper_filter"] else 1
@@ -356,21 +355,21 @@ def _build_parser():
                    choices=("l", "k", "pi", "tf", "action", "sigma",
                             "invariance"))
     c.add_argument("--graph", required=True, choices=names)
-    c.add_argument("--depth", type=int)
-    c.add_argument("--word-bound", type=int)
-    c.add_argument("--copies", type=int, default=2)
+    c.add_argument("--depth", type=_at_least(0))
+    c.add_argument("--word-bound", type=_at_least(1))
+    c.add_argument("--copies", type=_at_least(1), default=2)
     common(c)
 
     w = sub.add_parser("witness", help="paradoxical pair on a compact open set")
     w.add_argument("graph", choices=names)
     w.add_argument("set", help="e.g. 'Z(v)' or 'Z(a.a - {b}) + Z(b.a)'")
-    w.add_argument("--depth", type=int)
-    w.add_argument("--expand", type=int)
+    w.add_argument("--depth", type=_at_least(0))
+    w.add_argument("--expand", type=_at_least(2))
     common(w)
 
     o = sub.add_parser("oe", help="cocycle and orbit-data roundtrips")
     o.add_argument("example", choices=sorted(_OE_EXAMPLES))
-    o.add_argument("--depth", type=int)
+    o.add_argument("--depth", type=_at_least(0))
     common(o)
 
     s = sub.add_parser("sgp", help="semigroup family checks")
@@ -380,13 +379,13 @@ def _build_parser():
                             "rcomplete"))
     s.add_argument("--ideal")
     s.add_argument("--exclude", action="append", default=[])
-    s.add_argument("--stages")
-    s.add_argument("--count", type=int, default=4)
-    s.add_argument("--trials", type=int, default=50)
+    s.add_argument("--stages", type=_int_list)
+    s.add_argument("--count", type=_at_least(1), default=4)
+    s.add_argument("--trials", type=_at_least(1), default=50)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--depth", type=int)
-    s.add_argument("--word-bound", type=int)
-    s.add_argument("--modulus-bound", type=int)
+    s.add_argument("--depth", type=_at_least(0))
+    s.add_argument("--word-bound", type=_at_least(1))
+    s.add_argument("--modulus-bound", type=_at_least(1))
     common(s)
     return p
 
@@ -414,7 +413,8 @@ def main(argv=None) -> int:
     except (GraphError, BoundaryError, OrbitError, SemigroupError) as err:
         print(f"gforge: {err}", file=sys.stderr)
         return 1
-    rep["elapsed"] = round(time.perf_counter() - t0, 6)
+    if args.format == "text":
+        rep["elapsed"] = round(time.perf_counter() - t0, 6)
     sys.stdout.write(render(rep, args.format))
     return code
 

@@ -106,14 +106,16 @@ class Graph:
                     raise SchemaError(f"edge {e.eid!r}: bad multiplicity {e.multiplicity!r}")
             self.edges[e.eid] = e
         self._receivers: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        self._senders: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        # neighbour lists for the reachability walks: one step source-to-range
+        # (up) and one step range-to-source (down)
+        self._up: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in self.edges.values():
             self._receivers[e.range_vertex].append(e)
-            self._senders[e.source_vertex].append(e)
+            self._up[e.source_vertex].append(e.range_vertex)
         for lst in self._receivers.values():
             lst.sort(key=lambda e: e.eid)
-        for lst in self._senders.values():
-            lst.sort(key=lambda e: e.eid)
+        self._down = {v: [e.source_vertex for e in lst]
+                      for v, lst in self._receivers.items()}
 
     # -- schema ------------------------------------------------------------
 
@@ -151,11 +153,6 @@ class Graph:
             raise SchemaError(f"invalid JSON: {exc}") from None
         return cls.from_json(data)
 
-    @classmethod
-    def load(cls, path) -> "Graph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
-
     def to_json(self) -> dict:
         edges = []
         for e in sorted(self.edges.values(), key=lambda e: e.eid):
@@ -172,11 +169,6 @@ class Graph:
         self._check_vertex(v)
         return self._receivers[v]
 
-    def senders(self, v: str) -> list[Edge]:
-        """Edges with source v, sorted by id."""
-        self._check_vertex(v)
-        return self._senders[v]
-
     def receiver_count(self, v: str):
         """|r^-1(v)| counted with multiplicity."""
         return sum(e.multiplicity for e in self.receivers(v))
@@ -187,9 +179,6 @@ class Graph:
 
     def is_singular(self, v: str) -> bool:
         return not self.is_regular(v)
-
-    def vertex_class(self, v: str) -> str:
-        return "regular" if self.is_regular(v) else "singular"
 
     def _check_vertex(self, v):
         if v not in self._receivers:
@@ -309,52 +298,32 @@ class Graph:
             frontier = nxt
         return out
 
+    def maximal_stems(self, depth: int, copies: int = 1, paths=None) -> list[Path]:
+        """The paths of paths_up_to(depth, copies) that cannot grow within
+        depth: full length, or a source with no receivers.
+
+        A caller already holding that enumeration passes it as `paths`.
+        """
+        if paths is None:
+            paths = self.paths_up_to(depth, copies)
+        return [mu for mu in paths
+                if len(mu) == depth or not self._receivers[mu.source_vertex]]
+
     # -- reachability ------------------------------------------------------
 
     def reaches(self, w: str, v: str) -> bool:
         """True iff a path mu with r(mu) = w and s(mu) = v exists (length 0 allowed)."""
         self._check_vertex(w)
         self._check_vertex(v)
-        if w == v:
-            return True
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in self._senders[x]:
-                y = e.range_vertex
-                if y == w:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+        return w in self.upstream(v)
 
     def upstream(self, v: str) -> frozenset:
         """All w with w <- v, i.e. reachable from v along edges source-to-range."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in self._senders[x]:
-                y = e.range_vertex
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
+        return _closure((v,), self._up)
 
     def downstream(self, v: str) -> frozenset:
         """All z with v <- z: the vertices a path from v can end at."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in self._receivers[x]:
-                y = e.source_vertex
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
+        return _closure((v,), self._down)
 
     def omega_set(self, v: str) -> frozenset:
         """Vertices w != v with no path from v to w (r = w, s = v)."""
@@ -385,6 +354,18 @@ class Graph:
                         return ext
             frontier = nxt
         return None
+
+
+def _closure(starts, adjacency) -> frozenset:
+    """starts and every vertex reachable from them along adjacency lists."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in adjacency[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
 
 
 class PIReport(NamedTuple):
@@ -532,26 +513,8 @@ def maximal_tails(g: Graph, max_vertices: int = 16) -> list[frozenset]:
 
 def cycle_vertices_within(g: Graph, T: frozenset) -> frozenset:
     """Vertices of T lying on a loop whose vertices all stay in T."""
-    out = []
-    for z in sorted(T):
-        seen = set()
-        stack = [z]
-        found = False
-        while stack and not found:
-            y = stack.pop()
-            for e in g.receivers(y):
-                w = e.source_vertex
-                if w not in T:
-                    continue
-                if w == z:
-                    found = True
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if found:
-            out.append(z)
-    return frozenset(out)
+    inner = {y: [w for w in g._down[y] if w in T] for y in T}
+    return frozenset(z for z in T if z in _closure(inner[z], inner))
 
 
 def condition_pi(g: Graph, max_vertices: int = 16) -> PIReport:

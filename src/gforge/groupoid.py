@@ -165,15 +165,11 @@ def all_boundary_points(g):
             raise GraphError("boundary space is infinite: "
                              f"edge {e.eid} has infinite multiplicity")
     for v in g.vertices:
-        for inst in g.continuations(v, copies=1):
-            if g.reaches(g.s_of(inst), v):
-                raise GraphError("boundary space is infinite: "
-                                 f"cycle through {v}")
-    pts = []
-    for mu in g.paths_up_to(len(g.vertices)):
-        if g.is_singular(mu.source_vertex):
-            pts.append(BoundaryPoint.finite(g, mu))
-    return pts
+        if any(g.reaches(e.source_vertex, v) for e in g.receivers(v)):
+            raise GraphError(f"boundary space is infinite: cycle through {v}")
+    # acyclic: no path reaches |V| edges, and singular means receiving nothing
+    return [BoundaryPoint.finite(g, mu)
+            for mu in g.maximal_stems(len(g.vertices))]
 
 
 def full_groupoid(g, word_bound=4):

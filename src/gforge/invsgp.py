@@ -136,22 +136,13 @@ class TruncatedSemilattice:
                 out.append(SgpElement(mu, nu))
         return out
 
-    def idempotents(self) -> list[SgpElement]:
-        return [SgpElement(mu, mu) for mu in self.paths]
-
     def characters(self) -> list[Character]:
         return [Character(mu) for mu in self.paths]
 
     def max_characters(self) -> list[Character]:
         """Filters with nothing above: stem at full depth or a dead-end source."""
-        out = []
-        for mu in self.paths:
-            if len(mu) == self.depth or not self.graph.receivers(mu.source_vertex):
-                out.append(Character(mu))
-        return out
-
-    def boundary(self) -> list[Character]:
-        return self.max_characters()
+        stems = self.graph.maximal_stems(self.depth, self.copies, self.paths)
+        return [Character(mu) for mu in stems]
 
     def act_on_character(self, s, chi: Character) -> Character:
         """Apply the substitution s to chi; stem nu.rho goes to mu.rho.

@@ -281,14 +281,6 @@ def coe_to_oe(coc: Cocycle) -> OEData:
     return OEData(homeo, pieces)
 
 
-def _refined_stems(g: Graph, depth: int) -> list:
-    out = []
-    for mu in g.paths_up_to(depth):
-        if len(mu) == depth or not g.receivers(mu.source_vertex):
-            out.append(mu)
-    return out
-
-
 def oe_to_coe(oe: OEData, refine_depth=None) -> Cocycle:
     """Rebuild a word cocycle from shift data.
 
@@ -306,7 +298,7 @@ def oe_to_coe(oe: OEData, refine_depth=None) -> Cocycle:
         step = max((max(k, l) for _, k, l in oe.pieces), default=0)
         refine_depth = 2 * rule_len + piece_len + step + 2
     table = {}
-    for stem in _refined_stems(gs, refine_depth):
+    for stem in gs.maximal_stems(refine_depth):
         if not stem.instances:
             continue
         x = sample_point(gs, Cylinder(stem, frozenset()))

@@ -1,14 +1,12 @@
 """Rendering for check reports.
 
-JSON output is canonical: keys sorted, containers normalized, timing
-fields dropped, so repeated runs of the same command agree byte for
-byte.  Text output is for reading and keeps the elapsed time.
+JSON output is canonical: keys sorted and containers normalized, so
+repeated runs of the same command agree byte for byte.  Text output is
+for reading.
 """
 
 import json
 import math
-
-TIMING_KEYS = frozenset({"elapsed"})
 
 
 def jsonable(x):
@@ -28,18 +26,8 @@ def jsonable(x):
     return str(x)
 
 
-def _strip_timing(x):
-    if isinstance(x, dict):
-        return {k: _strip_timing(v) for k, v in x.items()
-                if k not in TIMING_KEYS}
-    if isinstance(x, list):
-        return [_strip_timing(v) for v in x]
-    return x
-
-
 def render_json(report) -> str:
-    return json.dumps(_strip_timing(jsonable(report)),
-                      sort_keys=True, indent=2) + "\n"
+    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def _text_lines(x, indent, out):

@@ -19,6 +19,8 @@ import math
 import random
 from fractions import Fraction
 
+from . import words
+
 
 class SemigroupError(Exception):
     pass
@@ -172,30 +174,11 @@ class FreeMonoidFamily:
 
     # -- reduced group words as (letter, sign) tuples ----------------------
 
-    def reduce(self, letters):
-        out = []
-        for l, s in letters:
-            if out and out[-1][0] == l and out[-1][1] == -s:
-                out.pop()
-            else:
-                out.append((l, s))
-        return tuple(out)
+    reduce = staticmethod(words.reduce)
 
     def group_ball(self, radius):
         """All reduced words up to the given length."""
-        out = [()]
-        frontier = [()]
-        alphabet = [(l, s) for l in self.letters for s in (1, -1)]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for l, s in alphabet:
-                    if w and w[-1] == (l, -s):
-                        continue
-                    nxt.append(w + ((l, s),))
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        return list(words.ball(self.letters, radius))
 
     def _is_power_of(self, w, letter):
         return all(l == letter for l, _ in w) and len({s for _, s in w}) <= 1

@@ -18,7 +18,8 @@ class WordError(ValueError):
     pass
 
 
-def _reduce(letters):
+def reduce(letters):
+    """Free reduction of (generator, sign) letters."""
     out = []
     for let in letters:
         if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
@@ -28,13 +29,32 @@ def _reduce(letters):
     return tuple(out)
 
 
+def ball(gens, radius):
+    """Every reduced letter tuple of length <= radius over gens.
+
+    Level by level; within a level, extensions follow the previous level's
+    order, then generator order, +1 before -1.
+    """
+    frontier = [()]
+    yield ()
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for gen in gens:
+                for sign in (1, -1):
+                    if not (w and w[-1] == (gen, -sign)):
+                        nxt.append(w + ((gen, sign),))
+        yield from nxt
+        frontier = nxt
+
+
 class ReducedWord:
     """Element of the free group on edge instances."""
 
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters=()):
-        self.letters = _reduce(tuple(letters))
+        self.letters = reduce(tuple(letters))
         self._hash = hash(self.letters)
 
     @classmethod

@@ -16,6 +16,7 @@ from gforge.boundary import (
     PartialWord,
     admissible_words,
     probe_points,
+    reduced_words,
     sample_point,
     topological_freeness_report,
     verify_partial_action,
@@ -54,26 +55,6 @@ def _passline(n, label, t0, budget):
     dt = time.perf_counter() - t0
     assert dt < budget, f"criterion {n} took {dt:.2f}s, budget {budget}s"
     print(f"CRITERION {n} ({label}): PASS ({dt:.2f}s < {budget}s)")
-
-
-def _all_words(g, word_len, copies=2):
-    letters = []
-    for v in sorted(g.vertices):
-        for inst in g.continuations(v, copies):
-            letters.append((inst, 1))
-            letters.append((inst, -1))
-    words = [ReducedWord()]
-    frontier = [ReducedWord()]
-    for _ in range(word_len):
-        nxt = []
-        for u in frontier:
-            for let in letters:
-                w = u * ReducedWord([let])
-                if len(w) > len(u):
-                    nxt.append(w)
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 def test_criterion_01_groupoid_roundtrip():
@@ -122,7 +103,7 @@ def test_criterion_02_partial_action_axioms():
         rep = verify_partial_action(g, word_len=3)
         assert rep["failures"] == [], name
 
-        words = _all_words(g, 3)
+        words = reduced_words(g, 3)
         maps = {w: PartialWord.from_word(g, w) for w in words}
         pts = probe_points(g, 6)
         assert pts, name

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,15 +193,38 @@ def test_usage_exits(capsys):
     capsys.readouterr()
     assert main(["sgp", "affine", "minimality"]) == 64
     capsys.readouterr()
+    assert main(["witness", "g2", "Z(v)", "--expand", "1"]) == 64
+    capsys.readouterr()
+    assert main(["sgp", "affine", "minimality", "--stages", "x,2"]) == 64
+    capsys.readouterr()
 
 
-def test_bound_override(capsys, monkeypatch):
-    _, before = run_json(capsys, "check", "action", "--graph", "g1")
-    monkeypatch.setenv("GFORGE_BOUND_OVERRIDE", "1")
-    _, after = run_json(capsys, "check", "action", "--graph", "g1")
-    assert after["words"] < before["words"]
-    monkeypatch.setenv("GFORGE_BOUND_OVERRIDE", "junk")
-    assert main(["check", "action", "--graph", "g1"]) == 64
+def test_out_of_range_bounds_are_usage_errors(capsys):
+    bad = [
+        ["check", "tf", "--graph", "g2", "--word-bound", "-1"],
+        ["check", "sigma", "--graph", "g2", "--depth", "-2"],
+        ["check", "invariance", "--graph", "g2", "--depth", "-1"],
+        ["check", "action", "--graph", "g5", "--copies", "0"],
+        ["check", "action", "--graph", "g1", "--word-bound", "two"],
+        ["witness", "g2", "Z(v)", "--depth", "-1"],
+        ["witness", "g2", "Z(v)", "--expand", "0"],
+        ["oe", "swap-g2", "--depth", "-1"],
+        ["sgp", "free:2", "kernel", "--word-bound", "-1"],
+        ["sgp", "affine", "kernel", "--modulus-bound", "0"],
+        ["sgp", "affine", "independence", "--modulus-bound", "0"],
+        ["sgp", "free:2", "rcomplete", "--count", "0"],
+        ["sgp", "nk:2", "independence", "--trials", "0"],
+        ["sgp", "free:2", "witness", "--depth", "-1"],
+    ]
+    for argv in bad:
+        assert main(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("gforge"), argv
+        assert captured.err.count("\n") == 1, argv
+    # depth 0 is a meaningful bound where stems start at the vertices
+    assert main(["check", "tf", "--graph", "g2", "--depth", "0"]) == 0
+    assert main(["witness", "g2", "Z(v)", "--depth", "0"]) == 0
     capsys.readouterr()
 
 
@@ -220,3 +244,17 @@ def test_text_format_shows_elapsed(capsys):
     code, out = run(capsys, "check", "l", "--graph", "g2")
     assert code == 0
     assert "elapsed:" in out
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_battery.json"
+
+
+def test_cli_battery_matches_golden(capsys):
+    """Exit codes and JSON output of the criterion-10 battery plus the
+    action, sigma and invariance checks on g1, g2 and g4, byte for byte
+    as recorded in tests/golden/cli_battery.json."""
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(cases) == 29
+    for case in cases:
+        got = run(capsys, *case["argv"], "--format", "json")
+        assert got == (case["code"], case["stdout"]), case["argv"]

@@ -212,12 +212,6 @@ def test_act_on_character_matches_conjugation():
 
 # ---------------------------------------------------------------- invariance
 
-def test_boundary_is_max_characters():
-    g = corpus.g2()
-    ts = TruncatedSemilattice(g, 2)
-    assert ts.boundary() == ts.max_characters()
-
-
 def test_boundary_invariance_corpus():
     for name in ["g1", "g2", "g3", "g4"]:
         for depth in (1, 2):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from gforge import corpus
 from gforge.graph import EdgeInstance
-from gforge.words import ReducedWord, WordError, parse_word
+from gforge.words import ReducedWord, WordError, ball, parse_word, reduce
 
 
 def w(text):
@@ -43,20 +44,9 @@ def test_free_reduction():
 
 def test_group_laws_exhaustive():
     # all reduced words of length <= 3 over two letters
-    letters = [(EdgeInstance("a", 0), 1), (EdgeInstance("a", 0), -1),
-               (EdgeInstance("b", 0), 1), (EdgeInstance("b", 0), -1)]
-    words = {ReducedWord()}
-    frontier = [ReducedWord()]
-    for _ in range(3):
-        nxt = []
-        for u in frontier:
-            for let in letters:
-                v = u * ReducedWord([let])
-                if v not in words:
-                    words.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    words = sorted(words, key=ReducedWord.sort_key)
+    gens = [EdgeInstance("a", 0), EdgeInstance("b", 0)]
+    words = [ReducedWord(t) for t in ball(gens, 3)]
+    assert len(words) == 1 + 4 + 12 + 36
     e = ReducedWord()
     for u in words:
         assert u * e == u == e * u
@@ -65,6 +55,15 @@ def test_group_laws_exhaustive():
         for v in words:
             for t in words:
                 assert (u * v) * t == u * (v * t)
+
+
+def test_ball_lists_reduced_tuples_level_by_level():
+    gens = ["x", "y", "z"]
+    letters = [(l, s) for l in gens for s in (1, -1)]
+    want = [t for n in range(4) for t in itertools.product(letters, repeat=n)
+            if reduce(t) == t]
+    assert list(ball(gens, 3)) == want
+    assert list(ball(gens, 0)) == [()]
 
 
 def test_group_laws_sampled_long():
