@@ -56,9 +56,8 @@ class BoundaryPoint:
             while pre and pre[-1] == insts[-1]:
                 pre = pre[:-1]
                 insts = (insts[-1],) + insts[:-1]
-            prefix = graph.make_path(pre) if pre else graph.vertex_path(
-                graph.r_of(insts[0]))
-            cycle = graph.make_path(insts)
+            cycle = graph.trusted_path(insts)
+            prefix = graph.trusted_path(pre, cycle.range_vertex)
         self.graph = graph
         self.prefix = prefix
         self.cycle = cycle
@@ -85,26 +84,29 @@ class BoundaryPoint:
             raise BoundaryError("infinite point has no length")
         return len(self.prefix)
 
+    def _first(self, n: int) -> tuple:
+        """The first n instances: the prefix, then the cycle unrolled."""
+        pre = self.prefix.instances
+        if n < 0 or (self.cycle is None and n > len(pre)):
+            raise BoundaryError(f"{point_str(self)} has no first {n} instances")
+        if n > len(pre):
+            ci = self.cycle.instances
+            pre += ci * ((n - len(pre)) // len(ci) + 1)
+        return pre[:n]
+
     def instance_at(self, i: int) -> EdgeInstance:
-        if i < len(self.prefix.instances):
-            return self.prefix.instances[i]
-        if self.cycle is None:
-            raise BoundaryError(f"index {i} past the end of a finite point")
-        j = (i - len(self.prefix.instances)) % len(self.cycle.instances)
-        return self.cycle.instances[j]
+        return self._first(i + 1)[i]
 
     def head(self, n: int) -> Path:
         """The first n instances as a path."""
-        if n == 0:
-            return self.graph.vertex_path(self.range_vertex)
-        return self.graph.make_path([self.instance_at(i) for i in range(n)])
+        return self.graph.trusted_path(self._first(n), self.range_vertex)
 
     def startswith(self, mu: Path) -> bool:
         if mu.range_vertex != self.range_vertex:
             return False
         if self.is_finite and len(mu) > len(self.prefix):
             return False
-        return all(self.instance_at(i) == inst for i, inst in enumerate(mu.instances))
+        return self._first(len(mu)) == mu.instances
 
     def shift(self, k: int) -> "BoundaryPoint":
         """Drop the first k instances."""
@@ -114,17 +116,10 @@ class BoundaryPoint:
                 raise BoundaryError(
                     f"cannot shift {point_str(self)} by {k}: too short")
             return BoundaryPoint(g, g.strip_prefix(self.prefix, k), None)
-        pre = self.prefix.instances
-        if k <= len(pre):
-            rest = pre[k:]
-            cyc = self.cycle
-        else:
-            j = (k - len(pre)) % len(self.cycle.instances)
-            rest = ()
-            ci = self.cycle.instances
-            cyc = g.make_path(ci[j:] + ci[:j]) if j else self.cycle
-        prefix = g.make_path(rest) if rest else g.vertex_path(cyc.range_vertex)
-        return BoundaryPoint(g, prefix, cyc)
+        pre, ci = self.prefix.instances, self.cycle.instances
+        j = max(k - len(pre), 0) % len(ci)
+        cyc = g.trusted_path(ci[j:] + ci[:j])
+        return BoundaryPoint(g, g.trusted_path(pre[k:], cyc.range_vertex), cyc)
 
     def prepend(self, alpha: Path) -> "BoundaryPoint":
         g = self.graph
@@ -252,10 +247,6 @@ def cyl_intersect(g: Graph, a: Cylinder, b: Cylinder):
     return None
 
 
-def _extend(g: Graph, stem: Path, inst: EdgeInstance) -> Path:
-    return g.make_path(stem.instances + (inst,))
-
-
 def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
     """c minus r as a disjoint list of cylinders.
 
@@ -265,7 +256,8 @@ def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
     mu, F = c
     nu, G = r
     if nu == mu:
-        return [Cylinder(_extend(g, mu, x), frozenset()) for x in sorted(G - F)]
+        return [Cylinder(g.trusted_path(mu.instances + (x,)), frozenset())
+                for x in sorted(G - F)]
     if nu.startswith(mu):
         etas = nu.instances[len(mu):]
         if etas[0] in F:
@@ -274,7 +266,7 @@ def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
         for j in range(1, len(etas)):
             parts.append(Cylinder(g.prefix(nu, len(mu) + j), frozenset({etas[j]})))
         for x in sorted(G):
-            parts.append(Cylinder(_extend(g, nu, x), frozenset()))
+            parts.append(Cylinder(g.trusted_path(nu.instances + (x,)), frozenset()))
         return parts
     if mu.startswith(nu):
         if mu.instances[len(nu)] in G:
@@ -504,12 +496,11 @@ def sample_point(g: Graph, cyl: Cylinder):
         appended.append(step)
         x = g.s_of(step)
         if g.is_singular(x):
-            return BoundaryPoint.finite(g, g.make_path(stem.instances + tuple(appended)))
+            return BoundaryPoint.finite(g, g.trusted_path(stem.instances + tuple(appended)))
         if x in seen_at:
             k = seen_at[x]
-            pre = stem.instances + tuple(appended[:k])
-            cycle = g.make_path(tuple(appended[k:]))
-            prefix = g.make_path(pre) if pre else g.vertex_path(cycle.range_vertex)
+            cycle = g.trusted_path(tuple(appended[k:]))
+            prefix = g.trusted_path(stem.instances + tuple(appended[:k]), x)
             return BoundaryPoint.periodic(g, prefix, cycle)
         seen_at[x] = len(appended)
 

@@ -280,7 +280,8 @@ def _run_oe(args):
     }
     ok = (not first["failures"] and not second["failures"]
           and rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"])
-    return rep, 0 if ok else 1
+    probed = first["checked"] and second["checked"]  # agreeing on no point is no pass
+    return rep, (0 if probed else INCONCLUSIVE) if ok else 1
 
 
 def _run_sgp(args):

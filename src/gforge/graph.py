@@ -9,6 +9,11 @@ at itself.
 Edges carry a multiplicity (a positive integer or infinity); an edge with
 multiplicity m stands for m parallel copies, addressed as instances
 (edge id, copy index).
+
+Input is validated once, where it enters: Graph() (with from_json and
+loads), vertex_path, make_path/path_of, the parsers, make_cylinder, the
+BoundaryPoint constructor and PartialWord.from_word.  Code that already
+holds composable instances builds paths with the unchecked trusted_path.
 """
 from __future__ import annotations
 
@@ -221,6 +226,16 @@ class Graph:
                 raise CompositionError(
                     f"{self.instance_str(b)} (range {self.r_of(b)}) does not extend "
                     f"{self.instance_str(a)} (source {self.s_of(a)})")
+        return self.trusted_path(instances)
+
+    def trusted_path(self, instances, vertex: str | None = None) -> Path:
+        """The path through instances, built without any check.
+
+        Precondition: the instances are instances of this graph and already
+        compose.  An empty tuple gives the vertex path at `vertex`.
+        """
+        if not instances:
+            return Path(vertex, vertex)
         return Path(self.r_of(instances[0]), self.s_of(instances[-1]), instances)
 
     def path_of(self, *ids) -> Path:
@@ -241,28 +256,18 @@ class Graph:
         if nu.range_vertex != mu.source_vertex:
             raise CompositionError(
                 f"cannot append path with range {nu.range_vertex} at source {mu.source_vertex}")
-        if not nu.instances:
-            return mu
-        if not mu.instances:
-            return nu
         return Path(mu.range_vertex, nu.source_vertex, mu.instances + nu.instances)
 
     def prefix(self, mu: Path, k: int) -> Path:
         if not 0 <= k <= len(mu):
             raise ValueError(f"prefix length {k} out of range for {mu!r}")
-        if k == 0:
-            return self.vertex_path(mu.range_vertex)
-        insts = mu.instances[:k]
-        return Path(mu.range_vertex, self.s_of(insts[-1]), insts)
+        return self.trusted_path(mu.instances[:k], mu.range_vertex)
 
     def strip_prefix(self, mu: Path, k: int) -> Path:
         """The tail of mu after its length-k prefix."""
         if not 0 <= k <= len(mu):
             raise ValueError(f"prefix length {k} out of range for {mu!r}")
-        insts = mu.instances[k:]
-        if not insts:
-            return self.vertex_path(mu.source_vertex)
-        return Path(self.r_of(insts[0]), mu.source_vertex, insts)
+        return self.trusted_path(mu.instances[k:], mu.source_vertex)
 
     def path_str(self, mu: Path) -> str:
         if not mu.instances:
@@ -406,7 +411,7 @@ def condition_l(g: Graph):
             insts.append(EdgeInstance(e.eid, 0))
             x = e.source_vertex
             if x == v:
-                return False, g.make_path(insts)
+                return False, g.trusted_path(insts)
     return True, None
 
 
@@ -425,11 +430,8 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
     U = g.upstream(v)
 
     def complete(insts):
-        x = g.s_of(insts[-1])
-        if x != v:
-            rho = g.shortest_path(x, v)
-            insts = insts + list(rho.instances)
-        return g.make_path(insts)
+        rho = g.shortest_path(g.s_of(insts[-1]), v)
+        return g.trusted_path(insts + list(rho.instances))
 
     x = v
     prefix = []
@@ -458,7 +460,7 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
         x = g.s_of(allowed[0])
         first = False
         if x == v:
-            return 1, [g.make_path(prefix)]
+            return 1, [g.trusted_path(prefix)]
     raise GraphError("forced first-return walk failed to close")  # unreachable
 
 

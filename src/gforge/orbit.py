@@ -99,16 +99,17 @@ class PrefixHomeo:
                            [(nu, mu) for mu, nu in self.rules])
 
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
-        gs, gt = self.source_graph, self.target_graph
+        gt = self.target_graph
         for mu, nu in self.rules:
-            if cyl_contains(gs, Cylinder(mu, frozenset()), x):
+            if x.startswith(mu):
                 tail = x.shift(len(mu))
-                pre = nu if not tail.prefix.instances \
-                    else gt.concat(nu, gt.make_path(tail.prefix.instances))
+                # _same_tail_shape made every tail past mu a path of gt past nu
+                pre = gt.trusted_path(nu.instances + tail.prefix.instances,
+                                      nu.range_vertex)
                 if tail.cycle is None:
                     return BoundaryPoint.finite(gt, pre)
                 return BoundaryPoint.periodic(
-                    gt, pre, gt.make_path(tail.cycle.instances))
+                    gt, pre, gt.trusted_path(tail.cycle.instances))
         raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 

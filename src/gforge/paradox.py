@@ -20,7 +20,7 @@ from .boundary import (
     cyl_is_empty,
     set_str,
 )
-from .graph import Graph, INFINITE, first_return_profile
+from .graph import EdgeInstance, Graph, INFINITE, first_return_profile
 from .words import ReducedWord
 
 
@@ -93,12 +93,11 @@ def infinite_loops(g: Graph, v: str, count: int, forbidden_first=frozenset()):
     copy = 0
     while fams and len(loops) < count:
         for e in fams:
-            inst = (e.eid, copy)
+            inst = EdgeInstance(e.eid, copy)
             if inst in forbidden_first:
                 continue
-            start = g.make_path([g.instance(e.eid, copy)])
             back = g.shortest_path(e.source_vertex, v)
-            loops.append(g.concat(start, back))
+            loops.append(g.trusted_path((inst,) + back.instances))
             if len(loops) == count:
                 break
         copy += 1
@@ -131,7 +130,7 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     for inst in g.continuations(v):
         if inst in cyl.excl:
             continue
-        ext = Cylinder(g.concat(cyl.stem, g.make_path([inst])), frozenset())
+        ext = Cylinder(g.trusted_path(cyl.stem.instances + (inst,)), frozenset())
         sub = _cylinder_pair(g, ext, depth - 1)
         if sub is None:
             return None

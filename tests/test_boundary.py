@@ -18,13 +18,15 @@ from gforge.boundary import (
     make_cylinder,
     parse_point,
     point_str,
+    probe_points,
     sample_point,
     sample_points,
     topological_freeness_report,
     verify_partial_action,
 )
-from gforge.graph import EdgeInstance, GraphError
+from gforge.graph import EdgeInstance, GraphError, condition_l, first_return_profile
 from gforge.invsgp import DomainError
+from gforge.paradox import infinite_loops
 from gforge.words import ReducedWord, parse_word
 
 
@@ -80,6 +82,23 @@ def test_instance_stream_and_heads():
     assert got == want
     assert g.path_str(x.head(3)) == "b.a.b"
     assert x.head(0) == g.vertex_path("v")
+    with pytest.raises(BoundaryError):
+        x.head(-1)
+    with pytest.raises(BoundaryError):
+        BoundaryPoint.finite(corpus.g3(), corpus.g3().path_of("e")).head(2)
+    for x, k in probed_heads():
+        cyc = x.cycle.instances if x.cycle else ()
+        assert x.head(k).instances == (x.prefix.instances + cyc * k)[:k]
+        assert x.startswith(x.head(k))
+
+
+def probed_heads():
+    """(x, k) for every probe_points(g, 5) point x of g2, g4, g5 and p3 and
+    every k <= 7 within x."""
+    for name in ("g2", "g4", "g5", "p3"):
+        for x in probe_points(corpus.by_name(name), 5):
+            for k in range(min(7, len(x)) + 1 if x.is_finite else 8):
+                yield x, k
 
 
 def test_startswith():
@@ -103,6 +122,8 @@ def test_shift_prepend_roundtrip():
     for x in pts:
         for k in range(6):
             assert x.shift(k).prepend(x.head(k)) == x
+    for x, k in probed_heads():
+        assert x.shift(k).prepend(x.head(k)) == x
     g3 = corpus.g3()
     f = BoundaryPoint.finite(g3, g3.path_of("e"))
     assert f.shift(1) == BoundaryPoint.finite(g3, g3.vertex_path("w"))
@@ -251,6 +272,39 @@ def test_sample_point_lands_inside():
                 assert x is not None and cyl_contains(g, part, x)
         for x in sample_points(g, CompactOpen.whole(g)):
             assert x in CompactOpen.whole(g)
+
+
+def test_internal_paths_match_validated_paths(corpus_graph):
+    """Paths built without checks equal what make_path builds from the same
+    instances, source vertex included (Path equality ignores it)."""
+    _, g = corpus_graph
+    points = []
+    paths = []
+    for x in probe_points(g, 4):
+        for k in range(min(6, len(x)) + 1 if x.is_finite else 7):
+            paths.append(x.head(k))
+            points.append(x.shift(k))
+    cyls = [Cylinder(mu, frozenset()) for mu in g.paths_up_to(2)]
+    points += [sample_point(g, c) for c in CompactOpen.whole(g).parts + tuple(cyls)]
+    for y in points:
+        paths += [y.prefix] + ([y.cycle] if y.cycle else [])
+    for mu in g.paths_up_to(3):
+        for k in range(len(mu) + 1):
+            paths += [g.prefix(mu, k), g.strip_prefix(mu, k)]
+            assert g.concat(paths[-2], paths[-1]) == mu
+    holds, loop = condition_l(g)
+    if not holds:
+        paths.append(loop)
+    for v in g.vertices:
+        loops = first_return_profile(g, v)[1] + infinite_loops(g, v, 2)
+        assert all(mu.range_vertex == mu.source_vertex == v for mu in loops)
+        paths += loops
+    for mu in paths:
+        if mu.instances:
+            checked = g.make_path(mu.instances)
+            assert mu == checked and mu.source_vertex == checked.source_vertex
+        else:
+            assert mu.range_vertex == mu.source_vertex and mu.range_vertex in g.vertices
 
 
 # ---------------------------------------------------------------- partial words

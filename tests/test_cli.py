@@ -135,6 +135,14 @@ def test_oe_examples(capsys):
         assert rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"]
 
 
+def test_oe_probing_no_point_is_inconclusive(capsys):
+    for name in ("identity-g2", "swap-g2", "parallel-p2"):
+        code, rep = run_json(capsys, "oe", name, "--depth", "0")
+        assert code == 2, name
+        assert rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"]
+        assert rep["orbit_check"]["checked"] == 0
+
+
 def test_oe_swap_pieces(capsys):
     _, rep = run_json(capsys, "oe", "swap-g2", "--depth", "3")
     assert [tuple(p) for p in rep["pieces"]] == [
@@ -250,11 +258,12 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_battery.json"
 
 
 def test_cli_battery_matches_golden(capsys):
-    """Exit codes and JSON output of the criterion-10 battery plus the
-    action, sigma and invariance checks on g1, g2 and g4, byte for byte
+    """Exit codes and JSON output of the criterion-10 battery, the action,
+    sigma and invariance checks on g1, g2 and g4, the tf check on the other
+    corpus graphs and the witnesses on g7 Z(u) and p3 Z(v), byte for byte
     as recorded in tests/golden/cli_battery.json."""
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 29
+    assert len(cases) == 39
     for case in cases:
         got = run(capsys, *case["argv"], "--format", "json")
         assert got == (case["code"], case["stdout"]), case["argv"]
