@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .graph import EdgeInstance, Graph, GraphError, INFINITE, Path, sort_key
+from .graph import (EdgeInstance, Graph, GraphError, INFINITE, Path,
+                    instance_token, sort_key)
 from .invsgp import DomainError
-from .words import ReducedWord, ball
+from .words import _TOKEN, ReducedWord, ball
 
 
 class BoundaryError(ValueError):
@@ -111,10 +112,9 @@ class BoundaryPoint:
     def shift(self, k: int) -> "BoundaryPoint":
         """Drop the first k instances."""
         g = self.graph
+        if k < 0 or (self.is_finite and k > len(self.prefix)):
+            raise BoundaryError(f"cannot shift {point_str(self)} by {k}")
         if self.is_finite:
-            if k > len(self.prefix):
-                raise BoundaryError(
-                    f"cannot shift {point_str(self)} by {k}: too short")
             return BoundaryPoint(g, g.strip_prefix(self.prefix, k), None)
         pre, ci = self.prefix.instances, self.cycle.instances
         j = max(k - len(pre), 0) % len(ci)
@@ -137,19 +137,15 @@ class BoundaryPoint:
         return f"BoundaryPoint({point_str(self)!r})"
 
 
-def _tok(inst: EdgeInstance) -> str:
-    return inst.edge if inst.copy == 0 else f"{inst.edge}[{inst.copy}]"
-
-
 def point_str(x: BoundaryPoint) -> str:
     if x.is_finite:
         if not x.prefix.instances:
             return x.prefix.range_vertex
-        return ".".join(_tok(i) for i in x.prefix.instances)
-    cyc = ".".join(_tok(i) for i in x.cycle.instances)
+        return ".".join(map(instance_token, x.prefix.instances))
+    cyc = ".".join(map(instance_token, x.cycle.instances))
     if not x.prefix.instances:
         return f"({cyc})^inf"
-    pre = ".".join(_tok(i) for i in x.prefix.instances)
+    pre = ".".join(map(instance_token, x.prefix.instances))
     return f"{pre}.({cyc})^inf"
 
 
@@ -170,14 +166,11 @@ def parse_point(g: Graph, text: str) -> BoundaryPoint:
     return BoundaryPoint.periodic(g, g.vertex_path(cyc.range_vertex), cyc)
 
 
-_INST = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
-
-
 def _parse_path(g: Graph, text: str) -> Path:
     insts = []
     for tok in text.split("."):
-        m = _INST.match(tok.strip())
-        if not m:
+        m = _TOKEN.match(tok.strip())
+        if not m or m.group(3):  # a word token; paths take no ^-1
             raise BoundaryError(f"bad path token {tok!r}")
         insts.append(g.instance(m.group(1), int(m.group(2)) if m.group(2) else 0))
     return g.make_path(insts)
@@ -207,7 +200,7 @@ def make_cylinder(g: Graph, stem: Path, excl=()) -> Cylinder:
         g.instance(*inst)
         if g.r_of(inst) != stem.source_vertex:
             raise BoundaryError(
-                f"exclusion {_tok(inst)} does not attach at {stem.source_vertex}")
+                f"exclusion {instance_token(inst)} does not attach at {stem.source_vertex}")
     return Cylinder(stem, excl)
 
 
@@ -352,9 +345,9 @@ def set_str(U: CompactOpen) -> str:
     out = []
     for stem, excl in U.parts:
         s = stem.range_vertex if not stem.instances else ".".join(
-            _tok(i) for i in stem.instances)
+            map(instance_token, stem.instances))
         if excl:
-            s = f"Z({s} - {{{','.join(_tok(i) for i in sorted(excl))}}})"
+            s = f"Z({s} - {{{','.join(map(instance_token, sorted(excl)))}}})"
         else:
             s = f"Z({s})"
         out.append(s)
@@ -437,9 +430,6 @@ class PartialWord:
         if self.is_empty_map:
             return CompactOpen.empty(self.graph)
         return CompactOpen.cylinder(self.graph, self.beta)
-
-    def codomain(self) -> CompactOpen:
-        return self.inverse().domain()
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         if self.is_identity:

@@ -141,7 +141,10 @@ def parse_progression(text: str) -> Progression:
     m = _PROG.match(text.strip().replace(" ", ""))
     if not m:
         raise ExprError(f"expected r+mZ, got {text!r}")
-    return Progression(int(m.group(1)), int(m.group(2)))
+    try:
+        return Progression(int(m.group(1)), int(m.group(2)))
+    except SemigroupError as err:
+        raise ExprError(str(err))
 
 
 def parse_family(text: str):
@@ -216,17 +219,17 @@ def _run_check(args):
         out = verify_partial_action(g, word_len=wl, copies=args.copies)
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
-    if prop == "sigma":
+    if prop in ("sigma", "invariance"):
         depth = _effective(args.depth, 2)
-        out = verify_partial_hom(g, depth, copies=args.copies)
+        if prop == "sigma":
+            out = verify_partial_hom(g, depth, copies=args.copies)
+            ok = not out["failures"] and not out["idempotent_pure_failures"]
+        else:
+            out = check_boundary_invariance(g, depth, copies=args.copies)
+            ok = not out["violations"]
         rep.update(_clean(g, out))
-        ok = not out["failures"] and not out["idempotent_pure_failures"]
-        return rep, 0 if ok else 1
-    if prop == "invariance":
-        depth = _effective(args.depth, 2)
-        out = check_boundary_invariance(g, depth, copies=args.copies)
-        rep.update(_clean(g, out))
-        return rep, 0 if not out["violations"] else 1
+        # a depth-0 truncation holds only vertex paths: no edge was probed
+        return rep, (0 if depth else INCONCLUSIVE) if ok else 1
     raise ExprError(f"unknown property {prop!r}")
 
 
@@ -323,6 +326,10 @@ def _run_sgp(args):
     if act == "minimality":
         if not args.stages:
             raise ExprError("minimality needs --stages")
+        # corner offsets start at 0, progression moduli at 1
+        low = {NkFamily: 0, AffineFamily: 1}.get(type(fam))
+        if low is not None and min(args.stages) < low:
+            raise ExprError(f"{args.family} stages must be >= {low}")
         if isinstance(fam, NkFamily):
             stages = [(s,) * fam.k for s in args.stages]
         else:

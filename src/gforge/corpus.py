@@ -64,10 +64,6 @@ BUILDERS = {
 }
 
 
-def standard_corpus():
-    return {name: make() for name, make in BUILDERS.items()}
-
-
 def by_name(name: str) -> Graph:
     try:
         return BUILDERS[name]()

@@ -41,6 +41,14 @@ class EdgeInstance(NamedTuple):
     copy: int
 
 
+def instance_token(inst: EdgeInstance) -> str:
+    """The edge id alone for copy 0, else edge[copy].
+
+    Graph.instance_str differs: it also marks copy 0 of multi-copy edges.
+    """
+    return inst.edge if inst.copy == 0 else f"{inst.edge}[{inst.copy}]"
+
+
 class Edge(NamedTuple):
     eid: str
     range_vertex: str
@@ -74,8 +82,7 @@ class Path:
     def __repr__(self):
         if not self.instances:
             return f"Path({self.range_vertex!r})"
-        body = ".".join(f"{e}[{c}]" if c else e for e, c in self.instances)
-        return f"Path({body!r})"
+        return f"Path({'.'.join(map(instance_token, self.instances))!r})"
 
     def startswith(self, other: "Path") -> bool:
         if len(other) > len(self):
@@ -83,10 +90,6 @@ class Path:
         if other.range_vertex != self.range_vertex:
             return False
         return self.instances[:len(other)] == other.instances
-
-    @property
-    def is_vertex(self):
-        return not self.instances
 
 
 def sort_key(path: Path):

@@ -62,11 +62,6 @@ class NkFamily:
     def contains(self, ideal, x):
         return all(c >= o for c, o in zip(self._check(x), self._check(ideal)))
 
-    def translate(self, g, ideal):
-        """(g + ideal) meet the semigroup, always another corner."""
-        g = self._check(g)
-        return tuple(max(c + d, 0) for c, d in zip(ideal, g))
-
     def independence_report(self, trials=50, seed=0):
         """A corner equals a union of subcorners only through itself.
 
@@ -174,51 +169,9 @@ class FreeMonoidFamily:
 
     # -- reduced group words as (letter, sign) tuples ----------------------
 
-    reduce = staticmethod(words.reduce)
-
     def group_ball(self, radius):
         """All reduced words up to the given length."""
         return list(words.ball(self.letters, radius))
-
-    def _is_power_of(self, w, letter):
-        return all(l == letter for l, _ in w) and len({s for _, s in w}) <= 1
-
-    def move_certificate(self, w):
-        """A tail character the word moves, with the first differing spot.
-
-        Only powers of a letter fix that letter's tail, so any other
-        letter's tail works; the word never is a power of two different
-        letters at once.
-        """
-        w = self.reduce(w)
-        if not w:
-            raise SemigroupError("the empty word moves nothing")
-        v = next(l for l in self.letters if not self._is_power_of(w, l))
-        # stream of w . v^inf after free reduction
-        body = list(w)
-        while body and body[-1] == (v, -1):
-            body.pop()
-        for i, (l, s) in enumerate(body):
-            if (l, s) != (v, 1):
-                return {"character": f"{v}^inf", "differs_at": i,
-                        "seen": f"{l}^{s}"}
-        # unreachable: a reduced word whose surviving body is a pure
-        # positive power of v would have been a power of v outright
-        raise SemigroupError("certificate search degenerated")
-
-    def _inverse(self, w):
-        return tuple((l, -s) for l, s in reversed(w))
-
-    @staticmethod
-    def _posneg(w):
-        # positives-then-negatives shape, i.e. an element of P P^-1
-        neg = False
-        for _, s in w:
-            if s == -1:
-                neg = True
-            elif neg:
-                return False
-        return True
 
     def cone_meets(self, g, stem):
         """Whether g maps some point of the cone over `stem` into the
@@ -230,15 +183,15 @@ class FreeMonoidFamily:
         negative letter).
         """
         u = tuple((l, 1) for l in stem)
-        return self._posneg(self.reduce(tuple(g) + u))
+        return words.positive_negative_split(words.reduce(tuple(g) + u)) is not None
 
     def g0_witness(self, w):
         """A cone that one direction of the word pushes clear off the
         positive words, so the word sits outside the meeting kernel."""
-        w = self.reduce(w)
+        w = words.reduce(w)
         if not w:
             raise SemigroupError("the empty word empties nothing")
-        if not self._posneg(w):
+        if words.positive_negative_split(w) is None:
             # an interior negative letter survives every positive append
             witness = {"direction": "forward", "cone": ""}
         elif all(s == 1 for _, s in w):
@@ -248,7 +201,7 @@ class FreeMonoidFamily:
             # ends with some y^-1; a clashing letter keeps it stuck
             v = next(l for l in self.letters if l != w[-1][0])
             witness = {"direction": "forward", "cone": v}
-        g = w if witness["direction"] == "forward" else self._inverse(w)
+        g = w if witness["direction"] == "forward" else words.inverse(w)
         if self.cone_meets(g, witness["cone"]):
             raise SemigroupError("witness construction degenerated")
         return witness
@@ -348,20 +301,6 @@ class AffineFamily:
         nonzero multiple of its modulus."""
         y, c = pair
         return y in ideal and c != 0 and c % ideal.m == 0
-
-    def preimage(self, b: int, a: int, ideal: Progression):
-        """Pairs sent into the ideal by left multiplication with (b, a)."""
-        if a == 0:
-            raise SemigroupError("multiplier must be nonzero")
-        g = math.gcd(abs(a), ideal.m)
-        if (ideal.r - b) % g:
-            return None
-        m2 = ideal.m // g
-        if m2 == 1:
-            return Progression(0, 1)
-        inv = pow((a // g) % m2, -1, m2)
-        d0 = ((ideal.r - b) // g * inv) % m2
-        return Progression(d0, m2)
 
     def independence_report(self, bound=6):
         """A progression never is a finite union of proper subprogressions.
@@ -474,19 +413,6 @@ class AffineFamily:
                     "the meeting kernel equals it and carries no smallness "
                     "certificate",
         }
-
-    def freeness_violation(self, b: int = 1, a: int = 2):
-        """A nontrivial pair fixing the principal character of (b, a).
-
-        Multiplying by the pure translation (a, 1) permutes the ideal's
-        elements without leaving it, so the principal filter stands still.
-        """
-        if a in (0, 1, -1):
-            raise SemigroupError("need a multiplier of absolute value >= 2")
-        ideal = self.principal(b, a)
-        moved = Progression(a + b, abs(a))      # image of (b, a) under (a, 1)
-        assert moved == ideal
-        return {"g": (a, 1), "fixed_ideal": str(ideal), "verified": True}
 
 
 def _next_prime_above(n: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import EdgeInstance
+from .graph import EdgeInstance, instance_token
 
 _TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?(\^-1)?$")
 
@@ -27,6 +27,31 @@ def reduce(letters):
         else:
             out.append(let)
     return tuple(out)
+
+
+def inverse(letters):
+    """The inverse of a letter tuple: reversed, every sign flipped."""
+    return tuple((gen, -sign) for gen, sign in reversed(letters))
+
+
+def positive_negative_split(letters):
+    """(positive gens, negative gens) if the letters read as a positive
+    block followed by a negative block, else None.
+
+    The negative gens come out reversed, i.e. in path order (range end
+    first) for a word alpha.beta^-1.
+    """
+    pos = []
+    neg = []
+    for gen, sign in letters:
+        if sign == 1:
+            if neg:
+                return None
+            pos.append(gen)
+        else:
+            neg.append(gen)
+    neg.reverse()
+    return pos, neg
 
 
 def ball(gens, radius):
@@ -58,10 +83,6 @@ class ReducedWord:
         self._hash = hash(self.letters)
 
     @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
     def from_path(cls, mu):
         return cls((inst, 1) for inst in mu.instances)
 
@@ -78,16 +99,7 @@ class ReducedWord:
         return ReducedWord(self.letters + other.letters)
 
     def inverse(self):
-        return ReducedWord((inst, -s) for inst, s in reversed(self.letters))
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return ReducedWord()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return ReducedWord(inverse(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -106,11 +118,8 @@ class ReducedWord:
     def __str__(self):
         if not self.letters:
             return "1"
-        toks = []
-        for (eid, copy), sign in self.letters:
-            t = eid if copy == 0 else f"{eid}[{copy}]"
-            toks.append(t if sign == 1 else t + "^-1")
-        return ".".join(toks)
+        return ".".join(instance_token(inst) + ("" if sign == 1 else "^-1")
+                        for inst, sign in self.letters)
 
     @property
     def is_identity(self):
@@ -119,26 +128,11 @@ class ReducedWord:
     def sort_key(self):
         return (len(self.letters), tuple((e, c, s) for (e, c), s in self.letters))
 
-    # shape helpers: a word can act on paths only when it reads as a positive
-    # block followed by a negative block
+    # a word can act on paths only when it reads as a positive block
+    # followed by a negative block
     def positive_negative_split(self):
-        """(pos_instances, neg_instances) if shaped alpha.beta^-1, else None.
-
-        neg_instances come out in path order (range end first).
-        """
-        pos = []
-        neg = []
-        stage = 1
-        for inst, sign in self.letters:
-            if sign == 1:
-                if stage == -1:
-                    return None
-                pos.append(inst)
-            else:
-                stage = -1
-                neg.append(inst)
-        neg.reverse()
-        return pos, neg
+        """(pos_instances, neg_instances) if shaped alpha.beta^-1, else None."""
+        return positive_negative_split(self.letters)
 
 
 def parse_word(text: str) -> ReducedWord:

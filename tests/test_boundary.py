@@ -128,6 +128,11 @@ def test_shift_prepend_roundtrip():
     f = BoundaryPoint.finite(g3, g3.path_of("e"))
     assert f.shift(1) == BoundaryPoint.finite(g3, g3.vertex_path("w"))
     assert f.shift(1).prepend(g3.path_of("e")) == f
+    # negative shifts and shifts past a finite end are refused on both kinds
+    for x, k in [(parse_point(g, "a.b.(a)^inf"), -1), (parse_point(g3, "e"), -1),
+                 (parse_point(g3, "e"), 2)]:
+        with pytest.raises(BoundaryError):
+            x.shift(k)
 
 
 def test_point_str_parse_roundtrip():
@@ -325,10 +330,10 @@ def test_partial_word_domains():
     g = corpus.g2()
     pw = PartialWord.from_word(g, parse_word("a.b^-1"))
     assert pw.domain() == CompactOpen.cylinder(g, g.path_of("b"))
-    assert pw.codomain() == CompactOpen.cylinder(g, g.path_of("a"))
+    assert pw.inverse().domain() == CompactOpen.cylinder(g, g.path_of("a"))
     only_neg = PartialWord.from_word(g, parse_word("a^-1"))
     assert only_neg.domain() == CompactOpen.cylinder(g, g.path_of("a"))
-    assert only_neg.codomain() == CompactOpen.whole(g)
+    assert only_neg.inverse().domain() == CompactOpen.whole(g)
     assert PartialWord.identity(g).domain() == CompactOpen.whole(g)
 
 

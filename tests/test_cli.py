@@ -143,6 +143,19 @@ def test_oe_probing_no_point_is_inconclusive(capsys):
         assert rep["orbit_check"]["checked"] == 0
 
 
+def test_depth_zero_truncation_checks_are_inconclusive(capsys):
+    # a depth-0 truncation holds only vertex paths, so no edge is probed
+    for prop in ("sigma", "invariance"):
+        for name in ("g1", "g2", "g5"):
+            code, rep = run_json(capsys, "check", prop, "--graph", name,
+                                 "--depth", "0")
+            assert code == 2, (prop, name)
+            assert not rep.get("failures") and not rep.get("violations")
+            code, _ = run_json(capsys, "check", prop, "--graph", name,
+                               "--depth", "1")
+            assert code == 0, (prop, name)
+
+
 def test_oe_swap_pieces(capsys):
     _, rep = run_json(capsys, "oe", "swap-g2", "--depth", "3")
     assert [tuple(p) for p in rep["pieces"]] == [
@@ -223,6 +236,10 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
         ["sgp", "free:2", "rcomplete", "--count", "0"],
         ["sgp", "nk:2", "independence", "--trials", "0"],
         ["sgp", "free:2", "witness", "--depth", "-1"],
+        ["sgp", "affine", "witness", "--ideal", "0+0Z"],
+        ["sgp", "affine", "witness", "--exclude", "1+0Z"],
+        ["sgp", "affine", "minimality", "--stages", "0"],
+        ["sgp", "nk:2", "minimality", "--stages", "-1"],
     ]
     for argv in bad:
         assert main(argv) == 64, argv

@@ -27,8 +27,6 @@ def test_nk_ideal_calculus():
     assert fam.contains(x, (1, 0, 2))
     assert fam.contains(x, (5, 1, 2))
     assert not fam.contains(x, (0, 9, 9))
-    # translating by a group element clips at the axes
-    assert fam.translate((-4, 2, 0), x) == (0, 2, 2)
 
 
 def test_nk_rejects_bad_input():
@@ -75,21 +73,6 @@ def test_group_ball_sizes():
     fam = FreeMonoidFamily(2)
     # 1 + 4 + 12 + 36 reduced words up to length 3
     assert len(fam.group_ball(3)) == 53
-
-
-def test_move_certificates():
-    fam = FreeMonoidFamily(2)
-    # x never is a power of y, so the y-tail moves
-    cert = fam.move_certificate(((("x"), 1),))
-    assert cert["character"] == "y^inf"
-    assert cert["differs_at"] == 0
-    # x.y^-1 is no power of x, so the x-tail serves; mismatch at spot 1
-    cert = fam.move_certificate((("x", 1), ("y", -1)))
-    assert cert["character"] == "x^inf"
-    assert cert["differs_at"] == 1
-    assert cert["seen"] == "y^-1"
-    with pytest.raises(SemigroupError):
-        fam.move_certificate(())
 
 
 def test_free_kernel_trivial():
@@ -154,20 +137,6 @@ def test_affine_ideals():
         fam.principal(0, 0)
 
 
-def test_affine_preimage():
-    fam = AffineFamily()
-    ideal = fam.principal(1, 6)             # 1+6Z, multipliers 6Z
-    # (b,a) = (3, 4): need 3+4d ≡ 1 mod 6, gcd(4,6)=2 divides -2
-    pre = fam.preimage(3, 4, ideal)
-    assert pre == Progression(1, 3)
-    for d in (1, 4, -2):
-        assert (3 + 4 * d) % 6 == 1
-    # no solution when the gcd misses the residue gap
-    assert fam.preimage(0, 2, fam.principal(1, 4)) is None
-    # whole-semigroup preimage once the modulus collapses
-    assert fam.preimage(1, 3, fam.principal(0, 1)) == Progression(0, 1)
-
-
 def test_affine_independence_and_kernel():
     fam = AffineFamily()
     rep = fam.independence_report(bound=5)
@@ -196,16 +165,6 @@ def test_affine_kernel_witnesses():
     # a unit meets everything in both directions
     with pytest.raises(SemigroupError):
         fam.g0_witness(3, -1)
-
-
-def test_affine_freeness_violation():
-    fam = AffineFamily()
-    got = fam.freeness_violation(b=1, a=2)
-    assert got["g"] == (2, 1)
-    assert got["fixed_ideal"] == "1+2Z"
-    assert got["verified"]
-    with pytest.raises(SemigroupError):
-        fam.freeness_violation(b=0, a=1)
 
 
 # --------------------------------------------------------- paradox witnesses

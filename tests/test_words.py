@@ -5,7 +5,8 @@ import pytest
 
 from gforge import corpus
 from gforge.graph import EdgeInstance
-from gforge.words import ReducedWord, WordError, ball, parse_word, reduce
+from gforge.words import (ReducedWord, WordError, ball, inverse, parse_word,
+                          positive_negative_split, reduce)
 
 
 def w(text):
@@ -13,9 +14,9 @@ def w(text):
 
 
 def test_identity_spellings():
-    assert w("1") == ReducedWord.identity()
+    assert w("1") == ReducedWord()
     assert w("1").is_identity
-    assert str(ReducedWord.identity()) == "1"
+    assert str(ReducedWord()) == "1"
 
 
 def test_parse_and_print_roundtrip():
@@ -64,6 +65,9 @@ def test_ball_lists_reduced_tuples_level_by_level():
             if reduce(t) == t]
     assert list(ball(gens, 3)) == want
     assert list(ball(gens, 0)) == [()]
+    # a letter tuple times its inverse reduces to nothing
+    for t in want:
+        assert reduce(t + inverse(t)) == () == reduce(inverse(t) + t)
 
 
 def test_group_laws_sampled_long():
@@ -74,13 +78,6 @@ def test_group_laws_sampled_long():
         u, v, t = mk(rng.randint(4, 6)), mk(rng.randint(4, 6)), mk(rng.randint(4, 6))
         assert (u * v) * t == u * (v * t)
         assert (u * v).inverse() == v.inverse() * u.inverse()
-
-
-def test_pow():
-    a = w("a")
-    assert a ** 3 == w("a.a.a")
-    assert a ** -2 == w("a^-1.a^-1")
-    assert a ** 0 == ReducedWord()
 
 
 def test_from_pair_cancels_shared_tail():
@@ -100,6 +97,9 @@ def test_positive_negative_split():
     assert w("1").positive_negative_split() == ([], [])
     pos, neg = w("b^-1.a^-1").positive_negative_split()
     assert pos == [] and neg == [EdgeInstance("a", 0), EdgeInstance("b", 0)]
+    # the letter-tuple form behind the method, as the semigroup families use it
+    assert positive_negative_split((("x", 1), ("y", 1), ("x", -1))) == (["x", "y"], ["x"])
+    assert positive_negative_split((("x", -1), ("y", 1))) is None
 
 
 def test_sort_key_orders_by_length_first():
