@@ -147,6 +147,13 @@ def parse_progression(text: str) -> Progression:
         raise ExprError(str(err))
 
 
+def parse_free_word(fam: FreeMonoidFamily, text: str):
+    try:
+        return fam.word(text)
+    except SemigroupError as err:
+        raise ExprError(str(err))
+
+
 def parse_family(text: str):
     if text == "affine":
         return AffineFamily()
@@ -314,6 +321,9 @@ def _run_sgp(args):
             excl = [parse_progression(t) for t in args.exclude]
             out = axb_paradox_witness(fam, ideal, excl)
         else:
+            if isinstance(fam, FreeMonoidFamily):
+                for text in [args.ideal or "", *args.exclude]:
+                    parse_free_word(fam, text)
             out = boundary_paradox_witness(fam, args.ideal or "",
                                            args.exclude,
                                            depth=_effective(args.depth, 8))

@@ -480,40 +480,18 @@ def condition_k(g: Graph):
     return True, None
 
 
-def maximal_tails(g: Graph, max_vertices: int = 16) -> list[frozenset]:
-    """All maximal tails: nonempty vertex sets T that are closed under going
-    upstream, downward directed, and in which every receiving vertex receives
-    from inside T.  Brute force over subsets; guarded by max_vertices.
+def maximal_tails(g: Graph) -> list[frozenset]:
+    """All maximal tails (Bates, Hong, Raeburn & Szymanski, Illinois J. Math.
+    46, 2002): nonempty vertex sets T that are closed under going upstream,
+    downward directed, and in which every regular vertex receives from
+    inside T.  A finite downward-directed T has a member y with T inside
+    upstream(y), so a T closed upstream equals upstream(y): one closure per
+    vertex, not a search over subsets.
     """
-    verts = sorted(g.vertices)
-    if len(verts) > max_vertices:
-        raise GraphError(
-            f"{len(verts)} vertices exceed the subset-enumeration bound {max_vertices}")
-    up = {v: g.upstream(v) for v in verts}
-    tails = []
-    for mask in range(1, 1 << len(verts)):
-        T = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
-        if not all(up[v] <= T for v in T):
-            continue
-        ok = True
-        for v in T:
-            rec = g.receivers(v)
-            if rec and not any(e.source_vertex in T for e in rec):
-                ok = False
-                break
-        if not ok:
-            continue
-        for v in T:
-            if not ok:
-                break
-            for w in T:
-                if not any(v in up[y] and w in up[y] for y in T):
-                    ok = False
-                    break
-        if ok:
-            tails.append(T)
-    tails.sort(key=lambda T: (len(T), tuple(sorted(T))))
-    return tails
+    tails = {T for T in map(g.upstream, g.vertices)
+             if all(any(e.source_vertex in T for e in g.receivers(v))
+                    for v in T if g.is_regular(v))}
+    return sorted(tails, key=lambda T: (len(T), tuple(sorted(T))))
 
 
 def cycle_vertices_within(g: Graph, T: frozenset) -> frozenset:
@@ -522,13 +500,13 @@ def cycle_vertices_within(g: Graph, T: frozenset) -> frozenset:
     return frozenset(z for z in T if z in _closure(inner[z], inner))
 
 
-def condition_pi(g: Graph, max_vertices: int = 16) -> PIReport:
+def condition_pi(g: Graph) -> PIReport:
     """No breaking vertices, two first returns on every loop vertex, and every
     vertex of every maximal tail flowing into a loop inside its tail."""
     brk = breaking_vertices(g)
     k_ok, k_wit = condition_k(g)
     tail_wit = None
-    for T in maximal_tails(g, max_vertices):
+    for T in maximal_tails(g):
         cyc = cycle_vertices_within(g, T)
         for v in sorted(T):
             if not (g.downstream(v) & cyc):

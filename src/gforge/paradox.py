@@ -211,8 +211,7 @@ def expand_witness(g: Graph, pair, count: int):
     return maps
 
 
-def paradox_report(g: Graph, stem_depth: int = 2, copies: int = 2,
-                   depth_cap=None) -> dict:
+def paradox_report(g: Graph, stem_depth: int = 2) -> dict:
     """Search every cylinder stem up to stem_depth and certify the finds.
 
     holds is True when every probed cylinder carries a verified pair,
@@ -220,10 +219,10 @@ def paradox_report(g: Graph, stem_depth: int = 2, copies: int = 2,
     """
     rep = {"holds": True, "stems": 0, "verified": 0,
            "refusals": [], "failures": []}
-    for mu in g.paths_up_to(stem_depth, copies=copies):
+    for mu in g.paths_up_to(stem_depth, copies=2):
         rep["stems"] += 1
         U = CompactOpen.cylinder(g, mu)
-        pair = find_witness(g, U, depth_cap=depth_cap)
+        pair = find_witness(g, U)
         if pair is None:
             rep["holds"] = False
             rep["refusals"].append(g.path_str(mu))

@@ -240,6 +240,8 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
         ["sgp", "affine", "witness", "--exclude", "1+0Z"],
         ["sgp", "affine", "minimality", "--stages", "0"],
         ["sgp", "nk:2", "minimality", "--stages", "-1"],
+        ["sgp", "free:2", "witness", "--ideal", "xq"],
+        ["sgp", "free:2", "witness", "--ideal", "x", "--exclude", "q"],
     ]
     for argv in bad:
         assert main(argv) == 64, argv

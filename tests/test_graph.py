@@ -74,7 +74,7 @@ def oracle_is_tail(g, T, pairs):
                 return False
     for v in T:
         rec = g.receivers(v)
-        if rec and not any(e.source_vertex in T for e in rec):
+        if g.is_regular(v) and not any(e.source_vertex in T for e in rec):
             return False
     for v in T:
         for w in T:
@@ -395,15 +395,34 @@ def test_maximal_tails_against_clause_oracle(corpus_graph):
 
 def test_maximal_tails_against_clause_oracle_random():
     rng = random.Random(4404)
-    for _ in range(25):
-        g = corpus.random_graph(rng, max_vertices=5, allow_infinite=True)
+    for _ in range(200):
+        g = corpus.random_graph(rng, max_vertices=10, allow_infinite=True)
         assert maximal_tails(g) == oracle_tails(g, closure_pairs(g))
 
 
-def test_maximal_tails_guard():
-    g = Graph([f"v{i}" for i in range(20)], [])
-    with pytest.raises(GraphError):
-        maximal_tails(g)
+def test_maximal_tails_large_graphs():
+    # 20 isolated vertices: each singular singleton is its own tail
+    verts = [f"v{i:02d}" for i in range(20)]
+    g = Graph(verts, [])
+    assert maximal_tails(g) == [frozenset({v}) for v in verts]
+    assert condition_pi(g).tail_witness == (frozenset({"v00"}), "v00")
+
+    # a 24-vertex ring with chords is strongly connected: one tail, all of it
+    verts = [f"v{i:02d}" for i in range(24)]
+    edges = [Edge(f"r{i}", verts[(i + 1) % 24], verts[i], 1) for i in range(24)]
+    edges += [Edge(f"c{i}", verts[(i + 5) % 24], verts[i], 1) for i in range(0, 24, 3)]
+    g = Graph(verts, edges)
+    assert maximal_tails(g) == [frozenset(verts)]
+    assert condition_pi(g).holds
+
+    # 21 vertices feeding an infinite receiver with no loop: its tail is
+    # itself, since the regular-receiver clause skips it (BHRS 2002)
+    verts = ["hub"] + [f"s{i:02d}" for i in range(20)]
+    edges = [Edge(f"e{i}", "hub", f"s{i:02d}", INFINITE) for i in range(20)]
+    g = Graph(verts, edges)
+    assert maximal_tails(g) == [frozenset({"hub"})] + [
+        frozenset({"hub", s}) for s in verts[1:]]
+    assert condition_pi(g).tail_witness == (frozenset({"hub"}), "hub")
 
 
 def test_condition_pi_verdicts():

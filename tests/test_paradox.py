@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from gforge import corpus
 from gforge.boundary import CompactOpen, Cylinder, parse_point, probe_points
-from gforge.graph import EdgeInstance
+from gforge.graph import INFINITE, EdgeInstance, condition_pi
 from gforge.paradox import (
     PiecewiseWord,
     expand_witness,
@@ -167,8 +169,20 @@ def test_paradox_report_negative_graphs():
 
 
 def test_report_agrees_with_structural_conditions():
-    from gforge.graph import condition_pi
     for name in sorted(corpus.BUILDERS):
         g = corpus.by_name(name)
         rep = paradox_report(g, stem_depth=2)
         assert rep["holds"] == condition_pi(g).holds, name
+
+
+@pytest.mark.parametrize("seed", [23, 80, 132, 180, 216, 1032, 1146, 2056])
+def test_loopless_infinite_receiver_breaks_condition_pi(seed):
+    # census graphs where an infinite receiver on no loop forms its own
+    # tail only under the regular-receiver clause of a maximal tail
+    g = corpus.random_graph(random.Random(seed), 5, allow_infinite=True)
+    rep = condition_pi(g)
+    assert not rep.holds
+    assert not rep.breaking and rep.k_witness is None
+    T, v = rep.tail_witness
+    assert g.receiver_count(v) == INFINITE and T == g.upstream(v)
+    assert rep.holds == paradox_report(g, stem_depth=2)["holds"]
