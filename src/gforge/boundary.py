@@ -43,22 +43,8 @@ class BoundaryPoint:
     __slots__ = ("graph", "prefix", "cycle", "_hash")
 
     def __init__(self, graph: Graph, prefix: Path, cycle: Path | None):
-        if cycle is None:
-            if graph.is_regular(prefix.source_vertex):
-                raise BoundaryError(
-                    f"finite path ending at regular vertex {prefix.source_vertex}")
-        else:
-            if not cycle.instances or cycle.range_vertex != cycle.source_vertex:
-                raise BoundaryError("period must be a loop of positive length")
-            if prefix.source_vertex != cycle.range_vertex:
-                raise BoundaryError("prefix does not reach the loop")
-            insts = _primitive_root(cycle.instances)
-            pre = prefix.instances
-            while pre and pre[-1] == insts[-1]:
-                pre = pre[:-1]
-                insts = (insts[-1],) + insts[:-1]
-            cycle = graph.trusted_path(insts)
-            prefix = graph.trusted_path(pre, cycle.range_vertex)
+        """Unchecked: the arguments must already be a canonical point.  finite and
+        periodic validate; a point built here is trusted, as trusted_path is."""
         self.graph = graph
         self.prefix = prefix
         self.cycle = cycle
@@ -66,11 +52,25 @@ class BoundaryPoint:
 
     @classmethod
     def finite(cls, graph, mu: Path):
+        if graph.is_regular(mu.source_vertex):
+            raise BoundaryError(
+                f"finite path ending at regular vertex {mu.source_vertex}")
         return cls(graph, mu, None)
 
     @classmethod
     def periodic(cls, graph, prefix: Path, cycle: Path):
-        return cls(graph, prefix, cycle)
+        """prefix.cycle^inf, brought to canonical form."""
+        if not cycle.instances or cycle.range_vertex != cycle.source_vertex:
+            raise BoundaryError("period must be a loop of positive length")
+        if prefix.source_vertex != cycle.range_vertex:
+            raise BoundaryError("prefix does not reach the loop")
+        insts = _primitive_root(cycle.instances)
+        pre = prefix.instances
+        while pre and pre[-1] == insts[-1]:
+            pre = pre[:-1]
+            insts = (insts[-1],) + insts[:-1]
+        cycle = graph.trusted_path(insts)
+        return cls(graph, graph.trusted_path(pre, cycle.range_vertex), cycle)
 
     @property
     def is_finite(self):
@@ -110,20 +110,25 @@ class BoundaryPoint:
         return self._first(len(mu)) == mu.instances
 
     def shift(self, k: int) -> "BoundaryPoint":
-        """Drop the first k instances."""
+        """Drop the first k instances; a canonical point stays canonical."""
         g = self.graph
         if k < 0 or (self.is_finite and k > len(self.prefix)):
             raise BoundaryError(f"cannot shift {point_str(self)} by {k}")
         if self.is_finite:
             return BoundaryPoint(g, g.strip_prefix(self.prefix, k), None)
-        pre, ci = self.prefix.instances, self.cycle.instances
-        j = max(k - len(pre), 0) % len(ci)
-        cyc = g.trusted_path(ci[j:] + ci[:j])
+        pre, cyc = self.prefix.instances, self.cycle
+        j = max(k - len(pre), 0) % len(cyc)
+        if j:  # a rotation of a primitive cycle is primitive
+            cyc = g.trusted_path(cyc.instances[j:] + cyc.instances[:j])
         return BoundaryPoint(g, g.trusted_path(pre[k:], cyc.range_vertex), cyc)
 
     def prepend(self, alpha: Path) -> "BoundaryPoint":
         g = self.graph
-        return BoundaryPoint(g, g.concat(alpha, self.prefix), self.cycle)
+        prefix = g.concat(alpha, self.prefix)
+        # only behind an empty prefix can alpha end with the cycle's last instance
+        if self.cycle is not None and not self.prefix.instances:
+            return BoundaryPoint.periodic(g, prefix, self.cycle)
+        return BoundaryPoint(g, prefix, self.cycle)
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryPoint):
@@ -377,12 +382,6 @@ class PartialWord:
         return cls(graph, None, None, ReducedWord())
 
     @classmethod
-    def from_pair(cls, graph, alpha: Path, beta: Path):
-        if alpha.source_vertex != beta.source_vertex:
-            raise BoundaryError("pair needs a common source")
-        return cls(graph, alpha, beta)
-
-    @classmethod
     def from_word(cls, graph, word: ReducedWord) -> "PartialWord":
         if word.is_identity:
             return cls.identity(graph)
@@ -504,13 +503,13 @@ def sample_points(g: Graph, U: CompactOpen) -> list[BoundaryPoint]:
     return out
 
 
-def probe_points(g: Graph, depth: int = 3, copies: int = 2) -> list[BoundaryPoint]:
+def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
     """A deterministic spread of boundary points for checks to probe.
 
     Every finite point whose path fits in `depth`, and every prefix-cycle
-    combination whose total length fits in it.
+    combination whose total length fits in it (two copies per infinite family).
     """
-    paths = g.paths_up_to(depth, copies=copies)
+    paths = g.paths_up_to(depth, copies=2)
     cycles = [c for c in paths
               if c.instances and c.range_vertex == c.source_vertex]
     pts = []
@@ -571,7 +570,7 @@ def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
                 continue
             if alpha.source_vertex != beta.source_vertex:
                 continue
-            pw = PartialWord.from_pair(g, alpha, beta)
+            pw = PartialWord(g, alpha, beta)
             if pw.act_point(x) == x:
                 found.add(pw.word())
     return sorted(found, key=ReducedWord.sort_key)

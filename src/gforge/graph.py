@@ -11,8 +11,8 @@ multiplicity m stands for m parallel copies, addressed as instances
 (edge id, copy index).
 
 Input is validated once, where it enters: Graph() (with from_json and
-loads), vertex_path, make_path/path_of, the parsers, make_cylinder, the
-BoundaryPoint constructor and PartialWord.from_word.  Code that already
+loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
+BoundaryPoint.finite/periodic and PartialWord.from_word.  Code that already
 holds composable instances builds paths with the unchecked trusted_path.
 """
 from __future__ import annotations
@@ -103,6 +103,8 @@ class Graph:
         self.edges: dict[str, Edge] = {}
         for e in edges:
             e = Edge(*e)
+            if not all(isinstance(f, str) for f in e[:3]):
+                raise SchemaError(f"edge {e.eid!r}: id, range and source must be strings")
             if e.eid in self.edges:
                 raise SchemaError(f"duplicate edge id {e.eid!r}")
             if e.range_vertex not in vset:
@@ -110,7 +112,7 @@ class Graph:
             if e.source_vertex not in vset:
                 raise SchemaError(f"edge {e.eid!r}: unknown source {e.source_vertex!r}")
             if e.multiplicity != INFINITE:
-                if not isinstance(e.multiplicity, int) or e.multiplicity < 1:
+                if type(e.multiplicity) is not int or e.multiplicity < 1:
                     raise SchemaError(f"edge {e.eid!r}: bad multiplicity {e.multiplicity!r}")
             self.edges[e.eid] = e
         self._receivers: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -291,7 +293,7 @@ class Graph:
     def paths_up_to(self, depth: int, copies: int = 1) -> list[Path]:
         """All paths of length <= depth, infinite families truncated to `copies` copies.
 
-        Deterministic order: by length, then lexicographically.
+        Order: sort_key; a sorted level extended in (eid, copy) order stays sorted.
         """
         out = [self.vertex_path(v) for v in sorted(self.vertices)]
         frontier = list(out)
@@ -301,7 +303,6 @@ class Graph:
                 for inst in self.continuations(mu.source_vertex, copies):
                     ext = Path(mu.range_vertex, self.s_of(inst), mu.instances + (inst,))
                     nxt.append(ext)
-            nxt.sort(key=sort_key)
             out.extend(nxt)
             frontier = nxt
         return out
@@ -345,12 +346,12 @@ class Graph:
         self._check_vertex(v)
         if w == v:
             return self.vertex_path(w)
-        # BFS from the range end, extending at the source
+        # BFS from the range end, extending at the source; levels stay sorted
         best = {w: self.vertex_path(w)}
         frontier = [self.vertex_path(w)]
         while frontier:
             nxt = []
-            for mu in sorted(frontier, key=sort_key):
+            for mu in frontier:
                 for inst in self.continuations(mu.source_vertex):
                     y = self.s_of(inst)
                     if y in best:

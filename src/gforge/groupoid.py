@@ -189,7 +189,7 @@ def isotropy_elements(elements):
     return [d for d in elements if d.source == d.target and not d.is_unit]
 
 
-def roundtrip_report(g, word_bound, copies=2):
+def roundtrip_report(g, word_bound):
     """Word -> normal form -> word again, germ by germ.
 
     One sample point per domain part of every admissible word.  A
@@ -198,7 +198,7 @@ def roundtrip_report(g, word_bound, copies=2):
     """
     rep = {"roundtrips": 0, "distinct": 0, "failures": []}
     seen = set()
-    for w in admissible_words(g, word_bound, copies=copies):
+    for w in admissible_words(g, word_bound):
         pw = PartialWord.from_word(g, w)
         for part in pw.domain().parts:
             x = sample_point(g, part)

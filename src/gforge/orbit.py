@@ -282,7 +282,7 @@ def coe_to_oe(coc: Cocycle) -> OEData:
     return OEData(homeo, pieces)
 
 
-def oe_to_coe(oe: OEData, refine_depth=None) -> Cocycle:
+def oe_to_coe(oe: OEData) -> Cocycle:
     """Rebuild a word cocycle from shift data.
 
     Pieces are refined to stems deep enough that the image heads the
@@ -293,11 +293,10 @@ def oe_to_coe(oe: OEData, refine_depth=None) -> Cocycle:
     gs, gt = homeo.source_graph, homeo.target_graph
     _assert_finite_multiplicities(gs)
     _assert_finite_multiplicities(gt)
-    if refine_depth is None:
-        rule_len = max((len(mu) for mu, _ in homeo.rules), default=0)
-        piece_len = max((len(c.stem) for c, _, _ in oe.pieces), default=0)
-        step = max((max(k, l) for _, k, l in oe.pieces), default=0)
-        refine_depth = 2 * rule_len + piece_len + step + 2
+    rule_len = max((len(mu) for mu, _ in homeo.rules), default=0)
+    piece_len = max((len(c.stem) for c, _, _ in oe.pieces), default=0)
+    step = max((max(k, l) for _, k, l in oe.pieces), default=0)
+    refine_depth = 2 * rule_len + piece_len + step + 2
     table = {}
     for stem in gs.maximal_stems(refine_depth):
         if not stem.instances:

@@ -35,12 +35,6 @@ class PiecewiseWord:
             (U if isinstance(U, CompactOpen) else CompactOpen(graph, [U]), w)
             for U, w in pieces)
 
-    def domain(self) -> CompactOpen:
-        out = CompactOpen.empty(self.graph)
-        for U, _ in self.pieces:
-            out = out.union(U)
-        return out
-
     def image(self) -> CompactOpen:
         out = CompactOpen.empty(self.graph)
         for U, w in self.pieces:

@@ -26,6 +26,7 @@ from gforge.boundary import (
 )
 from gforge.graph import EdgeInstance, GraphError, condition_l, first_return_profile
 from gforge.invsgp import DomainError
+from gforge.orbit import PrefixHomeo, swap_homeo
 from gforge.paradox import infinite_loops
 from gforge.words import ReducedWord, parse_word
 
@@ -279,19 +280,39 @@ def test_sample_point_lands_inside():
             assert x in CompactOpen.whole(g)
 
 
+def assert_validated(y):
+    """y equals finite/periodic rebuilt from its own prefix and cycle,
+    prefix source included (Path equality ignores it)."""
+    g = y.graph
+    z = (BoundaryPoint.finite(g, y.prefix) if y.is_finite
+         else BoundaryPoint.periodic(g, y.prefix, y.cycle))
+    assert y == z and y.prefix.source_vertex == z.prefix.source_vertex, y
+
+
 def test_internal_paths_match_validated_paths(corpus_graph):
-    """Paths built without checks equal what make_path builds from the same
-    instances, source vertex included (Path equality ignores it)."""
-    _, g = corpus_graph
+    """Paths and points built without checks equal what make_path and
+    finite/periodic build from the same instances, source vertex included
+    (Path equality ignores it): every point shift, prepend, act_point and
+    PrefixHomeo.apply make from probe_points."""
+    name, g = corpus_graph
     points = []
     paths = []
+    short = g.paths_up_to(2)
+    homeos = [PrefixHomeo.identity(g)] + ([swap_homeo(g)] if name == "g2" else [])
+    # [1:] drops the empty word, which sorts first and has no beta
+    maps = [PartialWord.from_word(g, w) for w in admissible_words(g, 2)[1:]]
     for x in probe_points(g, 4):
+        points += [h.apply(x) for h in homeos]
+        points += [pw.act_point(x) for pw in maps if x.startswith(pw.beta)]
         for k in range(min(6, len(x)) + 1 if x.is_finite else 7):
             paths.append(x.head(k))
-            points.append(x.shift(k))
-    cyls = [Cylinder(mu, frozenset()) for mu in g.paths_up_to(2)]
+            y = x.shift(k)
+            points += [y, y.prepend(x.head(k))]
+            points += [y.prepend(mu) for mu in short if mu.source_vertex == y.range_vertex]
+    cyls = [Cylinder(mu, frozenset()) for mu in short]
     points += [sample_point(g, c) for c in CompactOpen.whole(g).parts + tuple(cyls)]
     for y in points:
+        assert_validated(y)
         paths += [y.prefix] + ([y.cycle] if y.cycle else [])
     for mu in g.paths_up_to(3):
         for k in range(len(mu) + 1):

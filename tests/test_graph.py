@@ -18,6 +18,7 @@ from gforge.graph import (
     condition_pi,
     first_return_profile,
     maximal_tails,
+    sort_key,
 )
 
 
@@ -199,6 +200,14 @@ def test_paths_up_to_counts_and_order():
     g5 = corpus.g5()
     assert len(g5.paths_up_to(2, copies=2)) == 7
 
+    rng = random.Random(7)
+    randoms = [corpus.random_graph(rng, 5, allow_infinite=True) for _ in range(60)]
+    assert any(e.multiplicity == INFINITE for h in randoms for e in h.edges.values())
+    for h in [corpus.by_name(n) for n in corpus.BUILDERS] + randoms:
+        for copies in (1, 2):
+            ps = h.paths_up_to(3, copies)
+            assert ps == sorted(ps, key=sort_key)
+
 
 # ---------------------------------------------------------------- schema
 
@@ -226,6 +235,11 @@ def test_schema_rejects_garbage():
             ' "multiplicity": 0}]}')
     with pytest.raises(SchemaError):
         Graph.loads("not json")
+    for bad in ({"id": [1]}, {"id": 7}, {"range": [1]}, {"source": None},
+                {"multiplicity": True}, {"multiplicity": False}, {"multiplicity": 1.0}):
+        item = {"id": "e", "range": "v", "source": "v", **bad}
+        with pytest.raises(SchemaError):
+            Graph.from_json({"vertices": ["v"], "edges": [item]})
 
 
 def test_infinite_multiplicity_spelled_inf():

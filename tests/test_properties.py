@@ -1,0 +1,61 @@
+"""Hypothesis properties of boundary points on seeded random graphs.
+
+Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
+most three vertices, infinite edge families allowed.  The profile is
+derandomized and deadline-free, so every run checks the same examples.
+"""
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from gforge import corpus
+from gforge.boundary import (
+    PartialWord,
+    admissible_words,
+    parse_point,
+    point_str,
+    probe_points,
+)
+from test_boundary import assert_validated
+
+PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def graph_of(seed):
+    return corpus.random_graph(random.Random(seed), 3, allow_infinite=True)
+
+
+@PROFILE
+@given(seeds)
+def test_point_str_roundtrips(seed):
+    g = graph_of(seed)
+    for x in probe_points(g, 3):
+        assert parse_point(g, point_str(x)) == x
+
+
+@PROFILE
+@given(seeds)
+def test_shift_then_prepend_restores_and_stays_canonical(seed):
+    g = graph_of(seed)
+    short = g.paths_up_to(1, copies=2)
+    for x in probe_points(g, 3):
+        for k in range(len(x) + 1 if x.is_finite else 5):
+            y = x.shift(k)
+            assert_validated(y)
+            assert y.prepend(x.head(k)) == x
+            for alpha in short:
+                if alpha.source_vertex == y.range_vertex:
+                    assert_validated(y.prepend(alpha))
+
+
+@PROFILE
+@given(seeds)
+def test_act_point_results_are_canonical(seed):
+    g = graph_of(seed)
+    # [1:] drops the empty word, which sorts first and has no beta
+    maps = [PartialWord.from_word(g, w) for w in admissible_words(g, 2)[1:]]
+    for x in probe_points(g, 3):
+        for pw in maps:
+            if x.startswith(pw.beta):
+                assert_validated(pw.act_point(x))
