@@ -98,6 +98,10 @@ def sort_key(path: Path):
 
 class Graph:
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
+        vertices = tuple(vertices)
+        for v in vertices:
+            if not isinstance(v, str):
+                raise SchemaError(f"vertex {v!r}: id must be a string")
         self.vertices = tuple(dict.fromkeys(vertices))
         vset = set(self.vertices)
         self.edges: dict[str, Edge] = {}
@@ -152,6 +156,8 @@ class Graph:
             mult = item.get("multiplicity", 1)
             if mult == "inf":
                 mult = INFINITE
+            elif isinstance(mult, float):  # 1e999 and Infinity parse to inf
+                raise SchemaError(f"edge {eid!r}: bad multiplicity {mult!r}")
             edges.append(Edge(eid, rv, sv, mult))
         return cls(verts, edges)
 
@@ -224,14 +230,19 @@ class Graph:
         instances = tuple(instances)
         if not instances:
             raise GraphError("make_path needs at least one instance; use vertex_path")
+        es = []
         for inst in instances:
-            self.instance(*inst)
-        for a, b in zip(instances, instances[1:]):
-            if self.r_of(b) != self.s_of(a):
+            e = self.edges.get(inst[0])
+            if e is None or not 0 <= inst[1] < e.multiplicity:
+                self.instance(*inst)  # raises the error for this instance
+            es.append(e)
+        for i in range(1, len(es)):
+            if es[i].range_vertex != es[i - 1].source_vertex:
+                a, b = instances[i - 1], instances[i]
                 raise CompositionError(
                     f"{self.instance_str(b)} (range {self.r_of(b)}) does not extend "
                     f"{self.instance_str(a)} (source {self.s_of(a)})")
-        return self.trusted_path(instances)
+        return Path(es[0].range_vertex, es[-1].source_vertex, instances)
 
     def trusted_path(self, instances, vertex: str | None = None) -> Path:
         """The path through instances, built without any check.

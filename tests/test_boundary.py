@@ -19,6 +19,7 @@ from gforge.boundary import (
     parse_point,
     point_str,
     probe_points,
+    reduced_words,
     sample_point,
     sample_points,
     topological_freeness_report,
@@ -345,6 +346,7 @@ def test_partial_word_shapes():
     g4 = corpus.g4()
     assert PartialWord.from_word(g4, parse_word("a.c^-1")).is_empty_map  # sources v, w
     assert PartialWord.from_word(g4, parse_word("c.a")).is_empty_map    # c.a not a path
+    assert PartialWord.from_word(g4, parse_word("a[1]")).is_empty_map   # a has one copy
 
 
 def test_partial_word_domains():
@@ -495,6 +497,75 @@ def test_partial_action_axioms_small(name):
 def test_partial_action_axioms_with_copies():
     rep = verify_partial_action(corpus.g5(), word_len=2, copies=2)
     assert rep["failures"] == []
+
+
+def reference_partial_action(g, word_len=3, copies=2):
+    """verify_partial_action as first written: every map, domain, image and
+    product word rebuilt for each of the N^2 pairs, empty D included."""
+    words = reduced_words(g, word_len, copies)
+    maps = {w: PartialWord.from_word(g, w) for w in words}
+
+    report = {"words": len(words), "pairs": 0, "failures": []}
+    ident = maps[ReducedWord()]
+    if not ident.is_identity or ident.domain() != CompactOpen.whole(g):
+        report["failures"].append(("identity", ReducedWord()))
+    for w, pw in maps.items():
+        dom = pw.domain()
+        back = pw.inverse().act_set(pw.act_set(dom))
+        if back != dom:
+            report["failures"].append(("inverse", w))
+    for u in words:
+        for w in words:
+            pu, pw = maps[u], maps[w]
+            im_w = pw.act_set(pw.domain())
+            mid = im_w.intersect(pu.domain())
+            D = pw.inverse().act_set(mid)
+            puw = PartialWord.from_word(g, u * w)
+            report["pairs"] += 1
+            if not D.difference(puw.domain()).is_empty:
+                report["failures"].append(("domain", u, w))
+                continue
+            left = pu.act_set(pw.act_set(D))
+            right = puw.act_set(D)
+            if left != right:
+                report["failures"].append(("composition", u, w))
+                continue
+            for x in sample_points(g, D):
+                if pu.act_point(pw.act_point(x)) != puw.act_point(x):
+                    report["failures"].append(("pointwise", u, w, x))
+    return report
+
+
+@pytest.mark.parametrize("name,word_len", [
+    *[(n, 3) for n in ("g1", "g2", "g3", "g4")],
+    *[(n, 2) for n in sorted(corpus.BUILDERS) if n != "p3"],  # p3 alone takes ~1 s
+])
+def test_partial_action_report_matches_reference(name, word_len):
+    g = corpus.by_name(name)
+    assert verify_partial_action(g, word_len) == reference_partial_action(g, word_len)
+
+
+@pytest.mark.parametrize("method,spoil,kinds", [
+    # act_set loses the first cylinder of a nonempty result
+    ("act_set", lambda U: CompactOpen(U.graph, U.parts[1:]), {"domain", "composition"}),
+    # act_point keeps three instances, deep enough to stay in every domain
+    # a word of length 2 has, then runs round a.b instead
+    ("act_point", lambda y: BoundaryPoint.periodic(
+        y.graph, y.head(3), y.graph.path_of("a", "b")), {"pointwise"}),
+])
+def test_partial_action_reports_a_broken_map(monkeypatch, method, spoil, kinds):
+    g = corpus.g2()
+    target = parse_word("a.b^-1")
+    real = getattr(PartialWord, method)
+
+    def broken(self, arg):  # spoil the results of target's maps only
+        out = real(self, arg)
+        return spoil(out) if self.word() == target else out
+
+    monkeypatch.setattr(PartialWord, method, broken)
+    rep = verify_partial_action(g, word_len=2)
+    assert {f[0] for f in rep["failures"]} & kinds, rep["failures"]
+    assert rep == reference_partial_action(g, word_len=2)
 
 
 # ------------------------------------------------------- topological freeness

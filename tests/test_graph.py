@@ -139,6 +139,17 @@ def test_make_path_rejects_gluing_mismatch():
         g.path_of("c", "a")  # s(c) = w but r(a) = v
 
 
+def test_make_path_rejects_bad_instances():
+    # the message is Graph.instance's, whichever instance of the path is bad
+    g = corpus.g4()
+    for bad, msg in (("x", 0), "unknown edge 'x'"), (("a", 1), "edge 'a' has no copy 1"), \
+            (("c", -1), "edge 'c' has no copy -1"):
+        for insts in ([bad], [EdgeInstance("a", 0), bad]):
+            with pytest.raises(GraphError, match=msg):
+                g.make_path(insts)
+    assert g.make_path([EdgeInstance("a", 0)] * 3) == g.path_of("a", "a", "a")
+
+
 def test_concat_and_prefix_strip():
     g = corpus.g4()
     mu = g.path_of("a", "a")
@@ -240,6 +251,14 @@ def test_schema_rejects_garbage():
         item = {"id": "e", "range": "v", "source": "v", **bad}
         with pytest.raises(SchemaError):
             Graph.from_json({"vertices": ["v"], "edges": [item]})
+    # json reads both as float inf; the only infinite spelling is "inf"
+    for mult in ("1e999", "Infinity"):
+        with pytest.raises(SchemaError):
+            Graph.loads('{"vertices": ["v"], "edges": [{"id": "e", "range": "v",'
+                        f' "source": "v", "multiplicity": {mult}}}]}}')
+    for verts in ([["v"]], [1]):
+        with pytest.raises(SchemaError):
+            Graph(verts, [])
 
 
 def test_infinite_multiplicity_spelled_inf():

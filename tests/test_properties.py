@@ -6,7 +6,7 @@ derandomized and deadline-free, so every run checks the same examples.
 """
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gforge import corpus
 from gforge.boundary import (
@@ -15,8 +15,10 @@ from gforge.boundary import (
     parse_point,
     point_str,
     probe_points,
+    verify_partial_action,
 )
-from test_boundary import assert_validated
+from gforge.graph import INFINITE
+from test_boundary import assert_validated, reference_partial_action
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -24,6 +26,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 def graph_of(seed):
     return corpus.random_graph(random.Random(seed), 3, allow_infinite=True)
+
+
+def edge_instances(g):
+    """Instances the checkers enumerate: two per infinite family."""
+    return sum(2 if e.multiplicity == INFINITE else e.multiplicity
+               for e in g.edges.values())
 
 
 @PROFILE
@@ -59,3 +67,12 @@ def test_act_point_results_are_canonical(seed):
         for pw in maps:
             if x.startswith(pw.beta):
                 assert_validated(pw.act_point(x))
+
+
+@PROFILE
+@given(seeds)
+def test_partial_action_report_matches_reference(seed):
+    g = graph_of(seed)
+    # the reference rebuilds every pair, so keep the word count small
+    assume(edge_instances(g) <= 4)
+    assert verify_partial_action(g, 2) == reference_partial_action(g, 2)
