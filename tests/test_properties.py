@@ -75,4 +75,6 @@ def test_partial_action_report_matches_reference(seed):
     g = graph_of(seed)
     # the reference rebuilds every pair, so keep the word count small
     assume(edge_instances(g) <= 4)
-    assert verify_partial_action(g, 2) == reference_partial_action(g, 2)
+    rep = verify_partial_action(g, 2)
+    assert rep == reference_partial_action(g, 2)
+    assert rep["failures"] == []
