@@ -450,30 +450,18 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
 
     x = v
     prefix = []
-    first = True
+    forbidden = forbidden_first
     for _ in range(len(g.vertices) + 1):
-        allowed = []
-        for e in g.receivers(x):
-            if e.source_vertex not in U:
-                continue
-            limit = 2 + (len(forbidden_first) if first else 0)
-            c = 0
-            while len(allowed) < 2 and (e.multiplicity == INFINITE or c < e.multiplicity):
-                if c > limit:
-                    break
-                inst = EdgeInstance(e.eid, c)
-                if not (first and inst in forbidden_first):
-                    allowed.append(inst)
-                c += 1
-            if len(allowed) >= 2:
-                break
+        # len(forbidden) + 3 copies per infinite family leave two allowed
+        allowed = [i for i in g.continuations(x, copies=len(forbidden) + 3)
+                   if g.s_of(i) in U and i not in forbidden][:2]
         if not allowed:
             return 0, []
-        if len(allowed) >= 2:
-            return 2, [complete(prefix + [allowed[0]]), complete(prefix + [allowed[1]])]
+        if len(allowed) == 2:
+            return 2, [complete(prefix + [i]) for i in allowed]
         prefix.append(allowed[0])
         x = g.s_of(allowed[0])
-        first = False
+        forbidden = frozenset()
         if x == v:
             return 1, [g.trusted_path(prefix)]
     raise GraphError("forced first-return walk failed to close")  # unreachable

@@ -12,10 +12,10 @@ Composition follows function order: compose(d2, d1) applies d1 first.
 """
 
 from .boundary import (
-    BoundaryPoint,
     PartialWord,
     admissible_words,
     point_str,
+    probe_points,
     sample_point,
 )
 from .graph import CompositionError, GraphError, INFINITE
@@ -167,9 +167,8 @@ def all_boundary_points(g):
     for v in g.vertices:
         if any(g.reaches(e.source_vertex, v) for e in g.receivers(v)):
             raise GraphError(f"boundary space is infinite: cycle through {v}")
-    # acyclic: no path reaches |V| edges, and singular means receiving nothing
-    return [BoundaryPoint.finite(g, mu)
-            for mu in g.maximal_stems(len(g.vertices))]
+    # acyclic: no path reaches |V| edges, so the probe holds every point
+    return probe_points(g, len(g.vertices))
 
 
 def full_groupoid(g, word_bound=4):

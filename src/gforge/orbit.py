@@ -103,13 +103,12 @@ class PrefixHomeo:
         for mu, nu in self.rules:
             if x.startswith(mu):
                 tail = x.shift(len(mu))
-                # _same_tail_shape made every tail past mu a path of gt past nu
-                pre = gt.trusted_path(nu.instances + tail.prefix.instances,
-                                      nu.range_vertex)
-                if tail.cycle is None:
-                    return BoundaryPoint.finite(gt, pre)
-                return BoundaryPoint.periodic(
-                    gt, pre, gt.trusted_path(tail.cycle.instances))
+                # _same_tail_shape made every tail past mu a point of gt past
+                # nu, canonical there as it is here
+                cycle = (None if tail.cycle is None
+                         else gt.trusted_path(tail.cycle.instances))
+                return BoundaryPoint(gt, gt.trusted_path(
+                    tail.prefix.instances, nu.source_vertex), cycle).prepend(nu)
         raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 

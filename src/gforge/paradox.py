@@ -41,13 +41,6 @@ class PiecewiseWord:
             out = out.union(PartialWord.from_word(self.graph, w).act_set(U))
         return out
 
-    def act_set(self, V: CompactOpen) -> CompactOpen:
-        out = CompactOpen.empty(self.graph)
-        for U, w in self.pieces:
-            out = out.union(
-                PartialWord.from_word(self.graph, w).act_set(V.intersect(U)))
-        return out
-
     def compose(self, inner: "PiecewiseWord") -> "PiecewiseWord":
         """Apply inner first.  Pieces refine along where images land."""
         g = self.graph
@@ -106,19 +99,15 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     v = cyl.stem.source_vertex
     if not g.receivers(v):
         return None                       # a single point cannot split
-    if g.receiver_count(v) == INFINITE:
+    infinite = g.receiver_count(v) == INFINITE
+    if infinite:
         loops = infinite_loops(g, v, 2, forbidden_first=cyl.excl)
-        if len(loops) < 2:
-            return None
-        wa = _conjugate(cyl.stem, loops[0], g)
-        wb = _conjugate(cyl.stem, loops[1], g)
+    else:
+        loops = first_return_profile(g, v, forbidden_first=cyl.excl)[1]
+    if len(loops) == 2:
+        wa, wb = (_conjugate(cyl.stem, loop, g) for loop in loops)
         return [(cyl, wa)], [(cyl, wb)]
-    n, loops = first_return_profile(g, v, forbidden_first=cyl.excl)
-    if n >= 2:
-        wa = _conjugate(cyl.stem, loops[0], g)
-        wb = _conjugate(cyl.stem, loops[1], g)
-        return [(cyl, wa)], [(cyl, wb)]
-    if depth <= 0:
+    if infinite or depth <= 0:
         return None
     side_a, side_b = [], []
     for inst in g.continuations(v):
@@ -134,16 +123,22 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
 
 
 def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
-    """A paradoxical pair on U, or None when some piece defeats the search."""
+    """A paradoxical pair on U, or None when some piece defeats the search.
+
+    Parts of U may overlap: each part is searched minus the earlier parts.
+    """
     if depth_cap is None:
         depth_cap = len(g.vertices) + 1
     side_a, side_b = [], []
-    for cyl in U.parts:
-        sub = _cylinder_pair(g, cyl, depth_cap)
-        if sub is None:
-            return None
-        side_a.extend(sub[0])
-        side_b.extend(sub[1])
+    for i, cyl in enumerate(U.parts):
+        rest = CompactOpen(g, [cyl]).difference(
+            CompactOpen(g, U.parts[:i])).parts if i else (cyl,)
+        for piece in rest:
+            sub = _cylinder_pair(g, piece, depth_cap)
+            if sub is None:
+                return None
+            side_a.extend(sub[0])
+            side_b.extend(sub[1])
     if not side_a:
         return None                       # U empty: nothing to duplicate
     return (PiecewiseWord(g, side_a), PiecewiseWord(g, side_b))

@@ -449,18 +449,10 @@ def boundary_paradox_witness(family, ideal, exclusions=(), depth=8):
     def blocked(w):
         return any(w[:len(e)] == e for e in excl)
 
-    def grow(w):
-        if blocked(w):
-            return None
-        if len(w) >= horizon:
-            return w
-        for l in family.letters:
-            got = grow(w + (l,))
-            if got is not None:
-                return got
-        return None
-
-    base = grow(stem)
+    # a word past a blocked prefix is blocked, so the first unblocked word
+    # of full length in letter order is what a depth-first search would find
+    words = (stem + t for t in itertools.product(family.letters, repeat=horizon - len(stem)))
+    base = next((w for w in words if not blocked(w)), None)
     if base is None:
         return None
     tail = family.letters[0]
@@ -485,10 +477,12 @@ def boundary_paradox_witness(family, ideal, exclusions=(), depth=8):
 def axb_paradox_witness(family, ideal: Progression, exclusions=()):
     """Duplicate a progression-minus-progressions set with affine maps.
 
-    The multiplier is the least positive element past 1 in the common
-    refinement shifted by one; the second translation is the least
-    refinement element outside its multiples.  Everything is certified
-    by an exhaustive residue sweep.
+    J is the common refinement, a progression through 0 with modulus
+    J.m >= 1.  The multiplier a is the least positive element past 1 of
+    J shifted by one: 1 + J.m >= 2, so a = J.m + 1.  The second
+    translation delta is the least positive element of J outside aZ:
+    J.m mod (J.m + 1) = J.m != 0, so delta = J.m.  Everything is
+    certified by an exhaustive residue sweep.
     """
     if not isinstance(family, AffineFamily):
         raise SemigroupError("arithmetic witnesses need the affine family")
@@ -500,21 +494,7 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
     if J.r != 0:
         raise SemigroupError("progressions must refine through 0")
 
-    a = None
-    c = 1 + J.m
-    while a is None:
-        if abs(c) != 1:
-            a = c
-        else:
-            c += J.m
-    delta = None
-    c = J.m
-    while delta is None:
-        if c % a:
-            delta = c
-        else:
-            c += J.m
-
+    a, delta = J.m + 1, J.m
     modulus = ideal.m * J.m * a
     in_u = [x in ideal and not any(x in e for e in exclusions)
             for x in range(modulus)]
@@ -583,10 +563,8 @@ def boundary_minimality_probe(family, stages):
     if isinstance(family, AffineFamily):
         meet = Progression(0, 1)
         partial = []
-        for m in stages:
+        for m in stages:  # progressions through 0 always meet
             meet = meet.intersect(Progression(0, m))
-            if meet is None:
-                return {"proper_filter": False, "failed_at": m}
             partial.append(str(meet))
         return {
             "proper_filter": True,

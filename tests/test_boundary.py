@@ -299,7 +299,11 @@ def test_internal_paths_match_validated_paths(corpus_graph):
     points = []
     paths = []
     short = g.paths_up_to(2)
-    homeos = [PrefixHomeo.identity(g)] + ([swap_homeo(g)] if name == "g2" else [])
+    homeos = [PrefixHomeo.identity(g)]
+    if name == "g2":
+        aa, ab, b = g.path_of("a", "a"), g.path_of("a", "b"), g.path_of("b")
+        deep = PrefixHomeo(g, g, [(aa, b), (ab, aa), (b, ab)])
+        homeos += [swap_homeo(g), swap_homeo(g).inverse(), deep, deep.inverse()]
     # [1:] drops the empty word, which sorts first and has no beta
     maps = [PartialWord.from_word(g, w) for w in admissible_words(g, 2)[1:]]
     for x in probe_points(g, 4):
@@ -566,6 +570,22 @@ def test_partial_action_reports_a_broken_map(monkeypatch, method, spoil, kinds):
     rep = verify_partial_action(g, word_len=2)
     assert {f[0] for f in rep["failures"]} & kinds, rep["failures"]
     assert rep == reference_partial_action(g, word_len=2)
+
+
+def test_partial_action_reports_points_leaving_a_domain(monkeypatch):
+    """A point map that leaves the domain of the next map is a pointwise
+    failure; no DomainError escapes the check."""
+    g = corpus.g2()
+    targets = {parse_word("a.b^-1"), parse_word("b.a^-1")}
+    real = PartialWord.act_point
+
+    def broken(self, x):
+        y = real(self, x)
+        return y.shift(1) if self.word() in targets else y
+
+    monkeypatch.setattr(PartialWord, "act_point", broken)
+    rep = verify_partial_action(g, word_len=2)
+    assert rep["failures"] and {f[0] for f in rep["failures"]} == {"pointwise"}
 
 
 # ------------------------------------------------------- topological freeness

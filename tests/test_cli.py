@@ -79,6 +79,12 @@ def test_witness_union_expression(capsys):
     assert rep["set"].startswith("Z(")
 
 
+@pytest.mark.parametrize("expr", ["Z(a)+Z(a.a)", "Z(v)+Z(a)"])
+def test_witness_overlapping_parts(capsys, expr):
+    code, rep = run_json(capsys, "witness", "g2", expr)
+    assert code == 0 and rep["verified"] is True
+
+
 # ----------------------------------------------------------- set expressions
 
 def test_parse_set_expr_shapes():

@@ -4,7 +4,7 @@ import pytest
 
 from gforge import corpus
 from gforge.boundary import CompactOpen, Cylinder, parse_point, probe_points
-from gforge.graph import INFINITE, EdgeInstance, condition_pi
+from gforge.graph import INFINITE, Edge, EdgeInstance, Graph, condition_pi
 from gforge.paradox import (
     PiecewiseWord,
     expand_witness,
@@ -97,16 +97,24 @@ def test_find_witness_refusals(name, stem):
     assert find_witness(g, U) is None
 
 
+def test_find_witness_refuses_infinite_receiver_without_return():
+    # every word fixes the point v, so Z(v) has no pair; w has two loops,
+    # but finitely many cylinders of the family f cannot cover Z(v)
+    g = Graph(["v", "w"], [Edge("f", "v", "w", INFINITE),
+                           Edge("a", "w", "w", 1), Edge("b", "w", "w", 1)])
+    assert find_witness(g, CompactOpen.cylinder(g, g.vertex_path("v"))) is None
+
+
 def test_witness_words_move_points():
     g = corpus.g2()
     U = CompactOpen.whole(g)
     a, b = find_witness(g, U)
     x = parse_point(g, "(b.a)^inf")
-    assert a.act_set(CompactOpen.whole(g)) == a.image()
     for m in (a, b):
         img = m.image()
         for y in probe_points(g, 2):
-            moved = m.act_set(CompactOpen.cylinder(g, y.head(2)))
+            V = CompactOpen.cylinder(g, y.head(2))
+            moved = PiecewiseWord(g, [(V.intersect(P), w) for P, w in m.pieces]).image()
             assert moved.difference(img).is_empty
     assert x in U
 

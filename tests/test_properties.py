@@ -1,4 +1,5 @@
-"""Hypothesis properties of boundary points on seeded random graphs.
+"""Hypothesis properties of boundary points and paradox witnesses on seeded
+random graphs.
 
 Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed.  The profile is
@@ -10,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gforge import corpus
 from gforge.boundary import (
+    CompactOpen,
+    Cylinder,
     PartialWord,
     admissible_words,
     parse_point,
@@ -18,6 +21,7 @@ from gforge.boundary import (
     verify_partial_action,
 )
 from gforge.graph import INFINITE
+from gforge.paradox import find_witness, verify_witness
 from test_boundary import assert_validated, reference_partial_action
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -78,3 +82,16 @@ def test_partial_action_report_matches_reference(seed):
     rep = verify_partial_action(g, 2)
     assert rep == reference_partial_action(g, 2)
     assert rep["failures"] == []
+
+
+@PROFILE
+@given(seeds, st.lists(seeds, min_size=1, max_size=3))
+def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
+    """Stems may overlap; every pair the search returns must still verify."""
+    g = graph_of(seed)
+    stems = g.paths_up_to(2, copies=2)
+    chosen = [stems[i % len(stems)] for i in picks]
+    U = CompactOpen(g, [Cylinder(mu, frozenset()) for mu in chosen])
+    pair = find_witness(g, U)
+    if pair is not None:
+        assert verify_witness(g, U, list(pair))["ok"]

@@ -194,6 +194,7 @@ def test_cone_witness_deeper_exclusions():
     assert len(base) == 3
     assert base.startswith("x")
     assert not base.startswith("xyx") and not base.startswith("xxx")
+    assert base == "xxy"  # the first unblocked word in letter order
 
 
 def test_cone_witness_no_room():
