@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .graph import (EdgeInstance, Graph, GraphError, INFINITE, Path,
-                    instance_token, sort_key)
+from .graph import (CompositionError, EdgeInstance, Graph, GraphError, Path,
+                    condition_l, first_return_profile, instance_token, sort_key)
 from .invsgp import DomainError
 from .words import _TOKEN, ReducedWord, ball
 
@@ -32,30 +32,41 @@ def _primitive_root(insts):
     return insts
 
 
+def _absorb(pre: tuple, cyc: tuple):
+    """The same prefix.cycle^inf with no prefix letter equal to the cycle's
+    last: each such letter moves into a rotation of the cycle."""
+    while pre and pre[-1] == cyc[-1]:
+        pre = pre[:-1]
+        cyc = cyc[-1:] + cyc[:-1]
+    return pre, cyc
+
+
 class BoundaryPoint:
     """A finite path with singular source, or prefix.cycle^inf.
 
-    Canonical shape for the periodic kind: the cycle is primitive and the
-    prefix does not end with the cycle's last instance (such a letter is
-    absorbed by rotating the cycle), which makes equality literal.
+    Stored as the range vertex and two tuples of edge instances: the
+    prefix, and the cycle (None for a finite point).  Canonical shape for
+    the periodic kind: the cycle is primitive and the prefix does not end
+    with the cycle's last instance (such a letter is absorbed by rotating
+    the cycle), which makes equality literal.
     """
 
-    __slots__ = ("graph", "prefix", "cycle", "_hash")
+    __slots__ = ("graph", "range_vertex", "prefix", "cycle")
 
-    def __init__(self, graph: Graph, prefix: Path, cycle: Path | None):
+    def __init__(self, graph: Graph, range_vertex: str, prefix: tuple, cycle):
         """Unchecked: the arguments must already be a canonical point.  finite and
         periodic validate; a point built here is trusted, as trusted_path is."""
         self.graph = graph
+        self.range_vertex = range_vertex
         self.prefix = prefix
         self.cycle = cycle
-        self._hash = hash((prefix, cycle))
 
     @classmethod
     def finite(cls, graph, mu: Path):
         if graph.is_regular(mu.source_vertex):
             raise BoundaryError(
                 f"finite path ending at regular vertex {mu.source_vertex}")
-        return cls(graph, mu, None)
+        return cls(graph, mu.range_vertex, mu.instances, None)
 
     @classmethod
     def periodic(cls, graph, prefix: Path, cycle: Path):
@@ -64,21 +75,12 @@ class BoundaryPoint:
             raise BoundaryError("period must be a loop of positive length")
         if prefix.source_vertex != cycle.range_vertex:
             raise BoundaryError("prefix does not reach the loop")
-        insts = _primitive_root(cycle.instances)
-        pre = prefix.instances
-        while pre and pre[-1] == insts[-1]:
-            pre = pre[:-1]
-            insts = (insts[-1],) + insts[:-1]
-        cycle = graph.trusted_path(insts)
-        return cls(graph, graph.trusted_path(pre, cycle.range_vertex), cycle)
+        pre, cyc = _absorb(prefix.instances, _primitive_root(cycle.instances))
+        return cls(graph, prefix.range_vertex, pre, cyc)
 
     @property
     def is_finite(self):
         return self.cycle is None
-
-    @property
-    def range_vertex(self):
-        return self.prefix.range_vertex
 
     def __len__(self):
         if not self.is_finite:
@@ -87,12 +89,11 @@ class BoundaryPoint:
 
     def _first(self, n: int) -> tuple:
         """The first n instances: the prefix, then the cycle unrolled."""
-        pre = self.prefix.instances
+        pre = self.prefix
         if n < 0 or (self.cycle is None and n > len(pre)):
             raise BoundaryError(f"{point_str(self)} has no first {n} instances")
         if n > len(pre):
-            ci = self.cycle.instances
-            pre += ci * ((n - len(pre)) // len(ci) + 1)
+            pre += self.cycle * ((n - len(pre)) // len(self.cycle) + 1)
         return pre[:n]
 
     def instance_at(self, i: int) -> EdgeInstance:
@@ -111,47 +112,46 @@ class BoundaryPoint:
 
     def shift(self, k: int) -> "BoundaryPoint":
         """Drop the first k instances; a canonical point stays canonical."""
-        g = self.graph
-        if k < 0 or (self.is_finite and k > len(self.prefix)):
+        g, pre, cyc = self.graph, self.prefix, self.cycle
+        if k < 0 or (cyc is None and k > len(pre)):
             raise BoundaryError(f"cannot shift {point_str(self)} by {k}")
-        if self.is_finite:
-            return BoundaryPoint(g, g.strip_prefix(self.prefix, k), None)
-        pre, cyc = self.prefix.instances, self.cycle
+        if cyc is None:
+            v = g.s_of(pre[k - 1]) if k else self.range_vertex
+            return BoundaryPoint(g, v, pre[k:], None)
         j = max(k - len(pre), 0) % len(cyc)
-        if j:  # a rotation of a primitive cycle is primitive
-            cyc = g.trusted_path(cyc.instances[j:] + cyc.instances[:j])
-        return BoundaryPoint(g, g.trusted_path(pre[k:], cyc.range_vertex), cyc)
+        cyc = cyc[j:] + cyc[:j]  # a rotation of a primitive cycle is primitive
+        pre = pre[k:]
+        return BoundaryPoint(g, g.r_of((pre or cyc)[0]), pre, cyc)
 
     def prepend(self, alpha: Path) -> "BoundaryPoint":
-        g = self.graph
-        prefix = g.concat(alpha, self.prefix)
-        # only behind an empty prefix can alpha end with the cycle's last instance
-        if self.cycle is not None and not self.prefix.instances:
-            return BoundaryPoint.periodic(g, prefix, self.cycle)
-        return BoundaryPoint(g, prefix, self.cycle)
+        if alpha.source_vertex != self.range_vertex:
+            raise CompositionError(
+                f"cannot append path with range {self.range_vertex} "
+                f"at source {alpha.source_vertex}")
+        pre, cyc = alpha.instances + self.prefix, self.cycle
+        if cyc is not None:
+            pre, cyc = _absorb(pre, cyc)
+        return BoundaryPoint(self.graph, alpha.range_vertex, pre, cyc)
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryPoint):
             return NotImplemented
-        return self.prefix == other.prefix and self.cycle == other.cycle
+        return self.range_vertex == other.range_vertex \
+            and self.prefix == other.prefix and self.cycle == other.cycle
 
     def __hash__(self):
-        return self._hash
+        return hash((self.range_vertex, self.prefix, self.cycle))
 
     def __repr__(self):
         return f"BoundaryPoint({point_str(self)!r})"
 
 
 def point_str(x: BoundaryPoint) -> str:
+    pre = ".".join(map(instance_token, x.prefix))
     if x.is_finite:
-        if not x.prefix.instances:
-            return x.prefix.range_vertex
-        return ".".join(map(instance_token, x.prefix.instances))
-    cyc = ".".join(map(instance_token, x.cycle.instances))
-    if not x.prefix.instances:
-        return f"({cyc})^inf"
-    pre = ".".join(map(instance_token, x.prefix.instances))
-    return f"{pre}.({cyc})^inf"
+        return pre or x.range_vertex
+    cyc = ".".join(map(instance_token, x.cycle))
+    return f"{pre}.({cyc})^inf" if pre else f"({cyc})^inf"
 
 
 _POINT = re.compile(r"^(?:(?P<pre>[^()]*?)\.)?\((?P<cyc>[^()]+)\)\^inf$")
@@ -556,21 +556,19 @@ def reduced_words(g: Graph, length: int, copies: int = 2) -> list[ReducedWord]:
 def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     """Nontrivial words of pair length <= bound fixing x.
 
-    A fixing word must read two head paths of x against each other, so only
-    head pairs need checking.
+    A fixing word reads two heads of x against each other: head(i).head(j)^-1
+    fixes x exactly when x.shift(i) == x.shift(j).  Shifts stay canonical,
+    so that asks for equal prefixes and cycles: a finite point is fixed by
+    no word, and a periodic one by the pairs i != j, both at least
+    len(prefix), whose difference the cycle length divides.
     """
-    max_i = len(x.prefix) if x.is_finite else bound
-    heads = [x.head(i) for i in range(min(bound, max_i) + 1)]
-    found = set()
-    for j, beta in enumerate(heads):
-        for i, alpha in enumerate(heads):
-            if i == j or i + j > bound:
-                continue
-            if alpha.source_vertex != beta.source_vertex:
-                continue
-            pw = PartialWord(g, alpha, beta)
-            if pw.act_point(x) == x:
-                found.add(pw.word())
+    if x.is_finite:
+        return []
+    start, period = len(x.prefix), len(x.cycle)
+    found = {ReducedWord.from_pair(x.head(i), x.head(j))
+             for i in range(start, bound + 1)
+             for j in range(start, bound - i + 1)
+             if i != j and (j - i) % period == 0}
     return sorted(found, key=ReducedWord.sort_key)
 
 
@@ -638,8 +636,6 @@ def topological_freeness_report(g: Graph, word_bound: int = 8,
     singular vertex, else an eventually periodic point whose primitive period
     is pumped past the bound.
     """
-    from .graph import condition_l, first_return_profile
-
     l_holds, cyc = condition_l(g)
     if not l_holds:
         base = cyc.range_vertex
@@ -673,10 +669,7 @@ def topological_freeness_report(g: Graph, word_bound: int = 8,
                 if count >= 2:
                     la, lb = loops
                     m = word_bound // len(la) + 1
-                    c = la
-                    for _ in range(m - 1):
-                        c = g.concat(c, la)
-                    c = g.concat(c, lb)
+                    c = g.trusted_path(la.instances * m + lb.instances)
                     rho = g.shortest_path(v, y)
                     x = BoundaryPoint.periodic(g, g.concat(stem, rho), c)
                     break

@@ -327,9 +327,9 @@ def _run_sgp(args):
             out = boundary_paradox_witness(fam, args.ideal or "",
                                            args.exclude,
                                            depth=_effective(args.depth, 8))
-            if out is None:
-                rep["found"] = False
-                return rep, INCONCLUSIVE
+        if out is None:
+            rep["found"] = False
+            return rep, INCONCLUSIVE
         rep.update(out)
         rep["found"] = True
         return rep, 0 if out["verified"] else 1

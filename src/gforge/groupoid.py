@@ -66,7 +66,7 @@ class DRElement:
     and hashing use the triple only; the depth is determined by it.
     """
 
-    __slots__ = ("target", "offset", "source", "merge_depth", "_hash")
+    __slots__ = ("target", "offset", "source", "merge_depth")
 
     def __init__(self, target, offset, source, merge_depth):
         if merge_depth < 0 or merge_depth - offset < 0:
@@ -77,7 +77,6 @@ class DRElement:
         self.offset = offset
         self.source = source
         self.merge_depth = merge_depth
-        self._hash = hash((DRElement, target, offset, source))
 
     @classmethod
     def make(cls, target, offset, source, search_cap):
@@ -106,7 +105,7 @@ class DRElement:
             and self.source == other.source
 
     def __hash__(self):
-        return self._hash
+        return hash((DRElement, self.target, self.offset, self.source))
 
     def __repr__(self):
         return (f"DRElement({point_str(self.target)!r}, {self.offset}, "
@@ -114,17 +113,19 @@ class DRElement:
 
 
 def to_dr(element: PTGElement) -> DRElement:
-    """Normal form of a presented germ.
+    """Normal form of a presented germ, with merge depth len(alpha).
 
-    The word's positive part bounds the merge depth, so the scan in make
-    always succeeds by that depth.
+    The tails of alpha.tail and beta.tail agree from depth len(alpha) on.
+    alpha.beta^-1 is reduced, so nonempty alpha and beta end in different
+    instances: the tails differ at len(alpha) - 1, hence at every smaller
+    depth.  With alpha or beta empty, len(alpha) is the least depth allowed.
     """
     pw = element._pw
     if pw.is_identity:
         return DRElement.unit(element.point)
     y = pw.act_point(element.point)
-    n = len(pw.alpha) - len(pw.beta)
-    return DRElement.make(y, n, element.point, len(pw.alpha))
+    n = len(pw.alpha)
+    return DRElement(y, n - len(pw.beta), element.point, n)
 
 
 def to_ptg(g, d: DRElement) -> PTGElement:

@@ -34,7 +34,7 @@ ZERO = _Zero()
 
 
 class SgpElement:
-    __slots__ = ("mu", "nu", "_hash")
+    __slots__ = ("mu", "nu")
 
     def __init__(self, mu: Path, nu: Path):
         if mu.source_vertex != nu.source_vertex:
@@ -42,7 +42,6 @@ class SgpElement:
                 f"pair needs a common source, got {mu.source_vertex} and {nu.source_vertex}")
         self.mu = mu
         self.nu = nu
-        self._hash = hash((mu, nu))
 
     def star(self):
         return SgpElement(self.nu, self.mu)
@@ -57,7 +56,7 @@ class SgpElement:
         return self.mu == other.mu and self.nu == other.nu
 
     def __hash__(self):
-        return self._hash
+        return hash((self.mu, self.nu))
 
     def __repr__(self):
         return f"SgpElement({self.mu!r}, {self.nu!r})"

@@ -105,10 +105,8 @@ class PrefixHomeo:
                 tail = x.shift(len(mu))
                 # _same_tail_shape made every tail past mu a point of gt past
                 # nu, canonical there as it is here
-                cycle = (None if tail.cycle is None
-                         else gt.trusted_path(tail.cycle.instances))
-                return BoundaryPoint(gt, gt.trusted_path(
-                    tail.prefix.instances, nu.source_vertex), cycle).prepend(nu)
+                return BoundaryPoint(gt, nu.source_vertex, tail.prefix,
+                                     tail.cycle).prepend(nu)
         raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 

@@ -482,7 +482,8 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
     J shifted by one: 1 + J.m >= 2, so a = J.m + 1.  The second
     translation delta is the least positive element of J outside aZ:
     J.m mod (J.m + 1) = J.m != 0, so delta = J.m.  Everything is
-    certified by an exhaustive residue sweep.
+    certified by an exhaustive residue sweep; None when no residue lies
+    in the set, which is then empty.
     """
     if not isinstance(family, AffineFamily):
         raise SemigroupError("arithmetic witnesses need the affine family")
@@ -498,7 +499,9 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
     modulus = ideal.m * J.m * a
     in_u = [x in ideal and not any(x in e for e in exclusions)
             for x in range(modulus)]
-    ok = any(in_u)
+    if not any(in_u):
+        return None
+    ok = True
     images = ([], [])
     for x in range(modulus):
         if not in_u[x]:

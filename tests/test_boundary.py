@@ -89,8 +89,7 @@ def test_instance_stream_and_heads():
     with pytest.raises(BoundaryError):
         BoundaryPoint.finite(corpus.g3(), corpus.g3().path_of("e")).head(2)
     for x, k in probed_heads():
-        cyc = x.cycle.instances if x.cycle else ()
-        assert x.head(k).instances == (x.prefix.instances + cyc * k)[:k]
+        assert x.head(k).instances == (x.prefix + (x.cycle or ()) * k)[:k]
         assert x.startswith(x.head(k))
 
 
@@ -283,11 +282,12 @@ def test_sample_point_lands_inside():
 
 def assert_validated(y):
     """y equals finite/periodic rebuilt from its own prefix and cycle,
-    prefix source included (Path equality ignores it)."""
+    both made into paths by make_path."""
     g = y.graph
-    z = (BoundaryPoint.finite(g, y.prefix) if y.is_finite
-         else BoundaryPoint.periodic(g, y.prefix, y.cycle))
-    assert y == z and y.prefix.source_vertex == z.prefix.source_vertex, y
+    pre = g.make_path(y.prefix) if y.prefix else g.vertex_path(y.range_vertex)
+    z = (BoundaryPoint.finite(g, pre) if y.is_finite
+         else BoundaryPoint.periodic(g, pre, g.make_path(y.cycle)))
+    assert y == z, y
 
 
 def test_internal_paths_match_validated_paths(corpus_graph):
@@ -318,7 +318,7 @@ def test_internal_paths_match_validated_paths(corpus_graph):
     points += [sample_point(g, c) for c in CompactOpen.whole(g).parts + tuple(cyls)]
     for y in points:
         assert_validated(y)
-        paths += [y.prefix] + ([y.cycle] if y.cycle else [])
+        paths.append(y.head(len(y.prefix) + len(y.cycle or ())))
     for mu in g.paths_up_to(3):
         for k in range(len(mu) + 1):
             paths += [g.prefix(mu, k), g.strip_prefix(mu, k)]
@@ -458,7 +458,7 @@ def test_isotropy_matches_canonical_length_formula():
     for text, ln in cases:
         x = parse_point(g, text)
         p, c = x.prefix, x.cycle
-        expect = len(c) if not p.instances else 2 * len(p) + len(c)
+        expect = len(c) if not p else 2 * len(p) + len(c)
         assert expect == ln
         assert len(isotropy_words(g, x, ln + 2)[0]) == ln
         assert isotropy_words(g, x, ln - 1) == []

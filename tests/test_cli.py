@@ -175,6 +175,11 @@ def test_sgp_affine_witness(capsys):
                          "--ideal", "0+2Z", "--exclude", "0+6Z")
     assert code == 0
     assert rep["a"] == 7 and rep["delta"] == 6 and rep["modulus"] == 84
+    # an empty set holds nothing to duplicate: no witness, as for Z(v - {a, b})
+    for exclude in ("0+2Z", "0+1Z"):
+        code, rep = run_json(capsys, "sgp", "affine", "witness",
+                             "--ideal", "0+2Z", "--exclude", exclude)
+        assert code == 2 and rep["found"] is False and "verified" not in rep
 
 
 def test_sgp_free_witness(capsys):

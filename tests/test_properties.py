@@ -1,5 +1,5 @@
-"""Hypothesis properties of boundary points and paradox witnesses on seeded
-random graphs.
+"""Hypothesis properties of boundary points, germs and paradox witnesses on
+seeded random graphs.
 
 Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed.  The profile is
@@ -15,13 +15,16 @@ from gforge.boundary import (
     Cylinder,
     PartialWord,
     admissible_words,
+    isotropy_words,
     parse_point,
     point_str,
     probe_points,
     verify_partial_action,
 )
 from gforge.graph import INFINITE
+from gforge.groupoid import PTGElement, to_dr, to_ptg
 from gforge.paradox import find_witness, verify_witness
+from gforge.words import ReducedWord
 from test_boundary import assert_validated, reference_partial_action
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -95,3 +98,46 @@ def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
     pair = find_witness(g, U)
     if pair is not None:
         assert verify_witness(g, U, list(pair))["ok"]
+
+
+def reference_isotropy_words(g, x, bound):
+    """The head-pair search isotropy_words replaced: every pair of heads
+    whose pair length fits the bound, tried through act_point."""
+    max_i = len(x.prefix) if x.is_finite else bound
+    heads = [x.head(i) for i in range(min(bound, max_i) + 1)]
+    found = set()
+    for j, beta in enumerate(heads):
+        for i, alpha in enumerate(heads):
+            if i == j or i + j > bound or alpha.source_vertex != beta.source_vertex:
+                continue
+            pw = PartialWord(g, alpha, beta)
+            if pw.act_point(x) == x:
+                found.add(pw.word())
+    return sorted(found, key=ReducedWord.sort_key)
+
+
+@PROFILE
+@given(seeds)
+def test_isotropy_words_match_head_pair_search(seed):
+    g = graph_of(seed)
+    for x in probe_points(g, 3):
+        for bound in range(7):
+            assert isotropy_words(g, x, bound) == reference_isotropy_words(g, x, bound)
+
+
+@PROFILE
+@given(seeds)
+def test_to_dr_merge_depth_is_least_and_roundtrips(seed):
+    g = graph_of(seed)
+    points = probe_points(g, 2)
+    for w in admissible_words(g, 2):
+        pw = PartialWord.from_word(g, w)
+        for x in points:
+            if not (pw.is_identity or x.startswith(pw.beta)):
+                continue
+            d = to_dr(PTGElement(g, w, x))
+            # the constructor has checked that the tails merge at merge_depth
+            least = next(k for k in range(max(d.offset, 0), d.merge_depth + 1)
+                         if d.target.shift(k) == d.source.shift(k - d.offset))
+            assert d.merge_depth == least
+            assert to_dr(to_ptg(g, d)) == d
