@@ -12,8 +12,9 @@ multiplicity m stands for m parallel copies, addressed as instances
 
 Input is validated once, where it enters: Graph() (with from_json and
 loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
-BoundaryPoint.finite/periodic and PartialWord.from_word.  Code that already
-holds composable instances builds paths with the unchecked trusted_path.
+BoundaryPoint.finite/periodic, PartialWord.from_word and DRElement.make.
+Code that already holds composable instances builds paths with the
+unchecked trusted_path.
 """
 from __future__ import annotations
 

@@ -69,10 +69,12 @@ class DRElement:
     __slots__ = ("target", "offset", "source", "merge_depth")
 
     def __init__(self, target, offset, source, merge_depth):
-        if merge_depth < 0 or merge_depth - offset < 0:
-            raise GroupoidError("merge depth must cover the offset")
-        if target.shift(merge_depth) != source.shift(merge_depth - offset):
-            raise GroupoidError("tails do not merge at the stated depth")
+        """Store the fields unchecked.
+
+        Precondition: merge_depth >= max(offset, 0), the tails merge at
+        merge_depth, and no smaller depth of at least max(offset, 0) does.
+        make is the builder that checks; a germ built here is trusted.
+        """
         self.target = target
         self.offset = offset
         self.source = source
@@ -80,7 +82,7 @@ class DRElement:
 
     @classmethod
     def make(cls, target, offset, source, search_cap):
-        """Build with the least merge depth, scanning up to search_cap."""
+        """The germ at its least merge depth <= search_cap, else GroupoidError."""
         for k in range(max(offset, 0), search_cap + 1):
             if target.shift(k) == source.shift(k - offset):
                 return cls(target, offset, source, k)
@@ -88,12 +90,8 @@ class DRElement:
 
     @classmethod
     def unit(cls, point):
+        """The identity germ at point; depth 0 is the least allowed."""
         return cls(point, 0, point, 0)
-
-    @property
-    def is_unit(self):
-        return self.offset == 0 and self.merge_depth == 0 \
-            and self.source == self.target
 
     def key(self):
         return (point_str(self.target), self.offset, point_str(self.source))
@@ -134,11 +132,6 @@ def to_ptg(g, d: DRElement) -> PTGElement:
     mu = d.source.head(d.merge_depth - d.offset)
     word = ReducedWord.from_pair(lam, mu)
     return PTGElement(g, word, d.source)
-
-
-def ptg_equal(s: PTGElement, t: PTGElement) -> bool:
-    """Same germ: same source point and matching normal forms."""
-    return s.point == t.point and to_dr(s) == to_dr(t)
 
 
 def compose(d2: DRElement, d1: DRElement) -> DRElement:
@@ -183,10 +176,6 @@ def full_groupoid(g, word_bound=4):
                 d = to_dr(PTGElement(g, w, x))
                 seen.setdefault(d.key(), d)
     return sorted(seen.values(), key=DRElement.key)
-
-
-def isotropy_elements(elements):
-    return [d for d in elements if d.source == d.target and not d.is_unit]
 
 
 def roundtrip_report(g, word_bound):

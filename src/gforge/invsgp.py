@@ -43,9 +43,6 @@ class SgpElement:
         self.mu = mu
         self.nu = nu
 
-    def star(self):
-        return SgpElement(self.nu, self.mu)
-
     @property
     def is_idempotent(self):
         return self.mu == self.nu
@@ -73,19 +70,6 @@ def sgp_mul(g: Graph, x, y):
         rest = g.strip_prefix(C, len(B))
         return SgpElement(g.concat(A, rest), D)
     return ZERO
-
-
-def sgp_star(x):
-    return ZERO if x is ZERO else x.star()
-
-
-def slat_meet(g: Graph, mu: Path, nu: Path):
-    """Meet of the idempotents at mu and nu: the longer of a comparable pair."""
-    if mu.startswith(nu):
-        return mu
-    if nu.startswith(mu):
-        return nu
-    return None
 
 
 def sigma(x) -> ReducedWord:
@@ -135,9 +119,6 @@ class TruncatedSemilattice:
                 out.append(SgpElement(mu, nu))
         return out
 
-    def characters(self) -> list[Character]:
-        return [Character(mu) for mu in self.paths]
-
     def max_characters(self) -> list[Character]:
         """Filters with nothing above: stem at full depth or a dead-end source."""
         stems = self.graph.maximal_stems(self.depth, self.copies, self.paths)
@@ -168,21 +149,19 @@ def verify_partial_hom(g: Graph, depth: int, copies: int = 2) -> dict:
     sigma must turn nonzero products into word products and send only
     idempotents to the empty word.
     """
-    ts = TruncatedSemilattice(g, depth, copies)
-    els = ts.elements()
+    els = TruncatedSemilattice(g, depth, copies).elements()
+    table = [(s, sigma(s)) for s in els]
     failures = []
-    pure_failures = []
     pairs = 0
-    for s, t in product(els, repeat=2):
+    for (s, ws), (t, wt) in product(table, repeat=2):
         st = sgp_mul(g, s, t)
         if st is ZERO:
             continue
         pairs += 1
-        if sigma(s) * sigma(t) != sigma(st):
+        if ws * wt != sigma(st):
             failures.append((s, t))
-    for s in els:
-        if sigma(s).is_identity and not s.is_idempotent:
-            pure_failures.append(s)
+    pure_failures = [s for s, ws in table
+                     if ws.is_identity and not s.is_idempotent]
     return {
         "elements": len(els),
         "pairs_checked": pairs,

@@ -13,8 +13,6 @@ from gforge.groupoid import (
     compose,
     full_groupoid,
     inverse,
-    isotropy_elements,
-    ptg_equal,
     roundtrip_report,
     to_dr,
     to_ptg,
@@ -33,6 +31,30 @@ def germs(g, word_bound, copies=2):
     return out
 
 
+def assert_germ(d):
+    """What DRElement.make certifies: the tails merge at merge_depth, and
+    at no smaller depth of at least max(offset, 0)."""
+    low = max(d.offset, 0)
+    assert d.merge_depth >= low
+    assert d.target.shift(d.merge_depth) == d.source.shift(d.merge_depth - d.offset)
+    least = next(k for k in range(low, d.merge_depth + 1)
+                 if d.target.shift(k) == d.source.shift(k - d.offset))
+    assert d.merge_depth == least
+
+
+def is_unit(d):
+    return d.offset == 0 and d.merge_depth == 0 and d.source == d.target
+
+
+def isotropy_elements(elements):
+    return [d for d in elements if d.source == d.target and not is_unit(d)]
+
+
+def ptg_equal(s, t):
+    """Same germ: same source point and matching normal forms."""
+    return s.point == t.point and to_dr(s) == to_dr(t)
+
+
 def test_element_validation():
     g = corpus.g2()
     x = parse_point(g, "(a)^inf")
@@ -40,9 +62,9 @@ def test_element_validation():
     with pytest.raises(GroupoidError):
         PTGElement(g, parse_word("b^-1"), x)       # x not in Z(b)
     with pytest.raises(GroupoidError):
-        DRElement(x, 1, x, 0)                      # depth below offset
+        DRElement.make(x, 1, x, 0)                 # depth below offset
     with pytest.raises(GroupoidError):
-        DRElement(x, 0, parse_point(g, "b.(a)^inf"), 0)  # tails differ at 0
+        DRElement.make(x, 0, parse_point(g, "b.(a)^inf"), 0)  # tails differ at 0
 
 
 def test_to_dr_hand_values():
@@ -69,7 +91,7 @@ def test_merge_depth_is_minimal():
     assert d == DRElement.unit(x).__class__(x, 2, x, 2)
     # units recompute to depth zero no matter how they are presented
     u = to_dr(PTGElement(g, parse_word("1"), x))
-    assert u.is_unit and u.merge_depth == 0
+    assert is_unit(u) and u.merge_depth == 0
     bigger = DRElement.make(x, 0, x, search_cap=7)
     assert bigger.merge_depth == 0
 
@@ -103,12 +125,14 @@ def test_inverse_laws():
         for s in germs(g, 3):
             d = to_dr(s)
             di = inverse(d)
+            units = [DRElement.unit(d.source), DRElement.unit(d.target)]
+            products = [compose(di, d), compose(d, di),
+                        compose(d, units[0]), compose(units[1], d)]
+            for germ in [d, di, inverse(di), *units, *products]:
+                assert_germ(germ)
             assert inverse(di) == d
             assert di.merge_depth == d.merge_depth - d.offset
-            assert compose(di, d) == DRElement.unit(d.source)
-            assert compose(d, di) == DRElement.unit(d.target)
-            assert compose(d, DRElement.unit(d.source)) == d
-            assert compose(DRElement.unit(d.target), d) == d
+            assert products == [units[0], units[1], d, d]
 
 
 def test_compose_matches_word_product():
@@ -120,6 +144,8 @@ def test_compose_matches_word_product():
             s1 = rng.choice(pool)
             s2 = rng.choice(pool)
             d1, d2 = to_dr(s1), to_dr(s2)
+            assert_germ(d1)
+            assert_germ(d2)
             if d1.target != d2.source:
                 with pytest.raises(CompositionError):
                     compose(d2, d1)
@@ -128,6 +154,8 @@ def test_compose_matches_word_product():
             # the product word acts at least where the two-step route does
             w = s2.word * s1.word
             direct = to_dr(PTGElement(g, w, s1.point))
+            assert_germ(prod)
+            assert_germ(direct)
             assert direct == prod
 
 
@@ -157,7 +185,7 @@ def test_full_groupoid_of_single_edge_graph():
     assert isotropy_elements(els) == []
     # the enumeration is stable under a larger word bound
     assert {d.key() for d in full_groupoid(g, word_bound=6)} == keys
-    assert sum(1 for d in els if d.is_unit) == 2
+    assert sum(1 for d in els if is_unit(d)) == 2
     assert {point_key for point_key, _, _ in keys} == {"w", "e"}
     assert all_boundary_points(g) == [w, e]
 

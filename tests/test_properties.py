@@ -1,9 +1,10 @@
-"""Hypothesis properties of boundary points, germs and paradox witnesses on
-seeded random graphs.
+"""Hypothesis properties of boundary points, germs, sigma and paradox
+witnesses on seeded random graphs.
 
 Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed.  The profile is
 derandomized and deadline-free, so every run checks the same examples.
+tests/properties_check.py reruns germ_laws and sigma_laws on larger graphs.
 """
 import random
 
@@ -22,10 +23,13 @@ from gforge.boundary import (
     verify_partial_action,
 )
 from gforge.graph import INFINITE
-from gforge.groupoid import PTGElement, to_dr, to_ptg
+from gforge.groupoid import PTGElement, inverse, to_dr, to_ptg
+from gforge.invsgp import TruncatedSemilattice, verify_partial_hom
 from gforge.paradox import find_witness, verify_witness
 from gforge.words import ReducedWord
 from test_boundary import assert_validated, reference_partial_action
+from test_groupoid import assert_germ
+from test_invsgp import reference_partial_hom
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -125,10 +129,8 @@ def test_isotropy_words_match_head_pair_search(seed):
             assert isotropy_words(g, x, bound) == reference_isotropy_words(g, x, bound)
 
 
-@PROFILE
-@given(seeds)
-def test_to_dr_merge_depth_is_least_and_roundtrips(seed):
-    g = graph_of(seed)
+def germ_laws(g):
+    """to_dr and inverse give certified germs that roundtrip through words."""
     points = probe_points(g, 2)
     for w in admissible_words(g, 2):
         pw = PartialWord.from_word(g, w)
@@ -136,8 +138,30 @@ def test_to_dr_merge_depth_is_least_and_roundtrips(seed):
             if not (pw.is_identity or x.startswith(pw.beta)):
                 continue
             d = to_dr(PTGElement(g, w, x))
-            # the constructor has checked that the tails merge at merge_depth
-            least = next(k for k in range(max(d.offset, 0), d.merge_depth + 1)
-                         if d.target.shift(k) == d.source.shift(k - d.offset))
-            assert d.merge_depth == least
-            assert to_dr(to_ptg(g, d)) == d
+            for germ in (d, inverse(d)):
+                assert_germ(germ)
+                assert to_dr(to_ptg(g, germ)) == germ
+
+
+@PROFILE
+@given(seeds)
+def test_to_dr_merge_depth_is_least_and_roundtrips(seed):
+    germ_laws(graph_of(seed))
+
+
+def sigma_laws(g):
+    """verify_partial_hom agrees with the per-pair reference and finds no
+    failure, at depth 1 and, while the truncation stays small, depth 2."""
+    depths = [1]
+    if len(TruncatedSemilattice(g, 2).elements()) <= 120:
+        depths.append(2)
+    for depth in depths:
+        rep = verify_partial_hom(g, depth)
+        assert rep == reference_partial_hom(g, depth)
+        assert rep["failures"] == [] and rep["idempotent_pure_failures"] == []
+
+
+@PROFILE
+@given(seeds)
+def test_sigma_is_a_partial_hom(seed):
+    sigma_laws(graph_of(seed))
