@@ -192,6 +192,9 @@ def parse_stem(g: Graph, text: str) -> Path:
 # -------------------------------------------------------------------- cylinders
 
 class Cylinder(NamedTuple):
+    """Z(stem minus excl).  Invariant, which cyl_is_empty relies on: excl holds
+    distinct valid instances received at the stem's source.  make_cylinder
+    checks it; cyl_intersect, cyl_difference and act_set keep it."""
     stem: Path
     excl: frozenset
 
@@ -210,15 +213,10 @@ def make_cylinder(g: Graph, stem: Path, excl=()) -> Cylinder:
 
 
 def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
-    """Empty iff the stem's source is regular and every continuation is barred."""
-    v = c.stem.source_vertex
-    if g.is_singular(v):
-        return False
-    for e in g.receivers(v):
-        for k in range(e.multiplicity):
-            if EdgeInstance(e.eid, k) not in c.excl:
-                return False
-    return True
+    """Empty iff the stem's source is regular and every continuation is barred
+    (Webster, Proc. AMS 142, 2014).  By the Cylinder invariant that is a count;
+    a source with no receivers is a single point, hence the 0 <."""
+    return 0 < len(c.excl) == g.receiver_count(c.stem.source_vertex)
 
 
 def cyl_contains(g: Graph, c: Cylinder, x: BoundaryPoint) -> bool:
@@ -280,14 +278,9 @@ class CompactOpen:
 
     def __init__(self, graph: Graph, parts=()):
         self.graph = graph
-        keep = []
-        seen = set()
-        for p in parts:
-            if p in seen or cyl_is_empty(graph, p):
-                continue
-            seen.add(p)
-            keep.append(p)
-        keep.sort(key=Cylinder.key)
+        keep = [p for p in parts if not cyl_is_empty(graph, p)]
+        if len(keep) > 1:  # Cylinder.key is unique, so the order is fixed
+            keep = sorted(set(keep), key=Cylinder.key)
         self.parts = tuple(keep)
 
     @classmethod
@@ -322,13 +315,11 @@ class CompactOpen:
         return CompactOpen(self.graph, out)
 
     def difference(self, other: "CompactOpen") -> "CompactOpen":
-        parts = list(self.parts)
+        g, parts = self.graph, self.parts
         for r in other.parts:
-            nxt = []
-            for c in parts:
-                nxt.extend(cyl_difference(self.graph, c, r))
-            parts = [p for p in nxt if not cyl_is_empty(self.graph, p)]
-        return CompactOpen(self.graph, parts)
+            parts = [p for c in parts for p in cyl_difference(g, c, r)
+                     if not cyl_is_empty(g, p)]
+        return CompactOpen(g, parts)
 
     def __eq__(self, other):
         if not isinstance(other, CompactOpen):

@@ -8,7 +8,9 @@ at itself.
 
 Edges carry a multiplicity (a positive integer or infinity); an edge with
 multiplicity m stands for m parallel copies, addressed as instances
-(edge id, copy index).
+(edge id, copy index).  Each vertex's receiver count |r^-1(v)|, summed with
+multiplicity, is computed once at construction; receiver_count, is_regular
+and is_singular only look it up.
 
 Input is validated once, where it enters: Graph() (with from_json and
 loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import count, islice
 from typing import Iterable, NamedTuple
 
 INFINITE = math.inf
@@ -131,6 +134,8 @@ class Graph:
             lst.sort(key=lambda e: e.eid)
         self._down = {v: [e.source_vertex for e in lst]
                       for v, lst in self._receivers.items()}
+        self._count = {v: sum(e.multiplicity for e in lst)
+                       for v, lst in self._receivers.items()}
 
     # -- schema ------------------------------------------------------------
 
@@ -188,11 +193,11 @@ class Graph:
 
     def receiver_count(self, v: str):
         """|r^-1(v)| counted with multiplicity."""
-        return sum(e.multiplicity for e in self.receivers(v))
+        self._check_vertex(v)
+        return self._count[v]
 
     def is_regular(self, v: str) -> bool:
-        n = self.receiver_count(v)
-        return 0 < n < INFINITE
+        return 0 < self.receiver_count(v) < INFINITE
 
     def is_singular(self, v: str) -> bool:
         return not self.is_regular(v)
@@ -453,9 +458,11 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
     prefix = []
     forbidden = forbidden_first
     for _ in range(len(g.vertices) + 1):
-        # len(forbidden) + 3 copies per infinite family leave two allowed
-        allowed = [i for i in g.continuations(x, copies=len(forbidden) + 3)
-                   if g.s_of(i) in U and i not in forbidden][:2]
+        # an infinite family offers endless copies, and forbidden is finite
+        allowed = list(islice(
+            (i for e in g.receivers(x) if e.source_vertex in U
+             for c in (count() if e.multiplicity == INFINITE else range(e.multiplicity))
+             if (i := EdgeInstance(e.eid, c)) not in forbidden), 2))
         if not allowed:
             return 0, []
         if len(allowed) == 2:

@@ -25,28 +25,27 @@ from .words import ReducedWord
 
 
 class PiecewiseWord:
-    """Finitely many disjoint pieces, each moved by its own word."""
+    """Finitely many disjoint pieces, each moved by its own word; maps[i] is
+    the PartialWord of pieces[i]'s word, built once here."""
 
-    __slots__ = ("graph", "pieces")
+    __slots__ = ("graph", "pieces", "maps")
 
     def __init__(self, graph: Graph, pieces):
         self.graph = graph
         self.pieces = tuple(
             (U if isinstance(U, CompactOpen) else CompactOpen(graph, [U]), w)
             for U, w in pieces)
+        self.maps = tuple(PartialWord.from_word(graph, w) for _, w in self.pieces)
 
     def image(self) -> CompactOpen:
-        out = CompactOpen.empty(self.graph)
-        for U, w in self.pieces:
-            out = out.union(PartialWord.from_word(self.graph, w).act_set(U))
-        return out
+        return CompactOpen(self.graph, [
+            part for (U, _), pw in zip(self.pieces, self.maps)
+            for part in pw.act_set(U).parts])
 
     def compose(self, inner: "PiecewiseWord") -> "PiecewiseWord":
         """Apply inner first.  Pieces refine along where images land."""
-        g = self.graph
         pieces = []
-        for P, u in inner.pieces:
-            upw = PartialWord.from_word(g, u)
+        for (P, u), upw in zip(inner.pieces, inner.maps):
             img = upw.act_set(P)
             for Q, w in self.pieces:
                 hit = img.intersect(Q)
@@ -54,7 +53,7 @@ class PiecewiseWord:
                     continue
                 back = upw.inverse().act_set(hit)
                 pieces.append((back.intersect(P), w * u))
-        return PiecewiseWord(g, pieces)
+        return PiecewiseWord(self.graph, pieces)
 
     def __repr__(self):
         inner = ", ".join(f"({set_str(U)}, {w})" for U, w in self.pieces)
@@ -74,17 +73,16 @@ def infinite_loops(g: Graph, v: str, count: int, forbidden_first=frozenset()):
     back when the families run short, never raising.
     """
     up = g.upstream(v)
-    fams = [e for e in g.receivers(v)
+    fams = [(e.eid, g.shortest_path(e.source_vertex, v).instances) for e in g.receivers(v)
             if e.multiplicity == INFINITE and e.source_vertex in up]
     loops = []
     copy = 0
     while fams and len(loops) < count:
-        for e in fams:
-            inst = EdgeInstance(e.eid, copy)
+        for eid, back in fams:
+            inst = EdgeInstance(eid, copy)
             if inst in forbidden_first:
                 continue
-            back = g.shortest_path(e.source_vertex, v)
-            loops.append(g.trusted_path((inst,) + back.instances))
+            loops.append(g.trusted_path((inst,) + back))
             if len(loops) == count:
                 break
         copy += 1
@@ -156,8 +154,7 @@ def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
     for i, m in enumerate(maps):
         rep["pieces"] += len(m.pieces)
         covered = CompactOpen.empty(g)
-        for D, w in m.pieces:
-            pw = PartialWord.from_word(g, w)
+        for (D, w), pw in zip(m.pieces, m.maps):
             if pw.is_empty_map:
                 fail(f"map {i}: word {w} does not act")
                 continue

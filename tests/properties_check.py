@@ -1,19 +1,29 @@
-"""The germ and sigma properties of test_properties.py at a deeper profile.
+"""The emptiness, set, germ and sigma properties of test_properties.py at
+a deeper profile.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
 Hypothesis draws the seed of random_graph(Random(seed), 4,
 allow_infinite=True), so graphs have up to four vertices, and each
 property checks 400 examples, derandomized like the default profile.
-The file name keeps it out of the default test collection: it takes
-about 33 s on 2 cores with Python 3.11.7.
+The emptiness and set laws run on infinite_graph_of(seed, 4), which
+always has an infinite edge family.  The file name keeps it out of the
+default test collection: it takes about 60 s on 2 cores with Python
+3.11.7.
 """
 import random
 
 from hypothesis import given, settings
 
 from gforge import corpus
-from test_properties import germ_laws, seeds, sigma_laws
+from test_properties import (
+    emptiness_laws,
+    germ_laws,
+    infinite_graph_of,
+    seeds,
+    set_laws,
+    sigma_laws,
+)
 
 EXAMPLES = 400
 DEEP = settings(derandomize=True, deadline=None, database=None,
@@ -34,3 +44,15 @@ def test_germ_laws_deep(seed):
 @given(seeds)
 def test_sigma_laws_deep(seed):
     sigma_laws(graph_of(seed))
+
+
+@DEEP
+@given(seeds)
+def test_set_laws_deep(seed):
+    set_laws(infinite_graph_of(seed, 4), seed)
+
+
+@DEEP
+@given(seeds)
+def test_emptiness_laws_deep(seed):
+    emptiness_laws(infinite_graph_of(seed, 4), seed)

@@ -1,10 +1,11 @@
-"""Hypothesis properties of boundary points, germs, sigma and paradox
-witnesses on seeded random graphs.
+"""Hypothesis properties of boundary points, cylinder algebra, germs, sigma
+and paradox witnesses on seeded random graphs.
 
 Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
-most three vertices, infinite edge families allowed.  The profile is
-derandomized and deadline-free, so every run checks the same examples.
-tests/properties_check.py reruns germ_laws and sigma_laws on larger graphs.
+most three vertices, infinite edge families allowed (infinite_graph_of
+insists on one).  The profile is derandomized and deadline-free, so every
+run checks the same examples.  tests/properties_check.py reruns
+emptiness_laws, set_laws, germ_laws and sigma_laws on larger graphs.
 """
 import random
 
@@ -16,18 +17,21 @@ from gforge.boundary import (
     Cylinder,
     PartialWord,
     admissible_words,
+    cyl_difference,
+    cyl_intersect,
+    cyl_is_empty,
     isotropy_words,
     parse_point,
     point_str,
     probe_points,
     verify_partial_action,
 )
-from gforge.graph import INFINITE
+from gforge.graph import INFINITE, EdgeInstance
 from gforge.groupoid import PTGElement, inverse, to_dr, to_ptg
 from gforge.invsgp import TruncatedSemilattice, verify_partial_hom
-from gforge.paradox import find_witness, verify_witness
+from gforge.paradox import expand_witness, find_witness, verify_witness
 from gforge.words import ReducedWord
-from test_boundary import assert_validated, reference_partial_action
+from test_boundary import assert_validated, random_compact_open, reference_partial_action
 from test_groupoid import assert_germ
 from test_invsgp import reference_partial_hom
 
@@ -37,6 +41,16 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 def graph_of(seed):
     return corpus.random_graph(random.Random(seed), 3, allow_infinite=True)
+
+
+def infinite_graph_of(seed, max_vertices=3):
+    """The first graph random_graph draws from Random(seed) with an infinite
+    edge family, so some vertex has infinitely many receivers."""
+    rng = random.Random(seed)
+    while True:
+        g = corpus.random_graph(rng, max_vertices, allow_infinite=True)
+        if any(e.multiplicity == INFINITE for e in g.edges.values()):
+            return g
 
 
 def edge_instances(g):
@@ -91,10 +105,90 @@ def test_partial_action_report_matches_reference(seed):
     assert rep["failures"] == []
 
 
+def reference_cyl_is_empty(g, c):
+    """The receiver loop cyl_is_empty replaced: empty iff the stem's source
+    is regular and every one of its instances is excluded."""
+    v = c.stem.source_vertex
+    if g.is_singular(v):
+        return False
+    return all(EdgeInstance(e.eid, k) in c.excl
+               for e in g.receivers(v) for k in range(e.multiplicity))
+
+
+def assert_receiver_counts(g):
+    for v in g.vertices:
+        n = sum(e.multiplicity for e in g.receivers(v))
+        assert g.receiver_count(v) == n
+        assert g.is_regular(v) == (0 < n < INFINITE)
+        assert g.is_singular(v) == (not 0 < n < INFINITE)
+
+
+def emptiness_laws(g, seed):
+    """Receiver counts are the summed multiplicities, and every cylinder
+    cyl_difference and cyl_intersect make from random cylinders keeps the
+    exclusion invariant and gets the receiver loop's emptiness verdict."""
+    assert_receiver_counts(g)
+    rng = random.Random(seed)
+    cyls = [c for _ in range(6) for c in random_compact_open(g, rng).parts]
+    made = list(cyls)
+    for a in cyls:
+        for b in cyls:
+            made.extend(cyl_difference(g, a, b))
+            ab = cyl_intersect(g, a, b)
+            if ab is not None:
+                made.append(ab)
+    for c in made:
+        assert all(g.r_of(i) == c.stem.source_vertex for i in c.excl)
+        assert cyl_is_empty(g, c) == reference_cyl_is_empty(g, c), c
+
+
+@PROFILE
+@given(seeds)
+def test_cyl_is_empty_matches_receiver_loop(seed):
+    emptiness_laws(graph_of(seed), seed)
+    emptiness_laws(infinite_graph_of(seed), seed)
+
+
+def set_laws(g, seed, rounds=8):
+    """Union, intersection and difference of random compact opens agree
+    with membership on probe_points."""
+    rng = random.Random(seed)
+    pts = probe_points(g, 3)
+    for _ in range(rounds):
+        A = random_compact_open(g, rng)
+        B = random_compact_open(g, rng)
+        U, I, D = A.union(B), A.intersect(B), A.difference(B)
+        for x in pts:
+            in_a, in_b = x in A, x in B
+            assert (x in U) == (in_a or in_b)
+            assert (x in I) == (in_a and in_b)
+            assert (x in D) == (in_a and not in_b)
+
+
+@PROFILE
+@given(seeds)
+def test_set_operations_match_membership_with_infinite_receivers(seed):
+    set_laws(infinite_graph_of(seed), seed)
+
+
+def assert_maps_match_words(g, m):
+    """Each stored piece map acts as the map rebuilt from its word."""
+    pts = probe_points(g, 3)
+    for (U, w), pw in zip(m.pieces, m.maps):
+        ref = PartialWord.from_word(g, w)
+        assert pw.is_empty_map == ref.is_empty_map
+        assert pw.domain() == ref.domain()
+        assert pw.act_set(U) == ref.act_set(U)
+        for x in pts:
+            if x in U and x in ref.domain():
+                assert pw.act_point(x) == ref.act_point(x)
+
+
 @PROFILE
 @given(seeds, st.lists(seeds, min_size=1, max_size=3))
 def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
-    """Stems may overlap; every pair the search returns must still verify."""
+    """Stems may overlap; every pair the search returns must still verify,
+    and its stored piece maps, also after composing, act as their words."""
     g = graph_of(seed)
     stems = g.paths_up_to(2, copies=2)
     chosen = [stems[i % len(stems)] for i in picks]
@@ -102,6 +196,8 @@ def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
     pair = find_witness(g, U)
     if pair is not None:
         assert verify_witness(g, U, list(pair))["ok"]
+        for m in expand_witness(g, pair, 3):
+            assert_maps_match_words(g, m)
 
 
 def reference_isotropy_words(g, x, bound):
