@@ -514,14 +514,15 @@ def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
 
 # --------------------------------------------------------------- word calculus
 
-def admissible_words(g: Graph, bound: int, copies: int = 2) -> list[ReducedWord]:
+def admissible_words(g: Graph, bound: int) -> list[ReducedWord]:
     """All words alpha.beta^-1 from composable pairs with a common source and
-    total length at most the bound, the empty word included.
+    total length at most the bound, the empty word included (two copies per
+    infinite family).
 
     Pairs sharing a last instance are skipped: their word already arises from
     the shorter pair.
     """
-    paths = g.paths_up_to(bound, copies)
+    paths = g.paths_up_to(bound, copies=2)
     words = {ReducedWord()}
     for alpha in paths:
         for beta in paths:
@@ -656,8 +657,8 @@ def topological_freeness_report(g: Graph, word_bound: int = 8,
                 break
         if x is None:
             for y in down:
-                count, loops = first_return_profile(g, y)
-                if count >= 2:
+                loops = first_return_profile(g, y)
+                if len(loops) == 2:
                     la, lb = loops
                     m = word_bound // len(la) + 1
                     c = g.trusted_path(la.instances * m + lb.instances)

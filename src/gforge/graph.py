@@ -106,8 +106,10 @@ class Graph:
         for v in vertices:
             if not isinstance(v, str):
                 raise SchemaError(f"vertex {v!r}: id must be a string")
-        self.vertices = tuple(dict.fromkeys(vertices))
-        vset = set(self.vertices)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
+            raise SchemaError("duplicate vertex id")
+        self.vertices = vertices
         self.edges: dict[str, Edge] = {}
         for e in edges:
             e = Edge(*e)
@@ -144,10 +146,8 @@ class Graph:
         if not isinstance(data, dict):
             raise SchemaError("graph document must be an object")
         verts = data.get("vertices")
-        if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
+        if not isinstance(verts, list):
             raise SchemaError('"vertices" must be a list of strings')
-        if len(set(verts)) != len(verts):
-            raise SchemaError("duplicate vertex id")
         raw_edges = data.get("edges", [])
         if not isinstance(raw_edges, list):
             raise SchemaError('"edges" must be a list')
@@ -437,11 +437,11 @@ def condition_l(g: Graph):
 
 
 def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
-    """Count loops at v that do not pass v in between, saturating at 2.
+    """Loops at v that do not pass v in between, at most two of them.
 
-    Returns (count, loops) with count = min(true count, 2) and that many
-    pairwise distinct example loops.  forbidden_first excludes instances as
-    the first (range-end) edge.  Deterministic: smallest instances win.
+    Returns min(true count, 2) pairwise distinct loops.  forbidden_first
+    excludes instances as the first (range-end) edge.  Deterministic:
+    smallest instances win.
 
     At the current position only instances whose source can still lead back
     to v matter; if a position ever offers two of them, two loops sharing the
@@ -464,14 +464,14 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
              for c in (count() if e.multiplicity == INFINITE else range(e.multiplicity))
              if (i := EdgeInstance(e.eid, c)) not in forbidden), 2))
         if not allowed:
-            return 0, []
+            return []
         if len(allowed) == 2:
-            return 2, [complete(prefix + [i]) for i in allowed]
+            return [complete(prefix + [i]) for i in allowed]
         prefix.append(allowed[0])
         x = g.s_of(allowed[0])
         forbidden = frozenset()
         if x == v:
-            return 1, [g.trusted_path(prefix)]
+            return [g.trusted_path(prefix)]
     raise GraphError("forced first-return walk failed to close")  # unreachable
 
 
@@ -482,8 +482,8 @@ def condition_k(g: Graph):
     loop at the offending vertex.
     """
     for v in sorted(g.vertices):
-        count, loops = first_return_profile(g, v)
-        if count == 1:
+        loops = first_return_profile(g, v)
+        if len(loops) == 1:
             return False, (v, loops[0])
     return True, None
 

@@ -79,29 +79,6 @@ def sigma(x) -> ReducedWord:
     return ReducedWord.from_pair(x.mu, x.nu)
 
 
-class Character:
-    """A filter of the truncated semilattice: the prefixes of one stem."""
-
-    __slots__ = ("stem",)
-
-    def __init__(self, stem: Path):
-        self.stem = stem
-
-    def __contains__(self, mu: Path) -> bool:
-        return self.stem.startswith(mu)
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.stem == other.stem
-
-    def __hash__(self):
-        return hash(("chr", self.stem))
-
-    def __repr__(self):
-        return f"Character({self.stem!r})"
-
-
 class TruncatedSemilattice:
     """All paths up to a depth, with infinite families capped at `copies`."""
 
@@ -119,28 +96,27 @@ class TruncatedSemilattice:
                 out.append(SgpElement(mu, nu))
         return out
 
-    def max_characters(self) -> list[Character]:
-        """Filters with nothing above: stem at full depth or a dead-end source."""
-        stems = self.graph.maximal_stems(self.depth, self.copies, self.paths)
-        return [Character(mu) for mu in stems]
+    def max_characters(self) -> list[Path]:
+        """The stems of the maximal characters (a character is the prefix
+        chain of its stem): stems at full depth or at a dead-end source."""
+        return self.graph.maximal_stems(self.depth, self.copies, self.paths)
 
-    def act_on_character(self, s, chi: Character) -> Character:
-        """Apply the substitution s to chi; stem nu.rho goes to mu.rho.
+    def act_on_character(self, s, rho: Path) -> Path:
+        """Apply the substitution s to the character with stem rho; stem
+        nu.x goes to mu.x.
 
         Raises DomainError off the domain idempotent and when the image stem
         would overflow the truncation depth.
         """
         if s is ZERO:
             raise DomainError("0 acts nowhere")
-        rho = chi.stem
         if not rho.startswith(s.nu):
-            raise DomainError(f"{chi!r} is not in the domain of {s!r}")
-        rest = self.graph.strip_prefix(rho, len(s.nu))
-        stem = self.graph.concat(s.mu, rest)
-        if len(stem) > self.depth:
+            raise DomainError(f"{rho!r} is not in the domain of {s!r}")
+        length = len(s.mu) + len(rho) - len(s.nu)
+        if length > self.depth:
             raise DomainError(
-                f"image stem of length {len(stem)} escapes depth {self.depth}")
-        return Character(stem)
+                f"image stem of length {length} escapes depth {self.depth}")
+        return self.graph.concat(s.mu, self.graph.strip_prefix(rho, len(s.nu)))
 
 
 def verify_partial_hom(g: Graph, depth: int, copies: int = 2) -> dict:
@@ -184,21 +160,21 @@ def check_boundary_invariance(g: Graph, depth: int, copies: int = 2) -> dict:
     checked = skips = escapes = 0
     violations = []
     for s in ts.elements():
-        for chi in maxes:
-            if not chi.stem.startswith(s.nu):
+        for rho in maxes:
+            if not rho.startswith(s.nu):
                 continue
             checked += 1
-            length = len(s.mu) + len(chi.stem) - len(s.nu)
-            if length > depth:
+            try:
+                img = ts.act_on_character(s, rho)
+            except DomainError:
                 escapes += 1
                 continue
-            img = ts.act_on_character(s, chi)
-            saturated = (len(img.stem) == depth
-                         or not g.receivers(img.stem.source_vertex))
+            saturated = (len(img) == depth
+                         or not g.receivers(img.source_vertex))
             if not saturated:
                 skips += 1
             elif img not in max_set:
-                violations.append((s, chi))
+                violations.append((s, rho))
     return {
         "checked": checked,
         "skips": skips,

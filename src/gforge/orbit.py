@@ -179,15 +179,16 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
         covered = CompactOpen.empty(gs)
         for piece, value in coc.table[gen]:
             rep["pieces"] += 1
-            pc = CompactOpen(gs, [piece])
+            pc = probed = CompactOpen(gs, [piece])
             if not pc.difference(dom).is_empty:
                 rep["failures"].append((str(gen), "piece outside domain"))
+                probed = pc.intersect(dom)      # gen acts only on dom
             if not pc.intersect(covered).is_empty:
                 rep["failures"].append((str(gen), "pieces overlap"))
             covered = covered.union(pc)
             vw = PartialWord.from_word(gt, value)
             for x in pts:
-                if x not in pc:
+                if x not in probed:
                     continue
                 moved = homeo.apply(pw.act_point(x))
                 try:

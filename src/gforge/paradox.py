@@ -13,13 +13,9 @@ cylinder one level deeper and recurses.  Receiverless sources carry a
 single point and admit no pair, so the search reports failure there.
 """
 
-from .boundary import (
-    CompactOpen,
-    Cylinder,
-    PartialWord,
-    cyl_is_empty,
-    set_str,
-)
+from itertools import count, islice
+
+from .boundary import CompactOpen, Cylinder, PartialWord, set_str
 from .graph import EdgeInstance, Graph, INFINITE, first_return_profile
 from .words import ReducedWord
 
@@ -65,43 +61,36 @@ def _conjugate(stem, loop, g: Graph) -> ReducedWord:
     return ReducedWord.from_pair(g.concat(stem, loop), stem)
 
 
-def infinite_loops(g: Graph, v: str, count: int, forbidden_first=frozenset()):
-    """Loops at v through distinct instances of infinite receiver families.
+def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
+    """Two loops at v through distinct instances of infinite receiver families.
 
     Instances are taken in copy order across the families that can lead
-    back to v; each loop returns by the least path.  Fewer than count come
-    back when the families run short, never raising.
+    back to v; each loop returns by the least path.  No loops come back
+    when no infinite family leads back to v, never raising.
     """
     up = g.upstream(v)
     fams = [(e.eid, g.shortest_path(e.source_vertex, v).instances) for e in g.receivers(v)
             if e.multiplicity == INFINITE and e.source_vertex in up]
-    loops = []
-    copy = 0
-    while fams and len(loops) < count:
-        for eid, back in fams:
-            inst = EdgeInstance(eid, copy)
-            if inst in forbidden_first:
-                continue
-            loops.append(g.trusted_path((inst,) + back))
-            if len(loops) == count:
-                break
-        copy += 1
-    return loops
+    if not fams:
+        return []
+    # an infinite family offers endless copies, and forbidden_first is finite
+    return list(islice(
+        (g.trusted_path((inst,) + back) for copy in count() for eid, back in fams
+         if (inst := EdgeInstance(eid, copy)) not in forbidden_first), 2))
 
 
 def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     """Two (piece, word) lists for a paradoxical pair on one cylinder,
-    or None when the search bottoms out."""
-    if cyl_is_empty(g, cyl):
-        return [], []
+    or None when the search bottoms out.  cyl is never empty: it is a part
+    of a compact open set or a stem without exclusions."""
     v = cyl.stem.source_vertex
     if not g.receivers(v):
         return None                       # a single point cannot split
     infinite = g.receiver_count(v) == INFINITE
     if infinite:
-        loops = infinite_loops(g, v, 2, forbidden_first=cyl.excl)
+        loops = infinite_loops(g, v, forbidden_first=cyl.excl)
     else:
-        loops = first_return_profile(g, v, forbidden_first=cyl.excl)[1]
+        loops = first_return_profile(g, v, forbidden_first=cyl.excl)
     if len(loops) == 2:
         wa, wb = (_conjugate(cyl.stem, loop, g) for loop in loops)
         return [(cyl, wa)], [(cyl, wb)]

@@ -134,17 +134,6 @@ class FreeMonoidFamily:
                 raise SemigroupError(f"unknown letter {c!r}")
         return w
 
-    def principal(self, w):
-        return self.word(w)
-
-    def intersect(self, a, b):
-        a, b = self.word(a), self.word(b)
-        if a[:len(b)] == b:
-            return a
-        if b[:len(a)] == a:
-            return b
-        return None
-
     def contains(self, ideal, w):
         w = self.word(w)
         return w[:len(ideal)] == tuple(ideal)
@@ -287,14 +276,6 @@ class AffineFamily:
 
     def name(self):
         return "Z x Z* in Q x Q*"
-
-    def principal(self, b: int, a: int) -> Progression:
-        if a == 0:
-            raise SemigroupError("multiplier must be nonzero")
-        return Progression(b, abs(a))
-
-    def intersect(self, i1: Progression, i2: Progression):
-        return i1.intersect(i2)
 
     def contains(self, ideal: Progression, pair):
         """Pair membership: translation in the progression, multiplier a

@@ -1,14 +1,14 @@
-"""The emptiness, set, germ and sigma properties of test_properties.py at
-a deeper profile.
+"""The emptiness, set, germ and sigma properties of test_properties.py and
+its word, set-expression and graph JSON roundtrips at a deeper profile.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
 Hypothesis draws the seed of random_graph(Random(seed), 4,
 allow_infinite=True), so graphs have up to four vertices, and each
 property checks 400 examples, derandomized like the default profile.
-The emptiness and set laws run on infinite_graph_of(seed, 4), which
-always has an infinite edge family.  The file name keeps it out of the
-default test collection: it takes about 60 s on 2 cores with Python
+The emptiness, set and roundtrip laws run on infinite_graph_of(seed, 4),
+which always has an infinite edge family.  The file name keeps it out of
+the default test collection: it takes about 60 s on 2 cores with Python
 3.11.7.
 """
 import random
@@ -19,10 +19,13 @@ from gforge import corpus
 from test_properties import (
     emptiness_laws,
     germ_laws,
+    graph_json_roundtrip_laws,
     infinite_graph_of,
     seeds,
+    set_expr_roundtrip_laws,
     set_laws,
     sigma_laws,
+    word_roundtrip_laws,
 )
 
 EXAMPLES = 400
@@ -56,3 +59,21 @@ def test_set_laws_deep(seed):
 @given(seeds)
 def test_emptiness_laws_deep(seed):
     emptiness_laws(infinite_graph_of(seed, 4), seed)
+
+
+@DEEP
+@given(seeds)
+def test_word_roundtrip_deep(seed):
+    word_roundtrip_laws(infinite_graph_of(seed, 4))
+
+
+@DEEP
+@given(seeds)
+def test_set_expr_roundtrip_deep(seed):
+    set_expr_roundtrip_laws(infinite_graph_of(seed, 4), seed)
+
+
+@DEEP
+@given(seeds)
+def test_graph_json_roundtrip_deep(seed):
+    graph_json_roundtrip_laws(infinite_graph_of(seed, 4))

@@ -327,7 +327,7 @@ def test_internal_paths_match_validated_paths(corpus_graph):
     if not holds:
         paths.append(loop)
     for v in g.vertices:
-        loops = first_return_profile(g, v)[1] + infinite_loops(g, v, 2)
+        loops = first_return_profile(g, v) + infinite_loops(g, v)
         assert all(mu.range_vertex == mu.source_vertex == v for mu in loops)
         paths += loops
     for mu in paths:
@@ -393,7 +393,7 @@ def test_act_set_agrees_with_points():
     for name in ["g1", "g2", "g4", "g5", "g7"]:
         g = corpus.by_name(name)
         pts = battery(g)
-        for w in admissible_words(g, 3, copies=2)[:40]:
+        for w in admissible_words(g, 3)[:40]:
             pw = PartialWord.from_word(g, w)
             dom = pw.domain()
             for _ in range(8):
@@ -418,13 +418,6 @@ def test_admissible_words_count_g2():
     ws = admissible_words(corpus.g2(), 2)
     assert len(ws) == 15
     assert len(set(map(str, ws))) == 15
-
-
-def test_admissible_words_respects_copies():
-    g5 = corpus.g5()
-    ws = admissible_words(g5, 1, copies=3)
-    names = {str(w) for w in ws}
-    assert names == {"1", "f", "f[1]", "f[2]", "f^-1", "f[1]^-1", "f[2]^-1"}
 
 
 # ---------------------------------------------------------------- isotropy

@@ -259,6 +259,15 @@ def test_schema_rejects_garbage():
     for verts in ([["v"]], [1]):
         with pytest.raises(SchemaError):
             Graph(verts, [])
+        with pytest.raises(SchemaError):
+            Graph.from_json({"vertices": verts, "edges": []})
+    # both entries refuse a repeated vertex id with the same message
+    with pytest.raises(SchemaError, match="duplicate vertex id"):
+        Graph(["v", "v"], [])
+    with pytest.raises(SchemaError, match="duplicate vertex id"):
+        Graph.from_json({"vertices": ["v", "v"], "edges": []})
+    with pytest.raises(SchemaError, match="list of strings"):
+        Graph.from_json({"vertices": "v", "edges": []})
 
 
 def test_infinite_multiplicity_spelled_inf():
@@ -357,11 +366,10 @@ def test_condition_l_matches_entry_oracle_random():
 def test_first_return_profile_against_enumeration(corpus_graph):
     name, g = corpus_graph
     for v in g.vertices:
-        count, loops = first_return_profile(g, v)
+        loops = first_return_profile(g, v)
         found = oracle_first_returns(g, v, depth=4)
-        assert count == min(len(found), 2), (name, v)
-        assert len(loops) == count
-        assert len(set(loops)) == count
+        assert len(loops) == min(len(found), 2), (name, v)
+        assert len(set(loops)) == len(loops)
         for mu in loops:
             assert mu.range_vertex == mu.source_vertex == v
             assert v not in [g.s_of(i) for i in mu.instances[:-1]]
@@ -369,16 +377,16 @@ def test_first_return_profile_against_enumeration(corpus_graph):
 
 def test_first_return_profile_respects_exclusions():
     g = corpus.g2()
-    count, loops = first_return_profile(g, "v", forbidden_first={EdgeInstance("a", 0)})
-    assert count == 1 and loops[0] == g.path_of("b")
-    count, loops = first_return_profile(
+    loops = first_return_profile(g, "v", forbidden_first={EdgeInstance("a", 0)})
+    assert loops == [g.path_of("b")]
+    loops = first_return_profile(
         g, "v", forbidden_first={EdgeInstance("a", 0), EdgeInstance("b", 0)})
-    assert count == 0 and loops == []
+    assert loops == []
 
     g5 = corpus.g5()
-    count, loops = first_return_profile(
+    loops = first_return_profile(
         g5, "v", forbidden_first={EdgeInstance("f", 0), EdgeInstance("f", 2)})
-    assert count == 2
+    assert len(loops) == 2
     firsts = {mu.instances[0] for mu in loops}
     assert firsts == {EdgeInstance("f", 1), EdgeInstance("f", 3)}
 
@@ -388,15 +396,15 @@ def test_first_return_profile_random_soundness():
     for _ in range(30):
         g = corpus.random_graph(rng, max_vertices=5, allow_infinite=True)
         for v in g.vertices:
-            count, loops = first_return_profile(g, v)
-            assert len(set(loops)) == len(loops) == count
+            loops = first_return_profile(g, v)
+            assert len(set(loops)) == len(loops)
             for mu in loops:
                 assert mu.range_vertex == mu.source_vertex == v
                 assert v not in [g.s_of(i) for i in mu.instances[:-1]]
             found = oracle_first_returns(g, v, depth=3, copies=2)
             if len(found) >= 2:
-                assert count == 2
-            if count == 0:
+                assert len(loops) == 2
+            if not loops:
                 assert not found
 
 

@@ -20,9 +20,9 @@ from gforge.groupoid import (
 from gforge.words import parse_word
 
 
-def germs(g, word_bound, copies=2):
+def germs(g, word_bound):
     out = []
-    for w in admissible_words(g, word_bound, copies=copies):
+    for w in admissible_words(g, word_bound):
         pw = PartialWord.from_word(g, w)
         for part in pw.domain().parts:
             x = sample_point(g, part)

@@ -4,7 +4,6 @@ import pytest
 
 from gforge import corpus
 from gforge.invsgp import (
-    Character,
     DomainError,
     SgpElement,
     TruncatedSemilattice,
@@ -186,29 +185,30 @@ def test_characters_are_exactly_the_filters():
         principal = {frozenset(g.prefix(mu, k) for k in range(len(mu) + 1))
                      for mu in ts.paths}
         assert oracle_filters(ts.paths, g) == principal
-        assert len({Character(mu) for mu in ts.paths}) == len(ts.paths)
+        assert len(principal) == len(ts.paths)  # one character per stem
 
 
 def test_character_membership():
+    # the character with stem a.b holds exactly the prefixes of a.b
     g = corpus.g2()
-    chi = Character(g.path_of("a", "b"))
-    assert g.path_of("a") in chi
-    assert g.vertex_path("v") in chi
-    assert g.path_of("a", "b") in chi
-    assert g.path_of("b") not in chi
-    assert g.path_of("a", "a") not in chi
+    stem = g.path_of("a", "b")
+    assert stem.startswith(g.path_of("a"))
+    assert stem.startswith(g.vertex_path("v"))
+    assert stem.startswith(g.path_of("a", "b"))
+    assert not stem.startswith(g.path_of("b"))
+    assert not stem.startswith(g.path_of("a", "a"))
 
 
 def test_max_characters_frozen():
     g2 = corpus.g2()
     ts = TruncatedSemilattice(g2, 2)
-    stems = [ts_g.stem for ts_g in ts.max_characters()]
+    stems = ts.max_characters()
     assert stems == [g2.path_of("a", "a"), g2.path_of("a", "b"),
                      g2.path_of("b", "a"), g2.path_of("b", "b")]
 
     g3 = corpus.g3()
     ts3 = TruncatedSemilattice(g3, 2)
-    stems3 = [c.stem for c in ts3.max_characters()]
+    stems3 = ts3.max_characters()
     assert stems3 == [g3.vertex_path("w"), g3.path_of("e")]
 
 
@@ -216,13 +216,13 @@ def test_act_on_character_hand_checked():
     g = corpus.g2()
     ts = TruncatedSemilattice(g, 2)
     s = SgpElement(g.path_of("a"), g.path_of("b"))
-    chi = Character(g.path_of("b", "a"))
-    assert ts.act_on_character(s, chi) == Character(g.path_of("a", "a"))
+    chi = g.path_of("b", "a")
+    assert ts.act_on_character(s, chi) == g.path_of("a", "a")
     with pytest.raises(DomainError):
-        ts.act_on_character(s, Character(g.path_of("a", "a")))  # not in Z(b)
+        ts.act_on_character(s, g.path_of("a", "a"))  # not in Z(b)
     big = SgpElement(g.path_of("a", "a"), g.vertex_path("v"))
     with pytest.raises(DomainError):
-        ts.act_on_character(big, Character(g.path_of("b", "a")))  # length 4 > 2
+        ts.act_on_character(big, g.path_of("b", "a"))  # length 4 > 2
     with pytest.raises(DomainError):
         ts.act_on_character(ZERO, chi)
 
@@ -231,10 +231,10 @@ def test_act_on_character_matches_conjugation():
     for g, depth in [(corpus.g2(), 2), (corpus.g3(), 3), (corpus.g4(), 2)]:
         ts = TruncatedSemilattice(g, depth)
         for s in ts.elements():
-            for chi in map(Character, ts.paths):
-                if not chi.stem.startswith(s.nu):
+            for chi in ts.paths:
+                if not chi.startswith(s.nu):
                     continue
-                if len(s.mu) + len(chi.stem) - len(s.nu) > depth:
+                if len(s.mu) + len(chi) - len(s.nu) > depth:
                     continue
                 img = ts.act_on_character(s, chi)
                 for tau in ts.paths:
@@ -243,8 +243,8 @@ def test_act_on_character_matches_conjugation():
                         expected = False
                     else:
                         assert t.is_idempotent
-                        expected = t.mu in chi
-                    assert (tau in img) == expected, (s, chi, tau)
+                        expected = chi.startswith(t.mu)
+                    assert img.startswith(tau) == expected, (s, chi, tau)
 
 
 # ---------------------------------------------------------------- invariance

@@ -73,6 +73,19 @@ def test_identity_cocycle_checks_clean():
         assert rep["checked"] > 0 or name == "g3"
 
 
+def test_coe_check_reports_piece_outside_domain():
+    # a^-1 acts on Z(a) only; a piece on all of Z(v) must be reported,
+    # and its points outside Z(a) must not be pushed through a^-1
+    g = corpus.g2()
+    coc = identity_cocycle(g)
+    gen = parse_word("a^-1")
+    coc.table[gen] = ((Cylinder(g.vertex_path("v"), frozenset()), gen),)
+    rep = coe_check(coc, depth=2)
+    assert rep["failures"] == [("a^-1", "piece outside domain"),
+                               ("a^-1", "pieces do not cover domain")]
+    assert rep["checked"] == coe_check(identity_cocycle(g), depth=2)["checked"]
+
+
 def test_identity_cocycle_refuses_infinite_multiplicity():
     with pytest.raises(GraphError):
         identity_cocycle(corpus.g5())

@@ -18,25 +18,25 @@ from gforge.words import parse_word
 
 def test_infinite_loops_single_vertex_family():
     g = corpus.g5()
-    loops = infinite_loops(g, "v", 3)
-    assert [g.path_str(p) for p in loops] == ["f[0]", "f[1]", "f[2]"]
-    held_back = infinite_loops(g, "v", 2, forbidden_first={EdgeInstance("f", 0)})
+    loops = infinite_loops(g, "v")
+    assert [g.path_str(p) for p in loops] == ["f[0]", "f[1]"]
+    held_back = infinite_loops(g, "v", forbidden_first={EdgeInstance("f", 0)})
     assert [g.path_str(p) for p in held_back] == ["f[1]", "f[2]"]
 
 
 def test_infinite_loops_with_return_path():
     g = corpus.g7()
-    loops = infinite_loops(g, "v", 3)
-    assert [g.path_str(p) for p in loops] == ["f[0].t", "f[1].t", "f[2].t"]
+    loops = infinite_loops(g, "v")
+    assert [g.path_str(p) for p in loops] == ["f[0].t", "f[1].t"]
     for p in loops:
         assert p.range_vertex == p.source_vertex == "v"
 
 
 def test_infinite_loops_without_infinite_families():
-    assert infinite_loops(corpus.g2(), "v", 2) == []
+    assert infinite_loops(corpus.g2(), "v") == []
     g6 = corpus.g6()
     # the infinite family at v never returns, so no loops come from it
-    assert infinite_loops(g6, "v", 2) == []
+    assert infinite_loops(g6, "v") == []
 
 
 def test_find_witness_two_loop_vertex():

@@ -1,12 +1,14 @@
-"""Hypothesis properties of boundary points, cylinder algebra, germs, sigma
-and paradox witnesses on seeded random graphs.
+"""Hypothesis properties of boundary points, cylinder algebra, germs, sigma,
+paradox witnesses and parse/print roundtrips on seeded random graphs.
 
 Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed (infinite_graph_of
 insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
-emptiness_laws, set_laws, germ_laws and sigma_laws on larger graphs.
+emptiness_laws, set_laws, germ_laws, sigma_laws and the three roundtrip
+laws on larger graphs.
 """
+import json
 import random
 
 from hypothesis import assume, given, settings, strategies as st
@@ -24,13 +26,16 @@ from gforge.boundary import (
     parse_point,
     point_str,
     probe_points,
+    reduced_words,
+    set_str,
     verify_partial_action,
 )
-from gforge.graph import INFINITE, EdgeInstance
+from gforge.cli import parse_set_expr
+from gforge.graph import INFINITE, EdgeInstance, Graph
 from gforge.groupoid import PTGElement, inverse, to_dr, to_ptg
 from gforge.invsgp import TruncatedSemilattice, verify_partial_hom
 from gforge.paradox import expand_witness, find_witness, verify_witness
-from gforge.words import ReducedWord
+from gforge.words import ReducedWord, parse_word
 from test_boundary import assert_validated, random_compact_open, reference_partial_action
 from test_groupoid import assert_germ
 from test_invsgp import reference_partial_hom
@@ -169,6 +174,50 @@ def set_laws(g, seed, rounds=8):
 @given(seeds)
 def test_set_operations_match_membership_with_infinite_receivers(seed):
     set_laws(infinite_graph_of(seed), seed)
+
+
+def word_roundtrip_laws(g):
+    """Every reduced word of length <= 2 parses back from its printed form."""
+    for w in reduced_words(g, 2):
+        assert parse_word(str(w)) == w
+
+
+def set_expr_roundtrip_laws(g, seed):
+    """Nonempty compact opens with exclusions, and their differences and
+    intersections, parse back from set_str; empty sets print as {}, which
+    is not a set expression."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        A = random_compact_open(g, rng)
+        B = random_compact_open(g, rng)
+        for U in (A, A.difference(B), A.intersect(B)):
+            if not U.is_empty:
+                assert parse_set_expr(g, set_str(U)) == U, set_str(U)
+
+
+def graph_json_roundtrip_laws(g):
+    """Graph JSON loads back to the same vertices and edges."""
+    h = Graph.loads(json.dumps(g.to_json()))
+    assert h.vertices == g.vertices
+    assert h.edges == g.edges
+
+
+@PROFILE
+@given(seeds)
+def test_words_roundtrip_through_text(seed):
+    word_roundtrip_laws(infinite_graph_of(seed))
+
+
+@PROFILE
+@given(seeds)
+def test_set_expressions_roundtrip_through_text(seed):
+    set_expr_roundtrip_laws(infinite_graph_of(seed), seed)
+
+
+@PROFILE
+@given(seeds)
+def test_graph_json_roundtrips(seed):
+    graph_json_roundtrip_laws(infinite_graph_of(seed))
 
 
 def assert_maps_match_words(g, m):
