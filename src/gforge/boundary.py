@@ -496,9 +496,9 @@ def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
     """A deterministic spread of boundary points for checks to probe.
 
     Every finite point whose path fits in `depth`, and every prefix-cycle
-    combination whose total length fits in it (two copies per infinite family).
+    combination whose total length fits in it.
     """
-    paths = g.paths_up_to(depth, copies=2)
+    paths = g.paths_up_to(depth)
     cycles = [c for c in paths
               if c.instances and c.range_vertex == c.source_vertex]
     pts = []
@@ -516,13 +516,12 @@ def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
 
 def admissible_words(g: Graph, bound: int) -> list[ReducedWord]:
     """All words alpha.beta^-1 from composable pairs with a common source and
-    total length at most the bound, the empty word included (two copies per
-    infinite family).
+    total length at most the bound, the empty word included.
 
     Pairs sharing a last instance are skipped: their word already arises from
     the shorter pair.
     """
-    paths = g.paths_up_to(bound, copies=2)
+    paths = g.paths_up_to(bound)
     words = {ReducedWord()}
     for alpha in paths:
         for beta in paths:
@@ -537,11 +536,11 @@ def admissible_words(g: Graph, bound: int) -> list[ReducedWord]:
     return sorted(words, key=ReducedWord.sort_key)
 
 
-def reduced_words(g: Graph, length: int, copies: int = 2) -> list[ReducedWord]:
-    """Every reduced word of length <= length over the edge instances,
-    infinite families capped at `copies`; the ball order of words.ball
-    with instances taken vertex by vertex."""
-    gens = [inst for v in sorted(g.vertices) for inst in g.continuations(v, copies)]
+def reduced_words(g: Graph, length: int) -> list[ReducedWord]:
+    """Every reduced word of length <= length over the edge instances of
+    the paths of length one; the ball order of words.ball with instances
+    taken vertex by vertex."""
+    gens = [mu.instances[0] for mu in g.paths_up_to(1) if mu.instances]
     return [ReducedWord(w) for w in ball(gens, length)]
 
 
@@ -564,7 +563,7 @@ def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     return sorted(found, key=ReducedWord.sort_key)
 
 
-def verify_partial_action(g: Graph, word_len: int = 3, copies: int = 2) -> dict:
+def verify_partial_action(g: Graph, word_len: int = 3) -> dict:
     """Check the partial action laws on all reduced words up to word_len.
 
     The empty word must act as the identity everywhere, inverses must undo,
@@ -574,7 +573,7 @@ def verify_partial_action(g: Graph, word_len: int = 3, copies: int = 2) -> dict:
     meet with im theta_w, is empty) the domain, composition and pointwise
     laws hold with nothing to compare, and the product word is never built.
     """
-    words = reduced_words(g, word_len, copies)
+    words = reduced_words(g, word_len)
     table = {}  # word -> (map, domain, image, inverse map)
     for w in words:
         pw = PartialWord.from_word(g, w)
@@ -617,8 +616,7 @@ def verify_partial_action(g: Graph, word_len: int = 3, copies: int = 2) -> dict:
 
 # --------------------------------------------------------- topological freeness
 
-def topological_freeness_report(g: Graph, word_bound: int = 8,
-                                stem_depth: int = 2, copies: int = 2) -> dict:
+def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int = 2) -> dict:
     """Decide whether some word fixes a whole nonempty open set.
 
     An entry-less loop freezes the vertex cylinder at its base to a single
@@ -646,7 +644,7 @@ def topological_freeness_report(g: Graph, word_bound: int = 8,
         }
 
     witnesses = []
-    for stem in g.paths_up_to(stem_depth, copies):
+    for stem in g.paths_up_to(stem_depth):
         v = stem.source_vertex
         down = sorted(g.downstream(v))
         x = None

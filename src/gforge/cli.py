@@ -215,24 +215,23 @@ def _run_check(args):
     if prop == "tf":
         wb = _effective(args.word_bound, 8)
         depth = _effective(args.depth, 2)
-        out = topological_freeness_report(g, word_bound=wb, stem_depth=depth,
-                                          copies=args.copies)
+        out = topological_freeness_report(g, word_bound=wb, stem_depth=depth)
         rep.update(_clean(g, out))
         if not out["free"]:
             return rep, 1
         return rep, 0 if out["verified"] else INCONCLUSIVE
     if prop == "action":
         wl = _effective(args.word_bound, 2)
-        out = verify_partial_action(g, word_len=wl, copies=args.copies)
+        out = verify_partial_action(g, word_len=wl)
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
     if prop in ("sigma", "invariance"):
         depth = _effective(args.depth, 2)
         if prop == "sigma":
-            out = verify_partial_hom(g, depth, copies=args.copies)
+            out = verify_partial_hom(g, depth)
             ok = not out["failures"] and not out["idempotent_pure_failures"]
         else:
-            out = check_boundary_invariance(g, depth, copies=args.copies)
+            out = check_boundary_invariance(g, depth)
             ok = not out["violations"]
         rep.update(_clean(g, out))
         # a depth-0 truncation holds only vertex paths: no edge was probed
@@ -375,7 +374,6 @@ def _build_parser():
     c.add_argument("--graph", required=True, choices=names)
     c.add_argument("--depth", type=_at_least(0))
     c.add_argument("--word-bound", type=_at_least(1))
-    c.add_argument("--copies", type=_at_least(1), default=2)
     common(c)
 
     w = sub.add_parser("witness", help="paradoxical pair on a compact open set")

@@ -307,8 +307,8 @@ class Graph:
                 out.append(EdgeInstance(e.eid, c))
         return out
 
-    def paths_up_to(self, depth: int, copies: int = 1) -> list[Path]:
-        """All paths of length <= depth, infinite families truncated to `copies` copies.
+    def paths_up_to(self, depth: int) -> list[Path]:
+        """All paths of length <= depth, each infinite family cut to copies 0 and 1.
 
         Order: sort_key; a sorted level extended in (eid, copy) order stays sorted.
         """
@@ -317,21 +317,19 @@ class Graph:
         for _ in range(depth):
             nxt = []
             for mu in frontier:
-                for inst in self.continuations(mu.source_vertex, copies):
+                for inst in self.continuations(mu.source_vertex, 2):
                     ext = Path(mu.range_vertex, self.s_of(inst), mu.instances + (inst,))
                     nxt.append(ext)
             out.extend(nxt)
             frontier = nxt
         return out
 
-    def maximal_stems(self, depth: int, copies: int = 1, paths=None) -> list[Path]:
-        """The paths of paths_up_to(depth, copies) that cannot grow within
-        depth: full length, or a source with no receivers.
-
-        A caller already holding that enumeration passes it as `paths`.
-        """
+    def maximal_stems(self, depth: int, paths=None) -> list[Path]:
+        """The paths of paths_up_to(depth) that cannot grow within depth:
+        full length, or a source with no receivers.  A caller already holding
+        that enumeration passes it as `paths`."""
         if paths is None:
-            paths = self.paths_up_to(depth, copies)
+            paths = self.paths_up_to(depth)
         return [mu for mu in paths
                 if len(mu) == depth or not self._receivers[mu.source_vertex]]
 

@@ -80,13 +80,12 @@ def sigma(x) -> ReducedWord:
 
 
 class TruncatedSemilattice:
-    """All paths up to a depth, with infinite families capped at `copies`."""
+    """All paths up to a depth, as Graph.paths_up_to enumerates them."""
 
-    def __init__(self, g: Graph, depth: int, copies: int = 2):
+    def __init__(self, g: Graph, depth: int):
         self.graph = g
         self.depth = depth
-        self.copies = copies
-        self.paths = g.paths_up_to(depth, copies)
+        self.paths = g.paths_up_to(depth)
 
     def elements(self) -> list[SgpElement]:
         """Every nonzero pair representable inside the truncation."""
@@ -99,7 +98,7 @@ class TruncatedSemilattice:
     def max_characters(self) -> list[Path]:
         """The stems of the maximal characters (a character is the prefix
         chain of its stem): stems at full depth or at a dead-end source."""
-        return self.graph.maximal_stems(self.depth, self.copies, self.paths)
+        return self.graph.maximal_stems(self.depth, self.paths)
 
     def act_on_character(self, s, rho: Path) -> Path:
         """Apply the substitution s to the character with stem rho; stem
@@ -119,13 +118,13 @@ class TruncatedSemilattice:
         return self.graph.concat(s.mu, self.graph.strip_prefix(rho, len(s.nu)))
 
 
-def verify_partial_hom(g: Graph, depth: int, copies: int = 2) -> dict:
+def verify_partial_hom(g: Graph, depth: int) -> dict:
     """Exhaustively check sigma over a truncation.
 
     sigma must turn nonzero products into word products and send only
     idempotents to the empty word.
     """
-    els = TruncatedSemilattice(g, depth, copies).elements()
+    els = TruncatedSemilattice(g, depth).elements()
     table = [(s, sigma(s)) for s in els]
     failures = []
     pairs = 0
@@ -146,15 +145,19 @@ def verify_partial_hom(g: Graph, depth: int, copies: int = 2) -> dict:
     }
 
 
-def check_boundary_invariance(g: Graph, depth: int, copies: int = 2) -> dict:
+def check_boundary_invariance(g: Graph, depth: int) -> dict:
     """Push every maximal character through every pair and see whether the
     image is maximal again.
 
     Images that stay below depth at a source that still receives edges say
     nothing inside a truncation (the cut hides their continuations), so they
     are skipped and counted.  Overflowing images are counted separately.
+
+    "violations" stays empty inside one truncation: an image stem that fits
+    the depth is a path of ts.paths (s.mu and the stem share paths_up_to's
+    copy cap), and "saturated" is exactly maximal_stems' own test.
     """
-    ts = TruncatedSemilattice(g, depth, copies)
+    ts = TruncatedSemilattice(g, depth)
     maxes = ts.max_characters()
     max_set = set(maxes)
     checked = skips = escapes = 0

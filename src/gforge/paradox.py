@@ -194,7 +194,7 @@ def paradox_report(g: Graph, stem_depth: int = 2) -> dict:
     """
     rep = {"holds": True, "stems": 0, "verified": 0,
            "refusals": [], "failures": []}
-    for mu in g.paths_up_to(stem_depth, copies=2):
+    for mu in g.paths_up_to(stem_depth):
         rep["stems"] += 1
         U = CompactOpen.cylinder(g, mu)
         pair = find_witness(g, U)

@@ -425,7 +425,8 @@ def boundary_paradox_witness(family, ideal, exclusions=(), depth=8):
     excl = [family.word(w) for w in exclusions]
     horizon = max([len(w) for w in excl] + [len(stem)])
     if horizon > depth:
-        raise SemigroupError("exclusions run past the search depth")
+        culprit = "the ideal runs" if len(stem) > depth else "exclusions run"
+        raise SemigroupError(f"{culprit} past the search depth")
 
     def blocked(w):
         return any(w[:len(e)] == e for e in excl)

@@ -1,15 +1,16 @@
-"""The emptiness, set, germ and sigma properties of test_properties.py and
-its word, set-expression and graph JSON roundtrips at a deeper profile.
+"""The truncation, emptiness, set, germ and sigma properties of
+test_properties.py and its word, set-expression and graph JSON roundtrips
+at a deeper profile.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
 Hypothesis draws the seed of random_graph(Random(seed), 4,
 allow_infinite=True), so graphs have up to four vertices, and each
 property checks 400 examples, derandomized like the default profile.
-The emptiness, set and roundtrip laws run on infinite_graph_of(seed, 4),
-which always has an infinite edge family.  The file name keeps it out of
-the default test collection: it takes about 60 s on 2 cores with Python
-3.11.7.
+The truncation, emptiness, set and roundtrip laws run on
+infinite_graph_of(seed, 4), which always has an infinite edge family.
+The file name keeps it out of the default test collection: it takes
+about 70 s on 2 cores with Python 3.11.7.
 """
 import random
 
@@ -25,6 +26,7 @@ from test_properties import (
     set_expr_roundtrip_laws,
     set_laws,
     sigma_laws,
+    truncation_laws,
     word_roundtrip_laws,
 )
 
@@ -47,6 +49,12 @@ def test_germ_laws_deep(seed):
 @given(seeds)
 def test_sigma_laws_deep(seed):
     sigma_laws(graph_of(seed))
+
+
+@DEEP
+@given(seeds)
+def test_truncation_laws_deep(seed):
+    truncation_laws(infinite_graph_of(seed, 4))
 
 
 @DEEP

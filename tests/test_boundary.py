@@ -194,11 +194,11 @@ def test_endpoint_always_inside():
 def battery(g, depth=3):
     """A spread of boundary points to probe set operations with."""
     pts = []
-    for mu in g.paths_up_to(depth, copies=2):
+    for mu in g.paths_up_to(depth):
         if g.is_singular(mu.source_vertex):
             pts.append(BoundaryPoint.finite(g, mu))
         for k in range(1, depth + 1):
-            for cyc in g.paths_up_to(k, copies=2):
+            for cyc in g.paths_up_to(k):
                 if len(cyc) == k and cyc.range_vertex == cyc.source_vertex \
                         and cyc.instances and cyc.range_vertex == mu.source_vertex:
                     pts.append(BoundaryPoint.periodic(g, mu, cyc))
@@ -211,7 +211,7 @@ def battery(g, depth=3):
 
 def random_compact_open(g, rng, max_parts=3):
     parts = []
-    paths = g.paths_up_to(2, copies=2)
+    paths = g.paths_up_to(2)
     for _ in range(rng.randint(1, max_parts)):
         stem = rng.choice(paths)
         conts = g.continuations(stem.source_vertex, copies=2)
@@ -492,14 +492,14 @@ def test_partial_action_axioms_small(name):
 
 
 def test_partial_action_axioms_with_copies():
-    rep = verify_partial_action(corpus.g5(), word_len=2, copies=2)
+    rep = verify_partial_action(corpus.g5(), word_len=2)
     assert rep["failures"] == []
 
 
-def reference_partial_action(g, word_len=3, copies=2):
+def reference_partial_action(g, word_len=3):
     """verify_partial_action as first written: every map, domain, image and
     product word rebuilt for each of the N^2 pairs, empty D included."""
-    words = reduced_words(g, word_len, copies)
+    words = reduced_words(g, word_len)
     maps = {w: PartialWord.from_word(g, w) for w in words}
 
     report = {"words": len(words), "pairs": 0, "failures": []}

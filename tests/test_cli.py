@@ -192,6 +192,17 @@ def test_sgp_free_witness(capsys):
     assert code == 2 and rep["found"] is False
 
 
+@pytest.mark.parametrize("argv, culprit", [
+    (["--ideal", "x" * 10], "the ideal runs"),
+    (["--ideal", "x", "--exclude", "x" * 10], "exclusions run"),
+])
+def test_sgp_free_witness_names_what_runs_past_the_depth(capsys, argv, culprit):
+    assert main(["sgp", "free:2", "witness", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gforge: {culprit} past the search depth\n"
+
+
 def test_sgp_corner_witness_fails(capsys):
     code = main(["sgp", "nk:1", "witness"])
     capsys.readouterr()
@@ -236,7 +247,6 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
         ["check", "tf", "--graph", "g2", "--word-bound", "-1"],
         ["check", "sigma", "--graph", "g2", "--depth", "-2"],
         ["check", "invariance", "--graph", "g2", "--depth", "-1"],
-        ["check", "action", "--graph", "g5", "--copies", "0"],
         ["check", "action", "--graph", "g1", "--word-bound", "two"],
         ["witness", "g2", "Z(v)", "--depth", "-1"],
         ["witness", "g2", "Z(v)", "--expand", "0"],
@@ -260,6 +270,12 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("gforge"), argv
         assert captured.err.count("\n") == 1, argv
+    # every enumeration takes two copies of an infinite family: no --copies
+    assert main(["check", "action", "--graph", "g5", "--copies", "2"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gforge") and "--copies" in captured.err
+    assert captured.err.count("\n") == 1
     # depth 0 is a meaningful bound where stems start at the vertices
     assert main(["check", "tf", "--graph", "g2", "--depth", "0"]) == 0
     assert main(["witness", "g2", "Z(v)", "--depth", "0"]) == 0

@@ -209,15 +209,14 @@ def test_paths_up_to_counts_and_order():
     assert ps == g.paths_up_to(3)  # deterministic
 
     g5 = corpus.g5()
-    assert len(g5.paths_up_to(2, copies=2)) == 7
+    assert len(g5.paths_up_to(2)) == 7
 
     rng = random.Random(7)
     randoms = [corpus.random_graph(rng, 5, allow_infinite=True) for _ in range(60)]
     assert any(e.multiplicity == INFINITE for h in randoms for e in h.edges.values())
     for h in [corpus.by_name(n) for n in corpus.BUILDERS] + randoms:
-        for copies in (1, 2):
-            ps = h.paths_up_to(3, copies)
-            assert ps == sorted(ps, key=sort_key)
+        ps = h.paths_up_to(3)
+        assert ps == sorted(ps, key=sort_key)
 
 
 # ---------------------------------------------------------------- schema

@@ -17,8 +17,8 @@ from gforge.graph import CompositionError
 from gforge.words import parse_word
 
 
-def els(g, depth, copies=2):
-    return TruncatedSemilattice(g, depth, copies).elements()
+def els(g, depth):
+    return TruncatedSemilattice(g, depth).elements()
 
 
 def sgp_star(x):
@@ -34,10 +34,10 @@ def slat_meet(g, mu, nu):
     return None
 
 
-def reference_partial_hom(g, depth, copies=2):
+def reference_partial_hom(g, depth):
     """The per-pair form of verify_partial_hom, recomputing sigma(s) and
     sigma(t) for every pair: the reference for its table of sigmas."""
-    ts = TruncatedSemilattice(g, depth, copies)
+    ts = TruncatedSemilattice(g, depth)
     els = ts.elements()
     failures = []
     pure_failures = []

@@ -5,8 +5,8 @@ Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed (infinite_graph_of
 insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
-emptiness_laws, set_laws, germ_laws, sigma_laws and the three roundtrip
-laws on larger graphs.
+truncation_laws, emptiness_laws, set_laws, germ_laws, sigma_laws and the
+three roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -64,6 +64,40 @@ def edge_instances(g):
                for e in g.edges.values())
 
 
+def infinite_copies(g, instances):
+    """The copies of each infinite family among the given edge instances."""
+    used = {}
+    for inst in instances:
+        if g.edges[inst.edge].multiplicity == INFINITE:
+            used.setdefault(inst.edge, set()).add(inst.copy)
+    return used
+
+
+def truncation_laws(g):
+    """Every bounded enumeration takes copies 0 and 1 of an infinite family,
+    no more and no fewer.  The enumerations that hold all paths of length
+    one show every family; a probe point may miss a family whose source
+    lies too far from a cycle or a singular vertex."""
+    both = {eid: {0, 1} for eid, e in g.edges.items() if e.multiplicity == INFINITE}
+    enumerations = {
+        "paths_up_to": [i for mu in g.paths_up_to(2) for i in mu.instances],
+        "reduced_words": [i for w in reduced_words(g, 2) for i, _ in w.letters],
+        "admissible_words": [i for w in admissible_words(g, 2) for i, _ in w.letters],
+        "semilattice": [i for mu in TruncatedSemilattice(g, 2).paths for i in mu.instances],
+    }
+    for name, instances in enumerations.items():
+        assert infinite_copies(g, instances) == both, name
+    points = [i for x in probe_points(g, 3) for i in x.prefix + (x.cycle or ())]
+    assert all(both[eid] == c for eid, c in infinite_copies(g, points).items())
+    assert len(g.paths_up_to(1)) - len(g.vertices) == edge_instances(g)
+
+
+@PROFILE
+@given(seeds)
+def test_enumerations_take_two_copies_of_each_infinite_family(seed):
+    truncation_laws(infinite_graph_of(seed))
+
+
 @PROFILE
 @given(seeds)
 def test_point_str_roundtrips(seed):
@@ -76,7 +110,7 @@ def test_point_str_roundtrips(seed):
 @given(seeds)
 def test_shift_then_prepend_restores_and_stays_canonical(seed):
     g = graph_of(seed)
-    short = g.paths_up_to(1, copies=2)
+    short = g.paths_up_to(1)
     for x in probe_points(g, 3):
         for k in range(len(x) + 1 if x.is_finite else 5):
             y = x.shift(k)
@@ -239,7 +273,7 @@ def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
     """Stems may overlap; every pair the search returns must still verify,
     and its stored piece maps, also after composing, act as their words."""
     g = graph_of(seed)
-    stems = g.paths_up_to(2, copies=2)
+    stems = g.paths_up_to(2)
     chosen = [stems[i % len(stems)] for i in picks]
     U = CompactOpen(g, [Cylinder(mu, frozenset()) for mu in chosen])
     pair = find_witness(g, U)
