@@ -132,12 +132,20 @@ def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
 
 
 def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
-    """Certify that the maps carry U onto pairwise disjoint subsets of U."""
+    """Certify that the maps carry U onto pairwise disjoint subsets of U.
+
+    Fewer than two maps, or an empty U, certify nothing and fail.
+    """
     rep = {"maps": len(maps), "pieces": 0, "ok": True, "failures": []}
 
     def fail(msg):
         rep["ok"] = False
         rep["failures"].append(msg)
+
+    if len(maps) < 2:
+        fail("a paradoxical witness needs at least 2 maps")
+    if U.is_empty:
+        fail("the set is empty: nothing to duplicate")
 
     images = []
     for i, m in enumerate(maps):
@@ -187,25 +195,39 @@ def expand_witness(g: Graph, pair, count: int):
 
 
 def paradox_report(g: Graph, stem_depth: int = 2) -> dict:
-    """Search every cylinder stem up to stem_depth and certify the finds.
+    """Search and certify each source vertex once; every cylinder stem up to
+    stem_depth takes its source vertex's verdict.
+
+    Z(mu) is the image of Z(s(mu)) under theta_mu, and prefixing by mu maps
+    the cylinder algebra below Z(s(mu)) isomorphically onto the one below
+    Z(mu).  A paradoxical pair on Z(s(mu)), its pieces prefixed by mu and its
+    words conjugated by mu, is a paradoxical pair on Z(mu), and conversely;
+    it is what find_witness returns on Z(mu).  So each vertex is searched
+    on its own cylinder, itself the length-0 stem, and a failed certification
+    names that cylinder's pieces.  searched counts the vertices searched.
 
     holds is True when every probed cylinder carries a verified pair,
     False when any refusal or verification failure appears.
     """
-    rep = {"holds": True, "stems": 0, "verified": 0,
+    rep = {"holds": True, "stems": 0, "searched": 0, "verified": 0,
            "refusals": [], "failures": []}
+    verdicts = {}       # source vertex -> None when refused, else its failures
     for mu in g.paths_up_to(stem_depth):
+        v = mu.source_vertex
+        if v not in verdicts:
+            U = CompactOpen.cylinder(g, g.vertex_path(v))
+            pair = find_witness(g, U)
+            verdicts[v] = (None if pair is None
+                           else verify_witness(g, U, list(pair))["failures"])
+        failures = verdicts[v]
         rep["stems"] += 1
-        U = CompactOpen.cylinder(g, mu)
-        pair = find_witness(g, U)
-        if pair is None:
+        if failures is None:
             rep["holds"] = False
             rep["refusals"].append(g.path_str(mu))
-            continue
-        check = verify_witness(g, U, list(pair))
-        if check["ok"]:
-            rep["verified"] += 1
-        else:
+        elif failures:
             rep["holds"] = False
-            rep["failures"].append((g.path_str(mu), check["failures"]))
+            rep["failures"].append((g.path_str(mu), failures))
+        else:
+            rep["verified"] += 1
+    rep["searched"] = len(verdicts)
     return rep

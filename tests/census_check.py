@@ -5,7 +5,8 @@
 The census is the 720 graphs random_graph(Random(s), 5, allow_infinite=True)
 for s in 0-239, 1000-1239 and 2000-2239.  On every one, condition_pi must
 give the verdict that paradox_report reaches at stem depth 2.  The file
-name keeps it out of the default test collection: it takes about 10 s.
+name keeps it out of the default test collection: it takes about 1 s on
+2 cores with Python 3.11.7.
 """
 import random
 

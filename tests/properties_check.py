@@ -1,4 +1,4 @@
-"""The truncation, emptiness, set, germ and sigma properties of
+"""The truncation, emptiness, set, transport, germ and sigma properties of
 test_properties.py and its word, set-expression and graph JSON roundtrips
 at a deeper profile.
 
@@ -7,10 +7,10 @@ at a deeper profile.
 Hypothesis draws the seed of random_graph(Random(seed), 4,
 allow_infinite=True), so graphs have up to four vertices, and each
 property checks 400 examples, derandomized like the default profile.
-The truncation, emptiness, set and roundtrip laws run on
+The truncation, emptiness, set, transport and roundtrip laws run on
 infinite_graph_of(seed, 4), which always has an infinite edge family.
 The file name keeps it out of the default test collection: it takes
-about 70 s on 2 cores with Python 3.11.7.
+about 75 s on 2 cores with Python 3.11.7.
 """
 import random
 
@@ -26,6 +26,7 @@ from test_properties import (
     set_expr_roundtrip_laws,
     set_laws,
     sigma_laws,
+    transport_laws,
     truncation_laws,
     word_roundtrip_laws,
 )
@@ -67,6 +68,12 @@ def test_set_laws_deep(seed):
 @given(seeds)
 def test_emptiness_laws_deep(seed):
     emptiness_laws(infinite_graph_of(seed, 4), seed)
+
+
+@DEEP
+@given(seeds)
+def test_transport_laws_deep(seed):
+    transport_laws(infinite_graph_of(seed, 4))
 
 
 @DEEP

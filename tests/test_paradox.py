@@ -13,7 +13,7 @@ from gforge.paradox import (
     paradox_report,
     verify_witness,
 )
-from gforge.words import parse_word
+from gforge.words import ReducedWord, parse_word
 
 
 def test_infinite_loops_single_vertex_family():
@@ -139,6 +139,29 @@ def test_verify_witness_rejects_partial_cover():
     assert any("tile" in f for f in rep["failures"])
 
 
+def test_verify_witness_rejects_no_maps():
+    g = corpus.g2()
+    rep = verify_witness(g, CompactOpen.whole(g), [])
+    assert not rep["ok"]
+    assert rep["failures"] == ["a paradoxical witness needs at least 2 maps"]
+
+
+def test_verify_witness_rejects_a_single_map():
+    g = corpus.g2()
+    U = CompactOpen.cylinder(g, g.vertex_path("v"))
+    rep = verify_witness(g, U, [PiecewiseWord(g, [(U, ReducedWord())])])
+    assert not rep["ok"]
+    assert rep["failures"] == ["a paradoxical witness needs at least 2 maps"]
+
+
+def test_verify_witness_rejects_the_empty_set():
+    g = corpus.g2()
+    U = CompactOpen.empty(g)
+    rep = verify_witness(g, U, [PiecewiseWord(g, []), PiecewiseWord(g, [])])
+    assert not rep["ok"]
+    assert rep["failures"] == ["the set is empty: nothing to duplicate"]
+
+
 def test_expand_witness_many_copies():
     g = corpus.g2()
     U = CompactOpen.whole(g)
@@ -164,6 +187,7 @@ def test_paradox_report_positive_graphs():
         rep = paradox_report(g, stem_depth=2)
         assert rep["holds"], (name, rep)
         assert rep["verified"] == rep["stems"] > 0
+        assert rep["searched"] == len(g.vertices)
         assert rep["refusals"] == [] and rep["failures"] == []
 
 
@@ -172,8 +196,51 @@ def test_paradox_report_negative_graphs():
         g = corpus.by_name(name)
         rep = paradox_report(g, stem_depth=2)
         assert not rep["holds"], name
+        assert rep["searched"] == len(g.vertices)
         assert any(s.startswith(bad_stem) or s == bad_stem
                    for s in rep["refusals"]), (name, rep)
+
+
+def reference_paradox_report(g, stem_depth):
+    """The per-stem loop paradox_report replaced: a fresh search and
+    certification on every cylinder stem."""
+    rep = {"holds": True, "stems": 0, "verified": 0,
+           "refusals": [], "failures": []}
+    for mu in g.paths_up_to(stem_depth):
+        rep["stems"] += 1
+        U = CompactOpen.cylinder(g, mu)
+        pair = find_witness(g, U)
+        if pair is None:
+            rep["holds"] = False
+            rep["refusals"].append(g.path_str(mu))
+            continue
+        check = verify_witness(g, U, list(pair))
+        if check["ok"]:
+            rep["verified"] += 1
+        else:
+            rep["holds"] = False
+            rep["failures"].append((g.path_str(mu), check["failures"]))
+    return rep
+
+
+def assert_matches_reference(g, stem_depth):
+    rep = paradox_report(g, stem_depth)
+    assert rep.pop("searched") == len(g.vertices)
+    assert rep == reference_paradox_report(g, stem_depth)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_paradox_report_matches_per_stem_search_on_corpus(name):
+    g = corpus.by_name(name)
+    for stem_depth in range(4):
+        assert_matches_reference(g, stem_depth)
+
+
+def test_paradox_report_matches_per_stem_search_on_random_graphs():
+    for seed in range(40):
+        g = corpus.random_graph(random.Random(seed), 5, allow_infinite=True)
+        for stem_depth in range(3):
+            assert_matches_reference(g, stem_depth)
 
 
 def test_report_agrees_with_structural_conditions():

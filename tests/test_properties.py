@@ -5,8 +5,8 @@ Hypothesis draws the seed; corpus.random_graph turns it into a graph of at
 most three vertices, infinite edge families allowed (infinite_graph_of
 insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
-truncation_laws, emptiness_laws, set_laws, germ_laws, sigma_laws and the
-three roundtrip laws on larger graphs.
+truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
+sigma_laws and the three roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -281,6 +281,36 @@ def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
         assert verify_witness(g, U, list(pair))["ok"]
         for m in expand_witness(g, pair, 3):
             assert_maps_match_words(g, m)
+
+
+def transport_laws(g):
+    """Z(mu) is Z(s(mu)) carried by mu: the search on Z(mu) refuses exactly
+    when it refuses on Z(s(mu)), and otherwise returns the vertex pair with
+    each piece's stems prefixed by mu (exclusions kept) and each word
+    conjugated by mu; certification agrees."""
+    witnesses = {v: find_witness(g, CompactOpen.cylinder(g, g.vertex_path(v)))
+                 for v in g.vertices}
+    for mu in g.paths_up_to(2):
+        U = CompactOpen.cylinder(g, mu)
+        pair = find_witness(g, U)
+        base = witnesses[mu.source_vertex]
+        assert (pair is None) == (base is None), g.path_str(mu)
+        if pair is None:
+            continue
+        t = ReducedWord.from_path(mu)
+        for m, b in zip(pair, base):
+            carried = [([Cylinder(g.concat(mu, c.stem), c.excl) for c in D.parts],
+                        t * w * t.inverse()) for D, w in b.pieces]
+            assert [(list(D.parts), w) for D, w in m.pieces] == carried, g.path_str(mu)
+        V = CompactOpen.cylinder(g, g.vertex_path(mu.source_vertex))
+        assert (verify_witness(g, U, list(pair))["ok"]
+                == verify_witness(g, V, list(base))["ok"])
+
+
+@PROFILE
+@given(seeds)
+def test_witnesses_are_carried_from_the_source_vertex(seed):
+    transport_laws(infinite_graph_of(seed))
 
 
 def reference_isotropy_words(g, x, bound):
