@@ -305,11 +305,12 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_battery.json"
 
 def test_cli_battery_matches_golden(capsys):
     """Exit codes and JSON output of the criterion-10 battery, the action,
-    sigma and invariance checks on g1, g2 and g4, the tf check on the other
-    corpus graphs and the witnesses on g7 Z(u) and p3 Z(v), byte for byte
-    as recorded in tests/golden/cli_battery.json."""
+    sigma and invariance checks on g1, g2 and g4, the tf and k checks on
+    the corpus graphs, the witnesses on g7 Z(u), p3 Z(v) and g2 Z(v - {a}),
+    and sgp nk:1 rcomplete, byte for byte as recorded in
+    tests/golden/cli_battery.json."""
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 39
+    assert len(cases) == 50
     for case in cases:
         got = run(capsys, *case["argv"], "--format", "json")
         assert got == (case["code"], case["stdout"]), case["argv"]
