@@ -21,6 +21,7 @@ from .boundary import (
     BoundaryPoint,
     CompactOpen,
     Cylinder,
+    DomainError,
     PartialWord,
     admissible_words,
     isotropy_words,
@@ -33,7 +34,6 @@ from .boundary import (
     verify_partial_action,
 )
 from .invsgp import (
-    DomainError,
     SgpElement,
     TruncatedSemilattice,
     ZERO,

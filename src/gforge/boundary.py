@@ -14,11 +14,14 @@ from typing import NamedTuple
 
 from .graph import (CompositionError, EdgeInstance, Graph, GraphError, Path,
                     condition_l, first_return_profile, instance_token, sort_key)
-from .invsgp import DomainError
-from .words import _TOKEN, ReducedWord, ball
+from .words import _TOKEN, ReducedWord, ball, positive_negative_split
 
 
 class BoundaryError(ValueError):
+    pass
+
+
+class DomainError(Exception):
     pass
 
 
@@ -219,7 +222,7 @@ def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
     return 0 < len(c.excl) == g.receiver_count(c.stem.source_vertex)
 
 
-def cyl_contains(g: Graph, c: Cylinder, x: BoundaryPoint) -> bool:
+def cyl_contains(c: Cylinder, x: BoundaryPoint) -> bool:
     if not x.startswith(c.stem):
         return False
     n = len(c.stem)
@@ -228,7 +231,7 @@ def cyl_contains(g: Graph, c: Cylinder, x: BoundaryPoint) -> bool:
     return x.instance_at(n) not in c.excl
 
 
-def cyl_intersect(g: Graph, a: Cylinder, b: Cylinder):
+def cyl_intersect(a: Cylinder, b: Cylinder):
     """The intersection, again a single cylinder (or None when disjoint)."""
     if a.stem == b.stem:
         return Cylinder(a.stem, a.excl | b.excl)
@@ -300,7 +303,7 @@ class CompactOpen:
         return not self.parts
 
     def __contains__(self, x: BoundaryPoint):
-        return any(cyl_contains(self.graph, p, x) for p in self.parts)
+        return any(cyl_contains(p, x) for p in self.parts)
 
     def union(self, other: "CompactOpen") -> "CompactOpen":
         return CompactOpen(self.graph, self.parts + other.parts)
@@ -309,7 +312,7 @@ class CompactOpen:
         out = []
         for a in self.parts:
             for b in other.parts:
-                ab = cyl_intersect(self.graph, a, b)
+                ab = cyl_intersect(a, b)
                 if ab is not None:
                     out.append(ab)
         return CompactOpen(self.graph, out)
@@ -376,7 +379,7 @@ class PartialWord:
     def from_word(cls, graph, word: ReducedWord) -> "PartialWord":
         if word.is_identity:
             return cls.identity(graph)
-        split = word.positive_negative_split()
+        split = positive_negative_split(word.letters)
         if split is None:
             return cls(graph, None, None, word)
         pos, neg = split
@@ -544,7 +547,7 @@ def reduced_words(g: Graph, length: int) -> list[ReducedWord]:
     return [ReducedWord(w) for w in ball(gens, length)]
 
 
-def isotropy_words(g: Graph, x: BoundaryPoint, bound: int) -> list[ReducedWord]:
+def isotropy_words(x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     """Nontrivial words of pair length <= bound fixing x.
 
     A fixing word reads two heads of x against each other: head(i).head(j)^-1
@@ -666,7 +669,7 @@ def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int =
         if x is None:
             raise GraphError(
                 f"no aperiodic point reachable from {v} although every loop has an entry")
-        leftover = isotropy_words(g, x, word_bound)
+        leftover = isotropy_words(x, word_bound)
         witnesses.append({
             "stem": stem,
             "point": x,

@@ -50,7 +50,6 @@ from .semigroups import (
     NkFamily,
     Progression,
     SemigroupError,
-    axb_paradox_witness,
     boundary_minimality_probe,
     boundary_paradox_witness,
     rcomplete_hypothesis_check,
@@ -174,7 +173,7 @@ def _clean(g, x):
         return {k: _clean(g, v) for k, v in x.items()}
     if isinstance(x, PiecewiseWord):
         return [(set_str(U), str(w)) for U, w in x.pieces]
-    if isinstance(x, Cylinder):
+    if isinstance(x, Cylinder):  # a NamedTuple, so ahead of tuples
         return set_str(CompactOpen(g, [x]))
     if isinstance(x, (list, tuple)):
         return [_clean(g, v) for v in x]
@@ -199,18 +198,15 @@ def _run_check(args):
     rep = {"check": prop, "graph": args.graph}
     if prop == "l":
         holds, witness = condition_l(g)
-        rep.update(holds=holds, witness=witness and g.path_str(witness))
+        rep.update(holds=holds, witness=_clean(g, witness))
         return rep, 0 if holds else 1
     if prop == "k":
         holds, witness = condition_k(g)
-        rep.update(holds=holds,
-                   witness=witness and (witness[0], g.path_str(witness[1])))
+        rep.update(holds=holds, witness=_clean(g, witness))
         return rep, 0 if holds else 1
     if prop == "pi":
         pi = condition_pi(g)
-        rep.update(holds=pi.holds, breaking=sorted(pi.breaking),
-                   k_witness=_clean(g, pi.k_witness),
-                   tail_witness=_clean(g, pi.tail_witness))
+        rep.update(_clean(g, pi._asdict()))
         return rep, 0 if pi.holds else 1
     if prop == "tf":
         wb = _effective(args.word_bound, 8)
@@ -242,7 +238,7 @@ def _run_check(args):
 def _run_witness(args):
     g = corpus.by_name(args.graph)
     U = parse_set_expr(g, args.set)
-    rep = {"graph": args.graph, "set": set_str(U)}
+    rep = {"graph": args.graph, "set": _clean(g, U)}
     pair = find_witness(g, U, depth_cap=args.depth)
     if pair is None:
         rep["found"] = False
@@ -281,8 +277,7 @@ def _run_oe(args):
     rep = {
         "example": args.example,
         "cocycle_check": _clean(g, first),
-        "pieces": [(set_str(CompactOpen(g, [c])), k, l)
-                   for c, k, l in oe.pieces],
+        "pieces": _clean(g, oe.pieces),
         "orbit_check": _clean(g, second),
         "cocycle_roundtrip_agrees": cocycles_agree(coc, back, depth=depth),
         "orbit_roundtrip_agrees": oe_agree(oe, again, depth=depth),
@@ -318,14 +313,13 @@ def _run_sgp(args):
         if isinstance(fam, AffineFamily):
             ideal = parse_progression(args.ideal or "0+1Z")
             excl = [parse_progression(t) for t in args.exclude]
-            out = axb_paradox_witness(fam, ideal, excl)
+        elif isinstance(fam, FreeMonoidFamily):
+            ideal = parse_free_word(fam, args.ideal or "")
+            excl = [parse_free_word(fam, t) for t in args.exclude]
         else:
-            if isinstance(fam, FreeMonoidFamily):
-                for text in [args.ideal or "", *args.exclude]:
-                    parse_free_word(fam, text)
-            out = boundary_paradox_witness(fam, args.ideal or "",
-                                           args.exclude,
-                                           depth=_effective(args.depth, 8))
+            ideal, excl = args.ideal or "", args.exclude
+        out = boundary_paradox_witness(fam, ideal, excl,
+                                       depth=_effective(args.depth, 8))
         if out is None:
             rep["found"] = False
             return rep, INCONCLUSIVE

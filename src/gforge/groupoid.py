@@ -142,12 +142,6 @@ def compose(d2: DRElement, d1: DRElement) -> DRElement:
     return DRElement.make(d2.target, d2.offset + d1.offset, d1.source, cap)
 
 
-def inverse(d: DRElement) -> DRElement:
-    # k - offset is the least witness on the flipped side: anything
-    # smaller would shift back to beat the original minimality
-    return DRElement(d.source, -d.offset, d.target, d.merge_depth - d.offset)
-
-
 def all_boundary_points(g):
     """Every boundary point, for graphs whose boundary is finite.
 

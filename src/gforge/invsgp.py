@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from itertools import product
 
+# DomainError lives with act_point, which raises it; invsgp re-exports it
+from .boundary import Cylinder, DomainError, PartialWord, sample_point
 from .graph import CompositionError, Graph, Path
 from .words import ReducedWord
-
-
-class DomainError(Exception):
-    pass
 
 
 class _Zero:
@@ -95,11 +93,6 @@ class TruncatedSemilattice:
                 out.append(SgpElement(mu, nu))
         return out
 
-    def max_characters(self) -> list[Path]:
-        """The stems of the maximal characters (a character is the prefix
-        chain of its stem): stems at full depth or at a dead-end source."""
-        return self.graph.maximal_stems(self.depth, self.paths)
-
     def act_on_character(self, s, rho: Path) -> Path:
         """Apply the substitution s to the character with stem rho; stem
         nu.x goes to mu.x.
@@ -146,37 +139,51 @@ def verify_partial_hom(g: Graph, depth: int) -> dict:
 
 
 def check_boundary_invariance(g: Graph, depth: int) -> dict:
-    """Push every maximal character through every pair and see whether the
-    image is maximal again.
+    """Push every maximal character through every pair and compare the
+    image with the boundary action of the pair's word.
+
+    A character is the prefix chain of its stem; the maximal ones have
+    stems at full depth or at a dead-end source.  For a stem rho in the
+    domain of s = (mu, nu), the point sample_point(Z(rho)) goes under the
+    partial word of sigma(s) to a point that must start with the image
+    stem, and must be that finite path itself when the image's source
+    receives no edge; a DomainError there is a violation too.
 
     Images that stay below depth at a source that still receives edges say
-    nothing inside a truncation (the cut hides their continuations), so they
-    are skipped and counted.  Overflowing images are counted separately.
-
-    "violations" stays empty inside one truncation: an image stem that fits
-    the depth is a path of ts.paths (s.mu and the stem share paths_up_to's
-    copy cap), and "saturated" is exactly maximal_stems' own test.
+    nothing about maximality inside a truncation (the cut hides their
+    continuations), so they are counted as skips; they are still compared.
+    Overflowing images are counted as escapes and not compared.
     """
     ts = TruncatedSemilattice(g, depth)
-    maxes = ts.max_characters()
-    max_set = set(maxes)
+    below = {}  # each prefix of a maximal stem -> the stems it starts, in order
+    for rho in g.maximal_stems(depth, ts.paths):
+        x = sample_point(g, Cylinder(rho, frozenset()))
+        for k in range(len(rho) + 1):
+            below.setdefault((rho.range_vertex, rho.instances[:k]), []).append((rho, x))
     checked = skips = escapes = 0
     violations = []
     for s in ts.elements():
-        for rho in maxes:
-            if not rho.startswith(s.nu):
-                continue
+        stems = below.get((s.nu.range_vertex, s.nu.instances))
+        if not stems:
+            continue
+        pw = PartialWord.from_word(g, sigma(s))
+        for rho, x in stems:
             checked += 1
             try:
                 img = ts.act_on_character(s, rho)
             except DomainError:
                 escapes += 1
                 continue
-            saturated = (len(img) == depth
-                         or not g.receivers(img.source_vertex))
-            if not saturated:
+            dead_end = not g.receivers(img.source_vertex)
+            if len(img) < depth and not dead_end:
                 skips += 1
-            elif img not in max_set:
+            try:
+                y = pw.act_point(x)
+                ok = y.startswith(img) and (
+                    not dead_end or (y.is_finite and len(y) == len(img)))
+            except DomainError:
+                ok = False
+            if not ok:
                 violations.append((s, rho))
     return {
         "checked": checked,

@@ -19,6 +19,7 @@ from .boundary import (
     BoundaryPoint,
     CompactOpen,
     Cylinder,
+    DomainError,
     PartialWord,
     cyl_contains,
     point_str,
@@ -26,7 +27,6 @@ from .boundary import (
     sample_point,
 )
 from .graph import Graph, GraphError, INFINITE
-from .invsgp import DomainError
 from .words import ReducedWord
 
 
@@ -94,10 +94,6 @@ class PrefixHomeo:
         rules = [(g.vertex_path(v), g.vertex_path(v)) for v in g.vertices]
         return cls(g, g, rules)
 
-    def inverse(self) -> "PrefixHomeo":
-        return PrefixHomeo(self.target_graph, self.source_graph,
-                           [(nu, mu) for mu, nu in self.rules])
-
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
         gt = self.target_graph
         for mu, nu in self.rules:
@@ -159,7 +155,7 @@ class OEData:
 
     def lookup(self, x: BoundaryPoint):
         for c, k, l in self.pieces:
-            if cyl_contains(self.homeo.source_graph, c, x):
+            if cyl_contains(c, x):
                 return k, l
         raise OrbitError(f"{point_str(x)} escapes the piece partition")
 
@@ -338,7 +334,7 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
             for c in (c1, c2):
                 hit = None
                 for piece, value in c.table.get(gen, ()):
-                    if cyl_contains(gs, piece, x):
+                    if cyl_contains(piece, x):
                         hit = value
                         break
                 vals.append(hit)

@@ -128,15 +128,25 @@ class FreeMonoidFamily:
         return f"F_{self.n}+ in F_{self.n}"
 
     def word(self, text):
-        w = tuple(text)
+        """A positive word from a tuple of letters or from its spelling;
+        past three letters a spelling such as "x1x2" splits by longest match."""
+        if self.n <= 3 or not isinstance(text, str):
+            w = tuple(text)
+        else:
+            w, rest = [], text
+            while rest:  # a part no letter matches stays whole, to be refused
+                c = max((l for l in self.letters if rest.startswith(l)),
+                        key=len, default=rest)
+                w.append(c)
+                rest = rest[len(c):]
         for c in w:
             if c not in self.letters:
                 raise SemigroupError(f"unknown letter {c!r}")
-        return w
+        return tuple(w)
 
     def contains(self, ideal, w):
-        w = self.word(w)
-        return w[:len(ideal)] == tuple(ideal)
+        ideal = self.word(ideal)
+        return self.word(w)[:len(ideal)] == ideal
 
     def independence_report(self, trials=50, seed=0):
         """A cone is not a finite union of proper subcones: the stem
@@ -157,10 +167,6 @@ class FreeMonoidFamily:
         return {"independent": True, "exact": True, "checks": checks}
 
     # -- reduced group words as (letter, sign) tuples ----------------------
-
-    def group_ball(self, radius):
-        """All reduced words up to the given length."""
-        return list(words.ball(self.letters, radius))
 
     def cone_meets(self, g, stem):
         """Whether g maps some point of the cone over `stem` into the
@@ -200,7 +206,7 @@ class FreeMonoidFamily:
         the positive words, in both directions: only the identity."""
         scanned = 0
         sample = []
-        for w in self.group_ball(bound):
+        for w in words.ball(self.letters, bound):
             if not w:
                 continue
             scanned += 1

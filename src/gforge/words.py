@@ -128,12 +128,6 @@ class ReducedWord:
     def sort_key(self):
         return (len(self.letters), tuple((e, c, s) for (e, c), s in self.letters))
 
-    # a word can act on paths only when it reads as a positive block
-    # followed by a negative block
-    def positive_negative_split(self):
-        """(pos_instances, neg_instances) if shaped alpha.beta^-1, else None."""
-        return positive_negative_split(self.letters)
-
 
 def parse_word(text: str) -> ReducedWord:
     text = text.strip()

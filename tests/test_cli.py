@@ -192,6 +192,16 @@ def test_sgp_free_witness(capsys):
     assert code == 2 and rep["found"] is False
 
 
+def test_sgp_free_witness_past_three_letters(capsys):
+    # letters x1..xN are spelled as the family prints them
+    code, rep = run_json(capsys, "sgp", "free:4", "witness",
+                         "--ideal", "x1", "--exclude", "x1x1")
+    assert code == 0 and rep["verified"] is True
+    assert rep["set"] == "U(x1; x1x1)" and rep["pair"] == ["x1x2x1", "x1x2x2"]
+    assert main(["sgp", "free:4", "witness", "--ideal", "x5"]) == 64
+    assert capsys.readouterr().err == "gforge: unknown letter 'x5'\n"
+
+
 @pytest.mark.parametrize("argv, culprit", [
     (["--ideal", "x" * 10], "the ideal runs"),
     (["--ideal", "x", "--exclude", "x" * 10], "exclusions run"),

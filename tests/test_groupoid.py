@@ -12,7 +12,6 @@ from gforge.groupoid import (
     all_boundary_points,
     compose,
     full_groupoid,
-    inverse,
     roundtrip_report,
     to_dr,
     to_ptg,
@@ -29,6 +28,12 @@ def germs(g, word_bound):
             if x is not None:
                 out.append(PTGElement(g, w, x))
     return out
+
+
+def inverse(d):
+    """The inverse germ.  k - offset is the least witness on the flipped
+    side: anything smaller would shift back to beat the original minimality."""
+    return DRElement(d.source, -d.offset, d.target, d.merge_depth - d.offset)
 
 
 def assert_germ(d):

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from gforge import corpus
+from gforge.cli import main
 from gforge.invsgp import (
     DomainError,
     SgpElement,
@@ -202,13 +203,13 @@ def test_character_membership():
 def test_max_characters_frozen():
     g2 = corpus.g2()
     ts = TruncatedSemilattice(g2, 2)
-    stems = ts.max_characters()
+    stems = g2.maximal_stems(ts.depth, ts.paths)
     assert stems == [g2.path_of("a", "a"), g2.path_of("a", "b"),
                      g2.path_of("b", "a"), g2.path_of("b", "b")]
 
     g3 = corpus.g3()
     ts3 = TruncatedSemilattice(g3, 2)
-    stems3 = ts3.max_characters()
+    stems3 = g3.maximal_stems(ts3.depth, ts3.paths)
     assert stems3 == [g3.vertex_path("w"), g3.path_of("e")]
 
 
@@ -262,3 +263,21 @@ def test_boundary_invariance_counts_skips_and_escapes():
     assert rep["skips"] > 0
     assert rep["escapes"] > 0
     assert rep["checked"] > rep["skips"] + rep["escapes"]
+
+
+def test_boundary_invariance_catches_a_character_action_that_ignores_s(
+        monkeypatch, capsys):
+    """A character action that keeps its domain and depth checks but
+    returns the stem unmoved disagrees with the boundary action."""
+    act = TruncatedSemilattice.act_on_character
+
+    def ignores_s(self, s, rho):
+        act(self, s, rho)
+        return rho
+
+    monkeypatch.setattr(TruncatedSemilattice, "act_on_character", ignores_s)
+    found = sum(len(check_boundary_invariance(corpus.by_name(name), depth)["violations"])
+                for name in ["g1", "g2", "g3", "g4"] for depth in (1, 2))
+    assert found == 45
+    assert main(["check", "invariance", "--graph", "g2"]) == 1
+    capsys.readouterr()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gforge import words
 from gforge.semigroups import (
     AffineFamily,
     FreeMonoidFamily,
@@ -55,10 +56,25 @@ def test_word_cone_calculus():
     assert fam.letters == ("x", "y")
     assert fam.contains("xy", "xyxxy")
     assert not fam.contains("xy", "xx")
-    with pytest.raises(SemigroupError):
+    with pytest.raises(SemigroupError, match="unknown letter 'q'"):
         fam.word("xq")
     with pytest.raises(SemigroupError):
         FreeMonoidFamily(1)
+
+
+def test_word_spellings_past_three_letters():
+    # letters x1..xn split by longest match, as the family spells its words
+    fam = FreeMonoidFamily(4)
+    assert fam.letters == ("x1", "x2", "x3", "x4")
+    assert fam.word("x1x2") == ("x1", "x2")
+    assert fam.word("") == ()
+    assert fam.word(("x4", "x1")) == ("x4", "x1")
+    assert fam.contains("x1", "x1x3")
+    with pytest.raises(SemigroupError, match="unknown letter 'x5'"):
+        fam.word("x5")
+    with pytest.raises(SemigroupError):
+        fam.word("x1q")
+    assert FreeMonoidFamily(12).word("x12x1x10") == ("x12", "x1", "x10")
 
 
 def test_word_cone_independence():
@@ -69,7 +85,7 @@ def test_word_cone_independence():
 def test_group_ball_sizes():
     fam = FreeMonoidFamily(2)
     # 1 + 4 + 12 + 36 reduced words up to length 3
-    assert len(fam.group_ball(3)) == 53
+    assert len(list(words.ball(fam.letters, 3))) == 53
 
 
 def test_free_kernel_trivial():

@@ -90,14 +90,14 @@ def test_from_pair_cancels_shared_tail():
 
 
 def test_positive_negative_split():
-    pos, neg = w("a.b.c^-1").positive_negative_split()
+    pos, neg = positive_negative_split(w("a.b.c^-1").letters)
     assert pos == [EdgeInstance("a", 0), EdgeInstance("b", 0)]
     assert neg == [EdgeInstance("c", 0)]
-    assert w("a^-1.b").positive_negative_split() is None
-    assert w("1").positive_negative_split() == ([], [])
-    pos, neg = w("b^-1.a^-1").positive_negative_split()
+    assert positive_negative_split(w("a^-1.b").letters) is None
+    assert positive_negative_split(w("1").letters) == ([], [])
+    pos, neg = positive_negative_split(w("b^-1.a^-1").letters)
     assert pos == [] and neg == [EdgeInstance("a", 0), EdgeInstance("b", 0)]
-    # the letter-tuple form behind the method, as the semigroup families use it
+    # letters of any kind, as the semigroup families use it
     assert positive_negative_split((("x", 1), ("y", 1), ("x", -1))) == (["x", "y"], ["x"])
     assert positive_negative_split((("x", -1), ("y", 1))) is None
 
