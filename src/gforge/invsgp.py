@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
-# DomainError lives with act_point, which raises it; invsgp re-exports it
+# DomainError lives in boundary, where act_point raises it, so that
+# boundary imports nothing from this module
 from .boundary import Cylinder, DomainError, PartialWord, sample_point
 from .graph import CompositionError, Graph, Path
 from .words import ReducedWord
