@@ -156,19 +156,18 @@ def check_boundary_invariance(g: Graph, depth: int) -> dict:
     Overflowing images are counted as escapes and not compared.
     """
     ts = TruncatedSemilattice(g, depth)
-    below = {}  # each prefix of a maximal stem -> the stems it starts, in order
-    for rho in g.maximal_stems(depth, ts.paths):
-        x = sample_point(g, Cylinder(rho, frozenset()))
-        for k in range(len(rho) + 1):
-            below.setdefault((rho.range_vertex, rho.instances[:k]), []).append((rho, x))
+    stems = [(rho, sample_point(g, Cylinder(rho, frozenset())))
+             for rho in g.maximal_stems(depth, ts.paths)]
+    # many pairs share a nu, so find the stems under each path once
+    under = {nu: [(rho, x) for rho, x in stems if rho.startswith(nu)]
+             for nu in ts.paths}
     checked = skips = escapes = 0
     violations = []
     for s in ts.elements():
-        stems = below.get((s.nu.range_vertex, s.nu.instances))
-        if not stems:
+        if not under[s.nu]:
             continue
         pw = PartialWord.from_word(g, sigma(s))
-        for rho, x in stems:
+        for rho, x in under[s.nu]:
             checked += 1
             try:
                 img = ts.act_on_character(s, rho)

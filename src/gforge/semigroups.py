@@ -128,9 +128,9 @@ class FreeMonoidFamily:
         return f"F_{self.n}+ in F_{self.n}"
 
     def word(self, text):
-        """A positive word from a tuple of letters or from its spelling;
-        past three letters a spelling such as "x1x2" splits by longest match."""
-        if self.n <= 3 or not isinstance(text, str):
+        """A positive word from a tuple of letters or from its spelling,
+        such as "xy" or "x1x2", split by longest match over the letters."""
+        if not isinstance(text, str):
             w = tuple(text)
         else:
             w, rest = [], text

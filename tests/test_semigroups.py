@@ -58,6 +58,9 @@ def test_word_cone_calculus():
     assert not fam.contains("xy", "xx")
     with pytest.raises(SemigroupError, match="unknown letter 'q'"):
         fam.word("xq")
+    # a part no letter matches is refused whole
+    with pytest.raises(SemigroupError, match="unknown letter 'qx'"):
+        fam.word("qx")
     with pytest.raises(SemigroupError):
         FreeMonoidFamily(1)
 
