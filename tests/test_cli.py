@@ -314,13 +314,19 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_battery.json"
 
 
 def test_cli_battery_matches_golden(capsys):
-    """Exit codes and JSON output of the criterion-10 battery, the action,
+    """Exit codes and output of the criterion-10 battery, the action,
     sigma and invariance checks on g1, g2 and g4, the tf and k checks on
     the corpus graphs, the witnesses on g7 Z(u), p3 Z(v) and g2 Z(v - {a}),
+    oe and the sgp independence and kernel reports at their default bounds,
     and sgp nk:1 rcomplete, byte for byte as recorded in
-    tests/golden/cli_battery.json."""
+    tests/golden/cli_battery.json.  Entries marked "format": "text" are the
+    text rendering with its elapsed: line removed; the rest are JSON."""
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(cases) == 50
+    assert len(cases) == 63
     for case in cases:
-        got = run(capsys, *case["argv"], "--format", "json")
-        assert got == (case["code"], case["stdout"]), case["argv"]
+        fmt = case.get("format", "json")
+        code, out = run(capsys, *case["argv"], "--format", fmt)
+        if fmt == "text":
+            out = "".join(line for line in out.splitlines(keepends=True)
+                          if not line.startswith("elapsed: "))
+        assert (code, out) == (case["code"], case["stdout"]), case["argv"]
