@@ -164,9 +164,7 @@ def parse_point(g: Graph, text: str) -> BoundaryPoint:
     text = text.strip()
     m = _POINT.match(text)
     if not m:
-        if text in g.vertices:
-            return BoundaryPoint.finite(g, g.vertex_path(text))
-        return BoundaryPoint.finite(g, _parse_path(g, text))
+        return BoundaryPoint.finite(g, parse_stem(g, text))
     cyc = _parse_path(g, m.group("cyc"))
     pre = m.group("pre")
     if pre:
@@ -185,10 +183,17 @@ def _parse_path(g: Graph, text: str) -> Path:
 
 
 def parse_stem(g: Graph, text: str) -> Path:
-    """A path or single vertex, as written in set expressions."""
+    """A path, or the vertex a lone token names, as written in set
+    expressions and finite points.  A name that is both a vertex and an
+    edge is refused; any other lone token is an edge token."""
     text = text.strip()
-    if text in g.vertices and text not in g.edges:
+    if text in g.vertices:
+        if text in g.edges:
+            raise BoundaryError(f"{text!r} names both a vertex and an edge")
         return g.vertex_path(text)
+    m = _TOKEN.match(text)
+    if m and m.group(1) not in g.edges:
+        raise BoundaryError(f"unknown vertex or edge {text!r}")
     return _parse_path(g, text)
 
 
@@ -366,6 +371,9 @@ class PartialWord:
     __slots__ = ("graph", "alpha", "beta", "_word")
 
     def __init__(self, graph: Graph, alpha: Path | None, beta: Path | None, word=None):
+        """Trusted, as trusted_path is: alpha and beta are paths with a common
+        source (beta.x goes to alpha.x), or both are None and word tells the
+        identity from an empty map.  from_word is the validating builder."""
         self.graph = graph
         self.alpha = alpha
         self.beta = beta
@@ -566,7 +574,7 @@ def isotropy_words(x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     return sorted(found, key=ReducedWord.sort_key)
 
 
-def verify_partial_action(g: Graph, word_len: int = 3) -> dict:
+def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
     """Check the partial action laws on all reduced words up to word_len.
 
     The empty word must act as the identity everywhere, inverses must undo,

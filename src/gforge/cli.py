@@ -90,8 +90,11 @@ def _int_list(text):
             f"expected comma-separated integers, got {text!r}")
 
 
-def _effective(value, fallback):
-    return fallback if value is None else value
+def _given(args, **names):
+    """The bounds the user set, keyed by library parameter (names maps each
+    parameter to its option); a bound left out takes the library's default."""
+    return {kw: getattr(args, opt) for kw, opt in names.items()
+            if getattr(args, opt) is not None}
 
 
 def parse_set_expr(g: Graph, text: str) -> CompactOpen:
@@ -107,7 +110,6 @@ def parse_set_expr(g: Graph, text: str) -> CompactOpen:
         m2 = re.fullmatch(r"(.*?)\s*-\s*\{(.*)\}", body, re.S)
         if m2:
             body, excl_text = m2.group(1).strip(), m2.group(2)
-        _guard_token(g, body)
         try:
             stem = parse_stem(g, body)
             excl = []
@@ -125,12 +127,6 @@ def parse_set_expr(g: Graph, text: str) -> CompactOpen:
         except (GraphError, BoundaryError) as err:
             raise ExprError(str(err))
     return CompactOpen(g, parts)
-
-
-def _guard_token(g: Graph, body: str):
-    # a bare name could read as a vertex or an edge; refuse the clash
-    if re.fullmatch(r"\w+", body) and body in g.vertices and body in g.edges:
-        raise ExprError(f"{body!r} names both a vertex and an edge")
 
 
 _PROG = re.compile(r"^(-?\d+)\+(\d+)Z?$", re.I)
@@ -169,10 +165,12 @@ def parse_family(text: str):
 # ------------------------------------------------------------ object cleanup
 
 def _clean(g, x):
+    """The one walk from a report to plain data; g prints paths and
+    cylinders (the sgp reports hold neither and pass None)."""
     if isinstance(x, dict):
         return {k: _clean(g, v) for k, v in x.items()}
     if isinstance(x, PiecewiseWord):
-        return [(set_str(U), str(w)) for U, w in x.pieces]
+        return [[set_str(U), str(w)] for U, w in x.pieces]
     if isinstance(x, Cylinder):  # a NamedTuple, so ahead of tuples
         return set_str(CompactOpen(g, [x]))
     if isinstance(x, (list, tuple)):
@@ -209,20 +207,19 @@ def _run_check(args):
         rep.update(_clean(g, pi._asdict()))
         return rep, 0 if pi.holds else 1
     if prop == "tf":
-        wb = _effective(args.word_bound, 8)
-        depth = _effective(args.depth, 2)
-        out = topological_freeness_report(g, word_bound=wb, stem_depth=depth)
+        out = topological_freeness_report(
+            g, **_given(args, word_bound="word_bound", stem_depth="depth"))
         rep.update(_clean(g, out))
         if not out["free"]:
             return rep, 1
         return rep, 0 if out["verified"] else INCONCLUSIVE
     if prop == "action":
-        wl = _effective(args.word_bound, 2)
-        out = verify_partial_action(g, word_len=wl)
+        out = verify_partial_action(g, **_given(args, word_len="word_bound"))
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
     if prop in ("sigma", "invariance"):
-        depth = _effective(args.depth, 2)
+        # the library sets no depth for these two; 2 is the CLI's own
+        depth = 2 if args.depth is None else args.depth
         if prop == "sigma":
             out = verify_partial_hom(g, depth)
             ok = not out["failures"] and not out["idempotent_pure_failures"]
@@ -239,7 +236,7 @@ def _run_witness(args):
     g = corpus.by_name(args.graph)
     U = parse_set_expr(g, args.set)
     rep = {"graph": args.graph, "set": _clean(g, U)}
-    pair = find_witness(g, U, depth_cap=args.depth)
+    pair = find_witness(g, U, **_given(args, depth_cap="depth"))
     if pair is None:
         rep["found"] = False
         return rep, INCONCLUSIVE
@@ -267,11 +264,11 @@ _OE_EXAMPLES = {
 
 def _run_oe(args):
     coc = _OE_EXAMPLES[args.example]()
-    depth = _effective(args.depth, 3)
+    bounds = _given(args, depth="depth")
     g = coc.homeo.source_graph
-    first = coe_check(coc, depth=depth)
+    first = coe_check(coc, **bounds)
     oe = coe_to_oe(coc)
-    second = oe_check(oe, depth=depth)
+    second = oe_check(oe, **bounds)
     back = oe_to_coe(oe)
     again = coe_to_oe(back)
     rep = {
@@ -279,8 +276,8 @@ def _run_oe(args):
         "cocycle_check": _clean(g, first),
         "pieces": _clean(g, oe.pieces),
         "orbit_check": _clean(g, second),
-        "cocycle_roundtrip_agrees": cocycles_agree(coc, back, depth=depth),
-        "orbit_roundtrip_agrees": oe_agree(oe, again, depth=depth),
+        "cocycle_roundtrip_agrees": cocycles_agree(coc, back, **bounds),
+        "orbit_roundtrip_agrees": oe_agree(oe, again, **bounds),
     }
     ok = (not first["failures"] and not second["failures"]
           and rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"])
@@ -294,19 +291,19 @@ def _run_sgp(args):
     rep = {"family": fam.name(), "action": act}
     if act == "independence":
         if isinstance(fam, AffineFamily):
-            out = fam.independence_report(bound=_effective(args.modulus_bound, 6))
+            out = fam.independence_report(**_given(args, bound="modulus_bound"))
         else:
-            out = fam.independence_report(trials=args.trials, seed=args.seed)
-        rep.update(out)
+            out = fam.independence_report(**_given(args, trials="trials", seed="seed"))
+        rep.update(_clean(None, out))
         return rep, 0 if out["independent"] else 1
     if act == "kernel":
         if isinstance(fam, NkFamily):
             out = fam.g0_report()
         elif isinstance(fam, FreeMonoidFamily):
-            out = fam.g0_report(bound=_effective(args.word_bound, 4))
+            out = fam.g0_report(**_given(args, bound="word_bound"))
         else:
-            out = fam.g0_report(bound=_effective(args.modulus_bound, 2))
-        rep.update(out)
+            out = fam.g0_report(**_given(args, bound="modulus_bound"))
+        rep.update(_clean(None, out))
         # the kernel verdict is a computed group, not a pass/fail check
         return rep, 0 if out.get("exact") else INCONCLUSIVE
     if act == "witness":
@@ -318,12 +315,11 @@ def _run_sgp(args):
             excl = [parse_free_word(fam, t) for t in args.exclude]
         else:
             ideal, excl = args.ideal or "", args.exclude
-        out = boundary_paradox_witness(fam, ideal, excl,
-                                       depth=_effective(args.depth, 8))
+        out = boundary_paradox_witness(fam, ideal, excl, **_given(args, depth="depth"))
         if out is None:
             rep["found"] = False
             return rep, INCONCLUSIVE
-        rep.update(out)
+        rep.update(_clean(None, out))
         rep["found"] = True
         return rep, 0 if out["verified"] else 1
     if act == "minimality":
@@ -338,13 +334,13 @@ def _run_sgp(args):
         else:
             stages = args.stages
         out = boundary_minimality_probe(fam, stages)
-        rep.update(out)
+        rep.update(_clean(None, out))
         return rep, 0 if out["proper_filter"] else 1
     if act == "rcomplete":
-        gens, rels = thompson_truncated(args.count)
+        gens, rels = thompson_truncated(**_given(args, count="count"))
         out = rcomplete_hypothesis_check(gens, rels)
         rep.update(generators=gens,
-                   relations=[(" ".join(l), " ".join(r)) for l, r in rels],
+                   relations=[[" ".join(l), " ".join(r)] for l, r in rels],
                    **out)
         return rep, 0 if out["holds"] else 1
     raise ExprError(f"unknown action {act!r}")
@@ -390,9 +386,9 @@ def _build_parser():
     s.add_argument("--ideal")
     s.add_argument("--exclude", action="append", default=[])
     s.add_argument("--stages", type=_int_list)
-    s.add_argument("--count", type=_at_least(1), default=4)
-    s.add_argument("--trials", type=_at_least(1), default=50)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--count", type=_at_least(1))
+    s.add_argument("--trials", type=_at_least(1))
+    s.add_argument("--seed", type=int)
     s.add_argument("--depth", type=_at_least(0))
     s.add_argument("--word-bound", type=_at_least(1))
     s.add_argument("--modulus-bound", type=_at_least(1))

@@ -148,7 +148,8 @@ def check_boundary_invariance(g: Graph, depth: int) -> dict:
     domain of s = (mu, nu), the point sample_point(Z(rho)) goes under the
     partial word of sigma(s) to a point that must start with the image
     stem, and must be that finite path itself when the image's source
-    receives no edge; a DomainError there is a violation too.
+    receives no edge; a DomainError there is a violation too.  The map is
+    PartialWord(g, mu, nu), which on Z(nu) acts as sigma(s)'s partial word.
 
     Images that stay below depth at a source that still receives edges say
     nothing about maximality inside a truncation (the cut hides their
@@ -166,7 +167,7 @@ def check_boundary_invariance(g: Graph, depth: int) -> dict:
     for s in ts.elements():
         if not under[s.nu]:
             continue
-        pw = PartialWord.from_word(g, sigma(s))
+        pw = PartialWord(g, s.mu, s.nu)
         for rho, x in under[s.nu]:
             checked += 1
             try:

@@ -352,7 +352,7 @@ class AffineFamily:
             raise SemigroupError("both directions meet every ideal")
         return {"direction": "inverse", "ideal": str(hit)}
 
-    def g0_report(self, bound=3):
+    def g0_report(self, bound=2):
         """Which group elements translate every ideal back into meeting
         the integer pairs, in both directions: the integer shifts with
         multiplier 1 or -1, i.e. exactly the units of the semigroup.

@@ -1,16 +1,16 @@
-"""The truncation, emptiness, set, transport, germ, sigma and invariance
-properties of test_properties.py and its word, set-expression and graph
-JSON roundtrips at a deeper profile.
+"""The truncation, emptiness, set, transport, germ, sigma, invariance and
+pair map properties of test_properties.py and its word, set-expression
+and graph JSON roundtrips at a deeper profile.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
 Hypothesis draws the seed of random_graph(Random(seed), 4,
 allow_infinite=True), so graphs have up to four vertices, and each
 property checks 400 examples, derandomized like the default profile.
-The truncation, emptiness, set, transport, invariance and roundtrip laws
-run on infinite_graph_of(seed, 4), which always has an infinite edge
-family.  The file name keeps it out of the default test collection: it
-takes about 100 s on 2 cores with Python 3.11.7.
+The truncation, emptiness, set, transport, invariance, pair map and
+roundtrip laws run on infinite_graph_of(seed, 4), which always has an
+infinite edge family.  The file name keeps it out of the default test
+collection: it takes about 100 s on 2 cores with Python 3.11.7.
 """
 import random
 
@@ -23,6 +23,7 @@ from test_properties import (
     graph_json_roundtrip_laws,
     infinite_graph_of,
     invariance_laws,
+    pair_map_laws,
     seeds,
     set_expr_roundtrip_laws,
     set_laws,
@@ -99,3 +100,9 @@ def test_graph_json_roundtrip_deep(seed):
 @given(seeds)
 def test_invariance_laws_deep(seed):
     invariance_laws(infinite_graph_of(seed, 4))
+
+
+@DEEP
+@given(seeds)
+def test_pair_map_laws_deep(seed):
+    pair_map_laws(infinite_graph_of(seed, 4))

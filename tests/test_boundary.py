@@ -18,6 +18,7 @@ from gforge.boundary import (
     isotropy_words,
     make_cylinder,
     parse_point,
+    parse_stem,
     point_str,
     probe_points,
     reduced_words,
@@ -26,7 +27,7 @@ from gforge.boundary import (
     topological_freeness_report,
     verify_partial_action,
 )
-from gforge.graph import EdgeInstance, GraphError, condition_l, first_return_profile
+from gforge.graph import Edge, EdgeInstance, Graph, GraphError, condition_l, first_return_profile
 from gforge.orbit import PrefixHomeo, swap_homeo
 from gforge.paradox import infinite_loops
 from gforge.words import ReducedWord, parse_word
@@ -149,6 +150,21 @@ def test_point_str_parse_roundtrip():
         assert point_str(parse_point(g5, text)) == text
     g3 = corpus.g3()
     assert point_str(parse_point(g3, "w")) == "w"
+
+
+def test_bare_names_read_alike_in_stems_and_points():
+    # vertex a is also the name of the loop at v: neither reading is taken
+    g = Graph(["v", "a"], [Edge("a", "v", "v", 1)])
+    for parse in (parse_stem, parse_point):
+        with pytest.raises(BoundaryError, match="'a' names both a vertex and an edge"):
+            parse(g, "a")
+        with pytest.raises(BoundaryError, match="unknown vertex or edge 'w'"):
+            parse(g, "w")
+    assert parse_stem(g, "v") == g.vertex_path("v")
+    assert parse_stem(g, "a.a") == g.path_of("a", "a")
+    assert point_str(parse_point(g, "(a)^inf")) == "(a)^inf"
+    with pytest.raises(GraphError, match="unknown edge 'q'"):
+        parse_stem(g, "a.q")  # a token inside a path names an edge
 
 
 # ---------------------------------------------------------------- cylinders

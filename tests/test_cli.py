@@ -4,10 +4,27 @@ from pathlib import Path
 import pytest
 
 from gforge import corpus
-from gforge.cli import ExprError, main, parse_family, parse_progression, parse_set_expr
+from gforge.boundary import set_str, topological_freeness_report, verify_partial_action
+from gforge.cli import (
+    _OE_EXAMPLES,
+    ExprError,
+    _clean,
+    main,
+    parse_family,
+    parse_progression,
+    parse_set_expr,
+)
 from gforge.graph import Edge, Graph
-from gforge.semigroups import NkFamily, Progression
-from gforge.boundary import set_str
+from gforge.orbit import cocycles_agree, coe_check, coe_to_oe, oe_agree, oe_check, oe_to_coe
+from gforge.semigroups import (
+    AffineFamily,
+    FreeMonoidFamily,
+    NkFamily,
+    Progression,
+    boundary_paradox_witness,
+    rcomplete_hypothesis_check,
+    thompson_truncated,
+)
 
 
 def run(capsys, *argv):
@@ -111,12 +128,38 @@ def test_parse_set_expr_instance_index():
     assert len(only.excl) == 2
 
 
+def clash_graph():
+    """Vertex a is also the name of the loop at v."""
+    return Graph(["v", "a"], [Edge("a", "v", "v", 1)])
+
+
 def test_parse_set_expr_name_clash():
-    g = Graph(["v", "a"], [Edge("a", "v", "v", 1)])
+    g = clash_graph()
     with pytest.raises(ExprError):
         parse_set_expr(g, "Z(a)")
     # dotted spellings stay unambiguous
     assert parse_set_expr(g, "Z(a.a)") is not None
+
+
+def test_clashing_exclusion_is_a_usage_error(capsys, monkeypatch):
+    # an exclusion is read by the same rule as a stem: no silent edge reading
+    monkeypatch.setitem(corpus.BUILDERS, "clash", clash_graph)
+    assert main(["witness", "clash", "Z(v - {a})"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gforge: 'a' names both a vertex and an edge\n"
+    assert main(["witness", "clash", "Z(v - {a.a})"]) == 64  # not one instance
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph, expr", [
+    ("g3", "Z(v)"), ("g2", "Z(q)"), ("g2", "Z(v - {q})")])
+def test_bare_name_of_nothing_is_unknown_vertex_or_edge(capsys, graph, expr):
+    assert main(["witness", graph, expr]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "v" if graph == "g3" else "q"
+    assert captured.err == f"gforge: unknown vertex or edge {name!r}\n"
 
 
 def test_parse_progression_and_family():
@@ -233,6 +276,57 @@ def test_sgp_reports(capsys):
     assert code == 0 and rep["meet_modulus"] == 12
     code, rep = run_json(capsys, "sgp", "free:2", "rcomplete")
     assert code == 0 and rep["partners"]["x1"] == "x4"
+
+
+# ------------------------------------------------- defaults of the library
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g5"])
+def test_check_without_bounds_uses_the_library_defaults(capsys, name):
+    g = corpus.by_name(name)
+    for prop, out in [("tf", topological_freeness_report(g)),
+                      ("action", verify_partial_action(g))]:
+        _, rep = run_json(capsys, "check", prop, "--graph", name)
+        assert rep == {"check": prop, "graph": name, **_clean(g, out)}, prop
+
+
+@pytest.mark.parametrize("example", sorted(_OE_EXAMPLES))
+def test_oe_without_depth_uses_the_library_default(capsys, example):
+    coc = _OE_EXAMPLES[example]()
+    g = coc.homeo.source_graph
+    oe = coe_to_oe(coc)
+    back = oe_to_coe(oe)
+    _, rep = run_json(capsys, "oe", example)
+    assert rep["cocycle_check"] == _clean(g, coe_check(coc))
+    assert rep["orbit_check"] == _clean(g, oe_check(oe))
+    assert rep["cocycle_roundtrip_agrees"] == cocycles_agree(coc, back)
+    assert rep["orbit_roundtrip_agrees"] == oe_agree(oe, coe_to_oe(back))
+
+
+def test_sgp_without_bounds_uses_the_library_defaults(capsys):
+    nk, free, affine = NkFamily(2), FreeMonoidFamily(2), AffineFamily()
+    cases = [
+        (["nk:2", "independence"], nk.independence_report()),
+        (["free:2", "independence"], free.independence_report()),
+        (["affine", "independence"], affine.independence_report()),
+        (["nk:2", "kernel"], nk.g0_report()),
+        (["free:2", "kernel"], free.g0_report()),
+        (["affine", "kernel"], affine.g0_report()),
+        (["free:2", "witness", "--ideal", "x", "--exclude", "xx"],
+         {**boundary_paradox_witness(free, free.word("x"), [free.word("xx")]),
+          "found": True}),
+        (["affine", "witness", "--ideal", "0+2Z", "--exclude", "0+6Z"],
+         {**boundary_paradox_witness(affine, Progression(0, 2), [Progression(0, 6)]),
+          "found": True}),
+    ]
+    for argv, out in cases:
+        _, rep = run_json(capsys, "sgp", *argv)
+        expected = {"family": parse_family(argv[0]).name(), "action": argv[1]}
+        assert rep == {**expected, **_clean(None, out)}, argv
+    gens, rels = thompson_truncated()
+    _, rep = run_json(capsys, "sgp", "nk:1", "rcomplete")
+    assert rep["generators"] == gens and len(rep["relations"]) == len(rels)
+    out = rcomplete_hypothesis_check(gens, rels)
+    assert {k: rep[k] for k in out} == _clean(None, out)
 
 
 # ------------------------------------------------------------ usage and env

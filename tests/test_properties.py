@@ -6,7 +6,8 @@ most three vertices, infinite edge families allowed (infinite_graph_of
 insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
-sigma_laws, invariance_laws and the three roundtrip laws on larger graphs.
+sigma_laws, invariance_laws, pair_map_laws and the three roundtrip laws on
+larger graphs.
 """
 import json
 import random
@@ -27,13 +28,19 @@ from gforge.boundary import (
     point_str,
     probe_points,
     reduced_words,
+    sample_point,
     set_str,
     verify_partial_action,
 )
 from gforge.cli import parse_set_expr
 from gforge.graph import INFINITE, EdgeInstance, Graph
 from gforge.groupoid import PTGElement, to_dr, to_ptg
-from gforge.invsgp import TruncatedSemilattice, check_boundary_invariance, verify_partial_hom
+from gforge.invsgp import (
+    TruncatedSemilattice,
+    check_boundary_invariance,
+    sigma,
+    verify_partial_hom,
+)
 from gforge.paradox import expand_witness, find_witness, verify_witness
 from gforge.words import ReducedWord, parse_word
 from test_boundary import assert_validated, random_compact_open, reference_partial_action
@@ -390,3 +397,26 @@ def invariance_laws(g):
 @given(seeds)
 def test_invariance_laws(seed):
     invariance_laws(infinite_graph_of(seed))
+
+
+def pair_map_laws(g):
+    """check_boundary_invariance builds the map of a pair s = (mu, nu) as
+    the trusted PartialWord(g, mu, nu).  On Z(nu) it must act as the
+    validated partial word of sigma(s) does at the sample point of every
+    maximal stem in Z(nu), the points the check pushes, at depths 1 and 2."""
+    for depth in (1, 2):
+        ts = TruncatedSemilattice(g, depth)
+        points = [sample_point(g, Cylinder(rho, frozenset()))
+                  for rho in g.maximal_stems(depth, ts.paths)]
+        under = {nu: [x for x in points if x.startswith(nu)] for nu in ts.paths}
+        for s in ts.elements():
+            trusted = PartialWord(g, s.mu, s.nu)
+            oracle = PartialWord.from_word(g, sigma(s))
+            for x in under[s.nu]:
+                assert trusted.act_point(x) == oracle.act_point(x), (s, x)
+
+
+@PROFILE
+@given(seeds)
+def test_pair_map_laws(seed):
+    pair_map_laws(infinite_graph_of(seed))
