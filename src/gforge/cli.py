@@ -55,7 +55,6 @@ from .semigroups import (
     rcomplete_hypothesis_check,
     thompson_truncated,
 )
-from .words import ReducedWord
 
 USAGE = 64
 INCONCLUSIVE = 2
@@ -166,7 +165,9 @@ def parse_family(text: str):
 
 def _clean(g, x):
     """The one walk from a report to plain data; g prints paths and
-    cylinders (the sgp reports hold neither and pass None)."""
+    cylinders (the sgp reports hold neither and pass None).  Anything
+    else, such as the path pairs of a failing sigma or invariance check,
+    prints as its str()."""
     if isinstance(x, dict):
         return {k: _clean(g, v) for k, v in x.items()}
     if isinstance(x, PiecewiseWord):
@@ -183,9 +184,9 @@ def _clean(g, x):
         return point_str(x)
     if isinstance(x, CompactOpen):
         return set_str(x)
-    if isinstance(x, ReducedWord):
-        return str(x)
-    return x
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    return str(x)
 
 
 # ----------------------------------------------------------------- handlers
@@ -218,17 +219,16 @@ def _run_check(args):
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
     if prop in ("sigma", "invariance"):
-        # the library sets no depth for these two; 2 is the CLI's own
-        depth = 2 if args.depth is None else args.depth
+        bounds = _given(args, depth="depth")
         if prop == "sigma":
-            out = verify_partial_hom(g, depth)
+            out = verify_partial_hom(g, **bounds)
             ok = not out["failures"] and not out["idempotent_pure_failures"]
         else:
-            out = check_boundary_invariance(g, depth)
+            out = check_boundary_invariance(g, **bounds)
             ok = not out["violations"]
         rep.update(_clean(g, out))
         # a depth-0 truncation holds only vertex paths: no edge was probed
-        return rep, (0 if depth else INCONCLUSIVE) if ok else 1
+        return rep, (0 if args.depth != 0 else INCONCLUSIVE) if ok else 1
     raise ExprError(f"unknown property {prop!r}")
 
 

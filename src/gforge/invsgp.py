@@ -112,7 +112,7 @@ class TruncatedSemilattice:
         return self.graph.concat(s.mu, self.graph.strip_prefix(rho, len(s.nu)))
 
 
-def verify_partial_hom(g: Graph, depth: int) -> dict:
+def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
     """Exhaustively check sigma over a truncation.
 
     sigma must turn nonzero products into word products and send only
@@ -139,17 +139,18 @@ def verify_partial_hom(g: Graph, depth: int) -> dict:
     }
 
 
-def check_boundary_invariance(g: Graph, depth: int) -> dict:
+def check_boundary_invariance(g: Graph, depth: int = 2) -> dict:
     """Push every maximal character through every pair and compare the
-    image with the boundary action of the pair's word.
+    image with the boundary action of the pair's prefix map.
 
     A character is the prefix chain of its stem; the maximal ones have
     stems at full depth or at a dead-end source.  For a stem rho in the
-    domain of s = (mu, nu), the point sample_point(Z(rho)) goes under the
-    partial word of sigma(s) to a point that must start with the image
+    domain of s = (mu, nu), the point sample_point(Z(rho)) goes under
+    PartialWord(g, mu, nu) to a point that must start with the image
     stem, and must be that finite path itself when the image's source
-    receives no edge; a DomainError there is a violation too.  The map is
-    PartialWord(g, mu, nu), which on Z(nu) acts as sigma(s)'s partial word.
+    receives no edge; a DomainError there is a violation too.  sigma(s)
+    is not evaluated here: that its partial word acts on Z(nu) as the
+    prefix map does is the pair_map_laws property of the test suite.
 
     Images that stay below depth at a source that still receives edges say
     nothing about maximality inside a truncation (the cut hides their

@@ -1,8 +1,9 @@
+import json
 from itertools import product
 
 import pytest
 
-from gforge import corpus
+from gforge import corpus, invsgp
 from gforge.cli import main
 from gforge.invsgp import (
     DomainError,
@@ -15,7 +16,7 @@ from gforge.invsgp import (
     verify_partial_hom,
 )
 from gforge.graph import CompositionError
-from gforge.words import parse_word
+from gforge.words import ReducedWord, parse_word
 
 
 def els(g, depth):
@@ -280,4 +281,24 @@ def test_boundary_invariance_catches_a_character_action_that_ignores_s(
                 for name in ["g1", "g2", "g3", "g4"] for depth in (1, 2))
     assert found == 45
     assert main(["check", "invariance", "--graph", "g2"]) == 1
-    capsys.readouterr()
+    assert "violations:" in capsys.readouterr().out
+    # a failing report holds path pairs, which print as their str()
+    assert main(["check", "invariance", "--graph", "g2", "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["violations"]) == 28
+    assert rep["violations"][0] == ["SgpElement(Path('v'), Path('a'))", "a.b"]
+
+
+def test_sigma_check_reports_a_sigma_that_swaps_the_pair(monkeypatch, capsys):
+    """sigma(s) = nu.mu^-1 turns products around: the check fails, and
+    its report prints in both formats."""
+    monkeypatch.setattr(invsgp, "sigma",
+                        lambda x: ReducedWord.from_pair(x.nu, x.mu))
+    assert main(["check", "sigma", "--graph", "g2"]) == 1
+    assert "failures:" in capsys.readouterr().out
+    assert main(["check", "sigma", "--graph", "g2", "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failures"]
+    assert rep["failures"][0] == ["SgpElement(Path('v'), Path('a'))",
+                                  "SgpElement(Path('v'), Path('b'))"]
+    assert rep["idempotent_pure_failures"] == []
