@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage.
 """
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -89,11 +90,61 @@ def _int_list(text):
             f"expected comma-separated integers, got {text!r}")
 
 
-def _given(args, **names):
-    """The bounds the user set, keyed by library parameter (names maps each
-    parameter to its option); a bound left out takes the library's default."""
-    return {kw: getattr(args, opt) for kw, opt in names.items()
-            if getattr(args, opt) is not None}
+# The options each command reads, each mapped to the library parameter it
+# sets (None: the handler reads it itself).  main refuses any other option
+# the user sets before the handler runs; every command reads --format.
+_FAMILIES = ("nk", "free", "affine")
+_READS = {
+    ("check", "l"): {},
+    ("check", "k"): {},
+    ("check", "pi"): {},
+    ("check", "tf"): {"word_bound": "word_bound", "depth": "stem_depth"},
+    ("check", "action"): {"word_bound": "word_len"},
+    ("check", "sigma"): {"depth": "depth"},
+    ("check", "invariance"): {"depth": "depth"},
+    ("witness",): {"depth": "depth_cap", "expand": None},
+    ("oe",): {"depth": "depth"},
+    ("sgp", "nk", "independence"): {"trials": "trials", "seed": "seed"},
+    ("sgp", "free", "independence"): {"trials": "trials", "seed": "seed"},
+    ("sgp", "affine", "independence"): {"modulus_bound": "bound"},
+    ("sgp", "nk", "kernel"): {},
+    ("sgp", "free", "kernel"): {"word_bound": "bound"},
+    ("sgp", "affine", "kernel"): {"modulus_bound": "bound"},
+    # nk:K takes its witness request whole and refuses it
+    ("sgp", "nk", "witness"): {"ideal": None, "exclude": None, "depth": "depth"},
+    ("sgp", "free", "witness"): {"ideal": None, "exclude": None, "depth": "depth"},
+    ("sgp", "affine", "witness"): {"ideal": None, "exclude": None},
+    **{("sgp", fam, "minimality"): {"stages": None} for fam in _FAMILIES},
+    **{("sgp", fam, "rcomplete"): {"count": "count"} for fam in _FAMILIES},
+}
+_OPTIONS = sorted({opt for reads in _READS.values() for opt in reads})
+
+
+def _command(args):
+    """The key of args' command in _READS."""
+    if args.command == "check":
+        return ("check", args.property)
+    if args.command == "sgp":
+        return ("sgp", args.family.partition(":")[0], args.action)
+    return (args.command,)
+
+
+def _refuse_unread(args):
+    """Refuse the options the command would drop without a word."""
+    key = _command(args)
+    if key not in _READS:  # an unknown family, which its handler refuses
+        return
+    unread = [f"--{opt.replace('_', '-')}" for opt in _OPTIONS
+              if opt not in _READS[key] and getattr(args, opt, None) not in (None, [])]
+    if unread:
+        raise ExprError(f"{' '.join(key)} does not read {', '.join(unread)}")
+
+
+def _given(args):
+    """The bounds the user set, keyed by library parameter; a bound left out
+    takes the library's default."""
+    return {kw: getattr(args, opt) for opt, kw in _READS[_command(args)].items()
+            if kw is not None and getattr(args, opt) is not None}
 
 
 def parse_set_expr(g: Graph, text: str) -> CompactOpen:
@@ -209,17 +260,17 @@ def _run_check(args):
         return rep, 0 if pi.holds else 1
     if prop == "tf":
         out = topological_freeness_report(
-            g, **_given(args, word_bound="word_bound", stem_depth="depth"))
+            g, **_given(args))
         rep.update(_clean(g, out))
         if not out["free"]:
             return rep, 1
         return rep, 0 if out["verified"] else INCONCLUSIVE
     if prop == "action":
-        out = verify_partial_action(g, **_given(args, word_len="word_bound"))
+        out = verify_partial_action(g, **_given(args))
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
     if prop in ("sigma", "invariance"):
-        bounds = _given(args, depth="depth")
+        bounds = _given(args)
         if prop == "sigma":
             out = verify_partial_hom(g, **bounds)
             ok = not out["failures"] and not out["idempotent_pure_failures"]
@@ -236,7 +287,7 @@ def _run_witness(args):
     g = corpus.by_name(args.graph)
     U = parse_set_expr(g, args.set)
     rep = {"graph": args.graph, "set": _clean(g, U)}
-    pair = find_witness(g, U, **_given(args, depth_cap="depth"))
+    pair = find_witness(g, U, **_given(args))
     if pair is None:
         rep["found"] = False
         return rep, INCONCLUSIVE
@@ -264,7 +315,7 @@ _OE_EXAMPLES = {
 
 def _run_oe(args):
     coc = _OE_EXAMPLES[args.example]()
-    bounds = _given(args, depth="depth")
+    bounds = _given(args)
     g = coc.homeo.source_graph
     first = coe_check(coc, **bounds)
     oe = coe_to_oe(coc)
@@ -290,19 +341,11 @@ def _run_sgp(args):
     act = args.action
     rep = {"family": fam.name(), "action": act}
     if act == "independence":
-        if isinstance(fam, AffineFamily):
-            out = fam.independence_report(**_given(args, bound="modulus_bound"))
-        else:
-            out = fam.independence_report(**_given(args, trials="trials", seed="seed"))
+        out = fam.independence_report(**_given(args))
         rep.update(_clean(None, out))
         return rep, 0 if out["independent"] else 1
     if act == "kernel":
-        if isinstance(fam, NkFamily):
-            out = fam.g0_report()
-        elif isinstance(fam, FreeMonoidFamily):
-            out = fam.g0_report(**_given(args, bound="word_bound"))
-        else:
-            out = fam.g0_report(**_given(args, bound="modulus_bound"))
+        out = fam.g0_report(**_given(args))
         rep.update(_clean(None, out))
         # the kernel verdict is a computed group, not a pass/fail check
         return rep, 0 if out.get("exact") else INCONCLUSIVE
@@ -315,7 +358,7 @@ def _run_sgp(args):
             excl = [parse_free_word(fam, t) for t in args.exclude]
         else:
             ideal, excl = args.ideal or "", args.exclude
-        out = boundary_paradox_witness(fam, ideal, excl, **_given(args, depth="depth"))
+        out = boundary_paradox_witness(fam, ideal, excl, **_given(args))
         if out is None:
             rep["found"] = False
             return rep, INCONCLUSIVE
@@ -337,7 +380,7 @@ def _run_sgp(args):
         rep.update(_clean(None, out))
         return rep, 0 if out["proper_filter"] else 1
     if act == "rcomplete":
-        gens, rels = thompson_truncated(**_given(args, count="count"))
+        gens, rels = thompson_truncated(**_given(args))
         out = rcomplete_hypothesis_check(gens, rels)
         rep.update(generators=gens,
                    relations=[[" ".join(l), " ".join(r)] for l, r in rels],
@@ -348,11 +391,14 @@ def _run_sgp(args):
 
 # --------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser():
     p = _Parser(prog="gforge", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    names = sorted(corpus.BUILDERS)
+    # the live registry, so a graph added after the one build still parses;
+    # usage lists its keys in the order they were added
+    names = corpus.BUILDERS
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -412,6 +458,7 @@ def main(argv=None) -> int:
         return stop.code if isinstance(stop.code, int) else USAGE
     t0 = time.perf_counter()
     try:
+        _refuse_unread(args)
         rep, code = _HANDLERS[args.command](args)
     except ExprError as err:
         print(f"gforge: {err}", file=sys.stderr)

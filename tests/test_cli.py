@@ -7,7 +7,9 @@ from gforge import corpus
 from gforge.boundary import set_str, topological_freeness_report, verify_partial_action
 from gforge.cli import (
     _OE_EXAMPLES,
+    _READS,
     ExprError,
+    _build_parser,
     _clean,
     main,
     parse_family,
@@ -383,6 +385,76 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
     assert main(["check", "tf", "--graph", "g2", "--depth", "0"]) == 0
     assert main(["witness", "g2", "Z(v)", "--depth", "0"]) == 0
     capsys.readouterr()
+
+
+# the options each subcommand defines, with a value its parser accepts
+_DEFINED = {
+    "check": {"depth": "1", "word_bound": "2"},
+    "witness": {"depth": "1", "expand": "2"},
+    "oe": {"depth": "1"},
+    "sgp": {"ideal": "x", "exclude": "x", "stages": "1,2", "count": "2",
+            "trials": "2", "seed": "1", "depth": "1", "word_bound": "2",
+            "modulus_bound": "2"},
+}
+_BASE = {"check": ["--graph", "g2"], "witness": ["g2", "Z(v)"],
+         "oe": ["swap-g2"], "sgp": []}
+
+
+@pytest.mark.parametrize("key", sorted(_READS))
+def test_options_a_command_ignores_are_usage_errors(capsys, key):
+    command, *rest = key
+    if command == "sgp":
+        rest = [{"nk": "nk:2", "free": "free:2"}.get(rest[0], rest[0]), rest[1]]
+    unread = [o for o in _DEFINED[command] if o not in _READS[key]]
+    for opt in unread:
+        flag = "--" + opt.replace("_", "-")
+        argv = [command, *rest, *_BASE[command], flag, _DEFINED[command][opt]]
+        assert main(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gforge: {' '.join(key)} does not read {flag}\n"
+
+
+def test_every_unread_option_is_named(capsys):
+    assert main(["sgp", "nk:2", "kernel", "--word-bound", "3",
+                 "--modulus-bound", "3"]) == 64
+    assert capsys.readouterr().err == (
+        "gforge: sgp nk kernel does not read --modulus-bound, --word-bound\n")
+    # an unknown family is refused as before, whatever else is set
+    assert main(["sgp", "widgets", "kernel", "--depth", "2"]) == 64
+    assert capsys.readouterr().err.startswith("gforge: unknown family 'widgets'")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    parser = _build_parser()
+    assert _build_parser() is parser
+    # argparse appends --exclude to a copy of its default, never to the default
+    one = parser.parse_args(["sgp", "free:2", "witness", "--exclude", "xx"])
+    two = parser.parse_args(["sgp", "free:2", "witness"])
+    assert one.exclude == ["xx"] and two.exclude == []
+    free = FreeMonoidFamily(2)
+
+    def expected(ideal, excl):
+        out = boundary_paradox_witness(free, free.word(ideal), [free.word(e) for e in excl])
+        return {"family": free.name(), "action": "witness", **_clean(None, out),
+                "found": True}
+
+    runs = [("x", ["xx"]), ("x", ["xy"]), ("x", []), ("", ["x", "yx"]), ("y", [])]
+    for ideal, excl in runs:
+        argv = ["sgp", "free:2", "witness", "--ideal", ideal]
+        for e in excl:
+            argv += ["--exclude", e]
+        code, rep = run_json(capsys, *argv)
+        assert code == 0 and rep == expected(ideal, excl), argv
+    # a usage error leaves nothing behind for the next command
+    golden = run(capsys, "check", "l", "--graph", "g2", "--format", "json")
+    assert main(["check", "l", "--graph", "nope"]) == 64
+    assert main(["check", "l", "--graph", "g2", "--depth", "2"]) == 64
+    assert main(["sgp", "free:2", "witness", "--exclude", "q"]) == 64
+    capsys.readouterr()
+    assert run(capsys, "check", "l", "--graph", "g2", "--format", "json") == golden
+    code, rep = run_json(capsys, "sgp", "free:2", "witness", "--ideal", "x")
+    assert code == 0 and rep == expected("x", [])
 
 
 def test_json_byte_determinism(capsys):

@@ -148,6 +148,32 @@ def test_sigma_partial_hom_exhaustive():
         assert rep["pairs_checked"] > 0
 
 
+def test_sigma_check_visits_only_nonzero_products():
+    # p3 at depth 3: 969 elements, so 938,961 pairs, of which these are nonzero
+    rep = verify_partial_hom(corpus.p3(), 3)
+    assert rep["elements"] == 969 and rep["pairs_checked"] == 107097
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("g2", 1), ("g2", 2), ("g3", 1), ("g3", 2), ("p3", 1), ("p3", 2)])
+def test_sigma_failures_come_in_product_order(monkeypatch, name, depth):
+    """A sigma broken on the pairs whose mu is longer than nu fails some
+    nonzero products; the check lists them as the full product loop does."""
+    real = invsgp.sigma
+
+    def broken(x):
+        if x is not ZERO and len(x.mu) > len(x.nu):
+            return ReducedWord.from_pair(x.nu, x.mu)
+        return real(x)
+
+    monkeypatch.setattr(invsgp, "sigma", broken)
+    monkeypatch.setitem(globals(), "sigma", broken)  # the reference's sigma
+    g = corpus.by_name(name)
+    rep = verify_partial_hom(g, depth)
+    assert rep["failures"]
+    assert rep == reference_partial_hom(g, depth)
+
+
 # ---------------------------------------------------------------- characters
 
 def oracle_filters(paths, g):
