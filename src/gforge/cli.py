@@ -84,10 +84,13 @@ def _at_least(low):
 
 def _int_list(text):
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        out = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
+        out = []
+    if not out:  # an empty list would read as an unset option
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}")
+    return out
 
 
 # The options each command reads, each mapped to the library parameter it

@@ -366,6 +366,8 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
         ["sgp", "affine", "witness", "--exclude", "1+0Z"],
         ["sgp", "affine", "minimality", "--stages", "0"],
         ["sgp", "nk:2", "minimality", "--stages", "-1"],
+        ["sgp", "nk:2", "minimality", "--stages", ","],
+        ["sgp", "affine", "kernel", "--stages", ""],
         ["sgp", "free:2", "witness", "--ideal", "xq"],
         ["sgp", "free:2", "witness", "--ideal", "x", "--exclude", "q"],
     ]
