@@ -144,8 +144,8 @@ def _refuse_unread(args):
 
 
 def _given(args):
-    """The bounds the user set, keyed by library parameter; a bound left out
-    takes the library's default."""
+    """The bounds the user set, keyed by the library parameter _READS gives
+    each; a bound left out takes the library's default."""
     return {kw: getattr(args, opt) for opt, kw in _READS[_command(args)].items()
             if kw is not None and getattr(args, opt) is not None}
 

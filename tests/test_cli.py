@@ -449,12 +449,12 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         code, rep = run_json(capsys, *argv)
         assert code == 0 and rep == expected(ideal, excl), argv
     # a usage error leaves nothing behind for the next command
-    golden = run(capsys, "check", "l", "--graph", "g2", "--format", "json")
+    before = run(capsys, "check", "l", "--graph", "g2", "--format", "json")
     assert main(["check", "l", "--graph", "nope"]) == 64
     assert main(["check", "l", "--graph", "g2", "--depth", "2"]) == 64
     assert main(["sgp", "free:2", "witness", "--exclude", "q"]) == 64
     capsys.readouterr()
-    assert run(capsys, "check", "l", "--graph", "g2", "--format", "json") == golden
+    assert run(capsys, "check", "l", "--graph", "g2", "--format", "json") == before
     code, rep = run_json(capsys, "sgp", "free:2", "witness", "--ideal", "x")
     assert code == 0 and rep == expected("x", [])
 
