@@ -300,8 +300,8 @@ class CompactOpen:
         return cls(g, [Cylinder(g.vertex_path(v), frozenset()) for v in sorted(g.vertices)])
 
     @classmethod
-    def cylinder(cls, g, stem: Path, excl=()):
-        return cls(g, [make_cylinder(g, stem, excl)])
+    def cylinder(cls, g, stem: Path):
+        return cls(g, [Cylinder(stem, frozenset())])
 
     @property
     def is_empty(self):

@@ -249,12 +249,8 @@ def _run_check(args):
     g = corpus.by_name(args.graph)
     prop = args.property
     rep = {"check": prop, "graph": args.graph}
-    if prop == "l":
-        holds, witness = condition_l(g)
-        rep.update(holds=holds, witness=_clean(g, witness))
-        return rep, 0 if holds else 1
-    if prop == "k":
-        holds, witness = condition_k(g)
+    if prop in ("l", "k"):
+        holds, witness = (condition_l if prop == "l" else condition_k)(g)
         rep.update(holds=holds, witness=_clean(g, witness))
         return rep, 0 if holds else 1
     if prop == "pi":
@@ -262,8 +258,7 @@ def _run_check(args):
         rep.update(_clean(g, pi._asdict()))
         return rep, 0 if pi.holds else 1
     if prop == "tf":
-        out = topological_freeness_report(
-            g, **_given(args))
+        out = topological_freeness_report(g, **_given(args))
         rep.update(_clean(g, out))
         if not out["free"]:
             return rep, 1
@@ -273,12 +268,11 @@ def _run_check(args):
         rep.update(_clean(g, out))
         return rep, 0 if not out["failures"] else 1
     if prop in ("sigma", "invariance"):
-        bounds = _given(args)
         if prop == "sigma":
-            out = verify_partial_hom(g, **bounds)
+            out = verify_partial_hom(g, **_given(args))
             ok = not out["failures"] and not out["idempotent_pure_failures"]
         else:
-            out = check_boundary_invariance(g, **bounds)
+            out = check_boundary_invariance(g, **_given(args))
             ok = not out["violations"]
         rep.update(_clean(g, out))
         # a depth-0 truncation holds only vertex paths: no edge was probed

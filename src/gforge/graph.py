@@ -324,22 +324,13 @@ class Graph:
             frontier = nxt
         return out
 
-    def maximal_stems(self, depth: int, paths=None) -> list[Path]:
+    def maximal_stems(self, depth: int) -> list[Path]:
         """The paths of paths_up_to(depth) that cannot grow within depth:
-        full length, or a source with no receivers.  A caller already holding
-        that enumeration passes it as `paths`."""
-        if paths is None:
-            paths = self.paths_up_to(depth)
-        return [mu for mu in paths
+        full length, or a source with no receivers."""
+        return [mu for mu in self.paths_up_to(depth)
                 if len(mu) == depth or not self._receivers[mu.source_vertex]]
 
     # -- reachability ------------------------------------------------------
-
-    def reaches(self, w: str, v: str) -> bool:
-        """True iff a path mu with r(mu) = w and s(mu) = v exists (length 0 allowed)."""
-        self._check_vertex(w)
-        self._check_vertex(v)
-        return w in self.upstream(v)
 
     def upstream(self, v: str) -> frozenset:
         """All w with w <- v, i.e. reachable from v along edges source-to-range."""

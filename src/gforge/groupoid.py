@@ -153,7 +153,7 @@ def all_boundary_points(g):
             raise GraphError("boundary space is infinite: "
                              f"edge {e.eid} has infinite multiplicity")
     for v in g.vertices:
-        if any(g.reaches(e.source_vertex, v) for e in g.receivers(v)):
+        if any(e.source_vertex in g.upstream(v) for e in g.receivers(v)):
             raise GraphError(f"boundary space is infinite: cycle through {v}")
     # acyclic: no path reaches |V| edges, so the probe holds every point
     return probe_points(g, len(g.vertices))

@@ -18,13 +18,6 @@ from .words import ReducedWord
 
 
 class _Zero:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "0"
 
@@ -122,25 +115,17 @@ def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
     """
     els = TruncatedSemilattice(g, depth).elements()
     table = [(s, sigma(s)) for s in els]
-    # t by its mu (exact) and by every prefix of its mu (extends)
-    exact, extends = {}, {}
+    by_mu = {}
     for j, t in enumerate(els):
-        mu = t.mu.instances
-        exact.setdefault((t.mu.range_vertex, mu), []).append(j)
-        for k in range(len(mu) + 1):
-            extends.setdefault((t.mu.range_vertex, mu[:k]), []).append(j)
-    partners = {}  # many pairs share a nu
+        by_mu.setdefault(t.mu, []).append(j)
+    # many pairs share a nu; as (nu, nu) is an element, the nus are the mus
+    partners = {nu: sorted(j for mu, js in by_mu.items()
+                           if mu.startswith(nu) or nu.startswith(mu) for j in js)
+                for nu in by_mu}
     failures = []
     pairs = 0
     for s, ws in table:
-        nu = s.nu
-        if nu not in partners:
-            # mu extends nu, or mu is a proper prefix of nu
-            js = extends.get((nu.range_vertex, nu.instances), [])
-            for k in range(len(nu)):
-                js = js + exact.get((nu.range_vertex, nu.instances[:k]), [])
-            partners[nu] = sorted(js)
-        for j in partners[nu]:
+        for j in partners[s.nu]:
             t, wt = table[j]
             pairs += 1
             if ws * wt != sigma(sgp_mul(g, s, t)):
@@ -175,7 +160,7 @@ def check_boundary_invariance(g: Graph, depth: int = 2) -> dict:
     """
     ts = TruncatedSemilattice(g, depth)
     stems = [(rho, sample_point(g, Cylinder(rho, frozenset())))
-             for rho in g.maximal_stems(depth, ts.paths)]
+             for rho in g.maximal_stems(depth)]
     # many pairs share a nu, so find the stems under each path once
     under = {nu: [(rho, x) for rho, x in stems if rho.startswith(nu)]
              for nu in ts.paths}

@@ -124,6 +124,13 @@ class Cocycle:
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)
 
+    def value(self, gen: ReducedWord, x: BoundaryPoint):
+        """The value of the first piece of gen's row that holds x, or None."""
+        for piece, value in self.table.get(gen, ()):
+            if cyl_contains(piece, x):
+                return value
+        return None
+
 
 def identity_cocycle(g: Graph) -> Cocycle:
     """The identity homeo with every generator matched to itself."""
@@ -318,34 +325,25 @@ def oe_to_coe(oe: OEData) -> Cocycle:
 
 def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
     """Same homeo behaviour and pointwise-equal cocycle action."""
-    gs = c1.homeo.source_graph
-    gt = c1.homeo.target_graph
+    gs, gt = c1.homeo.source_graph, c1.homeo.target_graph
     pts = probe_points(gs, depth)
     for x in pts:
         if c1.homeo.apply(x) != c2.homeo.apply(x):
             return False
-    gens = set(c1.table) | set(c2.table)
-    for gen in gens:
+    for gen in set(c1.table) | set(c2.table):
         pw = PartialWord.from_word(gs, gen)
         if pw.is_empty_map:
             return False
         for x in pts:
-            vals = []
-            for c in (c1, c2):
-                hit = None
-                for piece, value in c.table.get(gen, ()):
-                    if cyl_contains(piece, x):
-                        hit = value
-                        break
-                vals.append(hit)
-            if (vals[0] is None) != (vals[1] is None):
+            v0, v1 = c1.value(gen, x), c2.value(gen, x)
+            if (v0 is None) != (v1 is None):
                 return False
-            if vals[0] is None or vals[0] == vals[1]:
+            if v0 is None or v0 == v1:
                 continue
             fx = c1.homeo.apply(x)
             try:
-                y0 = PartialWord.from_word(gt, vals[0]).act_point(fx)
-                y1 = PartialWord.from_word(gt, vals[1]).act_point(fx)
+                y0 = PartialWord.from_word(gt, v0).act_point(fx)
+                y1 = PartialWord.from_word(gt, v1).act_point(fx)
             except DomainError:
                 return False
             if y0 != y1:

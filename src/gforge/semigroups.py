@@ -471,7 +471,8 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
     translation delta is the least positive element of J outside aZ:
     J.m mod (J.m + 1) = J.m != 0, so delta = J.m.  Everything is
     certified by an exhaustive residue sweep; None when no residue lies
-    in the set, which is then empty.
+    in the set, which is then empty.  The sweep holds every residue, so a
+    modulus past 10**6 is refused.
     """
     if not isinstance(family, AffineFamily):
         raise SemigroupError("arithmetic witnesses need the affine family")
@@ -485,6 +486,8 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
 
     a, delta = J.m + 1, J.m
     modulus = ideal.m * J.m * a
+    if modulus > 10**6:
+        raise SemigroupError(f"residue sweep of modulus {modulus} is past 10**6")
     in_u = [x in ideal and not any(x in e for e in exclusions)
             for x in range(modulus)]
     if not any(in_u):

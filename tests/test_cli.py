@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,17 @@ def test_sgp_affine_witness(capsys):
         code, rep = run_json(capsys, "sgp", "affine", "witness",
                              "--ideal", "0+2Z", "--exclude", exclude)
         assert code == 2 and rep["found"] is False and "verified" not in rep
+
+
+def test_sgp_affine_witness_refuses_a_sweep_past_a_million_residues(capsys):
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        assert main(["sgp", "affine", "witness", "--ideal", "0+300Z",
+                     "--exclude", "0+900Z", "--format", fmt]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gforge: residue sweep of modulus 243270000 is past 10**6\n"
 
 
 def test_sgp_free_witness(capsys):

@@ -230,13 +230,13 @@ def test_character_membership():
 def test_max_characters_frozen():
     g2 = corpus.g2()
     ts = TruncatedSemilattice(g2, 2)
-    stems = g2.maximal_stems(ts.depth, ts.paths)
+    stems = g2.maximal_stems(ts.depth)
     assert stems == [g2.path_of("a", "a"), g2.path_of("a", "b"),
                      g2.path_of("b", "a"), g2.path_of("b", "b")]
 
     g3 = corpus.g3()
     ts3 = TruncatedSemilattice(g3, 2)
-    stems3 = g3.maximal_stems(ts3.depth, ts3.paths)
+    stems3 = g3.maximal_stems(ts3.depth)
     assert stems3 == [g3.vertex_path("w"), g3.path_of("e")]
 
 

@@ -194,3 +194,38 @@ def test_cocycles_agree_detects_difference():
     g = corpus.g2()
     assert not cocycles_agree(identity_cocycle(g),
                               swap_cocycle_two_loops(g), depth=2)
+
+
+def test_cocycle_value_takes_the_first_piece_that_holds_the_point():
+    g = corpus.g2()
+    homeo = PrefixHomeo.identity(g)
+    a, b = parse_word("a"), parse_word("b")
+    za = Cylinder(g.path_of("a"), frozenset())
+    zaa = Cylinder(g.path_of("a", "a"), frozenset())
+    x = parse_point(g, "a.a.(b)^inf")
+    # the row's pieces overlap on Z(a.a), so the order decides
+    assert Cocycle(homeo, {a: [(za, a), (zaa, b)]}).value(a, x) == a
+    assert Cocycle(homeo, {a: [(zaa, b), (za, a)]}).value(a, x) == b
+    coc = Cocycle(homeo, {a: [(zaa, b)]})
+    assert coc.value(a, parse_point(g, "a.(b)^inf")) is None    # off the row
+    assert coc.value(b, x) is None                              # no row at all
+
+
+def test_cocycles_agree_verdicts_on_the_oe_examples():
+    g = corpus.g2()
+    swap = swap_cocycle_two_loops(g)
+    rows = dict(swap.table)
+    (za, va), (zb, vb) = rows[parse_word("a")]
+    rows[parse_word("a")] = [(za, vb), (zb, va)]
+    crossed = Cocycle(swap.homeo, rows)
+    examples = [identity_cocycle(g), swap, swap_cocycle_parallel_pair(corpus.p2())]
+    for depth in range(5):
+        for coc in examples:
+            back = oe_to_coe(coe_to_oe(coc))
+            assert cocycles_agree(coc, back, depth)
+            assert cocycles_agree(back, coc, depth)
+            assert cocycles_agree(coc, coc, depth)
+        # depth 0 probes no point of g2, so nothing can disagree there
+        assert cocycles_agree(examples[0], swap, depth) == (depth == 0)
+        assert cocycles_agree(swap, crossed, depth) == (depth == 0)
+        assert cocycles_agree(crossed, swap, depth) == (depth == 0)

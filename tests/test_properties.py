@@ -6,7 +6,8 @@ most three vertices, infinite edge families allowed (infinite_graph_of
 insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
-sigma_laws, invariance_laws, pair_map_laws and the three roundtrip laws on
+sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
+act_point_canonical_laws, isotropy_laws and the four roundtrip laws on
 larger graphs.
 """
 import json
@@ -105,18 +106,15 @@ def test_enumerations_take_two_copies_of_each_infinite_family(seed):
     truncation_laws(infinite_graph_of(seed))
 
 
-@PROFILE
-@given(seeds)
-def test_point_str_roundtrips(seed):
-    g = graph_of(seed)
+def point_str_roundtrip_laws(g):
+    """Every probe point reads back from its text."""
     for x in probe_points(g, 3):
         assert parse_point(g, point_str(x)) == x
 
 
-@PROFILE
-@given(seeds)
-def test_shift_then_prepend_restores_and_stays_canonical(seed):
-    g = graph_of(seed)
+def shift_prepend_laws(g):
+    """Shifting a probe point and prepending the cut head gives it back, and
+    every shift and every one-step prepend is in canonical form."""
     short = g.paths_up_to(1)
     for x in probe_points(g, 3):
         for k in range(len(x) + 1 if x.is_finite else 5):
@@ -128,16 +126,33 @@ def test_shift_then_prepend_restores_and_stays_canonical(seed):
                     assert_validated(y.prepend(alpha))
 
 
-@PROFILE
-@given(seeds)
-def test_act_point_results_are_canonical(seed):
-    g = graph_of(seed)
+def act_point_canonical_laws(g):
+    """act_point of every admissible word up to length 2 gives a canonical
+    point wherever it is defined on a probe point."""
     # [1:] drops the empty word, which sorts first and has no beta
     maps = [PartialWord.from_word(g, w) for w in admissible_words(g, 2)[1:]]
     for x in probe_points(g, 3):
         for pw in maps:
             if x.startswith(pw.beta):
                 assert_validated(pw.act_point(x))
+
+
+@PROFILE
+@given(seeds)
+def test_point_str_roundtrips(seed):
+    point_str_roundtrip_laws(graph_of(seed))
+
+
+@PROFILE
+@given(seeds)
+def test_shift_then_prepend_restores_and_stays_canonical(seed):
+    shift_prepend_laws(graph_of(seed))
+
+
+@PROFILE
+@given(seeds)
+def test_act_point_results_are_canonical(seed):
+    act_point_canonical_laws(graph_of(seed))
 
 
 @PROFILE
@@ -336,13 +351,17 @@ def reference_isotropy_words(g, x, bound):
     return sorted(found, key=ReducedWord.sort_key)
 
 
-@PROFILE
-@given(seeds)
-def test_isotropy_words_match_head_pair_search(seed):
-    g = graph_of(seed)
+def isotropy_laws(g):
+    """isotropy_words agrees with the head-pair search at bounds 0-6."""
     for x in probe_points(g, 3):
         for bound in range(7):
             assert isotropy_words(x, bound) == reference_isotropy_words(g, x, bound)
+
+
+@PROFILE
+@given(seeds)
+def test_isotropy_words_match_head_pair_search(seed):
+    isotropy_laws(graph_of(seed))
 
 
 def germ_laws(g):
@@ -407,7 +426,7 @@ def pair_map_laws(g):
     for depth in (1, 2):
         ts = TruncatedSemilattice(g, depth)
         points = [sample_point(g, Cylinder(rho, frozenset()))
-                  for rho in g.maximal_stems(depth, ts.paths)]
+                  for rho in g.maximal_stems(depth)]
         under = {nu: [x for x in points if x.startswith(nu)] for nu in ts.paths}
         for s in ts.elements():
             trusted = PartialWord(g, s.mu, s.nu)

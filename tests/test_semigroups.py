@@ -265,6 +265,17 @@ def test_axb_witness_preconditions():
         axb_paradox_witness(NkFamily(1), Progression(0, 2), [])
 
 
+def test_axb_witness_refuses_a_sweep_past_a_million_residues():
+    fam = AffineFamily()
+    # the sweep covers ideal.m * J.m * (J.m + 1) residues
+    with pytest.raises(SemigroupError, match=r"modulus 243270000 is past 10\*\*6"):
+        axb_paradox_witness(fam, Progression(0, 300), [Progression(0, 900)])
+    with pytest.raises(SemigroupError, match="modulus 1001000 "):
+        boundary_paradox_witness(fam, Progression(0, 1), [Progression(0, 1000)])
+    # the largest modulus the benchmark's affine commands reach
+    assert axb_paradox_witness(fam, Progression(0, 4), [Progression(0, 16)])["modulus"] == 1088
+
+
 def test_axb_witness_images_land_inside():
     got = axb_paradox_witness(AffineFamily(), Progression(0, 2),
                               [Progression(0, 6)])
