@@ -45,8 +45,6 @@ from .groupoid import (
     DRElement,
     GroupoidError,
     PTGElement,
-    full_groupoid,
-    roundtrip_report,
     to_dr,
     to_ptg,
 )

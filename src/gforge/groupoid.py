@@ -11,14 +11,8 @@ equality test.
 Composition follows function order: compose(d2, d1) applies d1 first.
 """
 
-from .boundary import (
-    PartialWord,
-    admissible_words,
-    point_str,
-    probe_points,
-    sample_point,
-)
-from .graph import CompositionError, GraphError, INFINITE
+from .boundary import PartialWord, point_str
+from .graph import CompositionError
 from .words import ReducedWord
 
 
@@ -93,9 +87,6 @@ class DRElement:
         """The identity germ at point; depth 0 is the least allowed."""
         return cls(point, 0, point, 0)
 
-    def key(self):
-        return (point_str(self.target), self.offset, point_str(self.source))
-
     def __eq__(self, other):
         if not isinstance(other, DRElement):
             return NotImplemented
@@ -140,60 +131,3 @@ def compose(d2: DRElement, d1: DRElement) -> DRElement:
         raise CompositionError("germs do not compose: endpoint mismatch")
     cap = max(d2.merge_depth, d1.merge_depth + d2.offset)
     return DRElement.make(d2.target, d2.offset + d1.offset, d1.source, cap)
-
-
-def all_boundary_points(g):
-    """Every boundary point, for graphs whose boundary is finite.
-
-    That needs finite multiplicities and no cycles; otherwise the space
-    is infinite and this raises.
-    """
-    for e in g.edges.values():
-        if e.multiplicity == INFINITE:
-            raise GraphError("boundary space is infinite: "
-                             f"edge {e.eid} has infinite multiplicity")
-    for v in g.vertices:
-        if any(e.source_vertex in g.upstream(v) for e in g.receivers(v)):
-            raise GraphError(f"boundary space is infinite: cycle through {v}")
-    # acyclic: no path reaches |V| edges, so the probe holds every point
-    return probe_points(g, len(g.vertices))
-
-
-def full_groupoid(g, word_bound=4):
-    """All germs over a finite boundary, deduplicated by normal form."""
-    pts = all_boundary_points(g)
-    seen = {}
-    for w in admissible_words(g, word_bound):
-        pw = PartialWord.from_word(g, w)
-        for x in pts:
-            if pw.is_identity or x.startswith(pw.beta):
-                d = to_dr(PTGElement(g, w, x))
-                seen.setdefault(d.key(), d)
-    return sorted(seen.values(), key=DRElement.key)
-
-
-def roundtrip_report(g, word_bound):
-    """Word -> normal form -> word again, germ by germ.
-
-    One sample point per domain part of every admissible word.  A
-    failure records a germ whose normal form changed across the
-    roundtrip; distinct counts normal forms seen.
-    """
-    rep = {"roundtrips": 0, "distinct": 0, "failures": []}
-    seen = set()
-    for w in admissible_words(g, word_bound):
-        pw = PartialWord.from_word(g, w)
-        for part in pw.domain().parts:
-            x = sample_point(g, part)
-            if x is None:
-                continue
-            s = PTGElement(g, w, x)
-            d = to_dr(s)
-            s2 = to_ptg(g, d)
-            d2 = to_dr(s2)
-            rep["roundtrips"] += 1
-            if d2 != d or s2.point != s.point:
-                rep["failures"].append((str(w), point_str(x)))
-            seen.add(d.key())
-    rep["distinct"] = len(seen)
-    return rep

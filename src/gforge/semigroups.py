@@ -21,6 +21,8 @@ from fractions import Fraction
 
 from . import words
 
+SWEEP_CEILING = 10**6  # the most items a sweep here may hold
+
 
 class SemigroupError(Exception):
     pass
@@ -201,9 +203,17 @@ class FreeMonoidFamily:
             raise SemigroupError("witness construction degenerated")
         return witness
 
+    def scan_size(self, bound):
+        """How many words g0_report scans: 2n(2n-1)^(k-1) >= 2^k of each length
+        k <= bound, up to k = SWEEP_CEILING.bit_length(), which alone passes it."""
+        b = min(bound, SWEEP_CEILING.bit_length())
+        return self.n * ((2 * self.n - 1) ** b - 1) // (self.n - 1)
+
     def g0_report(self, bound=4):
         """Which group elements translate every cone back into meeting
         the positive words, in both directions: only the identity."""
+        if self.scan_size(bound) > SWEEP_CEILING:
+            raise SemigroupError(f"kernel scan at word bound {bound} is past 10**6 words")
         scanned = 0
         sample = []
         for w in words.ball(self.letters, bound):
@@ -306,7 +316,8 @@ class AffineFamily:
                         for q in (2, 3) for j in range(q)]
                 p = _next_prime_above(max(s.m for s in subs))
                 witness = (r, m * p)
-                assert self.contains(big, witness)
+                if not self.contains(big, witness):
+                    raise SemigroupError(f"witness {witness} escapes {big}")
                 for s in subs:
                     if s != big and self.contains(s, witness):
                         return {"independent": False, "exact": True,
@@ -352,6 +363,10 @@ class AffineFamily:
             raise SemigroupError("both directions meet every ideal")
         return {"direction": "inverse", "ideal": str(hit)}
 
+    def scan_size(self, bound):
+        """The pairs (s/t, u/v) with |s|, |u|, t, v <= bound and u != 0."""
+        return 2 * bound ** 3 * (2 * bound + 1)
+
     def g0_report(self, bound=2):
         """Which group elements translate every ideal back into meeting
         the integer pairs, in both directions: the integer shifts with
@@ -362,6 +377,8 @@ class AffineFamily:
         both ways then pins the multiplier to a sign.  That group is
         infinite, so no smallness certificate accompanies the verdict.
         """
+        if self.scan_size(bound) > SWEEP_CEILING:
+            raise SemigroupError(f"kernel scan at modulus bound {bound} is past 10**6 pairs")
         scanned = 0
         members = 0
         sample = []
@@ -376,9 +393,10 @@ class AffineFamily:
             scanned += 1
             if beta.denominator == 1 and alpha in (1, -1):
                 members += 1
-                for x in battery:
-                    assert self.translate_meets(beta, alpha, x)
-                    assert self.translate_meets(-beta / alpha, 1 / alpha, x)
+                if not all(self.translate_meets(beta, alpha, x)
+                           and self.translate_meets(-beta / alpha, 1 / alpha, x)
+                           for x in battery):
+                    raise SemigroupError(f"unit ({beta}, {alpha}) misses an ideal")
                 continue
             cert = self.g0_witness(beta, alpha)
             if len(sample) < 5:
@@ -486,7 +504,7 @@ def axb_paradox_witness(family, ideal: Progression, exclusions=()):
 
     a, delta = J.m + 1, J.m
     modulus = ideal.m * J.m * a
-    if modulus > 10**6:
+    if modulus > SWEEP_CEILING:
         raise SemigroupError(f"residue sweep of modulus {modulus} is past 10**6")
     in_u = [x in ideal and not any(x in e for e in exclusions)
             for x in range(modulus)]

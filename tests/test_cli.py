@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 
 from gforge import corpus
-from gforge.boundary import set_str, topological_freeness_report, verify_partial_action
+from gforge.boundary import (
+    PartialWord,
+    set_str,
+    topological_freeness_report,
+    verify_partial_action,
+)
 from gforge.cli import (
     _OE_EXAMPLES,
     _READS,
@@ -236,6 +241,41 @@ def test_sgp_affine_witness_refuses_a_sweep_past_a_million_residues(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "gforge: residue sweep of modulus 243270000 is past 10**6\n"
+
+
+def test_sgp_kernel_refuses_a_scan_past_a_million(capsys):
+    for argv, err in [
+            (["free:2", "kernel", "--word-bound", "12"],
+             "kernel scan at word bound 12 is past 10**6 words"),
+            (["affine", "kernel", "--modulus-bound", "23"],
+             "kernel scan at modulus bound 23 is past 10**6 pairs")]:
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            assert main(["sgp", *argv, "--format", fmt]) == 1
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"gforge: {err}\n"
+
+
+def test_broken_certificates_end_in_one_line(capsys, monkeypatch):
+    # explicit checks, so a broken certificate also fails under python -O
+    broken = [
+        (AffineFamily, "translate_meets", ["sgp", "affine", "kernel", "--modulus-bound", "1"],
+         "unit (-1, -1) misses an ideal"),
+        (AffineFamily, "contains", ["sgp", "affine", "independence", "--modulus-bound", "1"],
+         "witness (0, 5) escapes 0+1Z"),
+        # the entry-less loop of g1 must fix the point it freezes
+        (PartialWord, "act_point", ["check", "tf", "--graph", "g1"],
+         "the entry-less loop at v does not fix its point"),
+    ]
+    for cls, name, argv, err in broken:
+        with monkeypatch.context() as m:
+            m.setattr(cls, name, lambda *args: False)
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gforge: {err}\n"
 
 
 def test_sgp_free_witness(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from gforge.semigroups import (
     FreeMonoidFamily,
     NkFamily,
     Progression,
+    SWEEP_CEILING,
     SemigroupError,
     axb_paradox_witness,
     boundary_minimality_probe,
@@ -116,6 +118,30 @@ def test_free_kernel_witnesses():
     assert not fam.cone_meets((("x", 1), ("y", -1)), "x")
     with pytest.raises(SemigroupError):
         fam.g0_witness(())
+
+
+def test_kernel_scan_sizes_count_the_scans():
+    # 2n(2n-1)^(k-1) words of each length k; 2B^3(2B+1) affine pairs
+    for fam in (FreeMonoidFamily(2), FreeMonoidFamily(3), AffineFamily()):
+        for bound in range(1, 6):
+            assert fam.scan_size(bound) == fam.g0_report(bound=bound)["scanned"]
+    assert FreeMonoidFamily(2).scan_size(4) == 160
+    assert AffineFamily().scan_size(2) == 80
+
+
+def test_kernel_scans_past_a_million_are_refused():
+    free, affine = FreeMonoidFamily(2), AffineFamily()
+    assert free.scan_size(11) == 354292 <= SWEEP_CEILING < free.scan_size(12) == 1062880
+    assert affine.scan_size(22) == 958320 <= SWEEP_CEILING < affine.scan_size(23) == 1143698
+    start = time.perf_counter()
+    for bound in (12, 14, 10**9):
+        with pytest.raises(SemigroupError, match=rf"word bound {bound} is past 10\*\*6 words"):
+            free.g0_report(bound=bound)
+    with pytest.raises(SemigroupError, match=r"modulus bound 23 is past 10\*\*6 pairs"):
+        affine.g0_report(bound=23)
+    with pytest.raises(SemigroupError, match=r"word bound 2 is past"):
+        FreeMonoidFamily(1000).g0_report(bound=2)
+    assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------- progressions
