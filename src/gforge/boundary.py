@@ -90,28 +90,37 @@ class BoundaryPoint:
             raise BoundaryError("infinite point has no length")
         return len(self.prefix)
 
-    def _first(self, n: int) -> tuple:
-        """The first n instances: the prefix, then the cycle unrolled."""
+    def instance_at(self, i: int) -> EdgeInstance:
+        """Instance i, read from the prefix or indexed into the cycle."""
+        pre, cyc = self.prefix, self.cycle
+        if 0 <= i < len(pre):
+            return pre[i]
+        if i < 0 or cyc is None:
+            raise BoundaryError(f"{point_str(self)} has no first {i + 1} instances")
+        return cyc[(i - len(pre)) % len(cyc)]
+
+    def head(self, n: int) -> Path:
+        """The first n instances as a path: the prefix, then the cycle unrolled."""
         pre = self.prefix
         if n < 0 or (self.cycle is None and n > len(pre)):
             raise BoundaryError(f"{point_str(self)} has no first {n} instances")
         if n > len(pre):
             pre += self.cycle * ((n - len(pre)) // len(self.cycle) + 1)
-        return pre[:n]
-
-    def instance_at(self, i: int) -> EdgeInstance:
-        return self._first(i + 1)[i]
-
-    def head(self, n: int) -> Path:
-        """The first n instances as a path."""
-        return self.graph.trusted_path(self._first(n), self.range_vertex)
+        return self.graph.trusted_path(pre[:n], self.range_vertex)
 
     def startswith(self, mu: Path) -> bool:
+        """mu is a head: the part t of mu past the prefix starts like the
+        cycle and repeats with its period, with no unrolled cycle built."""
         if mu.range_vertex != self.range_vertex:
             return False
-        if self.is_finite and len(mu) > len(self.prefix):
+        m, pre, cyc = mu.instances, self.prefix, self.cycle
+        n = len(pre)
+        if len(m) <= n:
+            return pre[:len(m)] == m
+        if cyc is None or m[:n] != pre:
             return False
-        return self._first(len(mu)) == mu.instances
+        t, c = m[n:], len(cyc)
+        return t[:c] == cyc[:len(t)] and t[c:] == t[:-c]
 
     def shift(self, k: int) -> "BoundaryPoint":
         """Drop the first k instances; a canonical point stays canonical."""
@@ -230,8 +239,8 @@ def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
 def cyl_contains(c: Cylinder, x: BoundaryPoint) -> bool:
     if not x.startswith(c.stem):
         return False
-    n = len(c.stem)
-    if x.is_finite and len(x) == n:
+    n = len(c.stem.instances)
+    if x.cycle is None and len(x.prefix) == n:
         return True
     return x.instance_at(n) not in c.excl
 
@@ -433,27 +442,34 @@ class PartialWord:
         return CompactOpen.cylinder(self.graph, self.beta)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        if self.is_identity:
+        """alpha.y for x = beta.y in one step: cut beta off the prefix, turn
+        the cycle by what beta takes of it, put alpha in front, absorb."""
+        beta = self.beta
+        if beta is None and self.is_identity:
             return x
-        if self.is_empty_map or not x.startswith(self.beta):
+        if beta is None or not x.startswith(beta):
             raise DomainError(f"{point_str(x)} is not in the domain of {self.word()}")
-        return x.shift(len(self.beta)).prepend(self.alpha)
+        alpha, k, cyc = self.alpha, len(beta.instances), x.cycle
+        pre = alpha.instances + x.prefix[k:]
+        if cyc is not None:
+            j = max(k - len(x.prefix), 0) % len(cyc)
+            pre, cyc = _absorb(pre, cyc[j:] + cyc[:j])
+        return BoundaryPoint(self.graph, alpha.range_vertex, pre, cyc)
 
     def act_set(self, U: CompactOpen) -> CompactOpen:
         """The image of U intersected with the domain."""
-        g = self.graph
-        if self.is_identity:
-            return U
-        if self.is_empty_map:
-            return CompactOpen.empty(g)
+        g, alpha, beta = self.graph, self.alpha, self.beta
+        if beta is None:
+            return U if self.is_identity else CompactOpen.empty(g)
+        k = len(beta.instances)
         out = []
         for stem, F in U.parts:
-            if stem.startswith(self.beta):
-                rest = g.strip_prefix(stem, len(self.beta))
-                out.append(Cylinder(g.concat(self.alpha, rest), F))
-            elif self.beta.startswith(stem) and len(self.beta) > len(stem):
-                if self.beta.instances[len(stem)] not in F:
-                    out.append(Cylinder(self.alpha, frozenset()))
+            if stem.startswith(beta):
+                out.append(Cylinder(Path(alpha.range_vertex, stem.source_vertex,
+                                         alpha.instances + stem.instances[k:]), F))
+            elif beta.startswith(stem) and k > len(stem.instances):
+                if beta.instances[len(stem.instances)] not in F:
+                    out.append(Cylinder(alpha, frozenset()))
         return CompactOpen(g, out)
 
     def __repr__(self):

@@ -89,11 +89,8 @@ class Path:
         return f"Path({'.'.join(map(instance_token, self.instances))!r})"
 
     def startswith(self, other: "Path") -> bool:
-        if len(other) > len(self):
-            return False
-        if other.range_vertex != self.range_vertex:
-            return False
-        return self.instances[:len(other)] == other.instances
+        o = other.instances
+        return other.range_vertex == self.range_vertex and self.instances[:len(o)] == o
 
 
 def sort_key(path: Path):

@@ -14,9 +14,11 @@ ideal differences, a relation-shape hypothesis check, and a smallness
 probe for descending stage ideals.
 """
 
+import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from . import words
@@ -107,12 +109,6 @@ class NkFamily:
 
 # ----------------------------------------------------------------- word cones
 
-def _default_letters(n):
-    if n <= 3:
-        return tuple("xyz"[:n])
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
 class FreeMonoidFamily:
     """Positive words inside the free group on n letters, n >= 2.
 
@@ -124,10 +120,26 @@ class FreeMonoidFamily:
         if n < 2:
             raise SemigroupError("need at least two letters")
         self.n = n
-        self.letters = _default_letters(n)
 
     def name(self):
         return f"F_{self.n}+ in F_{self.n}"
+
+    @functools.cached_property
+    def letters(self):
+        """x, y, z for n <= 3, else x1, ..., xn, spelled when first needed."""
+        if self.n <= 3:
+            return tuple("xyz"[:self.n])
+        return tuple(f"x{i + 1}" for i in range(self.n))
+
+    def _longest_letter(self, text):
+        """The longest letter that starts text, or None, by the spelling rule."""
+        if self.n <= 3:
+            return text[:1] if text[:1] in self.letters else None
+        m = re.match(r"x([1-9][0-9]*)", text)
+        digits = m.group(1)[:len(str(self.n))] if m else ""
+        if digits and int(digits) > self.n:
+            digits = digits[:-1]
+        return "x" + digits if digits else None
 
     def word(self, text):
         """A positive word from a tuple of letters or from its spelling,
@@ -137,12 +149,11 @@ class FreeMonoidFamily:
         else:
             w, rest = [], text
             while rest:  # a part no letter matches stays whole, to be refused
-                c = max((l for l in self.letters if rest.startswith(l)),
-                        key=len, default=rest)
+                c = self._longest_letter(rest) or rest
                 w.append(c)
                 rest = rest[len(c):]
         for c in w:
-            if c not in self.letters:
+            if not isinstance(c, str) or self._longest_letter(c) != c:
                 raise SemigroupError(f"unknown letter {c!r}")
         return tuple(w)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,26 @@ def test_instance_stream_and_heads():
     for x, k in probed_heads():
         assert x.head(k).instances == (x.prefix + (x.cycle or ()) * k)[:k]
         assert x.startswith(x.head(k))
+
+
+def test_startswith_reads_long_stems_on_short_cycles():
+    """startswith and instance_at index into the cycle instead of unrolling
+    it: a 250-letter stem on a cycle of length 1 is two slice comparisons,
+    and instance 10**6 is one index, with no tuple of that length built."""
+    g1, g2, g4 = corpus.g1(), corpus.g2(), corpus.g4()
+    x = parse_point(g1, "(a)^inf")
+    assert x.startswith(g1.path_of(*["a"] * 250))
+    assert not parse_point(g2, "(a)^inf").startswith(g2.path_of(*["a"] * 249, "b"))
+    assert not parse_point(g4, "a.c").startswith(g4.path_of("a", "a", "a"))
+    with pytest.raises(BoundaryError):
+        parse_point(g4, "a.c").instance_at(2)
+    tracemalloc.start()
+    try:
+        assert x.instance_at(10**6) == EdgeInstance("a", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # an unrolled cycle of 10**6 instances is 8 MB
 
 
 def probed_heads():

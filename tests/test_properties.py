@@ -126,15 +126,87 @@ def shift_prepend_laws(g):
                     assert_validated(y.prepend(alpha))
 
 
-def act_point_canonical_laws(g):
+def reference_startswith(x, mu):
+    """startswith as first written: unroll x to mu's length and compare."""
+    return mu.range_vertex == x.range_vertex \
+        and (not x.is_finite or len(mu) <= len(x)) and x.head(len(mu)) == mu
+
+
+def reference_act_set(pw, U):
+    """act_set as first written: strip beta off each stem, then concat alpha."""
+    g, out = pw.graph, []
+    for stem, F in U.parts:
+        if stem.startswith(pw.beta):
+            out.append(Cylinder(g.concat(pw.alpha, g.strip_prefix(stem, len(pw.beta))), F))
+        elif pw.beta.startswith(stem) and len(pw.beta) > len(stem):
+            if pw.beta.instances[len(stem)] not in F:
+                out.append(Cylinder(pw.alpha, frozenset()))
+    return CompactOpen(g, out)
+
+
+def long_stems(g, x):
+    """A finite x's whole path and its one-letter extensions; for a periodic
+    x, its head past the prefix and two turns of the cycle, and that head
+    with one instance of the second turn swapped for another received at the
+    same vertex (cut after the swap when the sources differ)."""
+    if x.is_finite:
+        mu = x.head(len(x))
+        return [mu] + [g.trusted_path(mu.instances + (e,))
+                       for e in g.continuations(mu.source_vertex, copies=2)]
+    p, c = len(x.prefix), len(x.cycle)
+    mu = x.head(p + 2 * c + 1)
+    stems = [mu]
+    for i in range(p + c, p + 2 * c + 1):
+        old = mu.instances[i]
+        for e in g.continuations(g.r_of(old), copies=2):
+            if e != old:
+                rest = mu.instances[i + 1:] if g.s_of(e) == g.s_of(old) else ()
+                stems.append(g.trusted_path(mu.instances[:i] + (e,) + rest))
+    return stems
+
+
+def act_point_canonical_laws(g, seed):
     """act_point of every admissible word up to length 2 gives a canonical
-    point wherever it is defined on a probe point."""
+    point wherever it is defined on a probe point.  It equals the old
+    composite x.shift(len(beta)).prepend(alpha) there, and also for every
+    beta = head(k) that covers x's prefix: a finite x's whole path with a
+    one-step alpha, or a periodic x's head with an alpha that is empty or
+    ends in the cycle's last instance, which _absorb then takes back.
+    startswith and instance_at agree with the unrolled head, and act_set
+    with strip_prefix then concat on random compact opens."""
     # [1:] drops the empty word, which sorts first and has no beta
     maps = [PartialWord.from_word(g, w) for w in admissible_words(g, 2)[1:]]
+    betas = list(dict.fromkeys(pw.beta for pw in maps))
+    short = g.paths_up_to(1)
     for x in probe_points(g, 3):
+        stems = long_stems(g, x)
+        inside = {mu: x.startswith(mu) for mu in stems + betas}
+        for mu, got in inside.items():
+            assert got == reference_startswith(x, mu), (x, mu)
+        for i in range(len(stems[0])):
+            assert x.instance_at(i) == x.head(i + 1).instances[i]
         for pw in maps:
-            if x.startswith(pw.beta):
-                assert_validated(pw.act_point(x))
+            if inside[pw.beta]:
+                z = pw.act_point(x)
+                assert_validated(z)
+                assert z == x.shift(len(pw.beta)).prepend(pw.alpha), (x, pw)
+        for k in range(len(x.prefix), len(stems[0]) + 1):
+            y, beta = x.shift(k), x.head(k)
+            if x.is_finite:
+                alphas = [a for a in short if a.source_vertex == y.range_vertex]
+            else:
+                alphas = [g.vertex_path(y.range_vertex), g.trusted_path(y.cycle[-1:]),
+                          g.trusted_path(y.cycle)]
+            for a in alphas:
+                assert PartialWord(g, a, beta).act_point(x) == y.prepend(a), (x, a, beta)
+    rng = random.Random(seed)
+    for _ in range(3):
+        U = random_compact_open(g, rng)
+        for pw in maps:
+            got, want = pw.act_set(U), reference_act_set(pw, U)
+            assert got.parts == want.parts, (pw, U)
+            assert [c.stem.source_vertex for c in got.parts] \
+                == [c.stem.source_vertex for c in want.parts]
 
 
 @PROFILE
@@ -152,7 +224,7 @@ def test_shift_then_prepend_restores_and_stays_canonical(seed):
 @PROFILE
 @given(seeds)
 def test_act_point_results_are_canonical(seed):
-    act_point_canonical_laws(graph_of(seed))
+    act_point_canonical_laws(infinite_graph_of(seed), seed)
 
 
 @PROFILE

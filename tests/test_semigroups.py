@@ -82,6 +82,39 @@ def test_word_spellings_past_three_letters():
     assert FreeMonoidFamily(12).word("x12x1x10") == ("x12", "x1", "x10")
 
 
+def test_word_spelling_rule_matches_a_scan_over_the_letters():
+    """word splits by the spelling rule; the longest match over every
+    letter, as first written, splits the same way."""
+    def scan(fam, text):
+        w, rest = [], text
+        while rest:
+            c = max((l for l in fam.letters if rest.startswith(l)), key=len, default=rest)
+            w.append(c)
+            rest = rest[len(c):]
+        return tuple(w)
+
+    texts = ["", "x", "xyz", "zyx", "x1", "x10x1", "x12x1x10", "x0", "x01", "x99x100",
+             "x101", "x7x70x700", "x1q", "qx", "x", "x4x44x444"]
+    for n in (2, 3, 4, 5, 9, 10, 12, 99, 100, 700):
+        fam = FreeMonoidFamily(n)
+        for text in texts:
+            want = scan(fam, text)
+            if all(c in fam.letters for c in want):
+                assert fam.word(text) == want
+            else:
+                bad = next(c for c in want if c not in fam.letters)
+                with pytest.raises(SemigroupError, match=f"unknown letter {bad!r}"):
+                    fam.word(text)
+
+
+def test_free_kernel_refusal_spells_no_letters():
+    fam = FreeMonoidFamily(10**6)
+    assert fam.word("x1000000x1") == ("x1000000", "x1")
+    with pytest.raises(SemigroupError, match="past 10"):
+        fam.g0_report()
+    assert "letters" not in vars(fam)  # memory stays flat in n
+
+
 def test_word_cone_independence():
     rep = FreeMonoidFamily(2).independence_report()
     assert rep["independent"] and rep["exact"]
