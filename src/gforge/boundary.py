@@ -523,20 +523,31 @@ def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
     """A deterministic spread of boundary points for checks to probe.
 
     Every finite point whose path fits in `depth`, and every prefix-cycle
-    combination whose total length fits in it.
+    combination whose total length fits in it, each point once.  Only
+    canonical pairs are built, a primitive cycle behind a prefix that does
+    not end in the cycle's last instance: any other pair gives the point of
+    a pair with a shorter prefix or cycle, which comes first in paths_up_to
+    order, so the list is that of all pairs with repeats dropped.
     """
     paths = g.paths_up_to(depth)
-    cycles = [c for c in paths
-              if c.instances and c.range_vertex == c.source_vertex]
+    cycles = {}     # vertex -> primitive cycles there, in paths_up_to order
+    for c in paths:
+        insts = c.instances
+        if insts and c.range_vertex == c.source_vertex \
+                and len(_primitive_root(insts)) == len(insts):
+            cycles.setdefault(c.source_vertex, []).append(insts)
     pts = []
     for mu in paths:
-        if g.is_singular(mu.source_vertex):
-            pts.append(BoundaryPoint.finite(g, mu))
-        for cyc in cycles:
-            if len(mu) + len(cyc) <= depth \
-                    and cyc.range_vertex == mu.source_vertex:
-                pts.append(BoundaryPoint.periodic(g, mu, cyc))
-    return list(dict.fromkeys(pts))
+        v, pre = mu.source_vertex, mu.instances
+        if g.is_singular(v):
+            pts.append(BoundaryPoint(g, mu.range_vertex, pre, None))
+        room = depth - len(pre)
+        for cyc in cycles.get(v, ()):
+            if len(cyc) > room:
+                break
+            if not pre or pre[-1] != cyc[-1]:
+                pts.append(BoundaryPoint(g, mu.range_vertex, pre, cyc))
+    return pts
 
 
 # --------------------------------------------------------------- word calculus

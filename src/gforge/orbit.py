@@ -26,7 +26,7 @@ from .boundary import (
     probe_points,
     sample_point,
 )
-from .graph import Graph, GraphError, INFINITE
+from .graph import Graph, GraphError, INFINITE, Path
 from .words import ReducedWord
 
 
@@ -56,6 +56,19 @@ def _same_tail_shape(gs: Graph, v1: str, gt: Graph, v2: str, seen: set) -> bool:
         for e1, e2 in zip(gs.receivers(v1), gt.receivers(v2)))
 
 
+def partition_faults(g: Graph, cylinders, whole: CompactOpen):
+    """How the cylinders fail to partition `whole`: the indices of those
+    that meet an earlier one, in order, and whether together they cover it."""
+    covered = CompactOpen.empty(g)
+    overlaps = []
+    for i, c in enumerate(cylinders):
+        pc = CompactOpen(g, [c])
+        if not pc.intersect(covered).is_empty:
+            overlaps.append(i)
+        covered = covered.union(pc)
+    return overlaps, covered == whole
+
+
 class PrefixHomeo:
     """Boundary map by prefix substitution: each rule (mu, nu) sends
     mu followed by a tail to nu followed by the same tail.
@@ -77,13 +90,12 @@ class PrefixHomeo:
                     f"rule {source_graph.path_str(mu)} -> "
                     f"{target_graph.path_str(nu)} has incompatible tails")
         for g, side in ((source_graph, 0), (target_graph, 1)):
-            total = CompactOpen.empty(g)
-            for rule in rules:
-                piece = CompactOpen.cylinder(g, rule[side])
-                if not piece.intersect(total).is_empty:
-                    raise OrbitError(f"rule stems overlap on side {side}")
-                total = total.union(piece)
-            if total != CompactOpen.whole(g):
+            overlaps, covers = partition_faults(
+                g, [Cylinder(rule[side], frozenset()) for rule in rules],
+                CompactOpen.whole(g))
+            if overlaps:
+                raise OrbitError(f"rule stems overlap on side {side}")
+            if not covers:
                 raise OrbitError(f"rule stems do not cover side {side}")
         self.source_graph = source_graph
         self.target_graph = target_graph
@@ -179,18 +191,20 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
         rep["generators"] += 1
         pw = PartialWord.from_word(gs, gen)
         dom = pw.domain()
-        covered = CompactOpen.empty(gs)
-        for piece, value in coc.table[gen]:
+        in_dom = [x for x in pts if x in dom]   # every probed piece lies in dom
+        row = coc.table[gen]
+        overlaps, covers = partition_faults(gs, [piece for piece, _ in row], dom)
+        overlaps = set(overlaps)
+        for i, (piece, value) in enumerate(row):
             rep["pieces"] += 1
             pc = probed = CompactOpen(gs, [piece])
             if not pc.difference(dom).is_empty:
                 rep["failures"].append((str(gen), "piece outside domain"))
                 probed = pc.intersect(dom)      # gen acts only on dom
-            if not pc.intersect(covered).is_empty:
+            if i in overlaps:
                 rep["failures"].append((str(gen), "pieces overlap"))
-            covered = covered.union(pc)
             vw = PartialWord.from_word(gt, value)
-            for x in pts:
+            for x in in_dom:
                 if x not in probed:
                     continue
                 moved = homeo.apply(pw.act_point(x))
@@ -204,7 +218,7 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
                 if moved != matched:
                     rep["failures"].append(
                         (str(gen), f"mismatch at {point_str(x)}"))
-        if covered != dom:
+        if not covers:
             rep["failures"].append((str(gen), "pieces do not cover domain"))
     return rep
 
@@ -214,13 +228,10 @@ def oe_check(oe: OEData, depth: int = 3) -> dict:
     homeo = oe.homeo
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
-    covered = CompactOpen.empty(gs)
-    for c, _, _ in oe.pieces:
-        pc = CompactOpen(gs, [c])
-        if not pc.intersect(covered).is_empty:
-            rep["failures"].append(("partition", "pieces overlap"))
-        covered = covered.union(pc)
-    if covered != CompactOpen.whole(gs):
+    overlaps, covers = partition_faults(
+        gs, [c for c, _, _ in oe.pieces], CompactOpen.whole(gs))
+    rep["failures"] += [("partition", "pieces overlap")] * len(overlaps)
+    if not covers:
         rep["failures"].append(("partition", "pieces do not cover"))
     for x in probe_points(gs, depth):
         try:
@@ -283,41 +294,76 @@ def coe_to_oe(coc: Cocycle) -> OEData:
     return OEData(homeo, pieces)
 
 
-def oe_to_coe(oe: OEData) -> Cocycle:
-    """Rebuild a word cocycle from shift data.
+def _extensions(g: Graph, cyl: Cylinder, depth: int) -> list[Cylinder]:
+    """cyl cut into the cylinders of the stems that extend its stem to
+    `depth` letters, or stop earlier at a source with no receivers, the
+    first letter past the stem avoiding its exclusions; cyl itself when its
+    stem already has `depth` letters."""
+    stem, excl = cyl
+    if len(stem) >= depth:
+        return [cyl]
+    done, level = [], [stem]
+    for _ in range(depth - len(stem)):
+        nxt = []
+        for mu in level:
+            conts = g.continuations(mu.source_vertex)
+            if not conts:
+                done.append(mu)
+            nxt += [Path(mu.range_vertex, g.s_of(inst), mu.instances + (inst,))
+                    for inst in conts if inst not in excl]
+        level, excl = nxt, ()   # the exclusions bar the first step only
+    return [Cylinder(mu, frozenset()) for mu in done + level]
 
-    Pieces are refined to stems deep enough that the image heads the
-    values are read from are constant on each piece; one sample point
-    per refined stem then determines the value.
+
+def oe_to_coe(oe: OEData) -> Cocycle:
+    """Rebuild a word cocycle from shift data, refining each piece on its own.
+
+    On a piece (Z(s - F), k, l) the value at x is lam.kap^-1, with
+    lam = head_k(h(x.shift(1))) and kap = head_l(h(x)) for the homeo h.
+    Let R be the longest rule stem mu.  h(x) = nu.x.shift(len(mu)) for the
+    one rule whose mu heads x, so the first R letters of x fix the rule,
+    and the first len(mu) + max(l - len(nu), 0) <= R + l fix kap.
+    x.shift(1) is x read from its second letter, so the first 1 + R + k
+    letters of x fix lam.  The piece is therefore cut into the stems that
+    extend s to D = max(len(s), 1 + R + max(k, l)) letters, avoiding F at
+    the first step: all points of such a stem share their first D letters,
+    and a stem that stops earlier at a source with no receivers holds one
+    finite point.  Each carries one value, read at one sample point; when
+    len(s) >= D the piece itself does.  coe_to_oe reads (k, l) back off the
+    reduced values, no larger than before, so after one round every stem is
+    deep enough for its data and the next round keeps it whole.  Shift data
+    whose pieces overlap or leave a gap is refused.
     """
     homeo = oe.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
     _assert_finite_multiplicities(gs)
     _assert_finite_multiplicities(gt)
+    overlaps, covers = partition_faults(
+        gs, [c for c, _, _ in oe.pieces], CompactOpen.whole(gs))
+    if overlaps:
+        raise OrbitError(f"shift data pieces overlap at piece {overlaps[0]}")
+    if not covers:
+        raise OrbitError("shift data pieces do not cover the boundary")
     rule_len = max((len(mu) for mu, _ in homeo.rules), default=0)
-    piece_len = max((len(c.stem) for c, _, _ in oe.pieces), default=0)
-    step = max((max(k, l) for _, k, l in oe.pieces), default=0)
-    refine_depth = 2 * rule_len + piece_len + step + 2
     table = {}
-    for stem in gs.maximal_stems(refine_depth):
-        if not stem.instances:
-            continue
-        x = sample_point(gs, Cylinder(stem, frozenset()))
-        k, l = oe.lookup(x)
-        try:
-            lam = homeo.apply(x.shift(1)).head(k)
-            kap = homeo.apply(x).head(l)
-        except BoundaryError as exc:
-            raise OrbitError(
-                f"shift data runs past the image of {point_str(x)}") from exc
-        value = ReducedWord.from_pair(lam, kap)
-        first = stem.instances[0]
-        neg = ReducedWord(((first, 1),)).inverse()
-        table.setdefault(neg, []).append(
-            (Cylinder(stem, frozenset()), value))
-        pos = neg.inverse()
-        table.setdefault(pos, []).append(
-            (Cylinder(gs.strip_prefix(stem, 1), frozenset()), value.inverse()))
+    for piece, k, l in oe.pieces:
+        depth = 1 + rule_len + max(k, l)
+        for cyl in _extensions(gs, piece, depth):
+            x = sample_point(gs, cyl)
+            if x is None or not cyl.stem.instances:
+                continue    # empty, or a lone vertex the shift does not reach
+            try:
+                lam = homeo.apply(x.shift(1)).head(k)
+                kap = homeo.apply(x).head(l)
+            except BoundaryError as exc:
+                raise OrbitError(
+                    f"shift data runs past the image of {point_str(x)}") from exc
+            value = ReducedWord.from_pair(lam, kap)
+            stem = cyl.stem
+            neg = ReducedWord(((stem.instances[0], 1),)).inverse()
+            table.setdefault(neg, []).append((cyl, value))
+            table.setdefault(neg.inverse(), []).append(
+                (Cylinder(gs.strip_prefix(stem, 1), cyl.excl), value.inverse()))
     return Cocycle(homeo, table)
 
 
@@ -367,9 +413,13 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
 # --------------------------------------------------------------- examples
 
 def swap_homeo(g: Graph, eid_a: str = "a", eid_b: str = "b") -> PrefixHomeo:
-    """Exchange two parallel receiver instances at the first step."""
+    """Exchange two parallel receiver instances at the first step; every
+    other first step, and every other vertex, stays put."""
     pa, pb = g.path_of(eid_a), g.path_of(eid_b)
     rules = [(pa, pb), (pb, pa)]
+    for inst in g.continuations(pa.range_vertex):
+        if inst not in pa.instances + pb.instances:
+            rules.append((g.trusted_path((inst,)),) * 2)
     for v in g.vertices:
         if v != pa.range_vertex:
             rules.append((g.vertex_path(v), g.vertex_path(v)))

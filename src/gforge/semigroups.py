@@ -124,12 +124,14 @@ class FreeMonoidFamily:
     def name(self):
         return f"F_{self.n}+ in F_{self.n}"
 
+    def letter(self, i):
+        """Letter i, counted from 0: x, y, z for n <= 3, else x1, ..., xn."""
+        return "xyz"[i] if self.n <= 3 else f"x{i + 1}"
+
     @functools.cached_property
     def letters(self):
-        """x, y, z for n <= 3, else x1, ..., xn, spelled when first needed."""
-        if self.n <= 3:
-            return tuple("xyz"[:self.n])
-        return tuple(f"x{i + 1}" for i in range(self.n))
+        """Every letter, spelled when first needed."""
+        return tuple(map(self.letter, range(self.n)))
 
     def _longest_letter(self, text):
         """The longest letter that starts text, or None, by the spelling rule."""
@@ -167,9 +169,10 @@ class FreeMonoidFamily:
         rng = random.Random(seed)
         checks = 0
         for _ in range(trials):
-            stem = tuple(rng.choice(self.letters)
+            # randrange(n) draws as choice does over n letters
+            stem = tuple(self.letter(rng.randrange(self.n))
                          for _ in range(rng.randrange(0, 4)))
-            subs = [stem + tuple(rng.choice(self.letters)
+            subs = [stem + tuple(self.letter(rng.randrange(self.n))
                                  for _ in range(rng.randrange(1, 3)))
                     for _ in range(rng.randrange(1, 4))]
             for s in subs:
@@ -203,11 +206,11 @@ class FreeMonoidFamily:
             # an interior negative letter survives every positive append
             witness = {"direction": "forward", "cone": ""}
         elif all(s == 1 for _, s in w):
-            v = next(l for l in self.letters if l != w[0][0])
+            v = next(l for l in map(self.letter, (0, 1)) if l != w[0][0])
             witness = {"direction": "inverse", "cone": v}
         else:
             # ends with some y^-1; a clashing letter keeps it stuck
-            v = next(l for l in self.letters if l != w[-1][0])
+            v = next(l for l in map(self.letter, (0, 1)) if l != w[-1][0])
             witness = {"direction": "forward", "cone": v}
         g = w if witness["direction"] == "forward" else words.inverse(w)
         if self.cone_meets(g, witness["cone"]):
@@ -467,15 +470,19 @@ def boundary_paradox_witness(family, ideal, exclusions=(), depth=8):
         return any(w[:len(e)] == e for e in excl)
 
     # a word past a blocked prefix is blocked, so the first unblocked word
-    # of full length in letter order is what a depth-first search would find
-    words = (stem + t for t in itertools.product(family.letters, repeat=horizon - len(stem)))
+    # of full length in letter order is what a depth-first search would find.
+    # Every letter it passes over at a position heads a blocked subtree, which
+    # takes an exclusion running through that letter, so it takes one of the
+    # first len(excl) + 1 letters at each position.
+    first = [family.letter(i) for i in range(min(len(excl) + 1, family.n))]
+    words = (stem + t for t in itertools.product(first, repeat=horizon - len(stem)))
     base = next((w for w in words if not blocked(w)), None)
     if base is None:
         return None
-    tail = family.letters[0]
-    chi = ("".join(base) + "." if base else "") + f"({tail})^inf"
-    wa = base + (family.letters[0],)
-    wb = base + (family.letters[1],)
+    x, y = family.letter(0), family.letter(1)
+    chi = ("".join(base) + "." if base else "") + f"({x})^inf"
+    wa = base + (x,)
+    wb = base + (y,)
     verified = (not blocked(base)
                 and all(len(e) <= len(base) for e in excl)
                 and wa[:len(stem)] == stem and wa != wb)

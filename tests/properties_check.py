@@ -1,6 +1,6 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
-shift/prepend, canonical act_point and isotropy, and the word,
+shift/prepend, canonical act_point, isotropy and orbit, and the word,
 set-expression, graph JSON and point text roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
@@ -15,9 +15,12 @@ The point text, shift/prepend, act_point and isotropy laws probe every
 point of probe_points(g, 3), which grows fast with the graph, so they
 keep the three-vertex graphs of the default profile and gain only
 examples; the act_point law runs on infinite_graph_of(seed, 3), so
-each of its graphs has an infinite edge family.  The file name keeps it
-out of the default test collection: it takes about 175 s on 2 cores
-with Python 3.11.7, 60 s of it the act_point law.
+each of its graphs has an infinite edge family.  The orbit law runs on
+swap_graph_of(seed, 3): its cocycles have a piece per path of length
+1 + R + 2 and coe_check probes each against every point of its domain,
+so it too keeps three vertices.  The file name keeps it out of the
+default test collection: it takes about 190 s on 2 cores with Python
+3.11.7, 52 s of it the act_point law and 37 s the orbit law.
 """
 import random
 
@@ -32,6 +35,7 @@ from test_properties import (
     infinite_graph_of,
     invariance_laws,
     isotropy_laws,
+    orbit_laws,
     pair_map_laws,
     point_str_roundtrip_laws,
     seeds,
@@ -39,6 +43,7 @@ from test_properties import (
     set_laws,
     shift_prepend_laws,
     sigma_laws,
+    swap_graph_of,
     transport_laws,
     truncation_laws,
     word_roundtrip_laws,
@@ -141,3 +146,9 @@ def test_act_point_canonical_laws_deep(seed):
 @given(seeds)
 def test_isotropy_laws_deep(seed):
     isotropy_laws(graph_of(seed, 3))
+
+
+@DEEP
+@given(seeds)
+def test_orbit_laws_deep(seed):
+    orbit_laws(*swap_graph_of(seed, 3))

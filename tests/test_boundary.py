@@ -318,6 +318,37 @@ def test_sample_point_lands_inside():
             assert x in CompactOpen.whole(g)
 
 
+def reference_probe_points(g, depth=3):
+    """The former probe_points, kept as an oracle: every prefix with every
+    cycle that fits, each made canonical by periodic, repeats dropped."""
+    paths = g.paths_up_to(depth)
+    cycles = [c for c in paths
+              if c.instances and c.range_vertex == c.source_vertex]
+    pts = []
+    for mu in paths:
+        if g.is_singular(mu.source_vertex):
+            pts.append(BoundaryPoint.finite(g, mu))
+        for cyc in cycles:
+            if len(mu) + len(cyc) <= depth \
+                    and cyc.range_vertex == mu.source_vertex:
+                pts.append(BoundaryPoint.periodic(g, mu, cyc))
+    return list(dict.fromkeys(pts))
+
+
+def assert_probe_points_match_reference(g, depths):
+    for depth in depths:
+        pts = probe_points(g, depth)
+        assert pts == reference_probe_points(g, depth), depth
+        # equal points may still differ in shape; these are built unchecked
+        for y in pts:
+            assert_validated(y)
+
+
+def test_probe_points_match_reference(corpus_graph):
+    _, g = corpus_graph
+    assert_probe_points_match_reference(g, range(7))
+
+
 def assert_validated(y):
     """y equals finite/periodic rebuilt from its own prefix and cycle,
     both made into paths by make_path."""

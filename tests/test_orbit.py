@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
 from gforge import corpus
-from gforge.boundary import Cylinder, parse_point, point_str, probe_points
+from gforge.boundary import (
+    CompactOpen,
+    Cylinder,
+    parse_point,
+    point_str,
+    probe_points,
+    sample_point,
+    set_str,
+)
 from gforge.graph import GraphError
 from gforge.orbit import (
     Cocycle,
@@ -19,7 +29,7 @@ from gforge.orbit import (
     swap_cocycle_two_loops,
     swap_homeo,
 )
-from gforge.words import parse_word
+from gforge.words import ReducedWord, parse_word
 
 
 def inverse_homeo(h):
@@ -130,8 +140,6 @@ def test_identity_oe_data():
 
 
 def point_str_cyl(g, c):
-    from gforge.boundary import set_str
-    from gforge.boundary import CompactOpen
     return set_str(CompactOpen(g, [c]))
 
 
@@ -163,11 +171,14 @@ def test_oe_lookup_escape():
     assert any(f[0] == "partition" for f in oe_check(oe, 2)["failures"])
 
 
-@pytest.mark.parametrize("make", [
+OE_EXAMPLES = [
     lambda: identity_cocycle(corpus.g2()),
     lambda: swap_cocycle_two_loops(corpus.g2()),
     lambda: swap_cocycle_parallel_pair(corpus.p2()),
-])
+]
+
+
+@pytest.mark.parametrize("make", OE_EXAMPLES)
 def test_coe_oe_roundtrip(make):
     coc = make()
     oe = coe_to_oe(coc)
@@ -229,3 +240,172 @@ def test_cocycles_agree_verdicts_on_the_oe_examples():
         assert cocycles_agree(examples[0], swap, depth) == (depth == 0)
         assert cocycles_agree(swap, crossed, depth) == (depth == 0)
         assert cocycles_agree(crossed, swap, depth) == (depth == 0)
+
+
+# ------------------------------------------- per-piece refinement and oracles
+
+def global_oe_to_coe(oe):
+    """The former oe_to_coe, kept as an oracle: every stem refined to one
+    depth computed from all the data, 2R + (longest piece stem) + (largest
+    shift) + 2, each refined stem's value read at its sample point."""
+    homeo = oe.homeo
+    gs = homeo.source_graph
+    rule_len = max(len(mu) for mu, _ in homeo.rules)
+    piece_len = max(len(c.stem) for c, _, _ in oe.pieces)
+    step = max(max(k, l) for _, k, l in oe.pieces)
+    table = {}
+    for stem in gs.maximal_stems(2 * rule_len + piece_len + step + 2):
+        if not stem.instances:
+            continue
+        x = sample_point(gs, Cylinder(stem, frozenset()))
+        k, l = oe.lookup(x)
+        value = ReducedWord.from_pair(homeo.apply(x.shift(1)).head(k),
+                                      homeo.apply(x).head(l))
+        neg = ReducedWord(((stem.instances[0], 1),)).inverse()
+        table.setdefault(neg, []).append((Cylinder(stem, frozenset()), value))
+        table.setdefault(neg.inverse(), []).append(
+            (Cylinder(gs.strip_prefix(stem, 1), frozenset()), value.inverse()))
+    return Cocycle(homeo, table)
+
+
+def swap_oe_data(g, a, b):
+    """The first-letter swap of the parallel single edges a and b, with
+    closed-form shift data on the maximal stems of depth 2.
+
+    Swapping the first letter of x and of x.shift(1) differs past the head
+    only when the second letter of x is a or b: then one shift step on the
+    image of x.shift(1) meets two on the image of x, (k, l) = (1, 2).
+    Elsewhere (0, 1), and a vertex with no receivers, which no shift
+    reaches, gets (0, 0).
+    """
+    swapped = {g.instance(a), g.instance(b)}
+    pieces = []
+    for stem in g.maximal_stems(2):
+        if not stem.instances:
+            kl = (0, 0)
+        elif len(stem) == 2 and stem.instances[1] in swapped:
+            kl = (1, 2)
+        else:
+            kl = (0, 1)
+        pieces.append((Cylinder(stem, frozenset()), *kl))
+    return OEData(swap_homeo(g, a, b), pieces)
+
+
+def row_sizes(coc):
+    return sum(len(row) for row in coc.table.values())
+
+
+def test_per_piece_refinement_agrees_with_global_refinement():
+    for make in OE_EXAMPLES:
+        oe = coe_to_oe(make())
+        new, old = oe_to_coe(oe), global_oe_to_coe(oe)
+        assert row_sizes(new) <= row_sizes(old)
+        for depth in range(5):
+            assert cocycles_agree(new, old, depth)
+            assert cocycles_agree(old, new, depth)
+
+
+def round_trip_sizes(oe, rounds):
+    """Piece counts along oe -> coe -> oe -> ..., and the last cocycle."""
+    sizes = [len(oe.pieces)]
+    for _ in range(rounds):
+        coc = oe_to_coe(oe)
+        oe = coe_to_oe(coc)
+        sizes += [row_sizes(coc), len(oe.pieces)]
+    return sizes, coc
+
+
+def test_swap_g2_round_trip_reaches_a_fixed_piece_set():
+    # the global refinement went 4 -> 512 -> 256 -> 32,768
+    sizes, coc = round_trip_sizes(coe_to_oe(swap_cocycle_two_loops(corpus.g2())), 3)
+    assert sizes == [4, 32, 16, 32, 16, 32, 16]
+    assert coe_check(coc, 3)["failures"] == []
+
+
+def test_random_graph_swap_round_trip_reaches_a_fixed_piece_set():
+    # v3 receives the parallel pair e8, e9 from v2 and the loop e10; the
+    # global refinement gave 14,248 pieces and did not finish a second round
+    g = corpus.random_graph(random.Random(0), 4)
+    oe = swap_oe_data(g, "e8", "e9")
+    sizes, coc = round_trip_sizes(oe, 2)
+    assert sizes == [len(g.maximal_stems(2)), 200, 100, 200, 100]
+    rep = coe_check(coc, 3)
+    assert rep["failures"] == [] and rep["checked"] > 0
+    assert oe_agree(coe_to_oe(coc), oe, 4)
+
+
+def test_refinement_keeps_exclusions_on_the_first_step():
+    # the identity's rules have stems of length R = 0, so each piece needs
+    # 1 + R + max(k, l) = 2 letters: Z(a.a.a - {a}) stays whole, exclusion
+    # and all, Z(a - {a}) becomes Z(a.b), and Z(b) is cut into Z(b.a) and
+    # Z(b.b)
+    g = corpus.g2()
+    a = g.instance("a")
+
+    def z(*ids, excl=()):
+        return Cylinder(g.path_of(*ids), frozenset(excl))
+    pieces = [(z("a", "a", "a", excl=[a]), 0, 1), (z("a", "a", "a", "a"), 0, 1),
+              (z("a", "a", "b"), 0, 1), (z("a", excl=[a]), 0, 1), (z("b"), 0, 1)]
+    coc = oe_to_coe(OEData(PrefixHomeo.identity(g), pieces))
+    a_inv, b_inv = parse_word("a^-1"), parse_word("b^-1")
+    assert coc.table[a_inv] == (
+        (z("a", "a", "a", excl=[a]), a_inv), (z("a", "a", "a", "a"), a_inv),
+        (z("a", "a", "b"), a_inv), (z("a", "b"), a_inv))
+    assert coc.table[b_inv] == ((z("b", "a"), b_inv), (z("b", "b"), b_inv))
+    assert coe_check(coc, 4)["failures"] == []
+    assert cocycles_agree(coc, identity_cocycle(g), 4)
+
+
+def test_refinement_under_rule_stems_of_two_lengths():
+    # on g2, a.a -> a, a.b -> b.a and b -> b.b: R = 2, and the shift data
+    # was worked out by hand on the stems below
+    g = corpus.g2()
+    p = g.path_of
+    homeo = PrefixHomeo(g, g, [(p("a", "a"), p("a")), (p("a", "b"), p("b", "a")),
+                               (p("b"), p("b", "b"))])
+
+    def z(*ids):
+        return Cylinder(p(*ids), frozenset())
+    oe = OEData(homeo, [(z("a", "a", "a"), 0, 1), (z("a", "a", "b"), 2, 2),
+                        (z("a", "b"), 2, 2), (z("b", "a", "a"), 0, 3),
+                        (z("b", "a", "b"), 2, 4), (z("b", "b"), 0, 1)])
+    rep = oe_check(oe, 6)
+    assert rep["failures"] == [] and rep["checked"] == 306
+    sizes, coc = round_trip_sizes(oe, 2)
+    assert sizes == [6, 84, 42, 84, 42]     # the global refinement: 16,384
+    assert coe_check(coc, 4)["failures"] == []
+    assert oe_agree(coe_to_oe(coc), oe, 5)
+
+
+def test_oe_to_coe_refuses_overlapping_pieces():
+    g = corpus.g2()
+    oe = coe_to_oe(identity_cocycle(g))
+    extra = (Cylinder(g.path_of("a", "b"), frozenset()), 0, 1)
+    with pytest.raises(OrbitError, match="overlap"):
+        oe_to_coe(OEData(oe.homeo, oe.pieces + (extra,)))
+    assert oe_check(OEData(oe.homeo, oe.pieces + (extra,)), 2)["failures"][0] \
+        == ("partition", "pieces overlap")
+
+
+def test_oe_to_coe_refuses_a_gap():
+    g = corpus.g2()
+    oe = OEData(PrefixHomeo.identity(g),
+                [(Cylinder(g.path_of("a"), frozenset()), 0, 1),
+                 (Cylinder(g.path_of("b", "a"), frozenset()), 0, 1)])
+    with pytest.raises(OrbitError, match="do not cover"):
+        oe_to_coe(oe)
+
+
+def test_coe_check_reports_overlap_in_place():
+    # the overlap entry comes right after the overlapping piece's own
+    # outside-domain entry, and the cover entry, for a union that is not
+    # the domain, closes the row
+    g = corpus.g2()
+    coc = identity_cocycle(g)
+    gen = parse_word("a^-1")
+    za = Cylinder(g.path_of("a"), frozenset())
+    zv = Cylinder(g.vertex_path("v"), frozenset())
+    coc.table[gen] = ((za, gen), (zv, gen))
+    assert coe_check(coc, depth=2)["failures"] == [
+        ("a^-1", "piece outside domain"), ("a^-1", "pieces overlap"),
+        ("a^-1", "pieces do not cover domain")]

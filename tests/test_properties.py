@@ -7,8 +7,8 @@ insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
-act_point_canonical_laws, isotropy_laws and the four roundtrip laws on
-larger graphs.
+act_point_canonical_laws, isotropy_laws, orbit_laws and the four
+roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -42,11 +42,18 @@ from gforge.invsgp import (
     sigma,
     verify_partial_hom,
 )
+from gforge.orbit import OEData, coe_check, coe_to_oe, oe_agree, oe_check, oe_to_coe
 from gforge.paradox import expand_witness, find_witness, verify_witness
 from gforge.words import ReducedWord, parse_word
-from test_boundary import assert_validated, random_compact_open, reference_partial_action
+from test_boundary import (
+    assert_probe_points_match_reference,
+    assert_validated,
+    random_compact_open,
+    reference_partial_action,
+)
 from test_groupoid import assert_germ, inverse
 from test_invsgp import reference_partial_hom
+from test_orbit import swap_oe_data
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -439,6 +446,65 @@ def isotropy_laws(g):
 @given(seeds)
 def test_isotropy_words_match_head_pair_search(seed):
     isotropy_laws(graph_of(seed))
+
+
+def probe_points_laws(g):
+    """probe_points, building canonical pairs only, gives the list of the
+    former all-pairs enumeration, order included, at depths 0-4."""
+    assert_probe_points_match_reference(g, range(5))
+
+
+@PROFILE
+@given(seeds)
+def test_probe_points_match_reference_on_random_graphs(seed):
+    probe_points_laws(infinite_graph_of(seed))
+    probe_points_laws(graph_of(seed))
+
+
+def swap_graph_of(seed, max_vertices=3):
+    """(g, a, b) for the first graph random_graph draws from Random(seed),
+    all multiplicities finite, with a parallel pair a, b of single edges
+    into a vertex that is the source of some edge, so that some stem of
+    length 2 has a or b as its second letter."""
+    rng = random.Random(seed)
+    while True:
+        g = corpus.random_graph(rng, max_vertices)
+        singles = [e for e in g.edges.values() if e.multiplicity == 1]
+        for i, a in enumerate(singles):
+            for b in singles[i + 1:]:
+                if (a.range_vertex, a.source_vertex) == (b.range_vertex, b.source_vertex) \
+                        and any(e.source_vertex == a.range_vertex for e in g.edges.values()):
+                    return g, a.eid, b.eid
+
+
+def point_size(x):
+    return len(x.prefix) + len(x.cycle or ())
+
+
+def orbit_laws(g, a, b):
+    """The first-letter swap of a and b against its closed-form shift data:
+    oe_check is clean, the data survives a coe -> oe -> coe round, and
+    turning one (1, 2) piece into (0, 1) fails oe_check."""
+    oe = swap_oe_data(g, a, b)
+    # the mutant is the (1, 2) piece with the shortest sample point, and the
+    # depth reaches that point: its prefix and primitive cycle are a pair
+    # probe_points builds
+    depth, i = min((max(3, point_size(sample_point(g, c))), i)
+                   for i, (c, k, l) in enumerate(oe.pieces) if (k, l) == (1, 2))
+    rep = oe_check(oe, depth)
+    assert rep["failures"] == [] and rep["checked"] > 0
+    coc = oe_to_coe(oe)
+    assert coe_check(coc)["failures"] == []
+    assert oe_agree(coe_to_oe(coc), oe)
+    mutant = list(oe.pieces)
+    mutant[i] = (mutant[i][0], 0, 1)
+    assert oe_check(OEData(oe.homeo, mutant), depth)["failures"]
+
+
+@PROFILE
+@given(seeds)
+def test_orbit_laws(seed):
+    orbit_laws(*swap_graph_of(seed))
 
 
 def germ_laws(g):

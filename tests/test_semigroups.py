@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -113,6 +115,35 @@ def test_free_kernel_refusal_spells_no_letters():
     with pytest.raises(SemigroupError, match="past 10"):
         fam.g0_report()
     assert "letters" not in vars(fam)  # memory stays flat in n
+
+
+def test_free_witness_independence_and_certificates_spell_no_letters():
+    fam = FreeMonoidFamily(10**6)
+    wit = boundary_paradox_witness(fam, "x1", ["x1x1", "x1x2"])
+    assert (wit["ideal"], wit["pair"], wit["verified"]) == ("x1x3", ("x1x3x1", "x1x3x2"), True)
+    assert fam.independence_report() == {"independent": True, "exact": True, "checks": 50}
+    assert fam.g0_witness((("x1", 1),)) == {"direction": "inverse", "cone": "x2"}
+    assert fam.g0_witness((("x2", 1), ("x1", -1))) == {"direction": "forward", "cone": "x2"}
+    assert "letters" not in vars(fam)  # memory stays flat in n
+
+
+def test_free_witness_search_matches_a_search_over_every_letter():
+    # the search tries only the first len(excl) + 1 letters at each position
+    rng = random.Random(7)
+    for n in (2, 3, 4, 5, 12):
+        fam = FreeMonoidFamily(n)
+        near = fam.letters[:4]    # exclusions that pass over the first letters
+        for _ in range(60):
+            stem = tuple(rng.choice(fam.letters) for _ in range(rng.randrange(0, 2)))
+            excl = [stem + tuple(rng.choice(near) for _ in range(rng.randrange(1, 3)))
+                    for _ in range(rng.randrange(0, 7))]
+            horizon = max([len(e) for e in excl] + [len(stem)])
+            every = (stem + t for t in itertools.product(fam.letters, repeat=horizon - len(stem)))
+            want = next((w for w in every if not any(w[:len(e)] == e for e in excl)), None)
+            got = boundary_paradox_witness(fam, stem, excl)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got["ideal"] == "".join(want) and got["verified"]
 
 
 def test_word_cone_independence():
