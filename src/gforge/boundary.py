@@ -37,11 +37,20 @@ def _primitive_root(insts):
 
 def _absorb(pre: tuple, cyc: tuple):
     """The same prefix.cycle^inf with no prefix letter equal to the cycle's
-    last: each such letter moves into a rotation of the cycle."""
-    while pre and pre[-1] == cyc[-1]:
-        pre = pre[:-1]
-        cyc = cyc[-1:] + cyc[:-1]
-    return pre, cyc
+    last: each such letter moves into a rotation of the cycle.
+
+    The k letters absorbed are the prefix's tail that reads the cycle
+    backwards from its last letter; the prefix is cut once and the cycle
+    turned once, by k mod its length.
+    """
+    if not pre or pre[-1] != cyc[-1]:
+        return pre, cyc
+    n, c = len(pre), len(cyc)
+    k = 1
+    while k < n and pre[n - 1 - k] == cyc[-1 - k % c]:
+        k += 1
+    j = c - k % c
+    return pre[:n - k], cyc[j:] + cyc[:j]
 
 
 class BoundaryPoint:
@@ -557,20 +566,28 @@ def admissible_words(g: Graph, bound: int) -> list[ReducedWord]:
     total length at most the bound, the empty word included.
 
     Pairs sharing a last instance are skipped: their word already arises from
-    the shorter pair.
+    the shorter pair.  The paths are grouped by source vertex, then by last
+    instance (None for a vertex), each group in length order, so only the
+    pairs that give a word are visited: alpha walks the groups of its
+    source whose last instance differs from its own and stops each at the
+    length left.
     """
-    paths = g.paths_up_to(bound)
+    groups = {}
+    for mu in g.paths_up_to(bound):
+        last = mu.instances[-1] if mu.instances else None
+        groups.setdefault(mu.source_vertex, {}).setdefault(last, []).append(mu)
     words = {ReducedWord()}
-    for alpha in paths:
-        for beta in paths:
-            if len(alpha) + len(beta) > bound:
-                continue
-            if alpha.source_vertex != beta.source_vertex:
-                continue
-            if alpha.instances and beta.instances \
-                    and alpha.instances[-1] == beta.instances[-1]:
-                continue
-            words.add(ReducedWord.from_pair(alpha, beta))
+    for by_last in groups.values():
+        for last, alphas in by_last.items():
+            for alpha in alphas:
+                room = bound - len(alpha.instances)
+                for other, betas in by_last.items():
+                    if last is not None and other == last:
+                        continue
+                    for beta in betas:
+                        if len(beta.instances) > room:
+                            break
+                        words.add(ReducedWord.from_pair(alpha, beta))
     return sorted(words, key=ReducedWord.sort_key)
 
 

@@ -16,7 +16,9 @@ Input is validated once, where it enters: Graph() (with from_json and
 loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
 BoundaryPoint.finite/periodic, PartialWord.from_word and DRElement.make.
 Code that already holds composable instances builds paths with the
-unchecked trusted_path.
+unchecked trusted_path; likewise, words._trusted builds a word from a
+letter tuple without reducing it, and its precondition is that the
+tuple is already freely reduced.
 """
 from __future__ import annotations
 

@@ -398,14 +398,22 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
 
 
 def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
-    """Pointwise-equal shift counts wherever the shift is defined."""
+    """Equal homeomorphisms and pointwise-equal cocycle values l - k
+    wherever the shift is defined.
+
+    The pair (k, l) itself is not an invariant: wherever (k, l) holds, so
+    does (k + 1, l + 1), and a round through the cocycle reads the pair off
+    a reduced value word, so valid data that is not reduced would fail a
+    literal comparison.
+    """
     gs = o1.homeo.source_graph
     for x in probe_points(gs, depth):
         if o1.homeo.apply(x) != o2.homeo.apply(x):
             return False
         if x.is_finite and len(x) == 0:
             continue
-        if o1.lookup(x) != o2.lookup(x):
+        (k1, l1), (k2, l2) = o1.lookup(x), o2.lookup(x)
+        if l1 - k1 != l2 - k2:
             return False
     return True
 

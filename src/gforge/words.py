@@ -4,10 +4,18 @@ A word is a product of edge instances and their formal inverses, kept in
 reduced form (no x.x^-1 or x^-1.x next to each other).  Serialization uses
 dots: "a.b^-1.f[3]"; the empty word prints as "1".  Copy indices appear only
 when positive, so "f" means the 0th copy of f.
+
+The seam rule: a product of two reduced words, and mu.nu^-1 for two paths
+(whose letters are all positive), can cancel only where the factors meet.
+The calculus counts the cancelled letters from the seam, slices once and
+builds the result with the unchecked _trusted, so a product costs its
+output, not a reduction over every letter.  Signs are +1 and -1, so two
+letters are inverse when their generators match and their signs differ.
 """
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .graph import EdgeInstance, instance_token
 
@@ -84,22 +92,35 @@ class ReducedWord:
 
     @classmethod
     def from_path(cls, mu):
-        return cls((inst, 1) for inst in mu.instances)
+        return _trusted(tuple(zip(mu.instances, repeat(1))))
 
     @classmethod
     def from_pair(cls, mu, nu):
-        """mu . nu^-1 for paths mu, nu."""
-        pos = [(inst, 1) for inst in mu.instances]
-        neg = [(inst, -1) for inst in reversed(nu.instances)]
-        return cls(pos + neg)
+        """mu . nu^-1 for paths mu, nu: a shared tail of k instances cancels
+        at the seam, and nothing else can."""
+        m, n = mu.instances, nu.instances
+        if m and n and m[-1] == n[-1]:
+            k, top = 1, min(len(m), len(n))
+            while k < top and m[-1 - k] == n[-1 - k]:
+                k += 1
+            m, n = m[:len(m) - k], n[:len(n) - k]
+        return _trusted((*zip(m, repeat(1)), *zip(reversed(n), repeat(-1))))
 
     def __mul__(self, other):
+        """Both factors are reduced, so letters cancel only at the seam."""
         if not isinstance(other, ReducedWord):
             return NotImplemented
-        return ReducedWord(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        if not (a and b and a[-1][0] == b[0][0] and a[-1][1] != b[0][1]):
+            return _trusted(a + b)
+        n = len(a)
+        k, top = 1, min(n, len(b))
+        while k < top and a[n - 1 - k][0] == b[k][0] and a[n - 1 - k][1] != b[k][1]:
+            k += 1
+        return _trusted(a[:n - k] + b[k:])
 
     def inverse(self):
-        return ReducedWord(inverse(self.letters))
+        return _trusted(inverse(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -126,7 +147,21 @@ class ReducedWord:
         return not self.letters
 
     def sort_key(self):
-        return (len(self.letters), tuple((e, c, s) for (e, c), s in self.letters))
+        """Length first, then the letters; a letter ((edge, copy), sign)
+        compares as the flat (edge, copy, sign) would."""
+        return (len(self.letters), self.letters)
+
+
+def _trusted(letters: tuple) -> ReducedWord:
+    """The word of a letter tuple, built without reducing it.
+
+    Precondition: letters is a tuple that is already freely reduced, as
+    trusted_path's instances already compose.
+    """
+    word = object.__new__(ReducedWord)
+    word.letters = letters
+    word._hash = hash(letters)
+    return word
 
 
 def parse_word(text: str) -> ReducedWord:

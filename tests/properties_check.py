@@ -1,7 +1,7 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
-shift/prepend, canonical act_point, isotropy and orbit, and the word,
-set-expression, graph JSON and point text roundtrips.
+shift/prepend, canonical act_point, isotropy, orbit and word kernel, and
+the word, set-expression, graph JSON and point text roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
@@ -18,9 +18,11 @@ examples; the act_point law runs on infinite_graph_of(seed, 3), so
 each of its graphs has an infinite edge family.  The orbit law runs on
 swap_graph_of(seed, 3): its cocycles have a piece per path of length
 1 + R + 2 and coe_check probes each against every point of its domain,
-so it too keeps three vertices.  The file name keeps it out of the
-default test collection: it takes about 190 s on 2 cores with Python
-3.11.7, 52 s of it the act_point law and 37 s the orbit law.
+so it too keeps three vertices.  The word kernel law runs on the
+four-vertex graphs of graph_of and compares spread samples of words,
+paths and points, about 10 s.  The file name keeps it out of the
+default test collection: it takes about 125 s on 2 cores with Python
+3.11.7, 33 s of it the act_point law and 21 s the orbit law.
 """
 import random
 
@@ -46,6 +48,7 @@ from test_properties import (
     swap_graph_of,
     transport_laws,
     truncation_laws,
+    word_kernel_laws,
     word_roundtrip_laws,
 )
 
@@ -68,6 +71,12 @@ def test_germ_laws_deep(seed):
 @given(seeds)
 def test_sigma_laws_deep(seed):
     sigma_laws(graph_of(seed))
+
+
+@DEEP
+@given(seeds)
+def test_word_kernel_laws_deep(seed):
+    word_kernel_laws(graph_of(seed))
 
 
 @DEEP

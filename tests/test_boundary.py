@@ -28,6 +28,7 @@ from gforge.boundary import (
     topological_freeness_report,
     verify_partial_action,
 )
+from gforge.boundary import _absorb
 from gforge.graph import Edge, EdgeInstance, Graph, GraphError, condition_l, first_return_profile
 from gforge.orbit import PrefixHomeo, swap_homeo
 from gforge.paradox import infinite_loops
@@ -488,6 +489,69 @@ def test_admissible_words_count_g2():
     ws = admissible_words(corpus.g2(), 2)
     assert len(ws) == 15
     assert len(set(map(str, ws))) == 15
+
+
+def reference_admissible_words(g, bound):
+    """admissible_words as first written: every pair of paths_up_to(bound),
+    each word built by full reduction."""
+    paths = g.paths_up_to(bound)
+    words = {ReducedWord()}
+    for alpha in paths:
+        for beta in paths:
+            if len(alpha) + len(beta) > bound:
+                continue
+            if alpha.source_vertex != beta.source_vertex:
+                continue
+            if alpha.instances and beta.instances \
+                    and alpha.instances[-1] == beta.instances[-1]:
+                continue
+            words.add(ReducedWord([(i, 1) for i in alpha.instances]
+                                  + [(i, -1) for i in reversed(beta.instances)]))
+    return sorted(words, key=ReducedWord.sort_key)
+
+
+@pytest.mark.parametrize("name, bound, count", [("g1", 250, 501), ("g2", 6, 511),
+                                                ("g3", 3, 3), ("g4", 40, 161)])
+def test_admissible_words_match_all_pairs_at_germ_bounds(name, bound, count):
+    # the four graphs and word bounds of the germ checks of criterion 1
+    g = corpus.by_name(name)
+    ws = admissible_words(g, bound)
+    assert len(ws) == count
+    assert ws == reference_admissible_words(g, bound)
+
+
+def reference_absorb(pre, cyc):
+    """_absorb as first written: one letter at a time."""
+    while pre and pre[-1] == cyc[-1]:
+        pre = pre[:-1]
+        cyc = cyc[-1:] + cyc[:-1]
+    return pre, cyc
+
+
+@pytest.mark.parametrize("pre, cyc, want", [
+    # several full periods and two letters more: the cycle turns by 8 mod 3
+    (tuple("qyzxyzxyz"), tuple("xyz"), (tuple("q"), tuple("yzx"))),
+    # an exact whole number of periods: the cycle does not turn
+    (tuple("qxyzxyzxyz"), tuple("xyz"), (tuple("q"), tuple("xyz"))),
+    # the whole prefix is absorbed
+    (tuple("yzxyz"), tuple("xyz"), ((), tuple("yzx"))),
+    # a cycle of length 1
+    (("q",) + ("a",) * 250, ("a",), (("q",), ("a",))),
+    (("a",) * 250, ("a",), ((), ("a",))),
+    # nothing to absorb
+    (tuple("xyzq"), tuple("xyz"), (tuple("xyzq"), tuple("xyz"))),
+    ((), tuple("xyz"), ((), tuple("xyz"))),
+])
+def test_absorb_counts_the_letters_once(pre, cyc, want):
+    assert _absorb(pre, cyc) == want == reference_absorb(pre, cyc)
+
+
+def test_long_word_acts_on_a_one_letter_cycle():
+    g = corpus.g1()
+    x = parse_point(g, "(a)^inf")
+    a250 = parse_word(".".join(["a"] * 250))
+    for word in (a250, a250.inverse()):
+        assert PartialWord.from_word(g, word).act_point(x) == x
 
 
 # ---------------------------------------------------------------- isotropy

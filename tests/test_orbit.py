@@ -377,6 +377,34 @@ def test_refinement_under_rule_stems_of_two_lengths():
     assert oe_agree(coe_to_oe(coc), oe, 5)
 
 
+def test_oe_agree_compares_cocycle_values_not_shift_pairs():
+    # the homeo and data of test_refinement_under_rule_stems_of_two_lengths,
+    # with (1, 4) on Z(b.a.a) where that test has (0, 3): valid too, since
+    # (k + 1, l + 1) holds wherever (k, l) does, but a round reads (0, 3)
+    # back off the reduced value word
+    g = corpus.g2()
+    p = g.path_of
+    homeo = PrefixHomeo(g, g, [(p("a", "a"), p("a")), (p("a", "b"), p("b", "a")),
+                               (p("b"), p("b", "b"))])
+
+    def z(*ids):
+        return Cylinder(p(*ids), frozenset())
+
+    def data(k, l):
+        return OEData(homeo, [(z("a", "a", "a"), 0, 1), (z("a", "a", "b"), 2, 2),
+                              (z("a", "b"), 2, 2), (z("b", "a", "a"), k, l),
+                              (z("b", "a", "b"), 2, 4), (z("b", "b"), 0, 1)])
+    oe = data(1, 4)
+    rep = oe_check(oe, 6)
+    assert rep["failures"] == [] and rep["checked"] == 306
+    again = coe_to_oe(oe_to_coe(oe))
+    x = sample_point(g, z("b", "a", "a"))
+    assert again.lookup(x) == (0, 3) != oe.lookup(x)
+    assert oe_agree(again, oe, 5) and oe_agree(oe, data(0, 3), 5)
+    # a different value on the piece still disagrees
+    assert not oe_agree(oe, data(1, 3), 5)
+
+
 def test_oe_to_coe_refuses_overlapping_pieces():
     g = corpus.g2()
     oe = coe_to_oe(identity_cocycle(g))

@@ -7,8 +7,8 @@ insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
-act_point_canonical_laws, isotropy_laws, orbit_laws and the four
-roundtrip laws on larger graphs.
+act_point_canonical_laws, isotropy_laws, orbit_laws, word_kernel_laws
+and the four roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -33,6 +33,7 @@ from gforge.boundary import (
     set_str,
     verify_partial_action,
 )
+from gforge.boundary import _absorb
 from gforge.cli import parse_set_expr
 from gforge.graph import INFINITE, EdgeInstance, Graph
 from gforge.groupoid import PTGElement, to_dr, to_ptg
@@ -49,11 +50,14 @@ from test_boundary import (
     assert_probe_points_match_reference,
     assert_validated,
     random_compact_open,
+    reference_absorb,
+    reference_admissible_words,
     reference_partial_action,
 )
 from test_groupoid import assert_germ, inverse
 from test_invsgp import reference_partial_hom
 from test_orbit import swap_oe_data
+from test_words import reference_sort_key
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -353,6 +357,67 @@ def test_set_expressions_roundtrip_through_text(seed):
 @given(seeds)
 def test_graph_json_roundtrips(seed):
     graph_json_roundtrip_laws(infinite_graph_of(seed))
+
+
+def spread(items, n):
+    """At most about n of the items, evenly spaced, the first included."""
+    return items[::max(1, len(items) // n)]
+
+
+def word_kernel_laws(g):
+    """The seam-only word kernels give what full reduction gave.
+
+    __mul__ on spread pairs of reduced words of length <= 2 and on their
+    fifth powers, each also against its own inverse, equals ReducedWord
+    of the concatenated letters, and so does from_pair on spread pairs of
+    paths of length <= 3 with a common source, some sharing a last
+    instance, each pair also with five turns of a cycle at that source
+    appended to both halves.  admissible_words equals the all-pairs loop
+    at bound 3, or 2 where paths_up_to(3) is large.  _absorb equals the
+    one-letter loop on the heads of spread periodic probe points read
+    against the cycle of the shifted point, with and without a short path
+    in front, and takes each bare head past the prefix back to the point's
+    own canonical pair.  sort_key orders words as the per-letter key did."""
+    short = spread(reduced_words(g, 2), 20)
+    long = [ReducedWord(u.letters * 5) for u in short]
+    for u in short + long:
+        for v in short + long[::4] + [u.inverse()]:
+            assert (u * v).letters == ReducedWord(u.letters + v.letters).letters, (u, v)
+    paths = g.paths_up_to(3)
+    cycles = {}
+    for x in probe_points(g, 3):
+        if not x.is_finite and not x.prefix:
+            cycles.setdefault(x.range_vertex, x.cycle)
+    for mu in spread(paths, 30):
+        turns = cycles.get(mu.source_vertex, ()) * 5
+        peers = [nu for nu in paths if nu.source_vertex == mu.source_vertex]
+        tails = [nu for nu in peers if nu.instances[-1:] == mu.instances[-1:]]
+        for nu in spread(peers, 10) + spread(tails, 10):
+            for a, b in ((mu, nu), (g.trusted_path(mu.instances + turns, mu.range_vertex),
+                                    g.trusted_path(nu.instances + turns, nu.range_vertex))):
+                want = ReducedWord([(i, 1) for i in a.instances]
+                                   + [(i, -1) for i in reversed(b.instances)])
+                assert ReducedWord.from_pair(a, b).letters == want.letters, (a, b)
+    bound = 3 if len(paths) <= 150 else 2
+    words = admissible_words(g, bound)
+    assert words == reference_admissible_words(g, bound)
+    short_paths = g.paths_up_to(2)
+    for x in spread([x for x in probe_points(g, 3) if not x.is_finite], 20):
+        fronts = [()] + [a.instances for a in spread(short_paths, 30)
+                         if a.source_vertex == x.range_vertex]
+        for n in range(len(x.prefix), len(x.prefix) + 3 * len(x.cycle) + 1):
+            pre, cyc = x.head(n).instances, x.shift(n).cycle
+            assert _absorb(pre, cyc) == (x.prefix, x.cycle)
+            for front in fronts:
+                assert _absorb(front + pre, cyc) == reference_absorb(front + pre, cyc)
+    mixed = list(reversed(words)) + short + long
+    assert sorted(mixed, key=ReducedWord.sort_key) == sorted(mixed, key=reference_sort_key)
+
+
+@PROFILE
+@given(seeds)
+def test_word_kernels_match_full_reduction(seed):
+    word_kernel_laws(graph_of(seed))
 
 
 def assert_maps_match_words(g, m):

@@ -106,3 +106,48 @@ def test_sort_key_orders_by_length_first():
     ws = [w("b"), w("a.a"), w("a"), w("1")]
     ws.sort(key=ReducedWord.sort_key)
     assert [str(x) for x in ws] == ["1", "a", "b", "a.a"]
+
+
+def test_from_pair_with_an_empty_half():
+    g = corpus.g2()
+    ab, v = g.path_of("a", "b"), g.vertex_path("v")
+    assert ReducedWord.from_pair(ab, v) == w("a.b")
+    assert ReducedWord.from_pair(v, ab) == w("b^-1.a^-1")
+    assert ReducedWord.from_pair(v, v).is_identity
+
+
+def test_from_pair_of_equal_paths_is_the_identity():
+    g = corpus.g1()
+    mu = g.path_of(*["a"] * 250)
+    word = ReducedWord.from_pair(mu, mu)
+    assert word.is_identity and word == ReducedWord() and hash(word) == hash(ReducedWord())
+
+
+def test_product_with_the_inverse_is_the_identity():
+    u = w(".".join(["a", "b^-1", "c", "c", "a"] * 50))
+    assert len(u) == 250
+    assert (u * u.inverse()).is_identity and (u.inverse() * u).is_identity
+    assert u * u.inverse() == ReducedWord()
+
+
+def test_cancellation_through_the_whole_shorter_factor():
+    long, short = w("a.b.c.d"), w("d^-1.c^-1")
+    assert long * short == w("a.b")
+    assert short.inverse() * long.inverse() == w("b^-1.a^-1")
+    # the shorter factor cancels whole and the seam stops at the longer one
+    assert w("a.b") * w("b^-1.a^-1.c") == w("c")
+    assert w("c^-1.a.b") * w("b^-1.a^-1") == w("c^-1")
+    # a stop inside the seam: b^-1 against b^-1 does not cancel
+    assert w("a.b^-1") * w("b^-1.a^-1") == w("a.b^-1.b^-1.a^-1")
+
+
+def reference_sort_key(word):
+    """sort_key as first written: one flat (edge, copy, sign) per letter."""
+    return (len(word.letters), tuple((e, c, s) for (e, c), s in word.letters))
+
+
+def test_sort_key_orders_as_the_per_letter_key():
+    words = [ReducedWord(t) for t in ball(
+        [EdgeInstance("b", 1), EdgeInstance("a", 0), EdgeInstance("b", 0)], 3)]
+    words.reverse()
+    assert sorted(words, key=ReducedWord.sort_key) == sorted(words, key=reference_sort_key)
