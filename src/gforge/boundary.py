@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .graph import (CompositionError, EdgeInstance, Graph, GraphError, Path,
                     condition_l, first_return_profile, instance_token, sort_key)
-from .words import _TOKEN, ReducedWord, ball, positive_negative_split
+from .words import _TOKEN, ReducedWord, _trusted, ball, positive_negative_split
 
 
 class BoundaryError(ValueError):
@@ -165,6 +165,28 @@ class BoundaryPoint:
 
     def __repr__(self):
         return f"BoundaryPoint({point_str(self)!r})"
+
+
+def rehead(graph: Graph, x: BoundaryPoint, k: int, alpha: Path) -> BoundaryPoint:
+    """alpha.y for x = mu.y with len(mu) == k, in one step.
+
+    Unchecked, as trusted_path is: x has a first k instances and alpha's
+    source is the vertex they end at.  With k within the prefix it takes
+    one slice; x is canonical, so the new prefix can end in the cycle's
+    last instance only when k is the prefix length, and only then is it
+    absorbed.  Past the prefix, the cycle turns once by what mu takes of
+    it, and alpha is absorbed.
+    """
+    pre, cyc = x.prefix, x.cycle
+    n = len(pre)
+    if k <= n:
+        pre = alpha.instances + pre[k:]
+        if cyc is not None and pre and pre[-1] == cyc[-1]:
+            pre, cyc = _absorb(pre, cyc)
+    else:
+        j = (k - n) % len(cyc)
+        pre, cyc = _absorb(alpha.instances, cyc[j:] + cyc[:j])
+    return BoundaryPoint(graph, alpha.range_vertex, pre, cyc)
 
 
 def point_str(x: BoundaryPoint) -> str:
@@ -424,12 +446,11 @@ class PartialWord:
 
     @property
     def is_identity(self):
-        return self.alpha is None and self.beta is None and self._word is not None \
-            and self._word.is_identity
+        return self.beta is None and not self._word.letters
 
     @property
     def is_empty_map(self):
-        return self.alpha is None and not self.is_identity
+        return self.beta is None and bool(self._word.letters)
 
     def word(self) -> ReducedWord:
         if self._word is not None:
@@ -451,19 +472,18 @@ class PartialWord:
         return CompactOpen.cylinder(self.graph, self.beta)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        """alpha.y for x = beta.y in one step: cut beta off the prefix, turn
-        the cycle by what beta takes of it, put alpha in front, absorb."""
+        """alpha.y for x = beta.y, by rehead.  A nonempty beta within the
+        prefix is a head exactly when the prefix starts with its instances."""
         beta = self.beta
-        if beta is None and self.is_identity:
-            return x
-        if beta is None or not x.startswith(beta):
-            raise DomainError(f"{point_str(x)} is not in the domain of {self.word()}")
-        alpha, k, cyc = self.alpha, len(beta.instances), x.cycle
-        pre = alpha.instances + x.prefix[k:]
-        if cyc is not None:
-            j = max(k - len(x.prefix), 0) % len(cyc)
-            pre, cyc = _absorb(pre, cyc[j:] + cyc[:j])
-        return BoundaryPoint(self.graph, alpha.range_vertex, pre, cyc)
+        if beta is None:
+            if not self._word.letters:
+                return x
+        else:
+            k = len(beta.instances)
+            if (x.prefix[:k] == beta.instances if 0 < k <= len(x.prefix)
+                    else x.startswith(beta)):
+                return rehead(self.graph, x, k, self.alpha)
+        raise DomainError(f"{point_str(x)} is not in the domain of {self.word()}")
 
     def act_set(self, U: CompactOpen) -> CompactOpen:
         """The image of U intersected with the domain."""
@@ -519,15 +539,6 @@ def sample_point(g: Graph, cyl: Cylinder):
         seen_at[x] = len(appended)
 
 
-def sample_points(g: Graph, U: CompactOpen) -> list[BoundaryPoint]:
-    out = []
-    for part in U.parts:
-        x = sample_point(g, part)
-        if x is not None and x not in out:
-            out.append(x)
-    return out
-
-
 def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:
     """A deterministic spread of boundary points for checks to probe.
 
@@ -570,24 +581,34 @@ def admissible_words(g: Graph, bound: int) -> list[ReducedWord]:
     instance (None for a vertex), each group in length order, so only the
     pairs that give a word are visited: alpha walks the groups of its
     source whose last instance differs from its own and stops each at the
-    length left.
+    length left.  Such a pair cancels nothing, so its word is alpha's
+    letters then beta's inverted.  Each path is spelled once each way, from
+    one tuple per letter that every word shares.
     """
+    paths = g.paths_up_to(bound)
+    # every instance of a path is the instance of a path of length 1
+    gens = [mu.instances[0] for mu in paths if len(mu.instances) == 1]
+    plus = {i: (i, 1) for i in gens}.__getitem__
+    minus = {i: (i, -1) for i in gens}.__getitem__
     groups = {}
-    for mu in g.paths_up_to(bound):
-        last = mu.instances[-1] if mu.instances else None
-        groups.setdefault(mu.source_vertex, {}).setdefault(last, []).append(mu)
+    for mu in paths:
+        insts = mu.instances
+        forward, backward = tuple(map(plus, insts)), tuple(map(minus, reversed(insts)))
+        last = insts[-1] if insts else None
+        groups.setdefault(mu.source_vertex, {}).setdefault(last, []).append(
+            (forward, backward))
     words = {ReducedWord()}
     for by_last in groups.values():
         for last, alphas in by_last.items():
-            for alpha in alphas:
-                room = bound - len(alpha.instances)
+            for forward, _ in alphas:
+                room = bound - len(forward)
                 for other, betas in by_last.items():
                     if last is not None and other == last:
                         continue
-                    for beta in betas:
-                        if len(beta.instances) > room:
+                    for _, backward in betas:
+                        if len(backward) > room:
                             break
-                        words.add(ReducedWord.from_pair(alpha, beta))
+                        words.add(_trusted(forward + backward))
     return sorted(words, key=ReducedWord.sort_key)
 
 
@@ -627,9 +648,13 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
     Every pair counts in "pairs"; when D is empty (dom theta_u, or its
     meet with im theta_w, is empty) the domain, composition and pointwise
     laws hold with nothing to compare, and the product word is never built.
+    Pairs share product words and the parts of D, so each product's map
+    and domain, and each part's sample point, is built once per call.
     """
     words = reduced_words(g, word_len)
     table = {}  # word -> (map, domain, image, inverse map)
+    products = {}  # u * w -> (map, domain)
+    samples = {}  # part of some D (never empty) -> its sample point
     for w in words:
         pw = PartialWord.from_word(g, w)
         dom = pw.domain()
@@ -650,8 +675,12 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
             if mid.is_empty:
                 continue
             D = inv_w.act_set(mid)
-            puw = PartialWord.from_word(g, u * w)
-            if not D.difference(puw.domain()).is_empty:
+            uw = u * w
+            if uw not in products:
+                puw = PartialWord.from_word(g, uw)
+                products[uw] = puw, puw.domain()
+            puw, dom_uw = products[uw]
+            if not D.difference(dom_uw).is_empty:
                 report["failures"].append(("domain", u, w))
                 continue
             left = pu.act_set(pw.act_set(D))
@@ -659,7 +688,13 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
             if left != right:
                 report["failures"].append(("composition", u, w))
                 continue
-            for x in sample_points(g, D):
+            points = []
+            for part in D.parts:
+                if part not in samples:
+                    samples[part] = sample_point(g, part)
+                if samples[part] not in points:
+                    points.append(samples[part])
+            for x in points:
                 try:
                     same = pu.act_point(pw.act_point(x)) == puw.act_point(x)
                 except DomainError:
@@ -671,6 +706,25 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
 
 # --------------------------------------------------------- topological freeness
 
+def _aperiodic_tail(g: Graph, v: str, word_bound: int):
+    """(rho, None) for a shortest path rho from v to the first singular
+    vertex downstream, else (rho, cycle) for a shortest path to the first
+    vertex with two first-return loops, the first pumped past the word
+    bound ahead of the second."""
+    down = sorted(g.downstream(v))
+    for w in down:
+        if g.is_singular(w):
+            return g.shortest_path(v, w), None
+    for y in down:
+        loops = first_return_profile(g, y)
+        if len(loops) == 2:
+            la, lb = loops
+            m = word_bound // len(la) + 1
+            return g.shortest_path(v, y), g.trusted_path(la.instances * m + lb.instances)
+    raise GraphError(
+        f"no aperiodic point reachable from {v} although every loop has an entry")
+
+
 def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int = 2) -> dict:
     """Decide whether some word fixes a whole nonempty open set.
 
@@ -679,7 +733,8 @@ def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int =
     Otherwise every stem cylinder gets an explicit point whose isotropy stays
     out of reach of the word bound: a finite point when the flow can reach a
     singular vertex, else an eventually periodic point whose primitive period
-    is pumped past the bound.
+    is pumped past the bound.  The tail behind a stem depends only on the
+    stem's source vertex, so each vertex's tail is found once.
     """
     l_holds, cyc = condition_l(g)
     if not l_holds:
@@ -699,28 +754,16 @@ def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int =
         }
 
     witnesses = []
+    tails = {}  # source vertex -> its aperiodic tail
     for stem in g.paths_up_to(stem_depth):
         v = stem.source_vertex
-        down = sorted(g.downstream(v))
-        x = None
-        for w in down:
-            if g.is_singular(w):
-                rho = g.shortest_path(v, w)
-                x = BoundaryPoint.finite(g, g.concat(stem, rho))
-                break
-        if x is None:
-            for y in down:
-                loops = first_return_profile(g, y)
-                if len(loops) == 2:
-                    la, lb = loops
-                    m = word_bound // len(la) + 1
-                    c = g.trusted_path(la.instances * m + lb.instances)
-                    rho = g.shortest_path(v, y)
-                    x = BoundaryPoint.periodic(g, g.concat(stem, rho), c)
-                    break
-        if x is None:
-            raise GraphError(
-                f"no aperiodic point reachable from {v} although every loop has an entry")
+        if v not in tails:
+            tails[v] = _aperiodic_tail(g, v, word_bound)
+        rho, c = tails[v]
+        if c is None:
+            x = BoundaryPoint.finite(g, g.concat(stem, rho))
+        else:
+            x = BoundaryPoint.periodic(g, g.concat(stem, rho), c)
         leftover = isotropy_words(x, word_bound)
         witnesses.append({
             "stem": stem,

@@ -18,7 +18,10 @@ BoundaryPoint.finite/periodic, PartialWord.from_word and DRElement.make.
 Code that already holds composable instances builds paths with the
 unchecked trusted_path; likewise, words._trusted builds a word from a
 letter tuple without reducing it, and its precondition is that the
-tuple is already freely reduced.
+tuple is already freely reduced.  boundary.rehead swaps the first k
+instances of a point for a path that starts where they end, unchecked,
+and to_ptg builds its PTGElement from the merge witness's heads with
+the trusted PartialWord(g, lam, mu, word).
 """
 from __future__ import annotations
 

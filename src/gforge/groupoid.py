@@ -118,11 +118,23 @@ def to_dr(element: PTGElement) -> DRElement:
 
 
 def to_ptg(g, d: DRElement) -> PTGElement:
-    """A word presentation read off the normal form's merge witness."""
+    """A word presentation read off the normal form's merge witness.
+
+    lam and mu are the heads the witness compares.  Nonempty lam and mu end
+    in different instances, else the tails would merge one depth sooner,
+    against the DRElement precondition; so from_pair cancels nothing, the
+    word is lam.mu^-1, and the element is built unchecked with the trusted
+    PartialWord(g, lam, mu, word), or the identity for the empty word.  The
+    source point starts with mu, so it lies in the domain.
+    """
     lam = d.target.head(d.merge_depth)
     mu = d.source.head(d.merge_depth - d.offset)
     word = ReducedWord.from_pair(lam, mu)
-    return PTGElement(g, word, d.source)
+    element = object.__new__(PTGElement)
+    element.graph, element.word, element.point = g, word, d.source
+    element._pw = PartialWord(g, lam, mu, word) if word.letters \
+        else PartialWord.identity(g)
+    return element
 
 
 def compose(d2: DRElement, d1: DRElement) -> DRElement:

@@ -24,6 +24,7 @@ from .boundary import (
     cyl_contains,
     point_str,
     probe_points,
+    rehead,
     sample_point,
 )
 from .graph import Graph, GraphError, INFINITE, Path
@@ -107,14 +108,11 @@ class PrefixHomeo:
         return cls(g, g, rules)
 
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
-        gt = self.target_graph
         for mu, nu in self.rules:
             if x.startswith(mu):
-                tail = x.shift(len(mu))
-                # _same_tail_shape made every tail past mu a point of gt past
-                # nu, canonical there as it is here
-                return BoundaryPoint(gt, nu.source_vertex, tail.prefix,
-                                     tail.cycle).prepend(nu)
+                # _same_tail_shape made every tail past mu a point of the
+                # target graph past nu, canonical there as it is here
+                return rehead(self.target_graph, x, len(mu), nu)
         raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 

@@ -1,7 +1,8 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
-shift/prepend, canonical act_point, isotropy, orbit and word kernel, and
-the word, set-expression, graph JSON and point text roundtrips.
+shift/prepend, canonical act_point, isotropy, orbit, homeo apply and
+word kernel, and the word, set-expression, graph JSON and point text
+roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
@@ -18,11 +19,13 @@ examples; the act_point law runs on infinite_graph_of(seed, 3), so
 each of its graphs has an infinite edge family.  The orbit law runs on
 swap_graph_of(seed, 3): its cocycles have a piece per path of length
 1 + R + 2 and coe_check probes each against every point of its domain,
-so it too keeps three vertices.  The word kernel law runs on the
+so it too keeps three vertices, as does the apply law on the same
+graphs, which compares every point of probe_points(g, 4).  The word
+kernel law runs on the
 four-vertex graphs of graph_of and compares spread samples of words,
 paths and points, about 10 s.  The file name keeps it out of the
-default test collection: it takes about 125 s on 2 cores with Python
-3.11.7, 33 s of it the act_point law and 21 s the orbit law.
+default test collection: it takes about 130 s on 2 cores with Python
+3.11.7, 30 s of it the act_point law and 27 s the orbit law.
 """
 import random
 
@@ -31,6 +34,7 @@ from hypothesis import given, settings
 from gforge import corpus
 from test_properties import (
     act_point_canonical_laws,
+    apply_laws,
     emptiness_laws,
     germ_laws,
     graph_json_roundtrip_laws,
@@ -161,3 +165,9 @@ def test_isotropy_laws_deep(seed):
 @given(seeds)
 def test_orbit_laws_deep(seed):
     orbit_laws(*swap_graph_of(seed, 3))
+
+
+@DEEP
+@given(seeds)
+def test_apply_laws_deep(seed):
+    apply_laws(*swap_graph_of(seed, 3))

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -23,17 +24,18 @@ from gforge.boundary import (
     point_str,
     probe_points,
     reduced_words,
+    rehead,
     sample_point,
-    sample_points,
     topological_freeness_report,
     verify_partial_action,
 )
+from gforge import boundary
 from gforge.boundary import _absorb
 from gforge.graph import Edge, EdgeInstance, Graph, GraphError, condition_l, first_return_profile
 from gforge.orbit import PrefixHomeo, swap_homeo
 from gforge.paradox import infinite_loops
 from gforge.words import ReducedWord, parse_word
-from test_orbit import inverse_homeo
+from test_orbit import inverse_homeo, two_level_homeo
 
 
 # ---------------------------------------------------------------- points
@@ -371,8 +373,7 @@ def test_internal_paths_match_validated_paths(corpus_graph):
     short = g.paths_up_to(2)
     homeos = [PrefixHomeo.identity(g)]
     if name == "g2":
-        aa, ab, b = g.path_of("a", "a"), g.path_of("a", "b"), g.path_of("b")
-        deep = PrefixHomeo(g, g, [(aa, b), (ab, aa), (b, ab)])
+        deep = two_level_homeo(g)
         homeos += [swap_homeo(g), inverse_homeo(swap_homeo(g)), deep,
                    inverse_homeo(deep)]
     # [1:] drops the empty word, which sorts first and has no beta
@@ -546,6 +547,37 @@ def test_absorb_counts_the_letters_once(pre, cyc, want):
     assert _absorb(pre, cyc) == want == reference_absorb(pre, cyc)
 
 
+@pytest.mark.parametrize("name, point, k, alpha, want", [
+    # k = 0: alpha goes in front, absorbed when it ends like the cycle
+    ("g2", "(a.b)^inf", 0, ("a",), "a.(a.b)^inf"),
+    ("g2", "(a.b)^inf", 0, ("b",), "(b.a)^inf"),
+    # k inside the prefix: one slice, no absorb possible
+    ("g2", "b.b.(a)^inf", 1, ("a",), "a.b.(a)^inf"),
+    # k = len(prefix): the new prefix is alpha, absorbed when it ends in a
+    ("g2", "b.(a)^inf", 1, ("a",), "(a)^inf"),
+    ("g2", "b.(a)^inf", 1, ("b",), "b.(a)^inf"),
+    ("g2", "b.(a)^inf", 1, ("v",), "(a)^inf"),
+    # k inside the cycle: it turns by k - len(prefix), not by k
+    ("g2", "a.(a.b.b)^inf", 3, ("v",), "(b.a.b)^inf"),
+    ("g2", "a.(a.b.b)^inf", 3, ("b",), "(b.b.a)^inf"),
+    # k past the prefix by an exact number of periods: no turn
+    ("g2", "a.(a.b.b)^inf", 7, ("v",), "(a.b.b)^inf"),
+    ("g2", "a.(a.b.b)^inf", 7, ("b",), "(b.a.b)^inf"),
+    # finite points
+    ("g3", "e", 1, ("w",), "w"),
+    ("g3", "w", 0, ("e",), "e"),
+    ("g4", "a.c", 1, ("a", "a"), "a.a.c"),
+    ("g4", "a.c", 2, ("c",), "c"),
+])
+def test_rehead_hand_cases(name, point, k, alpha, want):
+    g = corpus.by_name(name)
+    x, alpha = parse_point(g, point), g.path_of(*alpha)
+    y = rehead(g, x, k, alpha)
+    assert point_str(y) == want
+    assert y == x.shift(k).prepend(alpha)
+    assert_validated(y)
+
+
 def test_long_word_acts_on_a_one_letter_cycle():
     g = corpus.g1()
     x = parse_point(g, "(a)^inf")
@@ -628,6 +660,16 @@ def test_partial_action_axioms_small(name):
 def test_partial_action_axioms_with_copies():
     rep = verify_partial_action(corpus.g5(), word_len=2)
     assert rep["failures"] == []
+
+
+def sample_points(g, U):
+    """A sample point of each part of U, repeats dropped, in order."""
+    out = []
+    for part in U.parts:
+        x = sample_point(g, part)
+        if x is not None and x not in out:
+            out.append(x)
+    return out
 
 
 def reference_partial_action(g, word_len=3):
@@ -735,6 +777,102 @@ def test_tf_report_free_cases():
         for wit in rep["witnesses"]:
             assert wit["point"].startswith(wit["stem"])
             assert wit["isotropy_words_up_to_bound"] == []
+
+
+def reference_freeness_report(g, word_bound=8, stem_depth=2):
+    """topological_freeness_report as first written: every stem searches
+    for its own tail, with a shortest_path call each."""
+    l_holds, cyc = condition_l(g)
+    if not l_holds:
+        base = cyc.range_vertex
+        x = BoundaryPoint.periodic(g, g.vertex_path(base), cyc)
+        word = ReducedWord.from_path(cyc)
+        pw = PartialWord.from_word(g, word)
+        if (any(g.receiver_count(g.r_of(inst)) != 1 for inst in cyc.instances)
+                or pw.act_point(x) != x):
+            raise GraphError(f"the entry-less loop at {base} does not fix its point")
+        return {
+            "free": False,
+            "entryless_loop": cyc,
+            "fixed_word": word,
+            "fixed_open_stem": g.vertex_path(base),
+            "fixed_point": x,
+        }
+    witnesses = []
+    for stem in g.paths_up_to(stem_depth):
+        v = stem.source_vertex
+        down = sorted(g.downstream(v))
+        x = None
+        for w in down:
+            if g.is_singular(w):
+                rho = g.shortest_path(v, w)
+                x = BoundaryPoint.finite(g, g.concat(stem, rho))
+                break
+        if x is None:
+            for y in down:
+                loops = first_return_profile(g, y)
+                if len(loops) == 2:
+                    la, lb = loops
+                    m = word_bound // len(la) + 1
+                    c = g.trusted_path(la.instances * m + lb.instances)
+                    rho = g.shortest_path(v, y)
+                    x = BoundaryPoint.periodic(g, g.concat(stem, rho), c)
+                    break
+        if x is None:
+            raise GraphError(
+                f"no aperiodic point reachable from {v} although every loop has an entry")
+        witnesses.append({
+            "stem": stem,
+            "point": x,
+            "isotropy_words_up_to_bound": isotropy_words(x, word_bound),
+        })
+    return {
+        "free": True,
+        "verified": all(not w["isotropy_words_up_to_bound"] for w in witnesses),
+        "word_bound": word_bound,
+        "witnesses": witnesses,
+    }
+
+
+def freeness_outcomes(g, *bounds):
+    """The report and the reference report, each a dict or the type and
+    message of the GraphError it raised."""
+    out = []
+    for report in (topological_freeness_report, reference_freeness_report):
+        try:
+            out.append(report(g, *bounds))
+        except GraphError as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+def test_tf_report_matches_reference(corpus_graph):
+    _, g = corpus_graph
+    for bounds in ((), (6, 2), (5, 3)):
+        new, ref = freeness_outcomes(g, *bounds)
+        assert new == ref, bounds
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tf_report_matches_reference_random(seed):
+    g = corpus.random_graph(random.Random(seed), 5, allow_infinite=True)
+    new, ref = freeness_outcomes(g, 6, 2)
+    assert new == ref
+
+
+def test_tf_report_raises_where_the_reference_does(monkeypatch):
+    """With the loops at q hidden, no aperiodic point is reachable from q:
+    both reports raise the same GraphError, naming q."""
+    real = first_return_profile
+
+    def hide_q(g, v, *args):
+        return [] if v == "q" else real(g, v, *args)
+
+    for module in (boundary, sys.modules[__name__]):
+        monkeypatch.setattr(module, "first_return_profile", hide_q)
+    new, ref = freeness_outcomes(corpus.p3(), 6, 2)
+    assert new == ref == (GraphError, "no aperiodic point reachable from q "
+                          "although every loop has an entry")
 
 
 def test_tf_report_matches_condition_l_random():

@@ -102,6 +102,37 @@ def test_roundtrip_is_germ_identity():
             assert to_dr(s2) == d
 
 
+def assert_trusted_ptg(g, d):
+    """to_ptg's unchecked build is what PTGElement validates: the word
+    lam.mu^-1 with nothing cancelled, and the map from_word gives, source
+    vertices included."""
+    s = to_ptg(g, d)
+    checked = PTGElement(g, s.word, d.source)
+    assert s == checked and len(s.word) == 2 * d.merge_depth - d.offset
+    pw, ref = s._pw, checked._pw
+    assert (pw.is_identity, pw.is_empty_map) == (ref.is_identity, ref.is_empty_map)
+    if not pw.is_identity:
+        for got, want in ((pw.alpha, ref.alpha), (pw.beta, ref.beta)):
+            assert got == want and got.source_vertex == want.source_vertex
+    assert s.image() == checked.image() == d.target
+
+
+def test_to_ptg_builds_what_ptg_element_checks():
+    """Over the germs to_dr gives, their inverses and their products."""
+    for name in ["g1", "g2", "g3", "g4", "g5", "g7", "p2", "p3"]:
+        g = corpus.by_name(name)
+        ds = [to_dr(s) for s in germs(g, 3)]
+        ds += [inverse(d) for d in ds]
+        by_source = {}
+        for d in ds:
+            by_source.setdefault(d.source, []).append(d)
+        products = [compose(d2, d1) for d1 in ds
+                    for d2 in by_source.get(d1.target, [])[:4]]
+        assert products
+        for d in ds + products:
+            assert_trusted_ptg(g, d)
+
+
 def test_roundtrip_may_shorten_the_word():
     g = corpus.g2()
     x = parse_point(g, "(a.b)^inf")

@@ -4,6 +4,7 @@ import pytest
 
 from gforge import corpus
 from gforge.boundary import (
+    BoundaryPoint,
     CompactOpen,
     Cylinder,
     parse_point,
@@ -36,6 +37,41 @@ def inverse_homeo(h):
     """The prefix substitution with every rule (mu, nu) turned round."""
     return PrefixHomeo(h.target_graph, h.source_graph,
                        [(nu, mu) for mu, nu in h.rules])
+
+
+def reference_apply(h, x):
+    """PrefixHomeo.apply as first written: shift x past the rule's mu, read
+    the tail as a point of the target graph, prepend nu."""
+    for mu, nu in h.rules:
+        if x.startswith(mu):
+            tail = x.shift(len(mu))
+            return BoundaryPoint(h.target_graph, nu.source_vertex, tail.prefix,
+                                 tail.cycle).prepend(nu)
+    raise OrbitError(f"{point_str(x)} escapes the rule partition")
+
+
+def assert_apply_matches_reference(h, points):
+    for x in points:
+        y = h.apply(x)
+        assert y == reference_apply(h, x) and y.graph is h.target_graph, x
+
+
+def two_level_homeo(g2):
+    """A homeo of g2 whose rule stems have lengths 1 and 2."""
+    aa, ab, b = g2.path_of("a", "a"), g2.path_of("a", "b"), g2.path_of("b")
+    return PrefixHomeo(g2, g2, [(aa, b), (ab, aa), (b, ab)])
+
+
+def test_apply_matches_reference(corpus_graph):
+    name, g = corpus_graph
+    homeos = [PrefixHomeo.identity(g)]
+    if name == "g2":
+        deep = two_level_homeo(g)
+        homeos += [swap_homeo(g), deep, inverse_homeo(deep)]
+    if name == "p2":
+        homeos.append(swap_homeo(g, "f", "g"))
+    for h in homeos:
+        assert_apply_matches_reference(h, probe_points(g, 4))
 
 
 def test_identity_homeo_fixes_points():

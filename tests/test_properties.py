@@ -7,8 +7,8 @@ insists on one).  The profile is derandomized and deadline-free, so every
 run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
-act_point_canonical_laws, isotropy_laws, orbit_laws, word_kernel_laws
-and the four roundtrip laws on larger graphs.
+act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
+word_kernel_laws and the four roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -43,7 +43,16 @@ from gforge.invsgp import (
     sigma,
     verify_partial_hom,
 )
-from gforge.orbit import OEData, coe_check, coe_to_oe, oe_agree, oe_check, oe_to_coe
+from gforge.orbit import (
+    OEData,
+    PrefixHomeo,
+    coe_check,
+    coe_to_oe,
+    oe_agree,
+    oe_check,
+    oe_to_coe,
+    swap_homeo,
+)
 from gforge.paradox import expand_witness, find_witness, verify_witness
 from gforge.words import ReducedWord, parse_word
 from test_boundary import (
@@ -54,9 +63,9 @@ from test_boundary import (
     reference_admissible_words,
     reference_partial_action,
 )
-from test_groupoid import assert_germ, inverse
+from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import reference_partial_hom
-from test_orbit import swap_oe_data
+from test_orbit import assert_apply_matches_reference, inverse_homeo, swap_oe_data
 from test_words import reference_sort_key
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -572,6 +581,22 @@ def test_orbit_laws(seed):
     orbit_laws(*swap_graph_of(seed))
 
 
+def apply_laws(g, a, b):
+    """PrefixHomeo.apply, one rehead, equals the former shift-then-prepend
+    for the identity and for the first-letter swap of a and b both ways,
+    on every point of probe_points(g, 4)."""
+    swap = swap_homeo(g, a, b)
+    points = probe_points(g, 4)
+    for h in (PrefixHomeo.identity(g), swap, inverse_homeo(swap)):
+        assert_apply_matches_reference(h, points)
+
+
+@PROFILE
+@given(seeds)
+def test_apply_matches_reference(seed):
+    apply_laws(*swap_graph_of(seed))
+
+
 def germ_laws(g):
     """to_dr and inverse give certified germs that roundtrip through words."""
     points = probe_points(g, 2)
@@ -583,6 +608,7 @@ def germ_laws(g):
             d = to_dr(PTGElement(g, w, x))
             for germ in (d, inverse(d)):
                 assert_germ(germ)
+                assert_trusted_ptg(g, germ)
                 assert to_dr(to_ptg(g, germ)) == germ
 
 
