@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .graph import (CompositionError, EdgeInstance, Graph, GraphError, Path,
-                    condition_l, first_return_profile, instance_token, sort_key)
+from .graph import (EdgeInstance, Graph, GraphError, Path, condition_l,
+                    first_return_profile, instance_token, sort_key)
 from .words import _TOKEN, ReducedWord, _trusted, ball, positive_negative_split
 
 
@@ -143,16 +143,6 @@ class BoundaryPoint:
         cyc = cyc[j:] + cyc[:j]  # a rotation of a primitive cycle is primitive
         pre = pre[k:]
         return BoundaryPoint(g, g.r_of((pre or cyc)[0]), pre, cyc)
-
-    def prepend(self, alpha: Path) -> "BoundaryPoint":
-        if alpha.source_vertex != self.range_vertex:
-            raise CompositionError(
-                f"cannot append path with range {self.range_vertex} "
-                f"at source {alpha.source_vertex}")
-        pre, cyc = alpha.instances + self.prefix, self.cycle
-        if cyc is not None:
-            pre, cyc = _absorb(pre, cyc)
-        return BoundaryPoint(self.graph, alpha.range_vertex, pre, cyc)
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryPoint):

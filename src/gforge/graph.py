@@ -21,7 +21,10 @@ letter tuple without reducing it, and its precondition is that the
 tuple is already freely reduced.  boundary.rehead swaps the first k
 instances of a point for a path that starts where they end, unchecked,
 and to_ptg builds its PTGElement from the merge witness's heads with
-the trusted PartialWord(g, lam, mu, word).
+the trusted PartialWord(g, lam, mu, word).  invsgp.sgp_mul splices its
+product path from the factors' instance tuples and builds the pair
+unchecked with invsgp._pair, since the two paths share a source by
+construction.
 """
 from __future__ import annotations
 
@@ -66,7 +69,11 @@ class Edge(NamedTuple):
 
 
 class Path:
-    """A finite path; length 0 paths are vertices."""
+    """A finite path; length 0 paths are vertices.
+
+    The hash is filled on the first lookup, so a path that is never put in
+    a set or a dict never hashes its instances.
+    """
 
     __slots__ = ("range_vertex", "source_vertex", "instances", "_hash")
 
@@ -74,7 +81,7 @@ class Path:
         self.range_vertex = range_vertex
         self.source_vertex = source_vertex
         self.instances = tuple(instances)
-        self._hash = hash((range_vertex, self.instances))
+        self._hash = None
 
     def __len__(self):
         return len(self.instances)
@@ -86,7 +93,10 @@ class Path:
                 and self.instances == other.instances)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.range_vertex, self.instances))
+        return h
 
     def __repr__(self):
         if not self.instances:

@@ -51,16 +51,32 @@ class SgpElement:
         return f"SgpElement({self.mu!r}, {self.nu!r})"
 
 
+def _pair(mu: Path, nu: Path) -> SgpElement:
+    """The element (mu, nu), built without the common-source check.
+
+    Precondition: mu and nu already have a common source, as a product of
+    two elements has by construction.
+    """
+    element = object.__new__(SgpElement)
+    element.mu = mu
+    element.nu = nu
+    return element
+
+
 def sgp_mul(g: Graph, x, y):
+    """(A, B)(C, D): when B = C.rest the product is (A, D.rest), when
+    C = B.rest it is (A.rest, D), else 0.  The new path is built in one
+    step from the instance tuples; rest ends where B (or C) ends, which is
+    where A (or D) ends, so the pair needs no check."""
     if x is ZERO or y is ZERO:
         return ZERO
     A, B, C, D = x.mu, x.nu, y.mu, y.nu
     if B.startswith(C):
-        rest = g.strip_prefix(B, len(C))
-        return SgpElement(A, g.concat(D, rest))
+        return _pair(A, Path(D.range_vertex, B.source_vertex,
+                             D.instances + B.instances[len(C.instances):]))
     if C.startswith(B):
-        rest = g.strip_prefix(C, len(B))
-        return SgpElement(g.concat(A, rest), D)
+        return _pair(Path(A.range_vertex, C.source_vertex,
+                          A.instances + C.instances[len(B.instances):]), D)
     return ZERO
 
 
@@ -102,7 +118,9 @@ class TruncatedSemilattice:
         if length > self.depth:
             raise DomainError(
                 f"image stem of length {length} escapes depth {self.depth}")
-        return self.graph.concat(s.mu, self.graph.strip_prefix(rho, len(s.nu)))
+        mu = s.mu
+        return Path(mu.range_vertex, rho.source_vertex,
+                    mu.instances + rho.instances[len(s.nu):])
 
 
 def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
@@ -118,16 +136,18 @@ def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
     by_mu = {}
     for j, t in enumerate(els):
         by_mu.setdefault(t.mu, []).append(j)
-    # many pairs share a nu; as (nu, nu) is an element, the nus are the mus
-    partners = {nu: sorted(j for mu, js in by_mu.items()
-                           if mu.startswith(nu) or nu.startswith(mu) for j in js)
+    # many pairs share a nu; as (nu, nu) is an element, the nus are the mus.
+    # Each nu keeps its partner rows (t, sigma(t)) in the full-product order.
+    partners = {nu: [table[j] for j in sorted(
+                    j for mu, js in by_mu.items()
+                    if mu.startswith(nu) or nu.startswith(mu) for j in js)]
                 for nu in by_mu}
     failures = []
     pairs = 0
     for s, ws in table:
-        for j in partners[s.nu]:
-            t, wt = table[j]
-            pairs += 1
+        rows = partners[s.nu]
+        pairs += len(rows)
+        for t, wt in rows:
             if ws * wt != sigma(sgp_mul(g, s, t)):
                 failures.append((s, t))
     pure_failures = [s for s, ws in table

@@ -82,13 +82,16 @@ def ball(gens, radius):
 
 
 class ReducedWord:
-    """Element of the free group on edge instances."""
+    """Element of the free group on edge instances.
+
+    As with Path, the hash is filled on the first lookup.
+    """
 
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters=()):
         self.letters = reduce(tuple(letters))
-        self._hash = hash(self.letters)
+        self._hash = None
 
     @classmethod
     def from_path(cls, mu):
@@ -131,7 +134,10 @@ class ReducedWord:
         return self.letters == other.letters
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.letters)
+        return h
 
     def __repr__(self):
         return f"ReducedWord({str(self)!r})"
@@ -160,7 +166,7 @@ def _trusted(letters: tuple) -> ReducedWord:
     """
     word = object.__new__(ReducedWord)
     word.letters = letters
-    word._hash = hash(letters)
+    word._hash = None
     return word
 
 

@@ -35,7 +35,7 @@ from gforge.graph import Edge, EdgeInstance, Graph, GraphError, condition_l, fir
 from gforge.orbit import PrefixHomeo, swap_homeo
 from gforge.paradox import infinite_loops
 from gforge.words import ReducedWord, parse_word
-from test_orbit import inverse_homeo, two_level_homeo
+from test_orbit import inverse_homeo, reference_prepend, two_level_homeo
 
 
 # ---------------------------------------------------------------- points
@@ -148,13 +148,13 @@ def test_shift_prepend_roundtrip():
     ]
     for x in pts:
         for k in range(6):
-            assert x.shift(k).prepend(x.head(k)) == x
+            assert reference_prepend(x.shift(k), x.head(k)) == x
     for x, k in probed_heads():
-        assert x.shift(k).prepend(x.head(k)) == x
+        assert reference_prepend(x.shift(k), x.head(k)) == x
     g3 = corpus.g3()
     f = BoundaryPoint.finite(g3, g3.path_of("e"))
     assert f.shift(1) == BoundaryPoint.finite(g3, g3.vertex_path("w"))
-    assert f.shift(1).prepend(g3.path_of("e")) == f
+    assert reference_prepend(f.shift(1), g3.path_of("e")) == f
     # negative shifts and shifts past a finite end are refused on both kinds
     for x, k in [(parse_point(g, "a.b.(a)^inf"), -1), (parse_point(g3, "e"), -1),
                  (parse_point(g3, "e"), 2)]:
@@ -365,8 +365,8 @@ def assert_validated(y):
 def test_internal_paths_match_validated_paths(corpus_graph):
     """Paths and points built without checks equal what make_path and
     finite/periodic build from the same instances, source vertex included
-    (Path equality ignores it): every point shift, prepend, act_point and
-    PrefixHomeo.apply make from probe_points."""
+    (Path equality ignores it): every point that shift, reference_prepend,
+    act_point and PrefixHomeo.apply make from probe_points."""
     name, g = corpus_graph
     points = []
     paths = []
@@ -384,8 +384,9 @@ def test_internal_paths_match_validated_paths(corpus_graph):
         for k in range(min(6, len(x)) + 1 if x.is_finite else 7):
             paths.append(x.head(k))
             y = x.shift(k)
-            points += [y, y.prepend(x.head(k))]
-            points += [y.prepend(mu) for mu in short if mu.source_vertex == y.range_vertex]
+            points += [y, reference_prepend(y, x.head(k))]
+            points += [reference_prepend(y, mu) for mu in short
+                       if mu.source_vertex == y.range_vertex]
     cyls = [Cylinder(mu, frozenset()) for mu in short]
     points += [sample_point(g, c) for c in CompactOpen.whole(g).parts + tuple(cyls)]
     for y in points:
@@ -574,7 +575,7 @@ def test_rehead_hand_cases(name, point, k, alpha, want):
     x, alpha = parse_point(g, point), g.path_of(*alpha)
     y = rehead(g, x, k, alpha)
     assert point_str(y) == want
-    assert y == x.shift(k).prepend(alpha)
+    assert y == reference_prepend(x.shift(k), alpha)
     assert_validated(y)
 
 

@@ -20,6 +20,7 @@ from gforge.graph import (
     maximal_tails,
     sort_key,
 )
+from gforge.invsgp import SgpElement, sgp_mul
 
 
 # ---------------------------------------------------------------- oracles
@@ -170,6 +171,35 @@ def test_concat_with_vertices_is_identity():
     v = g.vertex_path("v")
     assert g.concat(mu, v) == mu
     assert g.concat(v, mu) == mu
+
+
+def test_paths_hash_as_their_range_and_instances():
+    """The hash, filled on first use, is that of (range, instances) however
+    the path was built, so equal paths built different ways dedupe."""
+    g = corpus.g2()
+    a, b, v = g.path_of("a"), g.path_of("b"), g.vertex_path("v")
+    ab = g.make_path([EdgeInstance("a", 0), EdgeInstance("b", 0)])
+    aba = g.make_path(ab.instances + a.instances)
+    E = SgpElement
+    built = {
+        "make_path": [ab, a, aba],
+        "trusted_path": [g.trusted_path(ab.instances), g.trusted_path((), "v")],
+        "concat": [g.concat(a, b), g.concat(ab, v), g.concat(v, a)],
+        "strip_prefix": [g.strip_prefix(aba, 1), g.strip_prefix(aba, 3),
+                         g.strip_prefix(aba, 0)],
+        "paths_up_to": g.paths_up_to(3),
+        "sgp_mul": [sgp_mul(g, E(a, v), E(b, v)).mu, sgp_mul(g, E(v, a), E(v, b)).nu,
+                    sgp_mul(g, E(a, b), E(b, a)).nu, sgp_mul(g, E(ab, b), E(b, ab)).nu],
+    }
+    for how, paths in built.items():
+        for p in paths:
+            # the first call fills the slot, the second reads it
+            assert hash(p) == hash(p) == hash((p.range_vertex, p.instances)), (how, p)
+    ba = g.path_of("b", "a")
+    ways = [ab, g.trusted_path(ab.instances), g.concat(a, b),
+            g.strip_prefix(g.concat(v, ab), 0), sgp_mul(g, E(a, v), E(b, v)).mu]
+    ways += [p for p in g.paths_up_to(2) if p == ab]
+    assert len(ways) == 6 and set(ways) == {ab} and len({*ways, ba}) == 2
 
 
 def test_startswith():

@@ -36,16 +36,48 @@ def slat_meet(g, mu, nu):
     return None
 
 
+def reference_sgp_mul(g, x, y):
+    """sgp_mul as first written: strip C off B (or B off C), concat the rest
+    onto D (or A), and build the element with its common-source check."""
+    if x is ZERO or y is ZERO:
+        return ZERO
+    A, B, C, D = x.mu, x.nu, y.mu, y.nu
+    if B.startswith(C):
+        return SgpElement(A, g.concat(D, g.strip_prefix(B, len(C))))
+    if C.startswith(B):
+        return SgpElement(g.concat(A, g.strip_prefix(C, len(B))), D)
+    return ZERO
+
+
+def assert_products_match_reference(g, els):
+    """sgp_mul equals reference_sgp_mul on every pair, ZERO included, and a
+    nonzero product has the reference's source vertices (Path equality
+    ignores them), which are common to mu and nu."""
+    for s, t in product(els, repeat=2):
+        st, want = sgp_mul(g, s, t), reference_sgp_mul(g, s, t)
+        assert st == want, (s, t)
+        if st is not ZERO:
+            v = st.mu.source_vertex
+            assert v == st.nu.source_vertex == want.mu.source_vertex, (s, t)
+
+
+def reference_act_on_character(ts, s, rho):
+    """act_on_character's image as first built: strip_prefix, then concat."""
+    g = ts.graph
+    return g.concat(s.mu, g.strip_prefix(rho, len(s.nu)))
+
+
 def reference_partial_hom(g, depth):
     """The per-pair form of verify_partial_hom, recomputing sigma(s) and
-    sigma(t) for every pair: the reference for its table of sigmas."""
+    sigma(t) for every pair, with the products of reference_sgp_mul: the
+    reference for its table of sigmas and its partner rows."""
     ts = TruncatedSemilattice(g, depth)
     els = ts.elements()
     failures = []
     pure_failures = []
     pairs = 0
     for s, t in product(els, repeat=2):
-        st = sgp_mul(g, s, t)
+        st = reference_sgp_mul(g, s, t)
         if st is ZERO:
             continue
         pairs += 1
@@ -79,6 +111,11 @@ def test_hand_checked_products():
     assert sgp_mul(g, E(v, a), E(v, b)) == E(v, g.path_of("b", "a"))
     assert sgp_mul(g, E(a, a), E(b, b)) is ZERO
     assert sgp_mul(g, E(a, b), E(a, b)) is ZERO  # b vs a overlap empty
+
+
+def test_products_match_reference(corpus_graph):
+    name, g = corpus_graph
+    assert_products_match_reference(g, els(g, 2))
 
 
 def test_zero_absorbs():
@@ -253,6 +290,25 @@ def test_act_on_character_hand_checked():
         ts.act_on_character(big, g.path_of("b", "a"))  # length 4 > 2
     with pytest.raises(DomainError):
         ts.act_on_character(ZERO, chi)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_act_on_character_matches_strip_then_concat(corpus_graph, depth):
+    """The one-step image equals the old strip_prefix-then-concat image,
+    source vertex included, wherever it is defined."""
+    name, g = corpus_graph
+    ts = TruncatedSemilattice(g, depth)
+    compared = 0
+    for s in ts.elements():
+        for rho in ts.paths:
+            try:
+                img = ts.act_on_character(s, rho)
+            except DomainError:
+                continue
+            want = reference_act_on_character(ts, s, rho)
+            assert (img, img.source_vertex) == (want, want.source_vertex), (s, rho)
+            compared += 1
+    assert compared > 0
 
 
 def test_act_on_character_matches_conjugation():

@@ -13,7 +13,8 @@ from gforge.boundary import (
     sample_point,
     set_str,
 )
-from gforge.graph import GraphError
+from gforge.boundary import _absorb
+from gforge.graph import CompositionError, GraphError
 from gforge.orbit import (
     Cocycle,
     OEData,
@@ -39,14 +40,29 @@ def inverse_homeo(h):
                        [(nu, mu) for mu, nu in h.rules])
 
 
+def reference_prepend(x, alpha):
+    """alpha.x, as BoundaryPoint.prepend first built it: alpha goes in front
+    of the prefix, and a prefix that then ends in the cycle's last instance
+    is absorbed into a rotation of the cycle.  With shift it is the oracle
+    for rehead and act_point."""
+    if alpha.source_vertex != x.range_vertex:
+        raise CompositionError(
+            f"cannot append path with range {x.range_vertex} "
+            f"at source {alpha.source_vertex}")
+    pre, cyc = alpha.instances + x.prefix, x.cycle
+    if cyc is not None:
+        pre, cyc = _absorb(pre, cyc)
+    return BoundaryPoint(x.graph, alpha.range_vertex, pre, cyc)
+
+
 def reference_apply(h, x):
     """PrefixHomeo.apply as first written: shift x past the rule's mu, read
     the tail as a point of the target graph, prepend nu."""
     for mu, nu in h.rules:
         if x.startswith(mu):
             tail = x.shift(len(mu))
-            return BoundaryPoint(h.target_graph, nu.source_vertex, tail.prefix,
-                                 tail.cycle).prepend(nu)
+            return reference_prepend(BoundaryPoint(h.target_graph, nu.source_vertex,
+                                                   tail.prefix, tail.cycle), nu)
     raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 

@@ -64,8 +64,13 @@ from test_boundary import (
     reference_partial_action,
 )
 from test_groupoid import assert_germ, assert_trusted_ptg, inverse
-from test_invsgp import reference_partial_hom
-from test_orbit import assert_apply_matches_reference, inverse_homeo, swap_oe_data
+from test_invsgp import assert_products_match_reference, reference_partial_hom
+from test_orbit import (
+    assert_apply_matches_reference,
+    inverse_homeo,
+    reference_prepend,
+    swap_oe_data,
+)
 from test_words import reference_sort_key
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -140,10 +145,10 @@ def shift_prepend_laws(g):
         for k in range(len(x) + 1 if x.is_finite else 5):
             y = x.shift(k)
             assert_validated(y)
-            assert y.prepend(x.head(k)) == x
+            assert reference_prepend(y, x.head(k)) == x
             for alpha in short:
                 if alpha.source_vertex == y.range_vertex:
-                    assert_validated(y.prepend(alpha))
+                    assert_validated(reference_prepend(y, alpha))
 
 
 def reference_startswith(x, mu):
@@ -188,10 +193,11 @@ def long_stems(g, x):
 def act_point_canonical_laws(g, seed):
     """act_point of every admissible word up to length 2 gives a canonical
     point wherever it is defined on a probe point.  It equals the old
-    composite x.shift(len(beta)).prepend(alpha) there, and also for every
-    beta = head(k) that covers x's prefix: a finite x's whole path with a
-    one-step alpha, or a periodic x's head with an alpha that is empty or
-    ends in the cycle's last instance, which _absorb then takes back.
+    composite, a shift by len(beta) and then reference_prepend(alpha),
+    there, and also for every beta = head(k) that covers x's prefix: a
+    finite x's whole path with a one-step alpha, or a periodic x's head
+    with an alpha that is empty or ends in the cycle's last instance,
+    which _absorb then takes back.
     startswith and instance_at agree with the unrolled head, and act_set
     with strip_prefix then concat on random compact opens."""
     # [1:] drops the empty word, which sorts first and has no beta
@@ -209,7 +215,7 @@ def act_point_canonical_laws(g, seed):
             if inside[pw.beta]:
                 z = pw.act_point(x)
                 assert_validated(z)
-                assert z == x.shift(len(pw.beta)).prepend(pw.alpha), (x, pw)
+                assert z == reference_prepend(x.shift(len(pw.beta)), pw.alpha), (x, pw)
         for k in range(len(x.prefix), len(stems[0]) + 1):
             y, beta = x.shift(k), x.head(k)
             if x.is_finite:
@@ -218,7 +224,8 @@ def act_point_canonical_laws(g, seed):
                 alphas = [g.vertex_path(y.range_vertex), g.trusted_path(y.cycle[-1:]),
                           g.trusted_path(y.cycle)]
             for a in alphas:
-                assert PartialWord(g, a, beta).act_point(x) == y.prepend(a), (x, a, beta)
+                assert PartialWord(g, a, beta).act_point(x) == reference_prepend(y, a), \
+                    (x, a, beta)
     rng = random.Random(seed)
     for _ in range(3):
         U = random_compact_open(g, rng)
@@ -620,11 +627,13 @@ def test_to_dr_merge_depth_is_least_and_roundtrips(seed):
 
 def sigma_laws(g):
     """verify_partial_hom agrees with the per-pair reference and finds no
-    failure, at depth 1 and, while the truncation stays small, depth 2."""
+    failure, and sgp_mul's one-step products equal reference_sgp_mul's on
+    every pair, at depth 1 and, while the truncation stays small, depth 2."""
     depths = [1]
     if len(TruncatedSemilattice(g, 2).elements()) <= 120:
         depths.append(2)
     for depth in depths:
+        assert_products_match_reference(g, TruncatedSemilattice(g, depth).elements())
         rep = verify_partial_hom(g, depth)
         assert rep == reference_partial_hom(g, depth)
         assert rep["failures"] == [] and rep["idempotent_pure_failures"] == []

@@ -5,7 +5,7 @@ import pytest
 
 from gforge import corpus
 from gforge.graph import EdgeInstance
-from gforge.words import (ReducedWord, WordError, ball, inverse, parse_word,
+from gforge.words import (ReducedWord, WordError, _trusted, ball, inverse, parse_word,
                           positive_negative_split, reduce)
 
 
@@ -87,6 +87,27 @@ def test_from_pair_cancels_shared_tail():
     word = ReducedWord.from_pair(mu, nu)
     assert str(word) == "a.b^-1"      # the shared last b cancels
     assert ReducedWord.from_pair(mu, mu).is_identity
+
+
+def test_words_hash_as_their_letters():
+    """The hash, filled on first use, is that of the letter tuple however
+    the word was built, so equal words built different ways dedupe."""
+    g = corpus.g2()
+    ab, bb = g.path_of("a", "b"), g.path_of("b", "b")
+    u = w("a.b^-1")
+    built = [
+        ReducedWord(u.letters), ReducedWord(u.letters + u.inverse().letters),
+        _trusted(u.letters), _trusted(()),
+        ReducedWord.from_pair(ab, bb), ReducedWord.from_pair(ab, ab),
+        w("a") * w("b^-1"), u * u.inverse(), u * u,
+        u.inverse(), u.inverse().inverse(),
+    ]
+    for word in built:
+        # the first call fills the slot, the second reads it
+        assert hash(word) == hash(word) == hash(word.letters), word
+    same = [u, ReducedWord(u.letters), _trusted(u.letters), ReducedWord.from_pair(ab, bb),
+            w("a") * w("b^-1"), u.inverse().inverse()]
+    assert set(same) == {u} and len({*same, u.inverse()}) == 2
 
 
 def test_positive_negative_split():
