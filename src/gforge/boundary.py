@@ -254,7 +254,7 @@ def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
     """Empty iff the stem's source is regular and every continuation is barred
     (Webster, Proc. AMS 142, 2014).  By the Cylinder invariant that is a count;
     a source with no receivers is a single point, hence the 0 <."""
-    return 0 < len(c.excl) == g.receiver_count(c.stem.source_vertex)
+    return 0 < len(c.excl) == g._count[c.stem.source_vertex]
 
 
 def cyl_contains(c: Cylinder, x: BoundaryPoint) -> bool:
@@ -322,16 +322,32 @@ class CompactOpen:
         self.parts = tuple(keep)
 
     @classmethod
+    def trusted(cls, graph: Graph, parts: tuple) -> "CompactOpen":
+        """The set with exactly these parts, built without the normalising
+        pass of __init__.
+
+        Precondition: parts is a tuple of non-empty, distinct cylinders
+        sorted by Cylinder.key, which is the normal form __init__ makes.
+        """
+        self = object.__new__(cls)
+        self.graph = graph
+        self.parts = parts
+        return self
+
+    @classmethod
     def empty(cls, g):
-        return cls(g, ())
+        return cls.trusted(g, ())
 
     @classmethod
     def whole(cls, g):
-        return cls(g, [Cylinder(g.vertex_path(v), frozenset()) for v in sorted(g.vertices)])
+        # a vertex cylinder is never empty, and Cylinder.key orders them by vertex
+        return cls.trusted(g, tuple(Cylinder(Path(v, v), frozenset())
+                                    for v in sorted(g.vertices)))
 
     @classmethod
     def cylinder(cls, g, stem: Path):
-        return cls(g, [Cylinder(stem, frozenset())])
+        # a cylinder without exclusions is never empty
+        return cls.trusted(g, (Cylinder(stem, frozenset()),))
 
     @property
     def is_empty(self):
@@ -341,9 +357,15 @@ class CompactOpen:
         return any(cyl_contains(p, x) for p in self.parts)
 
     def union(self, other: "CompactOpen") -> "CompactOpen":
+        if not self.parts:
+            return other
+        if not other.parts:
+            return self
         return CompactOpen(self.graph, self.parts + other.parts)
 
     def intersect(self, other: "CompactOpen") -> "CompactOpen":
+        if not self.parts or not other.parts:
+            return CompactOpen.empty(self.graph)
         out = []
         for a in self.parts:
             for b in other.parts:
@@ -354,6 +376,8 @@ class CompactOpen:
 
     def difference(self, other: "CompactOpen") -> "CompactOpen":
         g, parts = self.graph, self.parts
+        if not parts or not other.parts:
+            return self
         for r in other.parts:
             parts = [p for c in parts for p in cyl_difference(g, c, r)
                      if not cyl_is_empty(g, p)]
@@ -476,12 +500,19 @@ class PartialWord:
         raise DomainError(f"{point_str(x)} is not in the domain of {self.word()}")
 
     def act_set(self, U: CompactOpen) -> CompactOpen:
-        """The image of U intersected with the domain."""
+        """The image of U intersected with the domain.
+
+        Swapping the prefix beta for alpha keeps each stem's source, so its
+        emptiness, and keeps the order of Cylinder.key among stems that
+        start with beta: their images are in normal form already.  Only
+        Z(alpha), the image of a part above Z(beta), sends the result
+        through the normalising constructor.
+        """
         g, alpha, beta = self.graph, self.alpha, self.beta
         if beta is None:
             return U if self.is_identity else CompactOpen.empty(g)
         k = len(beta.instances)
-        out = []
+        out, normal = [], True
         for stem, F in U.parts:
             if stem.startswith(beta):
                 out.append(Cylinder(Path(alpha.range_vertex, stem.source_vertex,
@@ -489,7 +520,8 @@ class PartialWord:
             elif beta.startswith(stem) and k > len(stem.instances):
                 if beta.instances[len(stem.instances)] not in F:
                     out.append(Cylinder(alpha, frozenset()))
-        return CompactOpen(g, out)
+                    normal = False
+        return CompactOpen.trusted(g, tuple(out)) if normal else CompactOpen(g, out)
 
     def __repr__(self):
         return f"PartialWord({str(self.word())!r})"

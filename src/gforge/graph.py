@@ -24,7 +24,19 @@ and to_ptg builds its PTGElement from the merge witness's heads with
 the trusted PartialWord(g, lam, mu, word).  invsgp.sgp_mul splices its
 product path from the factors' instance tuples and builds the pair
 unchecked with invsgp._pair, since the two paths share a source by
-construction.
+construction.  boundary.CompactOpen.trusted builds a set from its parts
+unchecked; its precondition is that they are non-empty, distinct and
+sorted by Cylinder.key, the normal form CompactOpen() makes.
+
+A Graph never changes after construction, so it keeps what it works out
+about itself: upstream(v) and downstream(v), one BFS tree of least
+shortest paths per range vertex (shortest_path reads every answer for
+that range off it), continuations(v, copies), and first_return_profile's
+loops at v when no first instance is excluded.  Each table is filled on
+first use and lives as long as the graph.  What a table hands out is
+immutable (frozensets, Paths, tuples) or a copy: first_return_profile
+returns a fresh list each call.  Report-level results (condition_pi,
+the paradox verdicts) are computed anew on every call.
 """
 from __future__ import annotations
 
@@ -150,6 +162,13 @@ class Graph:
                       for v, lst in self._receivers.items()}
         self._count = {v: sum(e.multiplicity for e in lst)
                        for v, lst in self._receivers.items()}
+        # graph facts, each filled on first use and kept for the graph's
+        # lifetime (see the module docstring)
+        self._upstream_of: dict[str, frozenset] | None = None
+        self._downstream_of: dict[str, frozenset] | None = None
+        self._least_paths: dict[str, dict] = {}
+        self._continuations: dict = {}
+        self._first_returns: dict[str, tuple] = {}
 
     # -- schema ------------------------------------------------------------
 
@@ -310,13 +329,16 @@ class Graph:
 
     # -- enumeration -------------------------------------------------------
 
-    def continuations(self, v: str, copies: int = 1):
-        """Edge instances receivable at v; infinite families contribute `copies` copies."""
-        out = []
-        for e in self.receivers(v):
-            n = copies if e.multiplicity == INFINITE else e.multiplicity
-            for c in range(n):
-                out.append(EdgeInstance(e.eid, c))
+    def continuations(self, v: str, copies: int = 1) -> tuple:
+        """Edge instances receivable at v, edge by edge in id order, then by
+        copy; infinite families contribute `copies` copies."""
+        # copies matter only where an infinite family is received
+        key = (v, copies) if self._count[v] == INFINITE else v
+        out = self._continuations.get(key)
+        if out is None:
+            out = self._continuations[key] = tuple(
+                EdgeInstance(e.eid, c) for e in self._receivers[v]
+                for c in range(copies if e.multiplicity == INFINITE else e.multiplicity))
         return out
 
     def paths_up_to(self, depth: int) -> list[Path]:
@@ -346,11 +368,15 @@ class Graph:
 
     def upstream(self, v: str) -> frozenset:
         """All w with w <- v, i.e. reachable from v along edges source-to-range."""
-        return _closure((v,), self._up)
+        if self._upstream_of is None:
+            self._upstream_of = _closures(self.vertices, self._up)
+        return self._upstream_of[v]
 
     def downstream(self, v: str) -> frozenset:
         """All z with v <- z: the vertices a path from v can end at."""
-        return _closure((v,), self._down)
+        if self._downstream_of is None:
+            self._downstream_of = _closures(self.vertices, self._down)
+        return self._downstream_of[v]
 
     def omega_set(self, v: str) -> frozenset:
         """Vertices w != v with no path from v to w (r = w, s = v)."""
@@ -359,28 +385,45 @@ class Graph:
         return frozenset(w for w in self.vertices if w != v and w not in reach)
 
     def shortest_path(self, w: str, v: str) -> Path | None:
-        """Lexicographically least shortest path with r = w, s = v, or None."""
+        """Lexicographically least shortest path with r = w, s = v, or None.
+
+        Read off the BFS tree from w, built on the first call with that w.
+        """
         self._check_vertex(w)
         self._check_vertex(v)
-        if w == v:
-            return self.vertex_path(w)
-        # BFS from the range end, extending at the source; levels stay sorted
-        best = {w: self.vertex_path(w)}
-        frontier = [self.vertex_path(w)]
+        tree = self._least_paths.get(w)
+        if tree is None:
+            tree = self._least_paths[w] = self._least_path_tree(w)
+        if v not in tree:
+            return None
+        insts = []
+        while v != w:
+            e = tree[v]
+            insts.append(EdgeInstance(e.eid, 0))
+            v = e.range_vertex
+        insts.reverse()
+        return self.trusted_path(tuple(insts), w)
+
+    def _least_path_tree(self, w: str) -> dict:
+        """Every vertex reachable down from w -> the last edge of its least
+        shortest path from w, or None for w itself.
+
+        A BFS from the range end, extending at the source: each level stays
+        sorted when extended edge by edge in id order, so a vertex's first
+        discovery is its least shortest path.  Copy 0 of an edge stands for
+        all its copies, which lead to the same source.
+        """
+        tree = {w: None}
+        frontier = [w]
         while frontier:
             nxt = []
-            for mu in frontier:
-                for inst in self.continuations(mu.source_vertex):
-                    y = self.s_of(inst)
-                    if y in best:
-                        continue
-                    ext = Path(mu.range_vertex, y, mu.instances + (inst,))
-                    best[y] = ext
-                    nxt.append(ext)
-                    if y == v:
-                        return ext
+            for x in frontier:
+                for e in self._receivers[x]:
+                    if e.source_vertex not in tree:
+                        tree[e.source_vertex] = e
+                        nxt.append(e.source_vertex)
             frontier = nxt
-        return None
+        return tree
 
 
 def _closure(starts, adjacency) -> frozenset:
@@ -393,6 +436,16 @@ def _closure(starts, adjacency) -> frozenset:
                 seen.add(y)
                 stack.append(y)
     return frozenset(seen)
+
+
+def _closures(vertices, adjacency) -> dict:
+    """Each vertex -> its closure; equal closures, as on the vertices of one
+    strongly connected component, share one frozenset."""
+    out, shared = {}, {}
+    for v in vertices:
+        c = _closure((v,), adjacency)
+        out[v] = shared.setdefault(c, c)
+    return out
 
 
 class PIReport(NamedTuple):
@@ -437,12 +490,24 @@ def condition_l(g: Graph):
     return True, None
 
 
-def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
+def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()) -> list:
     """Loops at v that do not pass v in between, at most two of them.
 
     Returns min(true count, 2) pairwise distinct loops.  forbidden_first
     excludes instances as the first (range-end) edge.  Deterministic:
-    smallest instances win.
+    smallest instances win.  The answer without exclusions is kept per
+    graph; each call gets a fresh list.
+    """
+    if forbidden_first:
+        return _first_returns(g, v, forbidden_first)
+    loops = g._first_returns.get(v)
+    if loops is None:
+        loops = g._first_returns[v] = tuple(_first_returns(g, v, forbidden_first))
+    return list(loops)
+
+
+def _first_returns(g: Graph, v: str, forbidden_first) -> list:
+    """The walk behind first_return_profile.
 
     At the current position only instances whose source can still lead back
     to v matter; if a position ever offers two of them, two loops sharing the
@@ -461,7 +526,7 @@ def first_return_profile(g: Graph, v: str, forbidden_first=frozenset()):
     for _ in range(len(g.vertices) + 1):
         # an infinite family offers endless copies, and forbidden is finite
         allowed = list(islice(
-            (i for e in g.receivers(x) if e.source_vertex in U
+            (i for e in g._receivers[x] if e.source_vertex in U
              for c in (count() if e.multiplicity == INFINITE else range(e.multiplicity))
              if (i := EdgeInstance(e.eid, c)) not in forbidden), 2))
         if not allowed:

@@ -22,14 +22,15 @@ from .words import ReducedWord
 
 class PiecewiseWord:
     """Finitely many disjoint pieces, each moved by its own word; maps[i] is
-    the PartialWord of pieces[i]'s word, built once here."""
+    the PartialWord of pieces[i]'s word, built once here.  A piece is a
+    CompactOpen or a single non-empty Cylinder, as _cylinder_pair makes."""
 
     __slots__ = ("graph", "pieces", "maps")
 
     def __init__(self, graph: Graph, pieces):
         self.graph = graph
         self.pieces = tuple(
-            (U if isinstance(U, CompactOpen) else CompactOpen(graph, [U]), w)
+            (U if isinstance(U, CompactOpen) else CompactOpen.trusted(graph, (U,)), w)
             for U, w in pieces)
         self.maps = tuple(PartialWord.from_word(graph, w) for _, w in self.pieces)
 
@@ -69,7 +70,7 @@ def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
     when no infinite family leads back to v, never raising.
     """
     up = g.upstream(v)
-    fams = [(e.eid, g.shortest_path(e.source_vertex, v).instances) for e in g.receivers(v)
+    fams = [(e.eid, g.shortest_path(e.source_vertex, v).instances) for e in g._receivers[v]
             if e.multiplicity == INFINITE and e.source_vertex in up]
     if not fams:
         return []
@@ -84,9 +85,9 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     or None when the search bottoms out.  cyl is never empty: it is a part
     of a compact open set or a stem without exclusions."""
     v = cyl.stem.source_vertex
-    if not g.receivers(v):
+    if not g._receivers[v]:
         return None                       # a single point cannot split
-    infinite = g.receiver_count(v) == INFINITE
+    infinite = g._count[v] == INFINITE
     if infinite:
         loops = infinite_loops(g, v, forbidden_first=cyl.excl)
     else:

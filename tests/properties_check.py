@@ -1,8 +1,8 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
-shift/prepend, canonical act_point, isotropy, orbit, homeo apply and
-word kernel, and the word, set-expression, graph JSON and point text
-roundtrips.
+shift/prepend, canonical act_point, isotropy, orbit, homeo apply, word
+kernel and graph table, and the word, set-expression, graph JSON and point
+text roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
@@ -23,7 +23,9 @@ so it too keeps three vertices, as does the apply law on the same
 graphs, which compares every point of probe_points(g, 4).  The word
 kernel law runs on the
 four-vertex graphs of graph_of and compares spread samples of words,
-paths and points, about 10 s.  The file name keeps it out of the
+paths and points, about 10 s.  The graph table law, the per-graph
+tables against their uncached references, runs on graph_of(seed, 5),
+graphs of up to five vertices.  The file name keeps it out of the
 default test collection: it takes about 130 s on 2 cores with Python
 3.11.7, 30 s of it the act_point law and 27 s the orbit law.
 """
@@ -32,6 +34,7 @@ import random
 from hypothesis import given, settings
 
 from gforge import corpus
+from test_graph import graph_table_laws
 from test_properties import (
     act_point_canonical_laws,
     apply_laws,
@@ -171,3 +174,9 @@ def test_orbit_laws_deep(seed):
 @given(seeds)
 def test_apply_laws_deep(seed):
     apply_laws(*swap_graph_of(seed, 3))
+
+
+@DEEP
+@given(seeds)
+def test_graph_table_laws_deep(seed):
+    graph_table_laws(graph_of(seed, 5))

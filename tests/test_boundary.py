@@ -33,7 +33,7 @@ from gforge import boundary
 from gforge.boundary import _absorb
 from gforge.graph import Edge, EdgeInstance, Graph, GraphError, condition_l, first_return_profile
 from gforge.orbit import PrefixHomeo, swap_homeo
-from gforge.paradox import infinite_loops
+from gforge.paradox import find_witness, infinite_loops
 from gforge.words import ReducedWord, parse_word
 from test_orbit import inverse_homeo, reference_prepend, two_level_homeo
 
@@ -277,6 +277,98 @@ def test_set_operations_match_membership(name):
             assert (x in U) == (in_a or in_b)
             assert (x in I) == (in_a and in_b)
             assert (x in D) == (in_a and not in_b)
+
+
+def reference_union(A, B):
+    """union as first written: every result through the normalising
+    constructor."""
+    return CompactOpen(A.graph, A.parts + B.parts)
+
+
+def reference_intersect(A, B):
+    """intersect as first written."""
+    out = []
+    for a in A.parts:
+        for b in B.parts:
+            ab = cyl_intersect(a, b)
+            if ab is not None:
+                out.append(ab)
+    return CompactOpen(A.graph, out)
+
+
+def reference_difference(A, B):
+    """difference as first written."""
+    g, parts = A.graph, A.parts
+    for r in B.parts:
+        parts = [p for c in parts for p in cyl_difference(g, c, r)
+                 if not cyl_is_empty(g, p)]
+    return CompactOpen(g, parts)
+
+
+def reference_act_set(pw, U):
+    """act_set as first written, its image through the normalising
+    constructor."""
+    g, alpha, beta = pw.graph, pw.alpha, pw.beta
+    if beta is None:
+        return U if pw.is_identity else CompactOpen(g, ())
+    k = len(beta.instances)
+    out = []
+    for stem, F in U.parts:
+        if stem.startswith(beta):
+            out.append(Cylinder(g.trusted_path(alpha.instances + stem.instances[k:],
+                                               alpha.range_vertex), F))
+        elif beta.startswith(stem) and k > len(stem.instances):
+            if beta.instances[len(stem.instances)] not in F:
+                out.append(Cylinder(alpha, frozenset()))
+    return CompactOpen(g, out)
+
+
+def assert_normal_as(r, ref):
+    """r is in normal form (sorted by Cylinder.key, distinct, empty-free)
+    and has the parts of the reference result."""
+    assert r.parts == CompactOpen(r.graph, r.parts).parts, r
+    assert r.parts == ref.parts, (r, ref)
+
+
+def set_normal_form_laws(g, seed, rounds=10):
+    """Every set the algebra builds, with or without the normalising
+    constructor, is in normal form and equals the always-normalising
+    result: the builders, union, intersect and difference of random sets
+    (the empty and whole sets among them), act_set of every admissible
+    word, and the pieces of a whole-space witness."""
+    rng = random.Random(seed)
+    empty, whole = CompactOpen.empty(g), CompactOpen.whole(g)
+    assert_normal_as(empty, CompactOpen(g, ()))
+    assert_normal_as(whole, CompactOpen(g, [Cylinder(g.vertex_path(v), frozenset())
+                                            for v in g.vertices]))
+    for mu in g.paths_up_to(2):
+        assert_normal_as(CompactOpen.cylinder(g, mu),
+                         CompactOpen(g, [Cylinder(mu, frozenset())]))
+    sets = [empty, whole] + [random_compact_open(g, rng) for _ in range(rounds)]
+    for A in sets:
+        for B in sets:
+            assert_normal_as(A.union(B), reference_union(A, B))
+            assert_normal_as(A.intersect(B), reference_intersect(A, B))
+            assert_normal_as(A.difference(B), reference_difference(A, B))
+    for w in admissible_words(g, 2):
+        pw = PartialWord.from_word(g, w)
+        for U in sets:
+            assert_normal_as(pw.act_set(U), reference_act_set(pw, U))
+    pair = find_witness(g, whole)
+    for m in pair or ():
+        for D, _ in m.pieces:
+            assert_normal_as(D, CompactOpen(g, D.parts))
+
+
+def test_set_results_are_in_normal_form(corpus_graph):
+    name, g = corpus_graph
+    set_normal_form_laws(g, sum(map(ord, name)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_set_results_are_in_normal_form_random(seed):
+    g = corpus.random_graph(random.Random(seed), 4, allow_infinite=True)
+    set_normal_form_laws(g, seed)
 
 
 def test_difference_parts_stay_disjoint():

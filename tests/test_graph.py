@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations, count, islice
 
 import pytest
 
@@ -11,7 +12,9 @@ from gforge.graph import (
     Graph,
     GraphError,
     INFINITE,
+    Path,
     SchemaError,
+    _closure,
     breaking_vertices,
     condition_k,
     condition_l,
@@ -516,3 +519,133 @@ def test_condition_pi_witness_details():
     assert rep.tail_witness == (frozenset({"u", "w"}), "u")
     rep = condition_pi(corpus.g6())
     assert rep.breaking == frozenset({"v"})
+
+
+# ---------------------------------------------------------------- per-graph tables
+
+def reference_upstream(g, v):
+    """upstream as first written: one closure per call."""
+    return _closure((v,), g._up)
+
+
+def reference_downstream(g, v):
+    """downstream as first written: one closure per call."""
+    return _closure((v,), g._down)
+
+
+def reference_continuations(g, v, copies=1):
+    """continuations as first written: a new list per call."""
+    out = []
+    for e in g.receivers(v):
+        n = copies if e.multiplicity == INFINITE else e.multiplicity
+        for c in range(n):
+            out.append(EdgeInstance(e.eid, c))
+    return out
+
+
+def reference_shortest_path(g, w, v):
+    """shortest_path as first written: a BFS per (w, v) pair that returns
+    at the first discovery of v."""
+    if w == v:
+        return g.vertex_path(w)
+    best = {w: g.vertex_path(w)}
+    frontier = [g.vertex_path(w)]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for inst in reference_continuations(g, mu.source_vertex):
+                y = g.s_of(inst)
+                if y in best:
+                    continue
+                ext = Path(mu.range_vertex, y, mu.instances + (inst,))
+                best[y] = ext
+                nxt.append(ext)
+                if y == v:
+                    return ext
+        frontier = nxt
+    return None
+
+
+def reference_first_return_profile(g, v, forbidden_first=frozenset()):
+    """The first-return walk as first written, on the reference closures
+    and paths, with nothing kept between calls."""
+    U = reference_upstream(g, v)
+
+    def complete(insts):
+        rho = reference_shortest_path(g, g.s_of(insts[-1]), v)
+        return g.trusted_path(insts + list(rho.instances))
+
+    x = v
+    prefix = []
+    forbidden = forbidden_first
+    for _ in range(len(g.vertices) + 1):
+        allowed = list(islice(
+            (i for e in g.receivers(x) if e.source_vertex in U
+             for c in (count() if e.multiplicity == INFINITE else range(e.multiplicity))
+             if (i := EdgeInstance(e.eid, c)) not in forbidden), 2))
+        if not allowed:
+            return []
+        if len(allowed) == 2:
+            return [complete(prefix + [i]) for i in allowed]
+        prefix.append(allowed[0])
+        x = g.s_of(allowed[0])
+        forbidden = frozenset()
+        if x == v:
+            return [g.trusted_path(prefix)]
+    raise GraphError("forced first-return walk failed to close")
+
+
+def exclusion_sets(g, v):
+    """First-step exclusions at v: each instance of continuations(v, 2)
+    alone, each pair of the first four, and all of them."""
+    conts = reference_continuations(g, v, 2)
+    out = [frozenset({i}) for i in conts]
+    out += [frozenset(pair) for pair in combinations(conts[:4], 2)]
+    out.append(frozenset(conts))
+    return out
+
+
+def graph_table_laws(g):
+    """Every answer the per-graph tables give equals the uncached reference,
+    on a fresh copy of g (the cold call) and again (the warm one).  The
+    first-return table serves only calls without exclusions, the answer
+    with exclusions follows the one without, and a caller that mutates
+    the list first_return_profile returned changes no later answer.  What
+    the tables hand out is immutable: frozensets, Paths and tuples."""
+    vs = sorted(g.vertices)
+    exclusions = {v: exclusion_sets(g, v) for v in vs}
+    queries = {
+        "upstream": (lambda h, v: h.upstream(v), reference_upstream),
+        "downstream": (lambda h, v: h.downstream(v), reference_downstream),
+        "continuations": (
+            lambda h, v: [h.continuations(v, c) for c in (1, 2, 3)],
+            lambda h, v: [tuple(reference_continuations(h, v, c)) for c in (1, 2, 3)]),
+        "shortest_path": (
+            lambda h, v: [h.shortest_path(w, v) for w in vs],
+            lambda h, v: [reference_shortest_path(h, w, v) for w in vs]),
+        "first_return_profile": (
+            lambda h, v: [first_return_profile(h, v)]
+            + [first_return_profile(h, v, F) for F in exclusions[v]],
+            lambda h, v: [reference_first_return_profile(h, v)]
+            + [reference_first_return_profile(h, v, F) for F in exclusions[v]]),
+    }
+    for name, (ask, reference) in queries.items():
+        h = Graph(g.vertices, g.edges.values())
+        want = {v: reference(h, v) for v in vs}
+        for call in ("cold", "warm"):
+            for v in vs:
+                assert ask(h, v) == want[v], (name, call, v)
+    h = Graph(g.vertices, g.edges.values())
+    for v in vs:
+        assert type(h.upstream(v)) is type(h.downstream(v)) is frozenset
+        assert all(type(h.continuations(v, c)) is tuple for c in (1, 2, 3))
+        want = reference_first_return_profile(h, v)
+        loops = first_return_profile(h, v)
+        loops.append(h.vertex_path(v))
+        loops[0:1] = []
+        assert first_return_profile(h, v) == want, v
+
+
+def test_graph_tables_match_reference(corpus_graph):
+    _, g = corpus_graph
+    graph_table_laws(g)

@@ -8,7 +8,8 @@ run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
 act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
-word_kernel_laws and the four roundtrip laws on larger graphs.
+word_kernel_laws, graph_table_laws and the four roundtrip laws on larger
+graphs.
 """
 import json
 import random
@@ -63,6 +64,7 @@ from test_boundary import (
     reference_admissible_words,
     reference_partial_action,
 )
+from test_graph import graph_table_laws
 from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
@@ -300,6 +302,12 @@ def emptiness_laws(g, seed):
     for c in made:
         assert all(g.r_of(i) == c.stem.source_vertex for i in c.excl)
         assert cyl_is_empty(g, c) == reference_cyl_is_empty(g, c), c
+
+
+@PROFILE
+@given(seeds)
+def test_graph_tables_match_reference_random(seed):
+    graph_table_laws(corpus.random_graph(random.Random(seed), 5, allow_infinite=True))
 
 
 @PROFILE
