@@ -27,6 +27,10 @@ unchecked with invsgp._pair, since the two paths share a source by
 construction.  boundary.CompactOpen.trusted builds a set from its parts
 unchecked; its precondition is that they are non-empty, distinct and
 sorted by Cylinder.key, the normal form CompactOpen() makes.
+paradox.PiecewiseWord.trusted builds a piecewise word from its pieces
+and maps unchecked; its precondition is that maps[i] is the map
+PartialWord.from_word builds from pieces[i]'s word, which the search
+and compose build from the path pairs they hold.
 
 A Graph never changes after construction, so it keeps what it works out
 about itself: upstream(v) and downstream(v), one BFS tree of least

@@ -15,15 +15,16 @@ single point and admit no pair, so the search reports failure there.
 
 from itertools import count, islice
 
-from .boundary import CompactOpen, Cylinder, PartialWord, set_str
-from .graph import EdgeInstance, Graph, INFINITE, first_return_profile
+from .boundary import (CompactOpen, Cylinder, PartialWord, cyl_intersect,
+                       cyl_is_empty, set_str)
+from .graph import EdgeInstance, Graph, INFINITE, Path, first_return_profile
 from .words import ReducedWord
 
 
 class PiecewiseWord:
     """Finitely many disjoint pieces, each moved by its own word; maps[i] is
-    the PartialWord of pieces[i]'s word, built once here.  A piece is a
-    CompactOpen or a single non-empty Cylinder, as _cylinder_pair makes."""
+    the PartialWord of pieces[i]'s word, built once.  A piece is a
+    CompactOpen or a single non-empty Cylinder."""
 
     __slots__ = ("graph", "pieces", "maps")
 
@@ -34,32 +35,85 @@ class PiecewiseWord:
             for U, w in pieces)
         self.maps = tuple(PartialWord.from_word(graph, w) for _, w in self.pieces)
 
-    def image(self) -> CompactOpen:
-        return CompactOpen(self.graph, [
-            part for (U, _), pw in zip(self.pieces, self.maps)
-            for part in pw.act_set(U).parts])
+    @classmethod
+    def trusted(cls, graph: Graph, pieces: tuple, maps: tuple) -> "PiecewiseWord":
+        """The piecewise word with exactly these pieces and maps, built
+        without from_word.
+
+        Precondition: pieces is a tuple of (CompactOpen, ReducedWord) pairs
+        and maps[i] is the map of pieces[i]'s word, the PartialWord that
+        PartialWord.from_word builds from it.
+        """
+        self = object.__new__(cls)
+        self.graph = graph
+        self.pieces = pieces
+        self.maps = maps
+        return self
 
     def compose(self, inner: "PiecewiseWord") -> "PiecewiseWord":
         """Apply inner first.  Pieces refine along where images land."""
-        pieces = []
+        g = self.graph
+        pieces, maps = [], []
         for (P, u), upw in zip(inner.pieces, inner.maps):
             img = upw.act_set(P)
-            for Q, w in self.pieces:
+            back = upw.inverse()
+            for (Q, w), wpw in zip(self.pieces, self.maps):
                 hit = img.intersect(Q)
                 if hit.is_empty:
                     continue
-                back = upw.inverse().act_set(hit)
-                pieces.append((back.intersect(P), w * u))
-        return PiecewiseWord(self.graph, pieces)
+                word = w * u
+                pieces.append((back.act_set(hit).intersect(P), word))
+                maps.append(_product_map(g, wpw, upw, word))
+        return PiecewiseWord.trusted(g, tuple(pieces), tuple(maps))
 
     def __repr__(self):
         inner = ", ".join(f"({set_str(U)}, {w})" for U, w in self.pieces)
         return f"PiecewiseWord([{inner}])"
 
 
-def _conjugate(stem, loop, g: Graph) -> ReducedWord:
-    # stem.loop.stem^-1 moves Z(stem) into Z(stem.loop)
-    return ReducedWord.from_pair(g.concat(stem, loop), stem)
+def _pair_map(g: Graph, alpha: Path, beta: Path) -> PartialWord:
+    """The map of alpha.beta^-1, built from the pair as from_word builds it
+    from the word: the k instances of the shared tail that
+    ReducedWord.from_pair cancels come off both paths, and a side that
+    cancels whole becomes the vertex path at the range of the first
+    cancelled instance.
+
+    Unchecked, as trusted_path is: alpha and beta are paths of g with a
+    common source.
+    """
+    word = ReducedWord.from_pair(alpha, beta)
+    if not word.letters:
+        return PartialWord.identity(g)
+    k = (len(alpha) + len(beta) - len(word)) // 2
+    if k:
+        m, n = alpha.instances, beta.instances
+        v = g.r_of(m[len(m) - k])
+        alpha = g.trusted_path(m[:len(m) - k], v)
+        beta = g.trusted_path(n[:len(n) - k], v)
+    return PartialWord(g, alpha, beta, word)
+
+
+def _product_map(g: Graph, outer: PartialWord, inner: PartialWord, word) -> PartialWord:
+    """The map of word, the product of outer's word and inner's word.
+
+    With outer = (A, B) and inner = (C, D) it is the pair of
+    invsgp.sgp_mul's two cases: (A.rest, D) when C = B.rest, (A, D.rest)
+    when B = C.rest.  An identity factor gives the other factor's map; an
+    empty map or incomparable B and C fall back to from_word.
+    """
+    if inner.is_identity:
+        return outer
+    if outer.is_identity:
+        return inner
+    A, B, C, D = outer.alpha, outer.beta, inner.alpha, inner.beta
+    if B is not None and C is not None:
+        if C.startswith(B):
+            return _pair_map(g, Path(A.range_vertex, C.source_vertex,
+                                     A.instances + C.instances[len(B.instances):]), D)
+        if B.startswith(C):
+            return _pair_map(g, A, Path(D.range_vertex, B.source_vertex,
+                                        D.instances + B.instances[len(C.instances):]))
+    return PartialWord.from_word(g, word)
 
 
 def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
@@ -81,9 +135,9 @@ def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
 
 
 def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
-    """Two (piece, word) lists for a paradoxical pair on one cylinder,
-    or None when the search bottoms out.  cyl is never empty: it is a part
-    of a compact open set or a stem without exclusions."""
+    """Two lists of ((piece, word), map) for a paradoxical pair on one
+    cylinder, or None when the search bottoms out.  cyl is never empty: it
+    is a part of a compact open set or a stem without exclusions."""
     v = cyl.stem.source_vertex
     if not g._receivers[v]:
         return None                       # a single point cannot split
@@ -93,8 +147,10 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     else:
         loops = first_return_profile(g, v, forbidden_first=cyl.excl)
     if len(loops) == 2:
-        wa, wb = (_conjugate(cyl.stem, loop, g) for loop in loops)
-        return [(cyl, wa)], [(cyl, wb)]
+        # stem.loop.stem^-1 moves Z(stem) into Z(stem.loop)
+        piece = CompactOpen.trusted(g, (cyl,))
+        a, b = (_pair_map(g, g.concat(cyl.stem, loop), cyl.stem) for loop in loops)
+        return [((piece, a.word()), a)], [((piece, b.word()), b)]
     if infinite or depth <= 0:
         return None
     side_a, side_b = [], []
@@ -129,13 +185,46 @@ def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
             side_b.extend(sub[1])
     if not side_a:
         return None                       # U empty: nothing to duplicate
-    return (PiecewiseWord(g, side_a), PiecewiseWord(g, side_b))
+    # a side lists ((piece, word), map); unzipped, it is pieces and maps
+    return tuple(PiecewiseWord.trusted(g, *zip(*side)) for side in (side_a, side_b))
+
+
+def _within(a: Cylinder, b: Cylinder) -> bool:
+    """A test on stems alone that suffices for Z(a) within Z(b): a's stem
+    extends b's past b's exclusions, or equals it and excludes all b does."""
+    if not a.stem.startswith(b.stem):
+        return False
+    n = len(b.stem.instances)
+    if len(a.stem.instances) == n:
+        return b.excl <= a.excl
+    return a.stem.instances[n] not in b.excl
+
+
+def _inside(g: Graph, parts, U: CompactOpen) -> bool:
+    """Whether every part lies in U: by _within where it settles a part, by
+    the exact difference for the parts it leaves open."""
+    rest = [p for p in parts if not any(_within(p, u) for u in U.parts)]
+    return not rest or CompactOpen(g, rest).difference(U).is_empty
+
+
+def _meet(g: Graph, parts, others) -> bool:
+    """Whether some part meets some other: a non-empty cylinder intersection."""
+    for a in parts:
+        for b in others:
+            ab = cyl_intersect(a, b)
+            if ab is not None and not cyl_is_empty(g, ab):
+                return True
+    return False
 
 
 def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
     """Certify that the maps carry U onto pairwise disjoint subsets of U.
 
-    Fewer than two maps, or an empty U, certify nothing and fail.
+    The certificate works on the pieces' cylinders: a piece overlaps the
+    earlier pieces of its map when one of its parts meets one of theirs,
+    the parts of a map tile U when the set they make equals U, and two
+    images meet when one part of each does.  Fewer than two maps, or an
+    empty U, certify nothing and fail.
     """
     rep = {"maps": len(maps), "pieces": 0, "ok": True, "failures": []}
 
@@ -151,25 +240,28 @@ def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
     images = []
     for i, m in enumerate(maps):
         rep["pieces"] += len(m.pieces)
-        covered = CompactOpen.empty(g)
+        covered, image = [], []
         for (D, w), pw in zip(m.pieces, m.maps):
             if pw.is_empty_map:
                 fail(f"map {i}: word {w} does not act")
                 continue
-            if not D.difference(pw.domain()).is_empty:
+            # the identity acts on the whole space; any other map on Z(beta)
+            beta = pw.beta
+            if beta is not None and not (all(p.stem.startswith(beta) for p in D.parts)
+                                         or D.difference(pw.domain()).is_empty):
                 fail(f"map {i}: piece {set_str(D)} leaves the domain of {w}")
-            if not D.intersect(covered).is_empty:
+            if _meet(g, D.parts, covered):
                 fail(f"map {i}: pieces overlap at {set_str(D)}")
-            covered = covered.union(D)
-        if covered != U:
+            covered.extend(D.parts)
+            image.extend(pw.act_set(D).parts)
+        if CompactOpen(g, covered) != U:
             fail(f"map {i}: pieces do not tile the set")
-        img = m.image()
-        if not img.difference(U).is_empty:
+        if not _inside(g, image, U):
             fail(f"map {i}: image escapes the set")
-        images.append(img)
+        images.append(image)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if not images[i].intersect(images[j]).is_empty:
+            if _meet(g, images[i], images[j]):
                 fail(f"images {i} and {j} meet")
     return rep
 
@@ -183,11 +275,9 @@ def expand_witness(g: Graph, pair, count: int):
     if count < 2:
         raise ValueError("count must be at least 2")
     a, b = pair
-    maps = []
-    lead = b
-    for _ in range(count - 1):
-        maps.append(lead)
-        lead = a.compose(lead)
+    maps = [b]
+    for _ in range(count - 2):
+        maps.append(a.compose(maps[-1]))
     power = a
     for _ in range(count - 2):
         power = a.compose(power)

@@ -1,8 +1,8 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
 shift/prepend, canonical act_point, isotropy, orbit, homeo apply, word
-kernel and graph table, and the word, set-expression, graph JSON and point
-text roundtrips.
+kernel, graph table and witness certificate, and the word, set-expression,
+graph JSON and point text roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
@@ -25,9 +25,12 @@ kernel law runs on the
 four-vertex graphs of graph_of and compares spread samples of words,
 paths and points, about 10 s.  The graph table law, the per-graph
 tables against their uncached references, runs on graph_of(seed, 5),
-graphs of up to five vertices.  The file name keeps it out of the
+graphs of up to five vertices, as does the witness certificate law,
+verify_witness against the union-growing reference on found, expanded
+and mutated witnesses.  The file name keeps it out of the
 default test collection: it takes about 130 s on 2 cores with Python
-3.11.7, 30 s of it the act_point law and 27 s the orbit law.
+3.11.7, 30 s of it the act_point law and 27 s the orbit law; the
+witness certificate law adds about 5 s.
 """
 import random
 
@@ -35,6 +38,7 @@ from hypothesis import given, settings
 
 from gforge import corpus
 from test_graph import graph_table_laws
+from test_paradox import verify_witness_laws
 from test_properties import (
     act_point_canonical_laws,
     apply_laws,
@@ -180,3 +184,9 @@ def test_apply_laws_deep(seed):
 @given(seeds)
 def test_graph_table_laws_deep(seed):
     graph_table_laws(graph_of(seed, 5))
+
+
+@DEEP
+@given(seeds)
+def test_verify_witness_laws_deep(seed):
+    verify_witness_laws(graph_of(seed, 5), seed)

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from gforge import corpus
-from gforge.boundary import CompactOpen, Cylinder, parse_point, probe_points
+from gforge.boundary import (
+    CompactOpen,
+    Cylinder,
+    PartialWord,
+    parse_point,
+    probe_points,
+    reduced_words,
+    set_str,
+)
 from gforge.graph import INFINITE, Edge, EdgeInstance, Graph, condition_pi
 from gforge.paradox import (
     PiecewiseWord,
@@ -14,6 +22,14 @@ from gforge.paradox import (
     verify_witness,
 )
 from gforge.words import ReducedWord, parse_word
+
+
+def image(m):
+    """The union of a piecewise word's piece images, normalised: the
+    PiecewiseWord.image that verify_witness used before it compared
+    images part by part."""
+    return CompactOpen(m.graph, [part for (U, _), pw in zip(m.pieces, m.maps)
+                                 for part in pw.act_set(U).parts])
 
 
 def test_infinite_loops_single_vertex_family():
@@ -46,8 +62,8 @@ def test_find_witness_two_loop_vertex():
     assert pair is not None
     a, b = pair
     assert verify_witness(g, U, [a, b])["ok"]
-    assert a.image() == CompactOpen.cylinder(g, g.path_of("a"))
-    assert b.image() == CompactOpen.cylinder(g, g.path_of("b"))
+    assert image(a) == CompactOpen.cylinder(g, g.path_of("a"))
+    assert image(b) == CompactOpen.cylinder(g, g.path_of("b"))
 
 
 def test_find_witness_splits_past_exclusions():
@@ -111,10 +127,10 @@ def test_witness_words_move_points():
     a, b = find_witness(g, U)
     x = parse_point(g, "(b.a)^inf")
     for m in (a, b):
-        img = m.image()
+        img = image(m)
         for y in probe_points(g, 2):
             V = CompactOpen.cylinder(g, y.head(2))
-            moved = PiecewiseWord(g, [(V.intersect(P), w) for P, w in m.pieces]).image()
+            moved = image(PiecewiseWord(g, [(V.intersect(P), w) for P, w in m.pieces]))
             assert moved.difference(img).is_empty
     assert x in U
 
@@ -137,6 +153,271 @@ def test_verify_witness_rejects_partial_cover():
     rep = verify_witness(g, U, [m1, m2])
     assert not rep["ok"]
     assert any("tile" in f for f in rep["failures"])
+
+
+def reference_verify_witness(g, U, maps):
+    """The certificate verify_witness replaced: a union of the pieces grown
+    and normalised piece by piece, and whole images compared as sets."""
+    rep = {"maps": len(maps), "pieces": 0, "ok": True, "failures": []}
+
+    def fail(msg):
+        rep["ok"] = False
+        rep["failures"].append(msg)
+
+    if len(maps) < 2:
+        fail("a paradoxical witness needs at least 2 maps")
+    if U.is_empty:
+        fail("the set is empty: nothing to duplicate")
+
+    images = []
+    for i, m in enumerate(maps):
+        rep["pieces"] += len(m.pieces)
+        covered = CompactOpen.empty(g)
+        for (D, w), pw in zip(m.pieces, m.maps):
+            if pw.is_empty_map:
+                fail(f"map {i}: word {w} does not act")
+                continue
+            if not D.difference(pw.domain()).is_empty:
+                fail(f"map {i}: piece {set_str(D)} leaves the domain of {w}")
+            if not D.intersect(covered).is_empty:
+                fail(f"map {i}: pieces overlap at {set_str(D)}")
+            covered = covered.union(D)
+        if covered != U:
+            fail(f"map {i}: pieces do not tile the set")
+        img = image(m)
+        if not img.difference(U).is_empty:
+            fail(f"map {i}: image escapes the set")
+        images.append(img)
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            if not images[i].intersect(images[j]).is_empty:
+                fail(f"images {i} and {j} meet")
+    return rep
+
+
+def reference_expand_witness(g, pair, count):
+    """expand_witness as it was, with the last composition of b's chain
+    made and dropped."""
+    a, b = pair
+    maps = []
+    lead = b
+    for _ in range(count - 1):
+        maps.append(lead)
+        lead = a.compose(lead)
+    power = a
+    for _ in range(count - 2):
+        power = a.compose(power)
+    maps.append(power)
+    return maps
+
+
+def assert_maps_from_word(g, m):
+    """Every map is the one from_word builds from its piece's word: the
+    same alpha and beta, source vertices included, and the same word."""
+    for (_, w), pw in zip(m.pieces, m.maps):
+        ref = PartialWord.from_word(g, w)
+        for got, want in ((pw.alpha, ref.alpha), (pw.beta, ref.beta)):
+            assert (got is None) == (want is None), (m, w)
+            if got is not None:
+                assert (got, got.source_vertex) == (want, want.source_vertex), (m, w)
+        assert pw.word() == ref.word() == w
+
+
+def mutations(g, m):
+    """Piecewise words one edit away from m: a dropped, a duplicated and a
+    shuffled piece list, and every word inverted or made the identity."""
+    pieces = list(m.pieces)
+    out = [PiecewiseWord(g, pieces[1:]), PiecewiseWord(g, pieces + pieces[:1]),
+           PiecewiseWord(g, pieces[::-1] if len(pieces) > 1 else pieces),
+           PiecewiseWord(g, [(D, w.inverse()) for D, w in pieces]),
+           PiecewiseWord(g, [(D, ReducedWord()) for D, _ in pieces])]
+    rng = random.Random(len(pieces))
+    shuffled = pieces[:]
+    rng.shuffle(shuffled)
+    out.append(PiecewiseWord(g, shuffled))
+    return out
+
+
+def witness_sets(g, rng):
+    """The whole space, each vertex cylinder, unions whose parts overlap,
+    one below another, with exclusions, and the empty set."""
+    sets = [CompactOpen.whole(g)]
+    sets += [CompactOpen.cylinder(g, g.vertex_path(v)) for v in g.vertices]
+    paths = g.paths_up_to(2)
+    for _ in range(2):
+        mu = rng.choice(paths)
+        conts = g.continuations(mu.source_vertex, copies=2)
+        parts = [Cylinder(mu, frozenset(i for i in conts if rng.random() < 0.35))]
+        below = [nu for nu in paths if nu.startswith(mu) and nu != mu]
+        if below:
+            nu = rng.choice(below)
+            conts = g.continuations(nu.source_vertex, copies=2)
+            parts.append(Cylinder(nu, frozenset(i for i in conts if rng.random() < 0.5)))
+        parts.append(Cylinder(rng.choice(paths), frozenset()))
+        sets.append(CompactOpen(g, parts))
+    return sets + [CompactOpen.empty(g)]
+
+
+def verify_witness_laws(g, seed):
+    """verify_witness returns the reference's report, failures and their
+    order included, on found pairs, their expansion to 3 maps, mutations
+    of them and maps of single words; and every map the search and
+    compose build is the one from_word builds from its word."""
+    rng = random.Random(seed)
+    words = reduced_words(g, 2)
+    for U in witness_sets(g, rng):
+        candidates = [[PiecewiseWord(g, [(U, rng.choice(words))]) for _ in range(2)]]
+        pair = find_witness(g, U)
+        if pair is not None:
+            a, b = pair
+            expanded = expand_witness(g, pair, 3)
+            for m in (*expanded, a.compose(a), b.compose(a)):
+                assert_maps_from_word(g, m)
+            candidates += [[a, b], [a, a], [b, a], expanded]
+            candidates += [[x, b] for x in mutations(g, a)]
+            candidates += [[a, x] for x in mutations(g, b)]
+        for maps in candidates:
+            assert verify_witness(g, U, maps) == reference_verify_witness(g, U, maps)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_verify_witness_matches_reference_on_corpus(name):
+    verify_witness_laws(corpus.by_name(name), 0)
+
+
+def test_found_maps_are_built_as_from_word_builds_them():
+    graphs = [corpus.by_name(n) for n in sorted(corpus.BUILDERS)]
+    graphs += [corpus.random_graph(random.Random(seed), 5, allow_infinite=True)
+               for seed in range(40)]
+    for g in graphs:
+        for U in witness_sets(g, random.Random(len(g.edges))):
+            pair = find_witness(g, U)
+            if pair is None:
+                continue
+            for m in (*pair, *expand_witness(g, pair, 4)):
+                assert_maps_from_word(g, m)
+
+
+def test_compose_builds_every_product_as_from_word():
+    # identity, empty, inverse and incomparable factors, on g2 and p3
+    for g, texts in [
+        (corpus.g2(), ["1", "a^-1.b", "a", "a^-1", "a.b^-1", "b.a^-1",
+                       "a.b.a^-1", "b.b", "a.b^-1.a^-1"]),
+        (corpus.p3(), ["1", "c", "c^-1", "c.p1.c^-1", "c.p1^-1", "p1.p2^-1",
+                       "d.q2", "c.d^-1", "p1^-1.p2"]),
+    ]:
+        U = CompactOpen.whole(g)
+        maps = [PiecewiseWord(g, [(U, parse_word(t))]) for t in texts]
+        for outer in maps:
+            for inner in maps:
+                assert_maps_from_word(g, outer.compose(inner))
+
+
+def test_expand_witness_skips_the_unused_composition(monkeypatch):
+    calls = []
+    compose = PiecewiseWord.compose
+
+    def counted(self, inner):
+        calls.append(1)
+        return compose(self, inner)
+
+    monkeypatch.setattr(PiecewiseWord, "compose", counted)
+    for name, v in [("g2", None), ("p3", "v"), ("g7", "u")]:
+        g = corpus.by_name(name)
+        U = CompactOpen.whole(g) if v is None else CompactOpen.cylinder(g, g.vertex_path(v))
+        pair = find_witness(g, U)
+        for count in (2, 3, 4, 5):
+            calls.clear()
+            maps = expand_witness(g, pair, count)
+            assert len(calls) == 2 * count - 4
+            calls.clear()
+            want = reference_expand_witness(g, pair, count)
+            assert len(calls) == 2 * count - 3
+            assert [[(D.parts, w) for D, w in m.pieces] for m in maps] == \
+                   [[(D.parts, w) for D, w in m.pieces] for m in want]
+            for m, r in zip(maps, want):
+                assert [(pw.alpha, pw.beta, pw.word()) for pw in m.maps] == \
+                       [(pw.alpha, pw.beta, pw.word()) for pw in r.maps]
+            assert verify_witness(g, U, maps)["ok"]
+
+
+def z(g, stem, *excl):
+    """Z(stem minus excl) on a corpus graph, stem and exclusions by edge id."""
+    return CompactOpen(g, [Cylinder(g.path_of(*stem), frozenset(
+        EdgeInstance(e, 0) for e in excl))])
+
+
+def test_verify_witness_names_a_word_that_does_not_act():
+    g = corpus.g2()
+    U = CompactOpen.whole(g)
+    m0 = PiecewiseWord(g, [(U, parse_word("a^-1.b"))])
+    m1 = PiecewiseWord(g, [(U, parse_word("a"))])
+    assert verify_witness(g, U, [m0, m1])["failures"] == [
+        "map 0: word a^-1.b does not act",
+        "map 0: pieces do not tile the set",
+    ]
+
+
+def test_verify_witness_names_a_piece_outside_the_domain():
+    g = corpus.g2()
+    U = CompactOpen.whole(g)
+    m0 = PiecewiseWord(g, [(U, parse_word("a.b^-1"))])
+    m1 = PiecewiseWord(g, [(U, parse_word("b.b"))])
+    assert verify_witness(g, U, [m0, m1])["failures"] == [
+        "map 0: piece Z(v) leaves the domain of a.b^-1",
+    ]
+
+
+def test_verify_witness_names_overlapping_pieces():
+    # Z(v - {a}) and Z(v - {b}) share only Z(v - {a, b}), which is empty at
+    # v, so only the third piece overlaps
+    g = corpus.g2()
+    U = CompactOpen.whole(g)
+    m0 = PiecewiseWord(g, [(z(g, ["v"], "a"), parse_word("a.a.b^-1")),
+                           (z(g, ["v"], "b"), parse_word("a.b.a^-1")),
+                           (z(g, ["a"]), parse_word("a.b.a^-1"))])
+    m1 = PiecewiseWord(g, [(U, parse_word("b"))])
+    assert verify_witness(g, U, [m0, m1])["failures"] == [
+        "map 0: pieces overlap at Z(a)",
+    ]
+
+
+def test_verify_witness_names_an_image_that_escapes():
+    # U is Z(v - {a}); the image Z(a - {a}) starts with U's stem v but
+    # passes through the excluded a
+    g = corpus.g2()
+    U = z(g, ["v"], "a")
+    m0 = PiecewiseWord(g, [(U, parse_word("b"))])
+    m1 = PiecewiseWord(g, [(U, parse_word("a"))])
+    assert verify_witness(g, U, [m0, m1])["failures"] == [
+        "map 1: image escapes the set",
+    ]
+
+
+def test_verify_witness_certifies_pieces_cut_by_exclusions():
+    # the pieces meet only in the empty Z(v - {a, b}), and they sit in their
+    # domains Z(b) and Z(a) only once the exclusions are counted
+    g = corpus.g2()
+    U = CompactOpen.whole(g)
+    maps = [PiecewiseWord(g, [(z(g, ["v"], "a"), parse_word(f"{x}.a.b^-1")),
+                              (z(g, ["v"], "b"), parse_word(f"{x}.b.a^-1"))])
+            for x in ("a", "b")]
+    rep = verify_witness(g, U, maps)
+    assert rep["ok"] and rep["failures"] == []
+    assert rep == reference_verify_witness(g, U, maps)
+
+
+def test_verify_witness_on_p3_cylinders():
+    g = corpus.p3()
+    U = CompactOpen.cylinder(g, g.vertex_path("v"))
+    a, b = find_witness(g, U)
+    assert verify_witness(g, U, [a, b])["failures"] == []
+    # a map whose pieces sit below c only tiles Z(c), not Z(v)
+    below_c = PiecewiseWord(g, [(D, w) for D, w in a.pieces
+                                if D.parts[0].stem.instances[0].edge == "c"])
+    assert verify_witness(g, U, [below_c, b])["failures"] == [
+        "map 0: pieces do not tile the set",
+    ]
 
 
 def test_verify_witness_rejects_no_maps():

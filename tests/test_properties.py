@@ -8,8 +8,8 @@ run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
 act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
-word_kernel_laws, graph_table_laws and the four roundtrip laws on larger
-graphs.
+word_kernel_laws, graph_table_laws, verify_witness_laws and the four
+roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -73,6 +73,7 @@ from test_orbit import (
     reference_prepend,
     swap_oe_data,
 )
+from test_paradox import verify_witness_laws
 from test_words import reference_sort_key
 
 PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -471,6 +472,13 @@ def test_found_witnesses_verify_on_unions_of_stems(seed, picks):
         assert verify_witness(g, U, list(pair))["ok"]
         for m in expand_witness(g, pair, 3):
             assert_maps_match_words(g, m)
+
+
+@PROFILE
+@given(seeds)
+def test_verify_witness_matches_reference(seed):
+    g = corpus.random_graph(random.Random(seed), 5, allow_infinite=True)
+    verify_witness_laws(g, seed)
 
 
 def transport_laws(g):
