@@ -35,13 +35,25 @@ def _primitive_root(insts):
     return insts
 
 
+_LETTERS = 8  # letters _absorb compares one at a time before it gallops
+
+
 def _absorb(pre: tuple, cyc: tuple):
     """The same prefix.cycle^inf with no prefix letter equal to the cycle's
     last: each such letter moves into a rotation of the cycle.
 
-    The k letters absorbed are the prefix's tail that reads the cycle
-    backwards from its last letter; the prefix is cut once and the cycle
-    turned once, by k mod its length.
+    The k letters absorbed are the prefix's longest tail that reads the
+    cycle backwards from its last letter; the prefix is cut once and the
+    cycle turned once, by k mod its length.  The first max(8, c) letters
+    (c the cycle length) are compared one at a time.  Once a tail of
+    k >= c letters matches, pre ends with the whole cycle, so a longer
+    tail matches exactly when it repeats with period c, and a tail of
+    t > k letters does once its t - k new letters equal the letters c
+    further on: pre[n-t:n-k] == pre[n-t+c:n-k+c].  That test is monotone
+    in t, so k is found by galloping in O(log n) slice comparisons.  The
+    first probe is the whole prefix, since a prefix made of turns of the
+    cycle (a word's path acting on its own loop) is absorbed whole; after
+    that t doubles while the slices agree, then the gap is halved.
     """
     if not pre or pre[-1] != cyc[-1]:
         return pre, cyc
@@ -49,6 +61,15 @@ def _absorb(pre: tuple, cyc: tuple):
     k = 1
     while k < n and pre[n - 1 - k] == cyc[-1 - k % c]:
         k += 1
+        if k >= _LETTERS and k >= c:
+            hi, t = n + 1, n  # tails shorter than hi may match
+            while hi - k > 1:
+                if pre[n - t:n - k] == pre[n - t + c:n - k + c]:
+                    k = t
+                else:
+                    hi = t
+                t = 2 * k if 2 * k < hi else (k + hi) // 2
+            break
     j = c - k % c
     return pre[:n - k], cyc[j:] + cyc[:j]
 

@@ -15,6 +15,11 @@ and is_singular only look it up.
 Input is validated once, where it enters: Graph() (with from_json and
 loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
 BoundaryPoint.finite/periodic, PartialWord.from_word and DRElement.make.
+make_path validates in one pass: each instance's edge is looked up once,
+and its copy and its composability with the previous instance are checked
+in the same step.  An invalid instance raises at once, so the first one
+anywhere in the tuple is reported before any composition fault; the
+first composition fault is held until every instance is validated.
 Code that already holds composable instances builds paths with the
 unchecked trusted_path; likewise, words._trusted builds a word from a
 letter tuple without reducing it, and its precondition is that the
@@ -271,19 +276,25 @@ class Graph:
         instances = tuple(instances)
         if not instances:
             raise GraphError("make_path needs at least one instance; use vertex_path")
-        es = []
+        edges = self.edges
+        r = s = prev = fault = None
         for inst in instances:
-            e = self.edges.get(inst[0])
+            e = edges.get(inst[0])
             if e is None or not 0 <= inst[1] < e.multiplicity:
                 self.instance(*inst)  # raises the error for this instance
-            es.append(e)
-        for i in range(1, len(es)):
-            if es[i].range_vertex != es[i - 1].source_vertex:
-                a, b = instances[i - 1], instances[i]
-                raise CompositionError(
-                    f"{self.instance_str(b)} (range {self.r_of(b)}) does not extend "
-                    f"{self.instance_str(a)} (source {self.s_of(a)})")
-        return Path(es[0].range_vertex, es[-1].source_vertex, instances)
+            if e.range_vertex != s:
+                if r is None:
+                    r = e.range_vertex
+                elif fault is None:
+                    fault = prev, inst
+            prev = inst
+            s = e.source_vertex
+        if fault is not None:
+            a, b = fault
+            raise CompositionError(
+                f"{self.instance_str(b)} (range {self.r_of(b)}) does not extend "
+                f"{self.instance_str(a)} (source {self.s_of(a)})")
+        return Path(r, s, instances)
 
     def trusted_path(self, instances, vertex: str | None = None) -> Path:
         """The path through instances, built without any check.

@@ -679,6 +679,41 @@ def test_long_word_acts_on_a_one_letter_cycle():
         assert PartialWord.from_word(g, word).act_point(x) == x
 
 
+# lengths of alpha: every one up to 20, then next to each power of two up
+# to 256, where _absorb's galloping search steps
+LONG_ALPHAS = sorted(set(range(1, 21)) | {2 ** i + d for i in range(5, 9) for d in (-1, 0, 1)}
+                     | {300})
+
+
+@pytest.mark.parametrize("name, point", [
+    ("g2", "(a.b)^inf"), ("g2", "(a.a.b)^inf"), ("g2", "b.(a.a.b.b)^inf"),
+    ("g2", "(a.b.a.b.b)^inf"), ("p3", "c.(p1.p2)^inf"), ("p3", "(p1.p1.p2)^inf"),
+    ("p3", "d.(q1.q2.q2.q1.q2)^inf"),
+])
+def test_long_words_act_on_short_cycles(name, point):
+    """alpha.beta^-1 on x = beta.y, y periodic with no prefix, where alpha is
+    up to 300 letters of turns of y's cycle, so that alpha.y absorbs all of
+    alpha, or all but one letter that does not read the cycle."""
+    g = corpus.by_name(name)
+    x = parse_point(g, point)
+    for kb in range(len(x.prefix), len(x.prefix) + len(x.cycle) + 1):
+        beta, y = x.head(kb), x.shift(kb)
+        c = len(y.cycle)
+        for length in LONG_ALPHAS:
+            j = -length % c
+            turned = y.cycle[j:] + y.cycle[:j]
+            turns = (turned * (length // c + 1))[:length]
+            stops = [EdgeInstance(e.eid, 0) for e in sorted(g.edges.values())
+                     if e.source_vertex == g.r_of(turns[0]) and e.eid != turned[-1].edge]
+            for front in [()] + [(i,) for i in stops[:1]]:
+                alpha = g.make_path(front + turns)
+                got = PartialWord.from_word(g, ReducedWord.from_pair(alpha, beta)).act_point(x)
+                assert got == reference_prepend(y, alpha), (kb, length, front)
+                assert (got.prefix, got.cycle) == reference_absorb(alpha.instances, y.cycle)
+                assert (got.prefix, got.cycle) == (front, turned)
+                assert_validated(got)
+
+
 # ---------------------------------------------------------------- isotropy
 
 def test_isotropy_of_pure_cycle():

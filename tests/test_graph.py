@@ -154,6 +154,123 @@ def test_make_path_rejects_bad_instances():
     assert g.make_path([EdgeInstance("a", 0)] * 3) == g.path_of("a", "a", "a")
 
 
+@pytest.mark.parametrize("ids, error, msg", [
+    # an invalid instance after a composition fault is still reported first
+    (["c", "a", "x"], GraphError, "unknown edge 'x'"),
+    (["c", "a", ("a", 1)], GraphError, "edge 'a' has no copy 1"),
+    # of two composition faults, the first is named
+    (["c", "a", "c", "c"], CompositionError, "a (range v) does not extend c (source w)"),
+    (["a", "c", "c", "a"], CompositionError, "c (range v) does not extend c (source w)"),
+])
+def test_make_path_error_precedence(ids, error, msg):
+    g = corpus.g4()
+    insts = [EdgeInstance(i, 0) if isinstance(i, str) else EdgeInstance(*i) for i in ids]
+    with pytest.raises(error) as info:
+        g.make_path(insts)
+    assert str(info.value) == msg
+    assert str(info.value) == reference_outcome(g, insts)[1]
+
+
+def reference_make_path(g, instances):
+    """make_path as written with two passes: every instance validated, then
+    every consecutive pair checked for composability."""
+    instances = tuple(instances)
+    if not instances:
+        raise GraphError("make_path needs at least one instance; use vertex_path")
+    es = []
+    for inst in instances:
+        e = g.edges.get(inst[0])
+        if e is None or not 0 <= inst[1] < e.multiplicity:
+            g.instance(*inst)
+        es.append(e)
+    for i in range(1, len(es)):
+        if es[i].range_vertex != es[i - 1].source_vertex:
+            a, b = instances[i - 1], instances[i]
+            raise CompositionError(
+                f"{g.instance_str(b)} (range {g.r_of(b)}) does not extend "
+                f"{g.instance_str(a)} (source {g.s_of(a)})")
+    return Path(es[0].range_vertex, es[-1].source_vertex, instances)
+
+
+def outcome(build, g, instances):
+    """A built path as its endpoints and instances, or a raised error as
+    its type and message."""
+    try:
+        p = build(g, instances)
+    except GraphError as err:
+        return type(err), str(err)
+    return p.range_vertex, p.source_vertex, p.instances
+
+
+def reference_outcome(g, instances):
+    return outcome(reference_make_path, g, instances)
+
+
+def path_kernel_laws(g, seed):
+    """make_path, validating in one pass, gives what the two-pass
+    reference_make_path gives: the same path, or the same error type and
+    message.  The inputs are random walks of up to 600 instances (copies
+    0-2 of every family, and copy 10**6 of an infinite one), and those
+    walks with one instance replaced by an unknown edge, a negative copy,
+    a copy past a finite multiplicity or an instance that does not
+    compose, and with two such faults at once in either order.  Faults go
+    at every position of a walk of up to 9 instances, and at positions 0,
+    1 and the last and three random ones of a longer walk."""
+    rng = random.Random(seed)
+    far = [EdgeInstance(e.eid, 10 ** 6) for e in g.edges.values()
+           if e.multiplicity == INFINITE]
+    steps = {v: g.continuations(v, 3) + tuple(i for i in far if g.r_of(i) == v)
+             for v in g.vertices}
+    walks = []
+    for length in (1, 2, 3, 8, 9, 40, 600):
+        v = rng.choice(sorted(g.vertices))
+        walk = []
+        while len(walk) < length and steps[v]:
+            inst = rng.choice(steps[v])
+            walk.append(inst)
+            v = g.s_of(inst)
+        if walk:
+            walks.append(walk)
+    edges = sorted(g.edges.values())
+    invalid = [EdgeInstance("zz", 0)]
+    for e in edges:
+        invalid.append(EdgeInstance(e.eid, -1))
+        if e.multiplicity != INFINITE:
+            invalid.append(EdgeInstance(e.eid, e.multiplicity))
+
+    def misfits(prev):
+        """Instances whose range is not the source of prev."""
+        return [EdgeInstance(e.eid, 0) for e in edges
+                if e.range_vertex != g.s_of(prev)]
+
+    cases = list(walks)
+    for walk in walks:
+        spots = list(range(len(walk))) if len(walk) <= 9 \
+            else sorted(set(rng.sample(range(len(walk)), 3)) | {0, 1, len(walk) - 1})
+        for i in spots:
+            for bad in rng.sample(invalid, min(len(invalid), 3)):
+                cases.append(walk[:i] + [bad] + walk[i + 1:])
+            if i and misfits(walk[i - 1]):
+                broken = walk[:i] + [rng.choice(misfits(walk[i - 1]))] + walk[i + 1:]
+                cases.append(broken)
+                for j in rng.sample(spots, min(len(spots), 3)):
+                    if j != i:
+                        mixed = list(broken)
+                        mixed[j] = rng.choice(invalid)
+                        cases.append(mixed)
+                    if j > i + 1 and misfits(broken[j - 1]):
+                        twice = list(broken)
+                        twice[j] = rng.choice(misfits(broken[j - 1]))
+                        cases.append(twice)
+    for insts in cases:
+        assert outcome(Graph.make_path, g, insts) == reference_outcome(g, insts), insts
+
+
+def test_path_kernel_on_corpus(corpus_graph):
+    _, g = corpus_graph
+    path_kernel_laws(g, 0)
+
+
 def test_concat_and_prefix_strip():
     g = corpus.g4()
     mu = g.path_of("a", "a")

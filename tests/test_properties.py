@@ -8,8 +8,8 @@ run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
 act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
-word_kernel_laws, graph_table_laws, verify_witness_laws and the four
-roundtrip laws on larger graphs.
+word_kernel_laws, path_kernel_laws, graph_table_laws, verify_witness_laws
+and the four roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -64,7 +64,7 @@ from test_boundary import (
     reference_admissible_words,
     reference_partial_action,
 )
-from test_graph import graph_table_laws
+from test_graph import graph_table_laws, path_kernel_laws
 from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
@@ -389,6 +389,11 @@ def spread(items, n):
     return items[::max(1, len(items) // n)]
 
 
+# tail lengths next to each power of two up to 512: the doubling steps of
+# _absorb's galloping search, and the letter loop's last letters before it
+LONG_TAILS = frozenset(2 ** i + d for i in range(10) for d in (-1, 0, 1))
+
+
 def word_kernel_laws(g):
     """The seam-only word kernels give what full reduction gave.
 
@@ -402,7 +407,13 @@ def word_kernel_laws(g):
     one-letter loop on the heads of spread periodic probe points read
     against the cycle of the shifted point, with and without a short path
     in front, and takes each bare head past the prefix back to the point's
-    own canonical pair.  sort_key orders words as the per-letter key did."""
+    own canonical pair.  So does each long head, up to 600 letters: the
+    prefix and then 0-40 whole periods, or a number of cycle letters next
+    to a power of two (LONG_TAILS), so that the first letter that does
+    not read the cycle falls on every step of _absorb's galloping search;
+    with a path in front, it gives what the one-letter loop gives on that
+    path, the prefix and the cycle, the same point.
+    sort_key orders words as the per-letter key did."""
     short = spread(reduced_words(g, 2), 20)
     long = [ReducedWord(u.letters * 5) for u in short]
     for u in short + long:
@@ -435,6 +446,17 @@ def word_kernel_laws(g):
             assert _absorb(pre, cyc) == (x.prefix, x.cycle)
             for front in fronts:
                 assert _absorb(front + pre, cyc) == reference_absorb(front + pre, cyc)
+    for x in spread([x for x in probe_points(g, 3) if not x.is_finite], 6):
+        p, c = len(x.prefix), len(x.cycle)
+        front = next((a.instances for a in short_paths
+                      if a.instances and a.source_vertex == x.range_vertex), ())
+        for k in sorted({q * c + r for q in range(41) for r in (0, c - 1)} | LONG_TAILS):
+            if p + k > 600:
+                break
+            pre, cyc = x.head(p + k).instances, x.shift(p + k).cycle
+            assert _absorb(pre, cyc) == (x.prefix, x.cycle), (x, k)
+            want = reference_absorb(front + x.prefix, x.cycle)
+            assert _absorb(front + pre, cyc) == want, (x, k)
     mixed = list(reversed(words)) + short + long
     assert sorted(mixed, key=ReducedWord.sort_key) == sorted(mixed, key=reference_sort_key)
 
@@ -443,6 +465,12 @@ def word_kernel_laws(g):
 @given(seeds)
 def test_word_kernels_match_full_reduction(seed):
     word_kernel_laws(graph_of(seed))
+
+
+@PROFILE
+@given(seeds)
+def test_make_path_matches_two_pass_reference(seed):
+    path_kernel_laws(infinite_graph_of(seed), seed)
 
 
 def assert_maps_match_words(g, m):
