@@ -6,6 +6,14 @@ form.  Open sets are finite unions of cylinders Z(stem minus exclusions),
 where an exclusion set only ever reaches one level past the stem; that is
 enough to close the family under intersection and difference without ever
 enumerating the receivers of a vertex.
+
+A table of cylinders that should partition a set (the rule stems, cocycle
+rows and shift data of orbit.py) is read through a StemIndex, a trie of
+the stems keyed by edge instances from the range vertex.  A point finds
+the cylinders that hold it by walking its own first letters, and the
+pieces that meet an earlier one, and whether the table tiles a given set,
+come from one pass over the trie and the receiver counts, with no
+CompactOpen built.
 """
 from __future__ import annotations
 
@@ -431,6 +439,135 @@ def set_str(U: CompactOpen) -> str:
             s = f"Z({s})"
         out.append(s)
     return " + ".join(out)
+
+
+class _Node:
+    __slots__ = ("kids", "here")
+
+    def __init__(self):
+        self.kids = {}  # edge instance -> the node one letter further
+        self.here = []  # (table index, exclusions) of the cylinders ending here
+
+
+_NO_BAR = frozenset()
+
+
+class StemIndex:
+    """Which cylinders of a table hold a point, and whether they tile a set.
+
+    A trie over the stems, keyed by edge instances from the range vertex.
+    Each node lists, in table order, the index and exclusions of every
+    non-empty cylinder whose stem ends there; an empty one holds no point
+    and meets nothing, so it is left out.  A point walks its own first
+    letters down the trie, and a cylinder ending on that walk holds it when
+    its exclusions miss the point's next letter (a finite point that ends
+    at the node has none).
+
+    `overlaps` is found in the same pass that builds the trie: the indices
+    of the cylinders that meet an earlier one, in order.  Two non-empty
+    cylinders meet when one stem sits at or below the other on a branch the
+    upper one does not exclude, or, with one stem, when the union of their
+    exclusions leaves a receiver (the count cyl_is_empty reads; Webster,
+    Proc. AMS 142, 2014).  `covers` decides containment by the same count:
+    a node lies in the union when a cylinder ends there and every child that
+    all of them exclude lies in it below, or when its source is regular and
+    all its receiver_count children lie in it.  A node with an infinite
+    family, or with no receivers, holds a finite point of its own, which
+    only a cylinder ending there covers.
+    """
+
+    __slots__ = ("graph", "cylinders", "overlaps", "_roots")
+
+    def __init__(self, graph: Graph, cylinders):
+        self.graph = graph
+        self.cylinders = cylinders = tuple(cylinders)
+        self.overlaps = []
+        self._roots = {}
+        count = graph._count
+        for i, (stem, excl) in enumerate(cylinders):
+            n = count[stem.source_vertex]
+            if 0 < len(excl) == n:
+                continue
+            node = self._roots.get(stem.range_vertex)
+            if node is None:
+                node = self._roots[stem.range_vertex] = _Node()
+            meets = False
+            for a in stem.instances:
+                meets = meets or any(a not in F for _, F in node.here)
+                kid = node.kids.get(a)
+                if kid is None:
+                    kid = node.kids[a] = _Node()
+                node = kid
+            # every node below holds a cylinder; a stem at this node meets
+            # this one unless their exclusions bar every receiver together
+            meets = (meets or any(a not in excl for a in node.kids)
+                     or any(not 0 < len(excl | F) == n for _, F in node.here))
+            node.here.append((i, excl))
+            if meets:
+                self.overlaps.append(i)
+
+    def holding(self, x: BoundaryPoint) -> list[int]:
+        """The indices of the cylinders that hold x, in table order."""
+        out = []
+        node = self._roots.get(x.range_vertex)
+        letters, cyc, i = x.prefix, x.cycle, 0
+        while node is not None:
+            if i == len(letters):
+                if cyc is None:
+                    out += [j for j, _ in node.here]    # x ends here
+                    break
+                letters += cyc      # unroll one more turn of the cycle
+            nxt = letters[i]
+            for j, excl in node.here:
+                if nxt not in excl:
+                    out.append(j)
+            node = node.kids.get(nxt)
+            i += 1
+        return sorted(out) if len(out) > 1 else out
+
+    def first(self, x: BoundaryPoint):
+        """The index of the first cylinder that holds x, or None."""
+        held = self.holding(x)
+        return held[0] if held else None
+
+    def covers(self, cyl: Cylinder) -> bool:
+        """Z(cyl) lies in the union of the cylinders."""
+        stem, excl = cyl
+        if cyl_is_empty(self.graph, cyl):
+            return True
+        node = self._roots.get(stem.range_vertex)
+        for a in stem.instances:
+            if node is None:
+                return False
+            if any(a not in F for _, F in node.here):
+                return True
+            node = node.kids.get(a)
+        return node is not None and self._covered(node, stem.source_vertex, excl)
+
+    def _covered(self, node: _Node, v: str, bar: frozenset) -> bool:
+        """The node's cylinder, less the children in bar, lies in the union
+        of the cylinders at or below it; v is the stem's source.
+
+        A node where no cylinder ends lies above one, so v has receivers,
+        and every receiver outside bar must lead to a covered child.  No
+        set of children makes up an infinite count, and the finite point
+        at such a v lies in no child, so there only a cylinder ending at
+        the node covers it.
+        """
+        g, kids = self.graph, node.kids
+        if node.here:
+            need = frozenset.intersection(*(F for _, F in node.here)) - bar
+            return all(a in kids and self._covered(kids[a], g.s_of(a), _NO_BAR)
+                       for a in need)
+        open_kids = [(a, kid) for a, kid in kids.items() if a not in bar]
+        return len(open_kids) == g._count[v] - len(bar) and all(
+            self._covered(kid, g.s_of(a), _NO_BAR) for a, kid in open_kids)
+
+    def tiles(self, whole: CompactOpen) -> bool:
+        """The union of the cylinders is exactly `whole`."""
+        inside = StemIndex(self.graph, whole.parts)
+        return (all(map(inside.covers, self.cylinders))
+                and all(map(self.covers, whole.parts)))
 
 
 # ---------------------------------------------------------------- partial words

@@ -12,6 +12,16 @@ Both directions of translation are provided, together with honest
 checkers that probe actual boundary points.  The translations need the
 finitely many receiver instances per vertex to be enumerable, so they
 refuse graphs with infinite multiplicities.
+
+Rule stems, cocycle rows and shift data are tables of cylinders that must
+partition a set, and every probe point must find its piece.  Each table
+is read through one boundary.StemIndex: the homeo builds its own from the
+rule stems, the shift data from its pieces, and a cocycle one per row on
+first use, rebuilt when that row object is replaced.  The index answers
+the point lookups (the first piece in table order that holds the point,
+as the old scans did) and gives the partition certificate, the pieces
+that meet an earlier one and whether they tile the set, in one pass.
+Each checker maps a probe point through the homeo at most once per call.
 """
 
 from .boundary import (
@@ -21,7 +31,7 @@ from .boundary import (
     Cylinder,
     DomainError,
     PartialWord,
-    cyl_contains,
+    StemIndex,
     point_str,
     probe_points,
     rehead,
@@ -57,19 +67,6 @@ def _same_tail_shape(gs: Graph, v1: str, gt: Graph, v2: str, seen: set) -> bool:
         for e1, e2 in zip(gs.receivers(v1), gt.receivers(v2)))
 
 
-def partition_faults(g: Graph, cylinders, whole: CompactOpen):
-    """How the cylinders fail to partition `whole`: the indices of those
-    that meet an earlier one, in order, and whether together they cover it."""
-    covered = CompactOpen.empty(g)
-    overlaps = []
-    for i, c in enumerate(cylinders):
-        pc = CompactOpen(g, [c])
-        if not pc.intersect(covered).is_empty:
-            overlaps.append(i)
-        covered = covered.union(pc)
-    return overlaps, covered == whole
-
-
 class PrefixHomeo:
     """Boundary map by prefix substitution: each rule (mu, nu) sends
     mu followed by a tail to nu followed by the same tail.
@@ -79,7 +76,7 @@ class PrefixHomeo:
     downstream receiver structure matches, so tails carry over verbatim.
     """
 
-    __slots__ = ("source_graph", "target_graph", "rules")
+    __slots__ = ("source_graph", "target_graph", "rules", "_stems")
 
     def __init__(self, source_graph: Graph, target_graph: Graph, rules):
         rules = tuple((mu, nu) for mu, nu in rules)
@@ -90,17 +87,17 @@ class PrefixHomeo:
                 raise OrbitError(
                     f"rule {source_graph.path_str(mu)} -> "
                     f"{target_graph.path_str(nu)} has incompatible tails")
-        for g, side in ((source_graph, 0), (target_graph, 1)):
-            overlaps, covers = partition_faults(
-                g, [Cylinder(rule[side], frozenset()) for rule in rules],
-                CompactOpen.whole(g))
-            if overlaps:
+        stems = [StemIndex(g, [Cylinder(rule[side], frozenset()) for rule in rules])
+                 for side, g in enumerate((source_graph, target_graph))]
+        for side, index in enumerate(stems):
+            if index.overlaps:
                 raise OrbitError(f"rule stems overlap on side {side}")
-            if not covers:
+            if not index.tiles(CompactOpen.whole(index.graph)):
                 raise OrbitError(f"rule stems do not cover side {side}")
         self.source_graph = source_graph
         self.target_graph = target_graph
         self.rules = rules
+        self._stems = stems[0]
 
     @classmethod
     def identity(cls, g: Graph) -> "PrefixHomeo":
@@ -108,12 +105,13 @@ class PrefixHomeo:
         return cls(g, g, rules)
 
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
-        for mu, nu in self.rules:
-            if x.startswith(mu):
-                # _same_tail_shape made every tail past mu a point of the
-                # target graph past nu, canonical there as it is here
-                return rehead(self.target_graph, x, len(mu), nu)
-        raise OrbitError(f"{point_str(x)} escapes the rule partition")
+        i = self._stems.first(x)
+        if i is None:
+            raise OrbitError(f"{point_str(x)} escapes the rule partition")
+        mu, nu = self.rules[i]
+        # _same_tail_shape made every tail past mu a point of the target
+        # graph past nu, canonical there as it is here
+        return rehead(self.target_graph, x, len(mu), nu)
 
 
 class Cocycle:
@@ -124,22 +122,33 @@ class Cocycle:
     the g-image of x to the value-image of the x-image.
     """
 
-    __slots__ = ("homeo", "table")
+    __slots__ = ("homeo", "table", "_rows")
 
     def __init__(self, homeo: PrefixHomeo, table):
         self.homeo = homeo
         self.table = {
             gen: tuple(entries) for gen, entries in table.items()}
+        self._rows = {}     # gen -> (the row indexed, its StemIndex)
 
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)
 
+    def row_index(self, gen: ReducedWord) -> StemIndex:
+        """The stem index of gen's row, built on first use and again
+        whenever the table holds a different row object for gen."""
+        row = self.table[gen]
+        hit = self._rows.get(gen)
+        if hit is None or hit[0] is not row:
+            hit = self._rows[gen] = (
+                row, StemIndex(self.homeo.source_graph, [piece for piece, _ in row]))
+        return hit[1]
+
     def value(self, gen: ReducedWord, x: BoundaryPoint):
         """The value of the first piece of gen's row that holds x, or None."""
-        for piece, value in self.table.get(gen, ()):
-            if cyl_contains(piece, x):
-                return value
-        return None
+        if gen not in self.table:
+            return None
+        i = self.row_index(gen).first(x)
+        return None if i is None else self.table[gen][i][1]
 
 
 def identity_cocycle(g: Graph) -> Cocycle:
@@ -161,53 +170,71 @@ class OEData:
     pieces is a list of (cylinder, k, l): for x in the cylinder, k shift
     steps applied to the image of the shifted point agree with l shift
     steps applied to the image of the point itself.  Points the shift
-    does not reach (length-zero finite points) are exempt.
+    does not reach (length-zero finite points) are exempt.  The pieces are
+    fixed at construction, which refuses a count that is not an int >= 0
+    and builds their stem index.
     """
 
-    __slots__ = ("homeo", "pieces")
+    __slots__ = ("homeo", "pieces", "index")
 
     def __init__(self, homeo: PrefixHomeo, pieces):
+        pieces = tuple((c, k, l) for c, k, l in pieces)
+        for _, k, l in pieces:
+            for n in (k, l):
+                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                    raise OrbitError(f"shift count {n!r} is not an integer >= 0")
         self.homeo = homeo
-        self.pieces = tuple((c, int(k), int(l)) for c, k, l in pieces)
+        self.pieces = pieces
+        self.index = StemIndex(homeo.source_graph, [c for c, _, _ in pieces])
 
     def lookup(self, x: BoundaryPoint):
-        for c, k, l in self.pieces:
-            if cyl_contains(c, x):
-                return k, l
-        raise OrbitError(f"{point_str(x)} escapes the piece partition")
+        """The shift counts of the first piece that holds x."""
+        i = self.index.first(x)
+        if i is None:
+            raise OrbitError(f"{point_str(x)} escapes the piece partition")
+        _, k, l = self.pieces[i]
+        return k, l
 
 
 # ----------------------------------------------------------------- checkers
 
 def coe_check(coc: Cocycle, depth: int = 3) -> dict:
-    """Probe the cocycle identity on concrete points, piece by piece."""
+    """Probe the cocycle identity on concrete points, piece by piece.
+
+    One pass over the probe points in gen's domain (gen acts only there)
+    puts each into the pieces of the row that hold it, in probe order.
+    """
     homeo = coc.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
     pts = probe_points(gs, depth)
+    images = [homeo.apply(x) for x in pts]
     for gen in coc.generators():
         rep["generators"] += 1
         pw = PartialWord.from_word(gs, gen)
         dom = pw.domain()
-        in_dom = [x for x in pts if x in dom]   # every probed piece lies in dom
         row = coc.table[gen]
-        overlaps, covers = partition_faults(gs, [piece for piece, _ in row], dom)
-        overlaps = set(overlaps)
+        index = coc.row_index(gen)
+        within = StemIndex(gs, dom.parts)
+        inside = [within.covers(piece) for piece, _ in row]
+        overlaps = set(index.overlaps)
+        probed = [[] for _ in row]
+        for j, x in enumerate(pts):
+            if within.holding(x):
+                for i in index.holding(x):
+                    probed[i].append(j)
         for i, (piece, value) in enumerate(row):
             rep["pieces"] += 1
-            pc = probed = CompactOpen(gs, [piece])
-            if not pc.difference(dom).is_empty:
+            if not inside[i]:
                 rep["failures"].append((str(gen), "piece outside domain"))
-                probed = pc.intersect(dom)      # gen acts only on dom
             if i in overlaps:
                 rep["failures"].append((str(gen), "pieces overlap"))
             vw = PartialWord.from_word(gt, value)
-            for x in in_dom:
-                if x not in probed:
-                    continue
+            for j in probed[i]:
+                x = pts[j]
                 moved = homeo.apply(pw.act_point(x))
                 try:
-                    matched = vw.act_point(homeo.apply(x))
+                    matched = vw.act_point(images[j])
                 except DomainError:
                     rep["failures"].append(
                         (str(gen), f"value undefined at {point_str(x)}"))
@@ -216,7 +243,8 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
                 if moved != matched:
                     rep["failures"].append(
                         (str(gen), f"mismatch at {point_str(x)}"))
-        if not covers:
+        # the row tiles dom: every piece lies in it and they cover it
+        if not (all(inside) and all(map(index.covers, dom.parts))):
             rep["failures"].append((str(gen), "pieces do not cover domain"))
     return rep
 
@@ -226,10 +254,8 @@ def oe_check(oe: OEData, depth: int = 3) -> dict:
     homeo = oe.homeo
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
-    overlaps, covers = partition_faults(
-        gs, [c for c, _, _ in oe.pieces], CompactOpen.whole(gs))
-    rep["failures"] += [("partition", "pieces overlap")] * len(overlaps)
-    if not covers:
+    rep["failures"] += [("partition", "pieces overlap")] * len(oe.index.overlaps)
+    if not oe.index.tiles(CompactOpen.whole(gs)):
         rep["failures"].append(("partition", "pieces do not cover"))
     for x in probe_points(gs, depth):
         try:
@@ -336,11 +362,9 @@ def oe_to_coe(oe: OEData) -> Cocycle:
     gs, gt = homeo.source_graph, homeo.target_graph
     _assert_finite_multiplicities(gs)
     _assert_finite_multiplicities(gt)
-    overlaps, covers = partition_faults(
-        gs, [c for c, _, _ in oe.pieces], CompactOpen.whole(gs))
-    if overlaps:
-        raise OrbitError(f"shift data pieces overlap at piece {overlaps[0]}")
-    if not covers:
+    if oe.index.overlaps:
+        raise OrbitError(f"shift data pieces overlap at piece {oe.index.overlaps[0]}")
+    if not oe.index.tiles(CompactOpen.whole(gs)):
         raise OrbitError("shift data pieces do not cover the boundary")
     rule_len = max((len(mu) for mu, _ in homeo.rules), default=0)
     table = {}
@@ -369,22 +393,22 @@ def oe_to_coe(oe: OEData) -> Cocycle:
 
 def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
     """Same homeo behaviour and pointwise-equal cocycle action."""
-    gs, gt = c1.homeo.source_graph, c1.homeo.target_graph
+    h1, h2 = c1.homeo, c2.homeo
+    gs, gt = h1.source_graph, h1.target_graph
     pts = probe_points(gs, depth)
-    for x in pts:
-        if c1.homeo.apply(x) != c2.homeo.apply(x):
-            return False
+    images = [h1.apply(x) for x in pts]
+    if h2 is not h1 and any(h2.apply(x) != fx for x, fx in zip(pts, images)):
+        return False
     for gen in set(c1.table) | set(c2.table):
         pw = PartialWord.from_word(gs, gen)
         if pw.is_empty_map:
             return False
-        for x in pts:
+        for x, fx in zip(pts, images):
             v0, v1 = c1.value(gen, x), c2.value(gen, x)
             if (v0 is None) != (v1 is None):
                 return False
             if v0 is None or v0 == v1:
                 continue
-            fx = c1.homeo.apply(x)
             try:
                 y0 = PartialWord.from_word(gt, v0).act_point(fx)
                 y1 = PartialWord.from_word(gt, v1).act_point(fx)
@@ -404,9 +428,9 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     a reduced value word, so valid data that is not reduced would fail a
     literal comparison.
     """
-    gs = o1.homeo.source_graph
-    for x in probe_points(gs, depth):
-        if o1.homeo.apply(x) != o2.homeo.apply(x):
+    h1, h2 = o1.homeo, o2.homeo
+    for x in probe_points(h1.source_graph, depth):
+        if h2 is not h1 and h1.apply(x) != h2.apply(x):
             return False
         if x.is_finite and len(x) == 0:
             continue

@@ -4,12 +4,18 @@ import pytest
 
 from gforge import corpus
 from gforge.boundary import (
+    BoundaryError,
     BoundaryPoint,
     CompactOpen,
     Cylinder,
+    DomainError,
+    PartialWord,
+    StemIndex,
+    cyl_contains,
     parse_point,
     point_str,
     probe_points,
+    rehead,
     sample_point,
     set_str,
 )
@@ -489,3 +495,191 @@ def test_coe_check_reports_overlap_in_place():
     assert coe_check(coc, depth=2)["failures"] == [
         ("a^-1", "piece outside domain"), ("a^-1", "pieces overlap"),
         ("a^-1", "pieces do not cover domain")]
+
+
+# ---------------------------------------- the stem index against the old scans
+
+def reference_partition_faults(g, cylinders, whole):
+    """How the cylinders fail to partition `whole`, as orbit.partition_faults
+    first did it: the indices of those that meet an earlier one, in order,
+    found by growing one CompactOpen piece by piece, and whether together
+    they equal whole.  The oracle for StemIndex.overlaps and tiles."""
+    covered = CompactOpen.empty(g)
+    overlaps = []
+    for i, c in enumerate(cylinders):
+        pc = CompactOpen(g, [c])
+        if not pc.intersect(covered).is_empty:
+            overlaps.append(i)
+        covered = covered.union(pc)
+    return overlaps, covered == whole
+
+
+def reference_scan_apply(h, x):
+    """PrefixHomeo.apply as a scan of the rules for the first mu that heads
+    x, then one rehead."""
+    for mu, nu in h.rules:
+        if x.startswith(mu):
+            return rehead(h.target_graph, x, len(mu), nu)
+    raise OrbitError(f"{point_str(x)} escapes the rule partition")
+
+
+def reference_value(coc, gen, x):
+    """Cocycle.value as a linear scan of gen's row."""
+    for piece, value in coc.table.get(gen, ()):
+        if cyl_contains(piece, x):
+            return value
+    return None
+
+
+def reference_lookup(oe, x):
+    """OEData.lookup as a linear scan of the pieces."""
+    for c, k, l in oe.pieces:
+        if cyl_contains(c, x):
+            return k, l
+    raise OrbitError(f"{point_str(x)} escapes the piece partition")
+
+
+def reference_coe_check(coc, depth=3):
+    """coe_check as first written: per piece, CompactOpen differences and
+    a scan of every in-domain probe point, the homeo applied by the rule
+    scan."""
+    homeo = coc.homeo
+    gs, gt = homeo.source_graph, homeo.target_graph
+    rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
+    pts = probe_points(gs, depth)
+    for gen in coc.generators():
+        rep["generators"] += 1
+        pw = PartialWord.from_word(gs, gen)
+        dom = pw.domain()
+        in_dom = [x for x in pts if x in dom]
+        row = coc.table[gen]
+        overlaps, covers = reference_partition_faults(
+            gs, [piece for piece, _ in row], dom)
+        for i, (piece, value) in enumerate(row):
+            rep["pieces"] += 1
+            pc = probed = CompactOpen(gs, [piece])
+            if not pc.difference(dom).is_empty:
+                rep["failures"].append((str(gen), "piece outside domain"))
+                probed = pc.intersect(dom)
+            if i in overlaps:
+                rep["failures"].append((str(gen), "pieces overlap"))
+            vw = PartialWord.from_word(gt, value)
+            for x in in_dom:
+                if x not in probed:
+                    continue
+                moved = reference_scan_apply(homeo, pw.act_point(x))
+                try:
+                    matched = vw.act_point(reference_scan_apply(homeo, x))
+                except DomainError:
+                    rep["failures"].append(
+                        (str(gen), f"value undefined at {point_str(x)}"))
+                    continue
+                rep["checked"] += 1
+                if moved != matched:
+                    rep["failures"].append((str(gen), f"mismatch at {point_str(x)}"))
+        if not covers:
+            rep["failures"].append((str(gen), "pieces do not cover domain"))
+    return rep
+
+
+def reference_oe_check(oe, depth=3):
+    """oe_check as first written, on reference_partition_faults,
+    reference_lookup and the rule scan."""
+    homeo = oe.homeo
+    gs = homeo.source_graph
+    rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
+    overlaps, covers = reference_partition_faults(
+        gs, [c for c, _, _ in oe.pieces], CompactOpen.whole(gs))
+    rep["failures"] += [("partition", "pieces overlap")] * len(overlaps)
+    if not covers:
+        rep["failures"].append(("partition", "pieces do not cover"))
+    for x in probe_points(gs, depth):
+        try:
+            k, l = reference_lookup(oe, x)
+        except OrbitError:
+            rep["failures"].append(("partition", point_str(x)))
+            continue
+        try:
+            left = reference_scan_apply(homeo, x.shift(1)).shift(k)
+            right = reference_scan_apply(homeo, x).shift(l)
+        except BoundaryError:
+            rep["skips"] += 1
+            continue
+        rep["checked"] += 1
+        if left != right:
+            rep["failures"].append((point_str(x), f"k={k} l={l}"))
+    return rep
+
+
+def assert_certificate_matches_reference(g, cylinders, wholes):
+    index = StemIndex(g, cylinders)
+    for whole in wholes:
+        assert (index.overlaps, index.tiles(whole)) \
+            == reference_partition_faults(g, cylinders, whole), (cylinders, whole)
+
+
+def faulty_rows(coc, gen):
+    """gen's row with an outside piece put first, with a piece repeated, and
+    with its last piece dropped: each a fault coe_check must place."""
+    g = coc.homeo.source_graph
+    row = coc.table[gen]
+    top = Cylinder(g.vertex_path(row[0][0].stem.range_vertex), frozenset())
+    return [((top, row[0][1]),) + row, row + row[:1], row[:-1]]
+
+
+def assert_checks_match_reference(coc, depth):
+    """coe_check and oe_check give the old checkers' reports, failures in
+    the same order, on the cocycle, on its shift data and on faulty rows
+    and pieces; oe_to_coe reads the same certificate as the oracle."""
+    assert coe_check(coc, depth) == reference_coe_check(coc, depth)
+    oe = coe_to_oe(coc)
+    g = oe.homeo.source_graph
+    pieces = list(oe.pieces)
+    for faulty in (pieces, pieces + pieces[:1], pieces[1:], pieces[::-1]):
+        data = OEData(oe.homeo, faulty)
+        assert oe_check(data, depth) == reference_oe_check(data, depth)
+        assert_certificate_matches_reference(
+            g, [c for c, _, _ in faulty], [CompactOpen.whole(g)])
+    gen = coc.generators()[-1]
+    for row in faulty_rows(coc, gen):
+        bad = Cocycle(coc.homeo, {**coc.table, gen: row})
+        assert coe_check(bad, depth) == reference_coe_check(bad, depth)
+        assert coe_check(bad, depth)["failures"]
+
+
+@pytest.mark.parametrize("make", OE_EXAMPLES)
+def test_checks_match_reference_on_the_oe_examples(make):
+    coc = make()
+    for depth in (2, 4):
+        assert_checks_match_reference(coc, depth)
+        assert_checks_match_reference(oe_to_coe(coe_to_oe(coc)), depth)
+
+
+def test_stem_index_infinite_family_is_covered_only_at_its_node():
+    # g5's v receives the infinite family f: Z(v) is covered by Z(v - {f})
+    # and Z(f), never by the enumerated children Z(f), Z(f[1]) alone
+    g = corpus.g5()
+    f0, f1 = g.instance("f", 0), g.instance("f", 1)
+    v = g.vertex_path("v")
+    whole = CompactOpen.whole(g)
+    kids = [Cylinder(g.path_of(f0), frozenset()), Cylinder(g.path_of(f1), frozenset())]
+    pieces = [Cylinder(v, frozenset({f0, f1}))] + kids
+    rest = [Cylinder(g.vertex_path(u), frozenset()) for u in g.vertices if u != "v"]
+    assert StemIndex(g, pieces + rest).tiles(whole)
+    assert not StemIndex(g, kids + rest).tiles(whole)
+    for table in (pieces + rest, kids + rest):
+        assert_certificate_matches_reference(g, table, [whole])
+
+
+def test_shift_counts_must_be_integers_at_least_zero():
+    g = corpus.g2()
+    za = Cylinder(g.path_of("a"), frozenset())
+    zb = Cylinder(g.path_of("b"), frozenset())
+    homeo = PrefixHomeo.identity(g)
+    for bad in (1.5, True, "1", -1, None):
+        with pytest.raises(OrbitError, match="shift count"):
+            OEData(homeo, [(za, 0, bad), (zb, 0, 1)])
+        with pytest.raises(OrbitError, match="shift count"):
+            OEData(homeo, [(za, 0, 1), (zb, bad, 1)])
+    assert OEData(homeo, [(za, 0, 1), (zb, 0, 1)]).lookup(
+        parse_point(g, "(b)^inf")) == (0, 1)

@@ -8,8 +8,8 @@ run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
 act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
-word_kernel_laws, path_kernel_laws, graph_table_laws, verify_witness_laws
-and the four roundtrip laws on larger graphs.
+stem_index_laws, word_kernel_laws, path_kernel_laws, graph_table_laws,
+verify_witness_laws and the four roundtrip laws on larger graphs.
 """
 import json
 import random
@@ -21,7 +21,9 @@ from gforge.boundary import (
     CompactOpen,
     Cylinder,
     PartialWord,
+    StemIndex,
     admissible_words,
+    cyl_contains,
     cyl_difference,
     cyl_intersect,
     cyl_is_empty,
@@ -45,10 +47,13 @@ from gforge.invsgp import (
     verify_partial_hom,
 )
 from gforge.orbit import (
+    Cocycle,
     OEData,
+    OrbitError,
     PrefixHomeo,
     coe_check,
     coe_to_oe,
+    identity_cocycle,
     oe_agree,
     oe_check,
     oe_to_coe,
@@ -69,8 +74,14 @@ from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
     assert_apply_matches_reference,
+    assert_certificate_matches_reference,
+    faulty_rows,
     inverse_homeo,
+    reference_coe_check,
+    reference_lookup,
+    reference_oe_check,
     reference_prepend,
+    reference_value,
     swap_oe_data,
 )
 from test_paradox import verify_witness_laws
@@ -609,7 +620,10 @@ def point_size(x):
 def orbit_laws(g, a, b):
     """The first-letter swap of a and b against its closed-form shift data:
     oe_check is clean, the data survives a coe -> oe -> coe round, and
-    turning one (1, 2) piece into (0, 1) fails oe_check."""
+    turning one (1, 2) piece into (0, 1) fails oe_check with the failures
+    of reference_oe_check.  The shift data with a piece dropped or repeated
+    gets reference_partition_faults' certificate, and coe_check places the
+    faults of a bad identity row as reference_coe_check does."""
     oe = swap_oe_data(g, a, b)
     # the mutant is the (1, 2) piece with the shortest sample point, and the
     # depth reaches that point: its prefix and primitive cycle are a pair
@@ -623,13 +637,108 @@ def orbit_laws(g, a, b):
     assert oe_agree(coe_to_oe(coc), oe)
     mutant = list(oe.pieces)
     mutant[i] = (mutant[i][0], 0, 1)
-    assert oe_check(OEData(oe.homeo, mutant), depth)["failures"]
+    mutant = OEData(oe.homeo, mutant)
+    rep = oe_check(mutant, depth)
+    assert rep["failures"] and rep == reference_oe_check(mutant, depth)
+    pieces = [c for c, _, _ in oe.pieces]
+    assert_certificate_matches_reference(g, pieces[1:], [CompactOpen.whole(g)])
+    assert_certificate_matches_reference(g, pieces + pieces[:1], [CompactOpen.whole(g)])
+    ident = identity_cocycle(g)
+    gen = ident.generators()[-1]
+    bad = Cocycle(ident.homeo, {**ident.table, gen: faulty_rows(ident, gen)[0]})
+    assert coe_check(bad, 2) == reference_coe_check(bad, 2)
 
 
 @PROFILE
 @given(seeds)
 def test_orbit_laws(seed):
     orbit_laws(*swap_graph_of(seed))
+
+
+def random_table(g, rng):
+    """A list of cylinders for the stem index: the vertex cylinders, cut by
+    random splits, then with pieces added, dropped or emptied and shuffled.
+
+    A split takes some children G out of Z(s - F), giving Z(s - F - G) and
+    each Z(s.a) for a in G, or cuts Z(s - F) into its enumerated children,
+    which leaves a gap where s ends at a singular vertex (its finite point,
+    and on an infinite family every copy past the third).  The extra
+    pieces have nested and overlapping stems with random exclusions, and
+    an emptied piece excludes every receiver of a regular source.
+    """
+    parts = [Cylinder(g.vertex_path(v), frozenset()) for v in sorted(g.vertices)]
+    for _ in range(rng.randint(0, 8)):
+        k = rng.randrange(len(parts))
+        stem, excl = parts[k]
+        conts = [a for a in g.continuations(stem.source_vertex, 3) if a not in excl]
+        if not conts or len(stem) >= 3:
+            continue
+        kids = [Cylinder(g.trusted_path(stem.instances + (a,), stem.range_vertex),
+                         frozenset()) for a in conts]
+        if rng.random() < 0.6:
+            taken = [i for i in range(len(conts)) if rng.random() < 0.5] or [0]
+            parts[k:k + 1] = [Cylinder(stem, excl | {conts[i] for i in taken})] \
+                + [kids[i] for i in taken]
+        else:
+            parts[k:k + 1] = kids
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        if roll < 0.3 and len(parts) > 1:
+            del parts[rng.randrange(len(parts))]
+        elif roll < 0.7:
+            parts += random_compact_open(g, rng, 1).parts
+        else:
+            regular = [mu for mu in g.paths_up_to(2) if g.is_regular(mu.source_vertex)]
+            if regular:
+                mu = rng.choice(regular)
+                parts.append(Cylinder(mu, frozenset(g.continuations(mu.source_vertex))))
+    rng.shuffle(parts)
+    return parts
+
+
+def stem_index_laws(g, seed, rounds=3):
+    """StemIndex against the old scans on random tables: holding and first
+    against cyl_contains over a spread of probe points up to four letters,
+    overlaps and tiles against reference_partition_faults for the whole
+    space, the table's own union and a random set, covers against a
+    CompactOpen difference, and Cocycle.value and OEData.lookup, built on
+    the index, against reference_value and reference_lookup on every
+    fourth of those points."""
+    rng = random.Random(seed)
+    pts = spread(probe_points(g, 4), 200)
+    homeo = PrefixHomeo.identity(g)
+    gen = ReducedWord()
+    for _ in range(rounds):
+        cyls = random_table(g, rng)
+        index = StemIndex(g, cyls)
+        union = CompactOpen(g, cyls)
+        assert_certificate_matches_reference(
+            g, cyls, [CompactOpen.whole(g), union, random_compact_open(g, rng)])
+        for c in cyls + list(random_compact_open(g, rng).parts):
+            assert index.covers(c) == CompactOpen(g, [c]).difference(union).is_empty, c
+        coc = Cocycle(homeo, {gen: [(c, i) for i, c in enumerate(cyls)]})
+        oe = OEData(homeo, [(c, i, 0) for i, c in enumerate(cyls)])
+        for x in pts:
+            held = [i for i, c in enumerate(cyls) if cyl_contains(c, x)]
+            assert index.holding(x) == held, (point_str(x), cyls)
+            assert index.first(x) == (held[0] if held else None)
+        for x in pts[::4]:
+            assert coc.value(gen, x) == reference_value(coc, gen, x)
+            assert outcome(oe.lookup, x) == outcome(reference_lookup, oe, x)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except OrbitError as exc:
+        return str(exc)
+
+
+@PROFILE
+@given(seeds)
+def test_stem_index_matches_the_old_scans(seed):
+    stem_index_laws(graph_of(seed), seed)
+    stem_index_laws(infinite_graph_of(seed), seed)
 
 
 def apply_laws(g, a, b):
