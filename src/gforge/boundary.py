@@ -616,6 +616,28 @@ class PartialWord:
             return cls(graph, None, None, word)
         return cls(graph, alpha, beta, word)
 
+    @classmethod
+    def from_pair(cls, graph, alpha: Path, beta: Path) -> "PartialWord":
+        """The map of alpha.beta^-1, built from the pair as from_word builds
+        it from the word: the k instances of the shared tail that
+        ReducedWord.from_pair cancels come off both paths, and a side that
+        cancels whole becomes the vertex path at the range of the first
+        cancelled instance.
+
+        Unchecked, as trusted_path is: alpha and beta are paths of graph
+        with a common source.
+        """
+        word = ReducedWord.from_pair(alpha, beta)
+        if not word.letters:
+            return cls.identity(graph)
+        k = (len(alpha) + len(beta) - len(word)) // 2
+        if k:
+            m, n = alpha.instances, beta.instances
+            v = graph.r_of(m[len(m) - k])
+            alpha = graph.trusted_path(m[:len(m) - k], v)
+            beta = graph.trusted_path(n[:len(n) - k], v)
+        return cls(graph, alpha, beta, word)
+
     @property
     def is_identity(self):
         return self.beta is None and not self._word.letters

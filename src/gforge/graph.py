@@ -12,30 +12,16 @@ multiplicity m stands for m parallel copies, addressed as instances
 multiplicity, is computed once at construction; receiver_count, is_regular
 and is_singular only look it up.
 
-Input is validated once, where it enters: Graph() (with from_json and
-loads), vertex_path, make_path/path_of, the parsers, make_cylinder,
-BoundaryPoint.finite/periodic, PartialWord.from_word and DRElement.make.
-make_path validates in one pass: each instance's edge is looked up once,
-and its copy and its composability with the previous instance are checked
-in the same step.  An invalid instance raises at once, so the first one
-anywhere in the tuple is reported before any composition fault; the
-first composition fault is held until every instance is validated.
-Code that already holds composable instances builds paths with the
-unchecked trusted_path; likewise, words._trusted builds a word from a
-letter tuple without reducing it, and its precondition is that the
-tuple is already freely reduced.  boundary.rehead swaps the first k
-instances of a point for a path that starts where they end, unchecked,
-and to_ptg builds its PTGElement from the merge witness's heads with
-the trusted PartialWord(g, lam, mu, word).  invsgp.sgp_mul splices its
-product path from the factors' instance tuples and builds the pair
-unchecked with invsgp._pair, since the two paths share a source by
-construction.  boundary.CompactOpen.trusted builds a set from its parts
-unchecked; its precondition is that they are non-empty, distinct and
-sorted by Cylinder.key, the normal form CompactOpen() makes.
-paradox.PiecewiseWord.trusted builds a piecewise word from its pieces
-and maps unchecked; its precondition is that maps[i] is the map
-PartialWord.from_word builds from pieces[i]'s word, which the search
-and compose build from the path pairs they hold.
+Input is validated once, where it enters.  Here that is Graph() (with
+from_json and loads), vertex_path and make_path/path_of; the README lists
+the validating and unchecked builders of the other modules.  make_path
+validates in one pass: each instance's edge is looked up once, and its
+copy and its composability with the previous instance are checked in the
+same step.  An invalid instance raises at once, so the first one anywhere
+in the tuple is reported before any composition fault; the first
+composition fault is held until every instance is validated.  Code that
+already holds composable instances builds paths with the unchecked
+trusted_path.
 
 A Graph never changes after construction, so it keeps what it works out
 about itself: upstream(v) and downstream(v), one BFS tree of least

@@ -13,7 +13,6 @@ Composition follows function order: compose(d2, d1) applies d1 first.
 
 from .boundary import PartialWord, point_str
 from .graph import CompositionError
-from .words import ReducedWord
 
 
 class GroupoidError(Exception):
@@ -120,20 +119,16 @@ def to_dr(element: PTGElement) -> DRElement:
 def to_ptg(g, d: DRElement) -> PTGElement:
     """A word presentation read off the normal form's merge witness.
 
-    lam and mu are the heads the witness compares.  Nonempty lam and mu end
-    in different instances, else the tails would merge one depth sooner,
-    against the DRElement precondition; so from_pair cancels nothing, the
-    word is lam.mu^-1, and the element is built unchecked with the trusted
-    PartialWord(g, lam, mu, word), or the identity for the empty word.  The
-    source point starts with mu, so it lies in the domain.
+    lam and mu are the heads the witness compares, and the element is built
+    unchecked on PartialWord.from_pair's map of lam.mu^-1.  The source point
+    starts with mu, and so with what from_pair keeps of it: it lies in the
+    domain.
     """
-    lam = d.target.head(d.merge_depth)
-    mu = d.source.head(d.merge_depth - d.offset)
-    word = ReducedWord.from_pair(lam, mu)
+    pw = PartialWord.from_pair(g, d.target.head(d.merge_depth),
+                               d.source.head(d.merge_depth - d.offset))
     element = object.__new__(PTGElement)
-    element.graph, element.word, element.point = g, word, d.source
-    element._pw = PartialWord(g, lam, mu, word) if word.letters \
-        else PartialWord.identity(g)
+    element.graph, element.word, element.point = g, pw.word(), d.source
+    element._pw = pw
     return element
 
 

@@ -16,13 +16,15 @@ refuse graphs with infinite multiplicities.
 Rule stems, cocycle rows and shift data are tables of cylinders that must
 partition a set, and every probe point must find its piece.  Each table
 is read through one boundary.StemIndex: the homeo builds its own from the
-rule stems, the shift data from its pieces, and a cocycle one per row on
-first use, rebuilt when that row object is replaced.  The index answers
-the point lookups (the first piece in table order that holds the point,
-as the old scans did) and gives the partition certificate, the pieces
-that meet an earlier one and whether they tile the set, in one pass.
+rule stems, the shift data from its pieces, and a cocycle one per row,
+each once at construction.  The index answers the point lookups (the
+first piece in table order that holds the point) and gives the partition
+certificate, the pieces that meet an earlier one and whether they tile
+the set, in one pass.
 Each checker maps a probe point through the homeo at most once per call.
 """
+
+from types import MappingProxyType
 
 from .boundary import (
     BoundaryError,
@@ -119,35 +121,27 @@ class Cocycle:
 
     table maps a generator word g of the source action to pieces of its
     domain with a value word each: on the piece, the homeomorphism sends
-    the g-image of x to the value-image of the x-image.
+    the g-image of x to the value-image of the x-image.  The rows are fixed
+    at construction, which builds each row's stem index; table is a
+    read-only view of them.
     """
 
-    __slots__ = ("homeo", "table", "_rows")
+    __slots__ = ("homeo", "table", "index")
 
     def __init__(self, homeo: PrefixHomeo, table):
         self.homeo = homeo
-        self.table = {
-            gen: tuple(entries) for gen, entries in table.items()}
-        self._rows = {}     # gen -> (the row indexed, its StemIndex)
+        self.table = MappingProxyType({
+            gen: tuple(entries) for gen, entries in table.items()})
+        self.index = {gen: StemIndex(homeo.source_graph, [piece for piece, _ in row])
+                      for gen, row in self.table.items()}
 
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)
 
-    def row_index(self, gen: ReducedWord) -> StemIndex:
-        """The stem index of gen's row, built on first use and again
-        whenever the table holds a different row object for gen."""
-        row = self.table[gen]
-        hit = self._rows.get(gen)
-        if hit is None or hit[0] is not row:
-            hit = self._rows[gen] = (
-                row, StemIndex(self.homeo.source_graph, [piece for piece, _ in row]))
-        return hit[1]
-
     def value(self, gen: ReducedWord, x: BoundaryPoint):
         """The value of the first piece of gen's row that holds x, or None."""
-        if gen not in self.table:
-            return None
-        i = self.row_index(gen).first(x)
+        index = self.index.get(gen)
+        i = None if index is None else index.first(x)
         return None if i is None else self.table[gen][i][1]
 
 
@@ -214,7 +208,7 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
         pw = PartialWord.from_word(gs, gen)
         dom = pw.domain()
         row = coc.table[gen]
-        index = coc.row_index(gen)
+        index = coc.index[gen]
         within = StemIndex(gs, dom.parts)
         inside = [within.covers(piece) for piece, _ in row]
         overlaps = set(index.overlaps)

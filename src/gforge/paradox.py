@@ -17,103 +17,75 @@ from itertools import count, islice
 
 from .boundary import (CompactOpen, Cylinder, PartialWord, cyl_intersect,
                        cyl_is_empty, set_str)
-from .graph import EdgeInstance, Graph, INFINITE, Path, first_return_profile
-from .words import ReducedWord
+from .graph import EdgeInstance, Graph, INFINITE, first_return_profile
+from .invsgp import ZERO, SgpElement, sgp_mul
 
 
 class PiecewiseWord:
-    """Finitely many disjoint pieces, each moved by its own word; maps[i] is
-    the PartialWord of pieces[i]'s word, built once.  A piece is a
-    CompactOpen or a single non-empty Cylinder."""
+    """Finitely many disjoint pieces, each moved by its own word.  parts
+    holds (piece, map): the piece is a CompactOpen, the map the PartialWord
+    of its word, built once, and pieces reads each word off its map."""
 
-    __slots__ = ("graph", "pieces", "maps")
+    __slots__ = ("graph", "parts")
 
     def __init__(self, graph: Graph, pieces):
+        """pieces lists (U, word), U a CompactOpen or a single non-empty
+        Cylinder; from_word builds each word's map."""
         self.graph = graph
-        self.pieces = tuple(
-            (U if isinstance(U, CompactOpen) else CompactOpen.trusted(graph, (U,)), w)
+        self.parts = tuple(
+            (U if isinstance(U, CompactOpen) else CompactOpen.trusted(graph, (U,)),
+             PartialWord.from_word(graph, w))
             for U, w in pieces)
-        self.maps = tuple(PartialWord.from_word(graph, w) for _, w in self.pieces)
 
-    @classmethod
-    def trusted(cls, graph: Graph, pieces: tuple, maps: tuple) -> "PiecewiseWord":
-        """The piecewise word with exactly these pieces and maps, built
-        without from_word.
-
-        Precondition: pieces is a tuple of (CompactOpen, ReducedWord) pairs
-        and maps[i] is the map of pieces[i]'s word, the PartialWord that
-        PartialWord.from_word builds from it.
-        """
-        self = object.__new__(cls)
-        self.graph = graph
-        self.pieces = pieces
-        self.maps = maps
-        return self
+    @property
+    def pieces(self) -> tuple:
+        """(piece, word) for each part, the word read off its map."""
+        return tuple((U, pw.word()) for U, pw in self.parts)
 
     def compose(self, inner: "PiecewiseWord") -> "PiecewiseWord":
         """Apply inner first.  Pieces refine along where images land."""
         g = self.graph
-        pieces, maps = [], []
-        for (P, u), upw in zip(inner.pieces, inner.maps):
+        parts = []
+        for P, upw in inner.parts:
             img = upw.act_set(P)
             back = upw.inverse()
-            for (Q, w), wpw in zip(self.pieces, self.maps):
+            for Q, wpw in self.parts:
                 hit = img.intersect(Q)
-                if hit.is_empty:
-                    continue
-                word = w * u
-                pieces.append((back.act_set(hit).intersect(P), word))
-                maps.append(_product_map(g, wpw, upw, word))
-        return PiecewiseWord.trusted(g, tuple(pieces), tuple(maps))
+                if not hit.is_empty:
+                    parts.append((back.act_set(hit).intersect(P),
+                                  _product_map(g, wpw, upw)))
+        return _piecewise(g, parts)
 
     def __repr__(self):
         inner = ", ".join(f"({set_str(U)}, {w})" for U, w in self.pieces)
         return f"PiecewiseWord([{inner}])"
 
 
-def _pair_map(g: Graph, alpha: Path, beta: Path) -> PartialWord:
-    """The map of alpha.beta^-1, built from the pair as from_word builds it
-    from the word: the k instances of the shared tail that
-    ReducedWord.from_pair cancels come off both paths, and a side that
-    cancels whole becomes the vertex path at the range of the first
-    cancelled instance.
-
-    Unchecked, as trusted_path is: alpha and beta are paths of g with a
-    common source.
-    """
-    word = ReducedWord.from_pair(alpha, beta)
-    if not word.letters:
-        return PartialWord.identity(g)
-    k = (len(alpha) + len(beta) - len(word)) // 2
-    if k:
-        m, n = alpha.instances, beta.instances
-        v = g.r_of(m[len(m) - k])
-        alpha = g.trusted_path(m[:len(m) - k], v)
-        beta = g.trusted_path(n[:len(n) - k], v)
-    return PartialWord(g, alpha, beta, word)
+def _piecewise(g: Graph, parts) -> PiecewiseWord:
+    """The piecewise word with exactly these (CompactOpen, PartialWord)
+    parts, built unchecked."""
+    m = object.__new__(PiecewiseWord)
+    m.graph = g
+    m.parts = tuple(parts)
+    return m
 
 
-def _product_map(g: Graph, outer: PartialWord, inner: PartialWord, word) -> PartialWord:
-    """The map of word, the product of outer's word and inner's word.
-
-    With outer = (A, B) and inner = (C, D) it is the pair of
-    invsgp.sgp_mul's two cases: (A.rest, D) when C = B.rest, (A, D.rest)
-    when B = C.rest.  An identity factor gives the other factor's map; an
-    empty map or incomparable B and C fall back to from_word.
+def _product_map(g: Graph, outer: PartialWord, inner: PartialWord) -> PartialWord:
+    """The map of outer's word times inner's word: invsgp.sgp_mul multiplies
+    their pairs and from_pair builds the product's map.  An identity factor
+    gives the other factor's map; an empty factor or a zero product falls
+    back to from_word.
     """
     if inner.is_identity:
         return outer
     if outer.is_identity:
         return inner
-    A, B, C, D = outer.alpha, outer.beta, inner.alpha, inner.beta
-    if B is not None and C is not None:
-        if C.startswith(B):
-            return _pair_map(g, Path(A.range_vertex, C.source_vertex,
-                                     A.instances + C.instances[len(B.instances):]), D)
-        if B.startswith(C):
-            return _pair_map(g, A, Path(D.range_vertex, B.source_vertex,
-                                        D.instances + B.instances[len(C.instances):]))
-    return PartialWord.from_word(g, word)
+    if outer.beta is not None and inner.beta is not None:
+        s = sgp_mul(g, SgpElement(outer.alpha, outer.beta),
+                    SgpElement(inner.alpha, inner.beta))
+        if s is not ZERO:
+            return PartialWord.from_pair(g, s.mu, s.nu)
+    return PartialWord.from_word(g, outer.word() * inner.word())
 
 
 def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
@@ -135,7 +107,7 @@ def infinite_loops(g: Graph, v: str, forbidden_first=frozenset()):
 
 
 def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
-    """Two lists of ((piece, word), map) for a paradoxical pair on one
+    """Two lists of (piece, map) for a paradoxical pair on one
     cylinder, or None when the search bottoms out.  cyl is never empty: it
     is a part of a compact open set or a stem without exclusions."""
     v = cyl.stem.source_vertex
@@ -149,8 +121,9 @@ def _cylinder_pair(g: Graph, cyl: Cylinder, depth: int):
     if len(loops) == 2:
         # stem.loop.stem^-1 moves Z(stem) into Z(stem.loop)
         piece = CompactOpen.trusted(g, (cyl,))
-        a, b = (_pair_map(g, g.concat(cyl.stem, loop), cyl.stem) for loop in loops)
-        return [((piece, a.word()), a)], [((piece, b.word()), b)]
+        a, b = (PartialWord.from_pair(g, g.concat(cyl.stem, loop), cyl.stem)
+                for loop in loops)
+        return [(piece, a)], [(piece, b)]
     if infinite or depth <= 0:
         return None
     side_a, side_b = [], []
@@ -185,8 +158,7 @@ def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
             side_b.extend(sub[1])
     if not side_a:
         return None                       # U empty: nothing to duplicate
-    # a side lists ((piece, word), map); unzipped, it is pieces and maps
-    return tuple(PiecewiseWord.trusted(g, *zip(*side)) for side in (side_a, side_b))
+    return _piecewise(g, side_a), _piecewise(g, side_b)
 
 
 def _within(a: Cylinder, b: Cylinder) -> bool:
@@ -239,17 +211,17 @@ def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
 
     images = []
     for i, m in enumerate(maps):
-        rep["pieces"] += len(m.pieces)
+        rep["pieces"] += len(m.parts)
         covered, image = [], []
-        for (D, w), pw in zip(m.pieces, m.maps):
+        for D, pw in m.parts:
             if pw.is_empty_map:
-                fail(f"map {i}: word {w} does not act")
+                fail(f"map {i}: word {pw.word()} does not act")
                 continue
             # the identity acts on the whole space; any other map on Z(beta)
             beta = pw.beta
             if beta is not None and not (all(p.stem.startswith(beta) for p in D.parts)
                                          or D.difference(pw.domain()).is_empty):
-                fail(f"map {i}: piece {set_str(D)} leaves the domain of {w}")
+                fail(f"map {i}: piece {set_str(D)} leaves the domain of {pw.word()}")
             if _meet(g, D.parts, covered):
                 fail(f"map {i}: pieces overlap at {set_str(D)}")
             covered.extend(D.parts)

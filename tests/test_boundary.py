@@ -529,6 +529,38 @@ def test_partial_word_domains():
     assert PartialWord.identity(g).domain() == CompactOpen.whole(g)
 
 
+def from_pair_laws(g, depth=3):
+    """PartialWord.from_pair on every pair of paths with a common source up
+    to depth builds what from_word builds from ReducedWord.from_pair's word:
+    the same alpha and beta, source vertices included, and the same word.
+    Returns how many pairs cancel one side whole."""
+    by_source = {}
+    for mu in g.paths_up_to(depth):
+        by_source.setdefault(mu.source_vertex, []).append(mu)
+    whole = 0
+    for paths in by_source.values():
+        for alpha in paths:
+            for beta in paths:
+                got = PartialWord.from_pair(g, alpha, beta)
+                ref = PartialWord.from_word(g, ReducedWord.from_pair(alpha, beta))
+                for a, b in ((got.alpha, ref.alpha), (got.beta, ref.beta)):
+                    assert (a is None) == (b is None), (alpha, beta)
+                    if a is not None:
+                        assert (a, a.source_vertex) == (b, b.source_vertex), (alpha, beta)
+                assert got.word() == ref.word()
+                whole += got.beta is not None and any(
+                    side.instances and not kept.instances
+                    for side, kept in ((alpha, got.alpha), (beta, got.beta)))
+    return whole
+
+
+def test_from_pair_builds_what_from_word_builds(corpus_graph):
+    name, g = corpus_graph
+    whole = from_pair_laws(g)
+    if name in ("g7", "p3"):
+        assert whole, name
+
+
 def test_act_point_hand_cases():
     g = corpus.g2()
     swap = PartialWord.from_word(g, parse_word("a.b^-1"))

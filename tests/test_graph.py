@@ -568,6 +568,48 @@ def test_condition_k_corpus():
     assert v == "v" and loop == g.path_of("a")
 
 
+def closed_invariant_sets(g):
+    """The non-empty vertex sets T closed upstream in which every regular
+    vertex receives from inside T.  Without infinite edge families these
+    index the closed invariant subsets of the boundary (Bates, Hong,
+    Raeburn & Szymanski, Illinois J. Math. 46, 2002): the maximal tails
+    without directedness."""
+    vs = sorted(g.vertices)
+    return [T for n in range(1, len(vs) + 1) for T in map(frozenset, combinations(vs, n))
+            if all(g.upstream(v) <= T for v in T)
+            and all(any(e.source_vertex in T for e in g.receivers(v))
+                    for v in T if g.is_regular(v))]
+
+
+def restriction(g, T):
+    """g on the vertices of T and the edges between them."""
+    return Graph(sorted(T), [e for e in g.edges.values()
+                             if e.range_vertex in T and e.source_vertex in T])
+
+
+def k_by_closed_invariant_sets(g):
+    """(K) as Kumjian, Pask, Raeburn & Renault, J. Funct. Anal. 144 (1997)
+    read it: (L) on the restriction to every closed invariant set."""
+    return all(condition_l(restriction(g, T))[0] for T in closed_invariant_sets(g))
+
+
+CENSUS_SEEDS = [*range(240), *range(1000, 1240), *range(2000, 2240)]
+
+
+def test_condition_k_is_condition_l_on_every_closed_invariant_set():
+    """On the 720 census seeds without infinite edge families, where every
+    closed invariant set has a vertex set of this form."""
+    disagree, failing = [], 0
+    for s in CENSUS_SEEDS:
+        g = corpus.random_graph(random.Random(s), 5, allow_infinite=False)
+        holds = condition_k(g)[0]
+        failing += not holds
+        if holds != k_by_closed_invariant_sets(g):
+            disagree.append(s)
+    assert disagree == []
+    assert failing == 187
+
+
 def test_maximal_tails_frozen():
     assert maximal_tails(corpus.g1()) == [frozenset({"v"})]
     assert maximal_tails(corpus.g2()) == [frozenset({"v"})]

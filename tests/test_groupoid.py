@@ -7,6 +7,7 @@ from gforge.boundary import PartialWord, admissible_words, parse_point, sample_p
 from gforge.graph import CompositionError
 from gforge.groupoid import DRElement, GroupoidError, PTGElement, compose, to_dr, to_ptg
 from gforge.words import parse_word
+from test_paradox import assert_maps_from_word
 
 
 def germs(g, word_bound):
@@ -131,6 +132,15 @@ def test_to_ptg_builds_what_ptg_element_checks():
         assert products
         for d in ds + products:
             assert_trusted_ptg(g, d)
+
+
+def test_to_ptg_maps_are_built_as_from_word_builds_them():
+    """On the germs of the groupoid roundtrip, at its graphs and word bounds."""
+    for name, bound in (("g1", 250), ("g2", 6), ("g3", 3), ("g4", 40)):
+        g = corpus.by_name(name)
+        maps = [to_ptg(g, to_dr(s))._pw for s in germs(g, bound)]
+        assert maps, name
+        assert_maps_from_word(g, maps)
 
 
 def test_roundtrip_may_shorten_the_word():

@@ -153,7 +153,10 @@ def test_coe_check_reports_piece_outside_domain():
     g = corpus.g2()
     coc = identity_cocycle(g)
     gen = parse_word("a^-1")
-    coc.table[gen] = ((Cylinder(g.vertex_path("v"), frozenset()), gen),)
+    row = [(Cylinder(g.vertex_path("v"), frozenset()), gen)]
+    with pytest.raises(TypeError):
+        coc.table[gen] = row        # the rows, and so their indices, are fixed
+    coc = Cocycle(coc.homeo, {**coc.table, gen: row})
     rep = coe_check(coc, depth=2)
     assert rep["failures"] == [("a^-1", "piece outside domain"),
                                ("a^-1", "pieces do not cover domain")]
@@ -491,7 +494,7 @@ def test_coe_check_reports_overlap_in_place():
     gen = parse_word("a^-1")
     za = Cylinder(g.path_of("a"), frozenset())
     zv = Cylinder(g.vertex_path("v"), frozenset())
-    coc.table[gen] = ((za, gen), (zv, gen))
+    coc = Cocycle(coc.homeo, {**coc.table, gen: [(za, gen), (zv, gen)]})
     assert coe_check(coc, depth=2)["failures"] == [
         ("a^-1", "piece outside domain"), ("a^-1", "pieces overlap"),
         ("a^-1", "pieces do not cover domain")]

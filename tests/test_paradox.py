@@ -28,7 +28,7 @@ def image(m):
     """The union of a piecewise word's piece images, normalised: the
     PiecewiseWord.image that verify_witness used before it compared
     images part by part."""
-    return CompactOpen(m.graph, [part for (U, _), pw in zip(m.pieces, m.maps)
+    return CompactOpen(m.graph, [part for U, pw in m.parts
                                  for part in pw.act_set(U).parts])
 
 
@@ -171,9 +171,10 @@ def reference_verify_witness(g, U, maps):
 
     images = []
     for i, m in enumerate(maps):
-        rep["pieces"] += len(m.pieces)
+        rep["pieces"] += len(m.parts)
         covered = CompactOpen.empty(g)
-        for (D, w), pw in zip(m.pieces, m.maps):
+        for D, pw in m.parts:
+            w = pw.word()
             if pw.is_empty_map:
                 fail(f"map {i}: word {w} does not act")
                 continue
@@ -211,16 +212,22 @@ def reference_expand_witness(g, pair, count):
     return maps
 
 
-def assert_maps_from_word(g, m):
-    """Every map is the one from_word builds from its piece's word: the
-    same alpha and beta, source vertices included, and the same word."""
-    for (_, w), pw in zip(m.pieces, m.maps):
+def assert_maps_from_word(g, maps):
+    """Every PartialWord in maps is the one from_word builds from its word:
+    the same alpha and beta, source vertices included, and the same word."""
+    for pw in maps:
+        w = pw.word()
         ref = PartialWord.from_word(g, w)
         for got, want in ((pw.alpha, ref.alpha), (pw.beta, ref.beta)):
-            assert (got is None) == (want is None), (m, w)
+            assert (got is None) == (want is None), w
             if got is not None:
-                assert (got, got.source_vertex) == (want, want.source_vertex), (m, w)
-        assert pw.word() == ref.word() == w
+                assert (got, got.source_vertex) == (want, want.source_vertex), w
+        assert ref.word() == w
+
+
+def piece_maps(*ms):
+    """The maps of the piecewise words' parts, in order."""
+    return [pw for m in ms for _, pw in m.parts]
 
 
 def mutations(g, m):
@@ -271,8 +278,8 @@ def verify_witness_laws(g, seed):
         if pair is not None:
             a, b = pair
             expanded = expand_witness(g, pair, 3)
-            for m in (*expanded, a.compose(a), b.compose(a)):
-                assert_maps_from_word(g, m)
+            assert_maps_from_word(
+                g, piece_maps(*expanded, a.compose(a), b.compose(a)))
             candidates += [[a, b], [a, a], [b, a], expanded]
             candidates += [[x, b] for x in mutations(g, a)]
             candidates += [[a, x] for x in mutations(g, b)]
@@ -294,8 +301,7 @@ def test_found_maps_are_built_as_from_word_builds_them():
             pair = find_witness(g, U)
             if pair is None:
                 continue
-            for m in (*pair, *expand_witness(g, pair, 4)):
-                assert_maps_from_word(g, m)
+            assert_maps_from_word(g, piece_maps(*pair, *expand_witness(g, pair, 4)))
 
 
 def test_compose_builds_every_product_as_from_word():
@@ -310,7 +316,7 @@ def test_compose_builds_every_product_as_from_word():
         maps = [PiecewiseWord(g, [(U, parse_word(t))]) for t in texts]
         for outer in maps:
             for inner in maps:
-                assert_maps_from_word(g, outer.compose(inner))
+                assert_maps_from_word(g, piece_maps(outer.compose(inner)))
 
 
 def test_expand_witness_skips_the_unused_composition(monkeypatch):
@@ -336,8 +342,8 @@ def test_expand_witness_skips_the_unused_composition(monkeypatch):
             assert [[(D.parts, w) for D, w in m.pieces] for m in maps] == \
                    [[(D.parts, w) for D, w in m.pieces] for m in want]
             for m, r in zip(maps, want):
-                assert [(pw.alpha, pw.beta, pw.word()) for pw in m.maps] == \
-                       [(pw.alpha, pw.beta, pw.word()) for pw in r.maps]
+                assert [(pw.alpha, pw.beta, pw.word()) for pw in piece_maps(m)] == \
+                       [(pw.alpha, pw.beta, pw.word()) for pw in piece_maps(r)]
             assert verify_witness(g, U, maps)["ok"]
 
 

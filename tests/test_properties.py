@@ -64,6 +64,7 @@ from gforge.words import ReducedWord, parse_word
 from test_boundary import (
     assert_probe_points_match_reference,
     assert_validated,
+    from_pair_laws,
     random_compact_open,
     reference_absorb,
     reference_admissible_words,
@@ -487,8 +488,8 @@ def test_make_path_matches_two_pass_reference(seed):
 def assert_maps_match_words(g, m):
     """Each stored piece map acts as the map rebuilt from its word."""
     pts = probe_points(g, 3)
-    for (U, w), pw in zip(m.pieces, m.maps):
-        ref = PartialWord.from_word(g, w)
+    for U, pw in m.parts:
+        ref = PartialWord.from_word(g, pw.word())
         assert pw.is_empty_map == ref.is_empty_map
         assert pw.domain() == ref.domain()
         assert pw.act_set(U) == ref.act_set(U)
@@ -834,4 +835,8 @@ def pair_map_laws(g):
 @PROFILE
 @given(seeds)
 def test_pair_map_laws(seed):
-    pair_map_laws(infinite_graph_of(seed))
+    """pair_map_laws, and PartialWord.from_pair on every pair up to depth 3
+    (from_pair_laws) on the same graphs."""
+    g = infinite_graph_of(seed)
+    pair_map_laws(g)
+    from_pair_laws(g)
