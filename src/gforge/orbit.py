@@ -122,8 +122,8 @@ class Cocycle:
     table maps a generator word g of the source action to pieces of its
     domain with a value word each: on the piece, the homeomorphism sends
     the g-image of x to the value-image of the x-image.  The rows are fixed
-    at construction, which builds each row's stem index; table is a
-    read-only view of them.
+    at construction, which builds each row's stem index; table and index
+    are read-only views of them.
     """
 
     __slots__ = ("homeo", "table", "index")
@@ -132,8 +132,9 @@ class Cocycle:
         self.homeo = homeo
         self.table = MappingProxyType({
             gen: tuple(entries) for gen, entries in table.items()})
-        self.index = {gen: StemIndex(homeo.source_graph, [piece for piece, _ in row])
-                      for gen, row in self.table.items()}
+        self.index = MappingProxyType({
+            gen: StemIndex(homeo.source_graph, [piece for piece, _ in row])
+            for gen, row in self.table.items()})
 
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)

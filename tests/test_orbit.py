@@ -156,6 +156,8 @@ def test_coe_check_reports_piece_outside_domain():
     row = [(Cylinder(g.vertex_path("v"), frozenset()), gen)]
     with pytest.raises(TypeError):
         coc.table[gen] = row        # the rows, and so their indices, are fixed
+    with pytest.raises(TypeError):
+        coc.index[gen] = coc.index[parse_word("a")]
     coc = Cocycle(coc.homeo, {**coc.table, gen: row})
     rep = coe_check(coc, depth=2)
     assert rep["failures"] == [("a^-1", "piece outside domain"),

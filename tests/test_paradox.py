@@ -212,9 +212,13 @@ def reference_expand_witness(g, pair, count):
     return maps
 
 
-def assert_maps_from_word(g, maps):
+def assert_maps_from_word(g, maps, words=None):
     """Every PartialWord in maps is the one from_word builds from its word:
-    the same alpha and beta, source vertices included, and the same word."""
+    the same alpha and beta, source vertices included, and the same word.
+    Where words is given, the i-th map's word is also words[i], a word
+    computed on its own."""
+    if words is not None:
+        assert [pw.word() for pw in maps] == list(words)
     for pw in maps:
         w = pw.word()
         ref = PartialWord.from_word(g, w)
@@ -223,6 +227,21 @@ def assert_maps_from_word(g, maps):
             if got is not None:
                 assert (got, got.source_vertex) == (want, want.source_vertex), w
         assert ref.word() == w
+
+
+def composite_words(outer, inner, comp):
+    """The word each part of comp = outer.compose(inner) must carry, found
+    by ReducedWord multiplication: the word of the outer part that holds
+    the piece's image times the word of the inner part that holds the
+    piece."""
+    words = []
+    for D, _ in comp.parts:
+        found = [wo.word() * wi.word()
+                 for P, wi in inner.parts if D.difference(P).is_empty
+                 for Q, wo in outer.parts if wi.act_set(D).difference(Q).is_empty]
+        assert len(found) == 1, D
+        words.append(found[0])
+    return words
 
 
 def piece_maps(*ms):
@@ -278,8 +297,11 @@ def verify_witness_laws(g, seed):
         if pair is not None:
             a, b = pair
             expanded = expand_witness(g, pair, 3)
-            assert_maps_from_word(
-                g, piece_maps(*expanded, a.compose(a), b.compose(a)))
+            assert_maps_from_word(g, piece_maps(*expanded))
+            for outer, inner in ((a, a), (b, a)):
+                comp = outer.compose(inner)
+                assert_maps_from_word(g, piece_maps(comp),
+                                      composite_words(outer, inner, comp))
             candidates += [[a, b], [a, a], [b, a], expanded]
             candidates += [[x, b] for x in mutations(g, a)]
             candidates += [[a, x] for x in mutations(g, b)]
@@ -313,10 +335,14 @@ def test_compose_builds_every_product_as_from_word():
                        "d.q2", "c.d^-1", "p1^-1.p2"]),
     ]:
         U = CompactOpen.whole(g)
-        maps = [PiecewiseWord(g, [(U, parse_word(t))]) for t in texts]
-        for outer in maps:
-            for inner in maps:
-                assert_maps_from_word(g, piece_maps(outer.compose(inner)))
+        for t_outer in texts:
+            for t_inner in texts:
+                outer, inner = (PiecewiseWord(g, [(U, parse_word(t))])
+                                for t in (t_outer, t_inner))
+                comp = outer.compose(inner)
+                assert len(comp.parts) <= 1
+                want = parse_word(t_outer) * parse_word(t_inner)
+                assert_maps_from_word(g, piece_maps(comp), [want] * len(comp.parts))
 
 
 def test_expand_witness_skips_the_unused_composition(monkeypatch):
