@@ -20,8 +20,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .graph import (EdgeInstance, Graph, GraphError, Path, condition_l,
-                    first_return_profile, instance_token, sort_key)
+from .graph import (Graph, GraphError, Path, condition_l, first_return_profile,
+                    instance_token, sort_key)
 from .words import _TOKEN, ReducedWord, _trusted, ball, positive_negative_split
 
 
@@ -128,15 +128,6 @@ class BoundaryPoint:
             raise BoundaryError("infinite point has no length")
         return len(self.prefix)
 
-    def instance_at(self, i: int) -> EdgeInstance:
-        """Instance i, read from the prefix or indexed into the cycle."""
-        pre, cyc = self.prefix, self.cycle
-        if 0 <= i < len(pre):
-            return pre[i]
-        if i < 0 or cyc is None:
-            raise BoundaryError(f"{point_str(self)} has no first {i + 1} instances")
-        return cyc[(i - len(pre)) % len(cyc)]
-
     def head(self, n: int) -> Path:
         """The first n instances as a path: the prefix, then the cycle unrolled."""
         pre = self.prefix
@@ -148,10 +139,13 @@ class BoundaryPoint:
 
     def startswith(self, mu: Path) -> bool:
         """mu is a head: the part t of mu past the prefix starts like the
-        cycle and repeats with its period, with no unrolled cycle built."""
-        if mu.range_vertex != self.range_vertex:
-            return False
+        cycle and repeats with its period, with no unrolled cycle built.
+        Only a vertex path compares range vertices: mu's first instance,
+        when it matches, already fixes the range vertex of a canonical
+        point."""
         m, pre, cyc = mu.instances, self.prefix, self.cycle
+        if not m:
+            return mu.range_vertex == self.range_vertex
         n = len(pre)
         if len(m) <= n:
             return pre[:len(m)] == m
@@ -184,28 +178,6 @@ class BoundaryPoint:
 
     def __repr__(self):
         return f"BoundaryPoint({point_str(self)!r})"
-
-
-def rehead(graph: Graph, x: BoundaryPoint, k: int, alpha: Path) -> BoundaryPoint:
-    """alpha.y for x = mu.y with len(mu) == k, in one step.
-
-    Unchecked, as trusted_path is: x has a first k instances and alpha's
-    source is the vertex they end at.  With k within the prefix it takes
-    one slice; x is canonical, so the new prefix can end in the cycle's
-    last instance only when k is the prefix length, and only then is it
-    absorbed.  Past the prefix, the cycle turns once by what mu takes of
-    it, and alpha is absorbed.
-    """
-    pre, cyc = x.prefix, x.cycle
-    n = len(pre)
-    if k <= n:
-        pre = alpha.instances + pre[k:]
-        if cyc is not None and pre and pre[-1] == cyc[-1]:
-            pre, cyc = _absorb(pre, cyc)
-    else:
-        j = (k - n) % len(cyc)
-        pre, cyc = _absorb(alpha.instances, cyc[j:] + cyc[:j])
-    return BoundaryPoint(graph, alpha.range_vertex, pre, cyc)
 
 
 def point_str(x: BoundaryPoint) -> str:
@@ -284,15 +256,6 @@ def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
     (Webster, Proc. AMS 142, 2014).  By the Cylinder invariant that is a count;
     a source with no receivers is a single point, hence the 0 <."""
     return 0 < len(c.excl) == g._count[c.stem.source_vertex]
-
-
-def cyl_contains(c: Cylinder, x: BoundaryPoint) -> bool:
-    if not x.startswith(c.stem):
-        return False
-    n = len(c.stem.instances)
-    if x.cycle is None and len(x.prefix) == n:
-        return True
-    return x.instance_at(n) not in c.excl
 
 
 def cyl_intersect(a: Cylinder, b: Cylinder):
@@ -381,16 +344,6 @@ class CompactOpen:
     @property
     def is_empty(self):
         return not self.parts
-
-    def __contains__(self, x: BoundaryPoint):
-        return any(cyl_contains(p, x) for p in self.parts)
-
-    def union(self, other: "CompactOpen") -> "CompactOpen":
-        if not self.parts:
-            return other
-        if not other.parts:
-            return self
-        return CompactOpen(self.graph, self.parts + other.parts)
 
     def intersect(self, other: "CompactOpen") -> "CompactOpen":
         if not self.parts or not other.parts:
@@ -585,7 +538,9 @@ class PartialWord:
     def __init__(self, graph: Graph, alpha: Path | None, beta: Path | None, word=None):
         """Trusted, as trusted_path is: alpha and beta are paths with a common
         source (beta.x goes to alpha.x), or both are None and word tells the
-        identity from an empty map.  from_word is the validating builder."""
+        identity from an empty map.  from_word is the validating builder.
+        beta may be a path of another graph with the same tails, as in
+        orbit.PrefixHomeo's rule maps; only act_point reads such a map."""
         self.graph = graph
         self.alpha = alpha
         self.beta = beta
@@ -666,17 +621,32 @@ class PartialWord:
         return CompactOpen.cylinder(self.graph, self.beta)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        """alpha.y for x = beta.y, by rehead.  A nonempty beta within the
-        prefix is a head exactly when the prefix starts with its instances."""
+        """alpha.y for x = beta.y: the one re-heading kernel.
+
+        With beta within the prefix, the head test (one slice compare; a
+        vertex path compares range vertices) and the re-heading share this
+        frame, and x is canonical, so only a new prefix that ends in the
+        cycle's last instance is absorbed.  Past the prefix, startswith
+        tests beta, the cycle turns by what beta takes of it and alpha is
+        absorbed.
+        """
         beta = self.beta
         if beta is None:
             if not self._word.letters:
                 return x
         else:
-            k = len(beta.instances)
-            if (x.prefix[:k] == beta.instances if 0 < k <= len(x.prefix)
-                    else x.startswith(beta)):
-                return rehead(self.graph, x, k, self.alpha)
+            b, pre, cyc = beta.instances, x.prefix, x.cycle
+            k, n = len(b), len(pre)
+            if k <= n:
+                if (pre[:k] == b) if k else beta.range_vertex == x.range_vertex:
+                    pre = self.alpha.instances + pre[k:]
+                    if cyc is not None and pre and pre[-1] == cyc[-1]:
+                        pre, cyc = _absorb(pre, cyc)
+                    return BoundaryPoint(self.graph, self.alpha.range_vertex, pre, cyc)
+            elif x.startswith(beta):
+                j = (k - n) % len(cyc)
+                pre, cyc = _absorb(self.alpha.instances, cyc[j:] + cyc[:j])
+                return BoundaryPoint(self.graph, self.alpha.range_vertex, pre, cyc)
         raise DomainError(f"{point_str(x)} is not in the domain of {self.word()}")
 
     def act_set(self, U: CompactOpen) -> CompactOpen:
@@ -841,26 +811,55 @@ def isotropy_words(x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     return sorted(found, key=ReducedWord.sort_key)
 
 
+def _partner_row(g, w, row, meet, samples):
+    """(w, its map, D, w(D), D's sample points with repeats dropped) for
+    the meet of w's image with a domain, D its preimage under w."""
+    pw, _, _, inv = row
+    D = inv.act_set(meet)
+    points = []
+    for part in D.parts:
+        if part not in samples:
+            samples[part] = sample_point(g, part)
+        if samples[part] not in points:
+            points.append(samples[part])
+    return w, pw, D, pw.act_set(D), points
+
+
 def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
     """Check the partial action laws on all reduced words up to word_len.
 
     The empty word must act as the identity everywhere, inverses must undo,
     and composing two word maps must restrict the map of the product word.
-    A pair (u, w) is checked on D = theta_w^-1(im theta_w & dom theta_u).
-    Every pair counts in "pairs"; when D is empty (dom theta_u, or its
-    meet with im theta_w, is empty) the domain, composition and pointwise
-    laws hold with nothing to compare, and the product word is never built.
-    Pairs share product words and the parts of D, so each product's map
-    and domain, and each part's sample point, is built once per call.
+    A pair (u, w) is checked on D = theta_w^-1(im theta_w & dom theta_u),
+    and every pair counts in "pairs".  A domain or image is whole, empty or
+    a cylinder many words share, so each distinct domain meets each
+    distinct image once and keeps a partner row, in table order, for each
+    w whose meet is non-empty: D and what a pair reads of it.  A pair with
+    empty D, where the laws hold with nothing to compare, is never visited.
+    Each product's map and domain is built once per call.
     """
     words = reduced_words(g, word_len)
     table = {}  # word -> (map, domain, image, inverse map)
     products = {}  # u * w -> (map, domain)
     samples = {}  # part of some D (never empty) -> its sample point
-    for w in words:
+    images = {}  # non-empty image parts -> (image, [(table index, word)])
+    for i, w in enumerate(words):
         pw = PartialWord.from_word(g, w)
         dom = pw.domain()
-        table[w] = (pw, dom, pw.act_set(dom), pw.inverse())
+        im = pw.act_set(dom)
+        table[w] = (pw, dom, im, pw.inverse())
+        if im.parts:
+            images.setdefault(im.parts, (im, []))[1].append((i, w))
+    partners = {(): []}  # domain parts -> its partner rows in table order
+    for _, dom, _, _ in table.values():
+        if dom.parts not in partners:
+            rows = []
+            for im, ws in images.values():
+                meet = im.intersect(dom)
+                if not meet.is_empty:
+                    rows += [(i, w, meet) for i, w in ws]
+            partners[dom.parts] = [_partner_row(g, w, table[w], meet, samples)
+                                   for _, w, meet in sorted(rows)]
 
     report = {"words": len(words), "pairs": len(words) ** 2, "failures": []}
     ident, ident_dom, _, _ = table[ReducedWord()]
@@ -870,13 +869,7 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
         if inv.act_set(im) != dom:
             report["failures"].append(("inverse", w))
     for u, (pu, dom_u, _, _) in table.items():
-        if dom_u.is_empty:
-            continue
-        for w, (pw, _, im_w, inv_w) in table.items():
-            mid = im_w.intersect(dom_u)
-            if mid.is_empty:
-                continue
-            D = inv_w.act_set(mid)
+        for w, pw, D, wD, points in partners[dom_u.parts]:
             uw = u * w
             if uw not in products:
                 puw = PartialWord.from_word(g, uw)
@@ -885,17 +878,9 @@ def verify_partial_action(g: Graph, word_len: int = 2) -> dict:
             if not D.difference(dom_uw).is_empty:
                 report["failures"].append(("domain", u, w))
                 continue
-            left = pu.act_set(pw.act_set(D))
-            right = puw.act_set(D)
-            if left != right:
+            if pu.act_set(wD) != puw.act_set(D):
                 report["failures"].append(("composition", u, w))
                 continue
-            points = []
-            for part in D.parts:
-                if part not in samples:
-                    samples[part] = sample_point(g, part)
-                if samples[part] not in points:
-                    points.append(samples[part])
             for x in points:
                 try:
                     same = pu.act_point(pw.act_point(x)) == puw.act_point(x)
@@ -912,7 +897,17 @@ def _aperiodic_tail(g: Graph, v: str, word_bound: int):
     """(rho, None) for a shortest path rho from v to the first singular
     vertex downstream, else (rho, cycle) for a shortest path to the first
     vertex with two first-return loops, the first pumped past the word
-    bound ahead of the second."""
+    bound ahead of the second.
+
+    Condition (L), under which alone it is called, makes one of the two
+    exist.  With no singular vertex downstream of v, every downstream
+    vertex receives an edge, so some cyclic strongly connected component C
+    lies downstream with no other one downstream of it; then nothing
+    outside C is downstream of C, since a walk back along receivers from
+    it would reach another.  A loop in C has an entry by (L), whose source
+    is thus in C and leads back to the entry's range y: y has two
+    first-return loops, the loop's and one through the entry.
+    """
     down = sorted(g.downstream(v))
     for w in down:
         if g.is_singular(w):
@@ -923,8 +918,6 @@ def _aperiodic_tail(g: Graph, v: str, word_bound: int):
             la, lb = loops
             m = word_bound // len(la) + 1
             return g.shortest_path(v, y), g.trusted_path(la.instances * m + lb.instances)
-    raise GraphError(
-        f"no aperiodic point reachable from {v} although every loop has an entry")
 
 
 def topological_freeness_report(g: Graph, word_bound: int = 8, stem_depth: int = 2) -> dict:

@@ -16,12 +16,12 @@ Input is validated once, where it enters.  Here that is Graph() (with
 from_json and loads), vertex_path and make_path/path_of; the README lists
 the validating and unchecked builders of the other modules.  make_path
 validates in one pass: each instance's edge is looked up once, and its
-copy and its composability with the previous instance are checked in the
-same step.  An invalid instance raises at once, so the first one anywhere
-in the tuple is reported before any composition fault; the first
-composition fault is held until every instance is validated.  Code that
-already holds composable instances builds paths with the unchecked
-trusted_path.
+copy (an int, not a bool, below the multiplicity) and its composability
+with the previous instance are checked in the same step.  An invalid
+instance raises at once, so the first one anywhere in the tuple is
+reported before any composition fault; the first composition fault is
+held until every instance is validated.  Code that already holds
+composable instances builds paths with the unchecked trusted_path.
 
 A Graph never changes after construction, so it keeps what it works out
 about itself: upstream(v) and downstream(v), one BFS tree of least
@@ -157,6 +157,9 @@ class Graph:
                       for v, lst in self._receivers.items()}
         self._count = {v: sum(e.multiplicity for e in lst)
                        for v, lst in self._receivers.items()}
+        # (range, source, multiplicity): make_path indexes a plain tuple
+        # faster than Edge's named fields
+        self._ends = {e.eid: e[1:] for e in self.edges.values()}
         # graph facts, each filled on first use and kept for the graph's
         # lifetime (see the module docstring)
         self._upstream_of: dict[str, frozenset] | None = None
@@ -236,8 +239,8 @@ class Graph:
         e = self.edges.get(eid)
         if e is None:
             raise GraphError(f"unknown edge {eid!r}")
-        if copy < 0 or (e.multiplicity != INFINITE and copy >= e.multiplicity):
-            raise GraphError(f"edge {eid!r} has no copy {copy}")
+        if type(copy) is not int or not 0 <= copy < e.multiplicity:
+            raise GraphError(f"edge {eid!r} has no copy {copy!r}")
         return EdgeInstance(eid, copy)
 
     def r_of(self, inst: EdgeInstance) -> str:
@@ -262,19 +265,20 @@ class Graph:
         instances = tuple(instances)
         if not instances:
             raise GraphError("make_path needs at least one instance; use vertex_path")
-        edges = self.edges
+        ends = self._ends
         r = s = prev = fault = None
         for inst in instances:
-            e = edges.get(inst[0])
-            if e is None or not 0 <= inst[1] < e.multiplicity:
+            e = ends.get(inst[0])
+            c = inst[1]
+            if e is None or type(c) is not int or not 0 <= c < e[2]:
                 self.instance(*inst)  # raises the error for this instance
-            if e.range_vertex != s:
+            if e[0] != s:
                 if r is None:
-                    r = e.range_vertex
+                    r = e[0]
                 elif fault is None:
                     fault = prev, inst
             prev = inst
-            s = e.source_vertex
+            s = e[1]
         if fault is not None:
             a, b = fault
             raise CompositionError(

@@ -36,7 +36,6 @@ from .boundary import (
     StemIndex,
     point_str,
     probe_points,
-    rehead,
     sample_point,
 )
 from .graph import Graph, GraphError, INFINITE, Path
@@ -76,9 +75,12 @@ class PrefixHomeo:
     The mu stems must partition the source boundary and the nu stems the
     target boundary, and each rule's stems must end at vertices whose
     downstream receiver structure matches, so tails carry over verbatim.
+    apply finds x's rule through the mu stems' StemIndex and returns the
+    act_point of the rule's map PartialWord(target_graph, nu, mu), built
+    once here: its beta is a source path, and the tails carry over.
     """
 
-    __slots__ = ("source_graph", "target_graph", "rules", "_stems")
+    __slots__ = ("source_graph", "target_graph", "rules", "_stems", "_maps")
 
     def __init__(self, source_graph: Graph, target_graph: Graph, rules):
         rules = tuple((mu, nu) for mu, nu in rules)
@@ -100,6 +102,7 @@ class PrefixHomeo:
         self.target_graph = target_graph
         self.rules = rules
         self._stems = stems[0]
+        self._maps = tuple(PartialWord(target_graph, nu, mu) for mu, nu in rules)
 
     @classmethod
     def identity(cls, g: Graph) -> "PrefixHomeo":
@@ -110,10 +113,7 @@ class PrefixHomeo:
         i = self._stems.first(x)
         if i is None:
             raise OrbitError(f"{point_str(x)} escapes the rule partition")
-        mu, nu = self.rules[i]
-        # _same_tail_shape made every tail past mu a point of the target
-        # graph past nu, canonical there as it is here
-        return rehead(self.target_graph, x, len(mu), nu)
+        return self._maps[i].act_point(x)
 
 
 class Cocycle:

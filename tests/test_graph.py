@@ -180,7 +180,7 @@ def reference_make_path(g, instances):
     es = []
     for inst in instances:
         e = g.edges.get(inst[0])
-        if e is None or not 0 <= inst[1] < e.multiplicity:
+        if e is None or type(inst[1]) is not int or not 0 <= inst[1] < e.multiplicity:
             g.instance(*inst)
         es.append(e)
     for i in range(1, len(es)):
@@ -212,8 +212,8 @@ def path_kernel_laws(g, seed):
     message.  The inputs are random walks of up to 600 instances (copies
     0-2 of every family, and copy 10**6 of an infinite one), and those
     walks with one instance replaced by an unknown edge, a negative copy,
-    a copy past a finite multiplicity or an instance that does not
-    compose, and with two such faults at once in either order.  Faults go
+    a copy past a finite multiplicity, a copy that is a bool or a float,
+    or an instance that does not compose, and with two such faults at once in either order.  Faults go
     at every position of a walk of up to 9 instances, and at positions 0,
     1 and the last and three random ones of a longer walk."""
     rng = random.Random(seed)
@@ -234,7 +234,8 @@ def path_kernel_laws(g, seed):
     edges = sorted(g.edges.values())
     invalid = [EdgeInstance("zz", 0)]
     for e in edges:
-        invalid.append(EdgeInstance(e.eid, -1))
+        invalid += [EdgeInstance(e.eid, -1), EdgeInstance(e.eid, False),
+                    EdgeInstance(e.eid, True), EdgeInstance(e.eid, 0.5)]
         if e.multiplicity != INFINITE:
             invalid.append(EdgeInstance(e.eid, e.multiplicity))
 
@@ -340,6 +341,23 @@ def test_instance_validation():
         g2.instance("a", 1)
     with pytest.raises(GraphError):
         g2.instance("zz")
+
+
+@pytest.mark.parametrize("name, bad, msg", [
+    # a copy index is an int: a float in range, a bool and a string are refused
+    ("g5", EdgeInstance("f", 0.5), "edge 'f' has no copy 0.5"),
+    ("g5", EdgeInstance("f", True), "edge 'f' has no copy True"),
+    ("g2", EdgeInstance("a", False), "edge 'a' has no copy False"),
+    ("g2", EdgeInstance("a", "0"), "edge 'a' has no copy '0'"),
+])
+def test_copy_index_must_be_an_int(name, bad, msg):
+    g = corpus.by_name(name)
+    for build in (lambda: g.instance(*bad), lambda: g.make_path([bad]),
+                  lambda: g.path_of(tuple(bad))):
+        with pytest.raises(GraphError) as info:
+            build()
+        assert str(info.value) == msg
+    assert g.make_path([g.instance(bad.edge)]) == g.path_of(bad.edge)
 
 
 def test_instance_str_only_marks_copies():
