@@ -35,7 +35,6 @@ from .boundary import (
 )
 from .invsgp import (
     SgpElement,
-    TruncatedSemilattice,
     ZERO,
     check_boundary_invariance,
     sigma,

@@ -799,15 +799,19 @@ def isotropy_words(x: BoundaryPoint, bound: int) -> list[ReducedWord]:
     fixes x exactly when x.shift(i) == x.shift(j).  Shifts stay canonical,
     so that asks for equal prefixes and cycles: a finite point is fixed by
     no word, and a periodic one by the pairs i != j, both at least
-    len(prefix), whose difference the cycle length divides.
+    len(prefix), whose difference the cycle length divides.  For each i, j
+    steps by the cycle length from the least such j, so the scan costs one
+    step per i and one per pair (i, j) with j - i a multiple: linear in the
+    bound when the cycle is longer than the bound, as on the pumped points
+    of topological_freeness_report.
     """
     if x.is_finite:
         return []
     start, period = len(x.prefix), len(x.cycle)
     found = {ReducedWord.from_pair(x.head(i), x.head(j))
              for i in range(start, bound + 1)
-             for j in range(start, bound - i + 1)
-             if i != j and (j - i) % period == 0}
+             for j in range(start + (i - start) % period, bound - i + 1, period)
+             if i != j}
     return sorted(found, key=ReducedWord.sort_key)
 
 

@@ -517,7 +517,12 @@ def _first_returns(g: Graph, v: str, forbidden_first) -> list:
     At the current position only instances whose source can still lead back
     to v matter; if a position ever offers two of them, two loops sharing the
     walked prefix complete via shortest continuations.  Otherwise the walk is
-    forced and terminates at v.
+    forced and closes at v within |V| steps.  After the first step every
+    position lies in upstream(v), so every path back to v starts with one
+    of that position's allowed instances, exclusions barring only the first
+    step.  A forced step is therefore the first edge of every path back to
+    v, and so of a shortest one: the distance to v, at most |V| - 1 after
+    the first step, drops by one at each forced step.
     """
     U = g.upstream(v)
 
@@ -528,7 +533,7 @@ def _first_returns(g: Graph, v: str, forbidden_first) -> list:
     x = v
     prefix = []
     forbidden = forbidden_first
-    for _ in range(len(g.vertices) + 1):
+    for _ in range(len(g.vertices)):
         # an infinite family offers endless copies, and forbidden is finite
         allowed = list(islice(
             (i for e in g._receivers[x] if e.source_vertex in U
@@ -543,7 +548,6 @@ def _first_returns(g: Graph, v: str, forbidden_first) -> list:
         forbidden = frozenset()
         if x == v:
             return [g.trusted_path(prefix)]
-    raise GraphError("forced first-return walk failed to close")  # unreachable
 
 
 def condition_k(g: Graph):

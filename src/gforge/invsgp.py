@@ -87,40 +87,19 @@ def sigma(x) -> ReducedWord:
     return ReducedWord.from_pair(x.mu, x.nu)
 
 
-class TruncatedSemilattice:
-    """All paths up to a depth, as Graph.paths_up_to enumerates them."""
+def _pairs(paths) -> list[SgpElement]:
+    """Every nonzero pair (mu, nu) of these paths, in the order of their
+    full product: the pairs with a common source, built by _pair."""
+    return [_pair(mu, nu) for mu, nu in product(paths, repeat=2)
+            if mu.source_vertex == nu.source_vertex]
 
-    def __init__(self, g: Graph, depth: int):
-        self.graph = g
-        self.depth = depth
-        self.paths = g.paths_up_to(depth)
 
-    def elements(self) -> list[SgpElement]:
-        """Every nonzero pair representable inside the truncation."""
-        out = []
-        for mu, nu in product(self.paths, repeat=2):
-            if mu.source_vertex == nu.source_vertex:
-                out.append(SgpElement(mu, nu))
-        return out
-
-    def act_on_character(self, s, rho: Path) -> Path:
-        """Apply the substitution s to the character with stem rho; stem
-        nu.x goes to mu.x.
-
-        Raises DomainError off the domain idempotent and when the image stem
-        would overflow the truncation depth.
-        """
-        if s is ZERO:
-            raise DomainError("0 acts nowhere")
-        if not rho.startswith(s.nu):
-            raise DomainError(f"{rho!r} is not in the domain of {s!r}")
-        length = len(s.mu) + len(rho) - len(s.nu)
-        if length > self.depth:
-            raise DomainError(
-                f"image stem of length {length} escapes depth {self.depth}")
-        mu = s.mu
-        return Path(mu.range_vertex, rho.source_vertex,
-                    mu.instances + rho.instances[len(s.nu):])
+def _character_image(s, rho: Path) -> Path:
+    """The stem of the character rho moved by s = (mu, nu): nu.x goes to
+    mu.x.  Precondition: rho starts with nu."""
+    mu = s.mu
+    return Path(mu.range_vertex, rho.source_vertex,
+                mu.instances + rho.instances[len(s.nu):])
 
 
 def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
@@ -131,7 +110,7 @@ def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
     and s.t is nonzero exactly when s.nu and t.mu are comparable, so only
     those pairs are visited, in the order of the full product.
     """
-    els = TruncatedSemilattice(g, depth).elements()
+    els = _pairs(g.paths_up_to(depth))
     table = [(s, sigma(s)) for s in els]
     by_mu = {}
     for j, t in enumerate(els):
@@ -178,25 +157,24 @@ def check_boundary_invariance(g: Graph, depth: int = 2) -> dict:
     continuations), so they are counted as skips; they are still compared.
     Overflowing images are counted as escapes and not compared.
     """
-    ts = TruncatedSemilattice(g, depth)
+    paths = g.paths_up_to(depth)
     stems = [(rho, sample_point(g, Cylinder(rho, frozenset())))
              for rho in g.maximal_stems(depth)]
     # many pairs share a nu, so find the stems under each path once
     under = {nu: [(rho, x) for rho, x in stems if rho.startswith(nu)]
-             for nu in ts.paths}
+             for nu in paths}
     checked = skips = escapes = 0
     violations = []
-    for s in ts.elements():
+    for s in _pairs(paths):
         if not under[s.nu]:
             continue
         pw = PartialWord(g, s.mu, s.nu)
         for rho, x in under[s.nu]:
             checked += 1
-            try:
-                img = ts.act_on_character(s, rho)
-            except DomainError:
+            if len(s.mu) + len(rho) - len(s.nu) > depth:
                 escapes += 1
                 continue
+            img = _character_image(s, rho)
             dead_end = not g.receivers(img.source_vertex)
             if len(img) < depth and not dead_end:
                 skips += 1

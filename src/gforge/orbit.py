@@ -317,21 +317,16 @@ def _extensions(g: Graph, cyl: Cylinder, depth: int) -> list[Cylinder]:
     """cyl cut into the cylinders of the stems that extend its stem to
     `depth` letters, or stop earlier at a source with no receivers, the
     first letter past the stem avoiding its exclusions; cyl itself when its
-    stem already has `depth` letters."""
+    stem already has `depth` letters.  The extensions are the maximal stems
+    of the remaining depth that start at the stem's source."""
     stem, excl = cyl
     if len(stem) >= depth:
         return [cyl]
-    done, level = [], [stem]
-    for _ in range(depth - len(stem)):
-        nxt = []
-        for mu in level:
-            conts = g.continuations(mu.source_vertex)
-            if not conts:
-                done.append(mu)
-            nxt += [Path(mu.range_vertex, g.s_of(inst), mu.instances + (inst,))
-                    for inst in conts if inst not in excl]
-        level, excl = nxt, ()   # the exclusions bar the first step only
-    return [Cylinder(mu, frozenset()) for mu in done + level]
+    v = stem.source_vertex
+    return [Cylinder(Path(stem.range_vertex, mu.source_vertex,
+                          stem.instances + mu.instances), frozenset())
+            for mu in g.maximal_stems(depth - len(stem))
+            if mu.range_vertex == v and not (mu.instances and mu.instances[0] in excl)]
 
 
 def oe_to_coe(oe: OEData) -> Cocycle:

@@ -28,14 +28,12 @@ class PiecewiseWord:
 
     __slots__ = ("graph", "parts")
 
-    def __init__(self, graph: Graph, pieces):
-        """pieces lists (U, word), U a CompactOpen or a single non-empty
-        Cylinder; from_word builds each word's map."""
+    def __init__(self, graph: Graph, parts):
+        """The piecewise word with exactly these (piece, map) parts, stored
+        unchecked.  Precondition: each piece is a CompactOpen and each map
+        a PartialWord on graph; verify_witness certifies the rest."""
         self.graph = graph
-        self.parts = tuple(
-            (U if isinstance(U, CompactOpen) else CompactOpen.trusted(graph, (U,)),
-             PartialWord.from_word(graph, w))
-            for U, w in pieces)
+        self.parts = tuple(parts)
 
     @property
     def pieces(self) -> tuple:
@@ -54,20 +52,11 @@ class PiecewiseWord:
                 if not hit.is_empty:
                     parts.append((back.act_set(hit).intersect(P),
                                   _product_map(g, wpw, upw)))
-        return _piecewise(g, parts)
+        return PiecewiseWord(g, parts)
 
     def __repr__(self):
         inner = ", ".join(f"({set_str(U)}, {w})" for U, w in self.pieces)
         return f"PiecewiseWord([{inner}])"
-
-
-def _piecewise(g: Graph, parts) -> PiecewiseWord:
-    """The piecewise word with exactly these (CompactOpen, PartialWord)
-    parts, built unchecked."""
-    m = object.__new__(PiecewiseWord)
-    m.graph = g
-    m.parts = tuple(parts)
-    return m
 
 
 def _product_map(g: Graph, outer: PartialWord, inner: PartialWord) -> PartialWord:
@@ -158,7 +147,7 @@ def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
             side_b.extend(sub[1])
     if not side_a:
         return None                       # U empty: nothing to duplicate
-    return _piecewise(g, side_a), _piecewise(g, side_b)
+    return PiecewiseWord(g, side_a), PiecewiseWord(g, side_b)
 
 
 def _within(a: Cylinder, b: Cylinder) -> bool:

@@ -809,6 +809,40 @@ def test_isotropy_brute_force_agreement():
         assert brute == set(isotropy_words(x, 4))
 
 
+def reference_isotropy_scan(x, bound):
+    """isotropy_words as the quadratic scan first wrote it: every pair (i, j)
+    with i + j <= bound, both at least len(prefix), kept when the cycle
+    length divides j - i."""
+    if x.is_finite:
+        return []
+    start, period = len(x.prefix), len(x.cycle)
+    found = {ReducedWord.from_pair(x.head(i), x.head(j))
+             for i in range(start, bound + 1)
+             for j in range(start, bound - i + 1)
+             if i != j and (j - i) % period == 0}
+    return sorted(found, key=ReducedWord.sort_key)
+
+
+def test_isotropy_words_match_the_quadratic_scan():
+    """Stepping j by the cycle length gives the quadratic scan's list on the
+    probe points of the corpus and of random graphs with infinite families,
+    at bounds 0-10."""
+    rng = random.Random(5)
+    graphs = [corpus.by_name(n) for n in sorted(corpus.BUILDERS)]
+    while len(graphs) < 20:
+        g = corpus.random_graph(rng, 3, allow_infinite=True)
+        if any(e.multiplicity == INFINITE for e in g.edges.values()):
+            graphs.append(g)
+    cases = 0
+    for g in graphs:
+        for x in probe_points(g, 2):
+            for bound in range(11):
+                assert isotropy_words(x, bound) == reference_isotropy_scan(x, bound), (
+                    point_str(x), bound)
+                cases += 1
+    assert cases > 5000
+
+
 # ------------------------------------------------------- partial action axioms
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4"])
@@ -954,6 +988,15 @@ def test_tf_report_free_cases():
         for wit in rep["witnesses"]:
             assert wit["point"].startswith(wit["stem"])
             assert wit["isotropy_words_up_to_bound"] == []
+
+
+def test_tf_report_at_word_bound_20000():
+    """Each witness cycle is pumped past the bound, so isotropy_words takes
+    one step per i: g2 at word bound 20,000 verifies at once (the quadratic
+    scan did not end within 20 s)."""
+    rep = topological_freeness_report(corpus.g2(), word_bound=20000)
+    assert rep["verified"] is True and rep["word_bound"] == 20000
+    assert all(len(w["point"].cycle) > 20000 for w in rep["witnesses"])
 
 
 def reference_freeness_report(g, word_bound=8, stem_depth=2):

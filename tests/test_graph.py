@@ -15,6 +15,7 @@ from gforge.graph import (
     Path,
     SchemaError,
     _closure,
+    _first_returns,
     breaking_vertices,
     condition_k,
     condition_l,
@@ -826,3 +827,30 @@ def graph_table_laws(g):
 def test_graph_tables_match_reference(corpus_graph):
     _, g = corpus_graph
     graph_table_laws(g)
+
+
+def test_first_return_walk_closes():
+    """The forced walk closes within |V| steps, as _first_returns' docstring
+    proves, on random graphs with an infinite family, with no exclusion and
+    with every exclusion set of exclusion_sets: each walk gives the
+    reference's loops at v, none starting with an excluded instance, and a
+    lone loop, which the walk took step by forced step, has at most |V|
+    letters."""
+    rng = random.Random(41)
+    walks = forced = 0
+    while walks < 12000:
+        g = corpus.random_graph(rng, 5, allow_infinite=True)
+        if all(e.multiplicity != INFINITE for e in g.edges.values()):
+            continue
+        for v in g.vertices:
+            for F in [frozenset()] + exclusion_sets(g, v):
+                loops = _first_returns(g, v, F)
+                assert loops == reference_first_return_profile(g, v, F), (v, F)
+                for mu in loops:
+                    assert mu.range_vertex == mu.source_vertex == v
+                    assert mu.instances[0] not in F
+                if len(loops) == 1:
+                    assert len(loops[0]) <= len(g.vertices)
+                    forced += 1
+                walks += 1
+    assert forced > 500

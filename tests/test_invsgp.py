@@ -8,8 +8,9 @@ from gforge.cli import main
 from gforge.invsgp import (
     DomainError,
     SgpElement,
-    TruncatedSemilattice,
     ZERO,
+    _character_image,
+    _pairs,
     check_boundary_invariance,
     sgp_mul,
     sigma,
@@ -20,7 +21,7 @@ from gforge.words import ReducedWord, parse_word
 
 
 def els(g, depth):
-    return TruncatedSemilattice(g, depth).elements()
+    return _pairs(g.paths_up_to(depth))
 
 
 def sgp_star(x):
@@ -61,18 +62,18 @@ def assert_products_match_reference(g, els):
             assert v == st.nu.source_vertex == want.mu.source_vertex, (s, t)
 
 
-def reference_act_on_character(ts, s, rho):
-    """act_on_character's image as first built: strip_prefix, then concat."""
-    g = ts.graph
+def reference_character_image(g, s, rho):
+    """The character image as first built: strip_prefix, then concat."""
     return g.concat(s.mu, g.strip_prefix(rho, len(s.nu)))
 
 
 def reference_partial_hom(g, depth):
     """The per-pair form of verify_partial_hom, recomputing sigma(s) and
     sigma(t) for every pair, with the products of reference_sgp_mul: the
-    reference for its table of sigmas and its partner rows."""
-    ts = TruncatedSemilattice(g, depth)
-    els = ts.elements()
+    reference for its table of sigmas and its partner rows.  Its pairs are
+    built with SgpElement's common-source check."""
+    els = [SgpElement(mu, nu) for mu, nu in product(g.paths_up_to(depth), repeat=2)
+           if mu.source_vertex == nu.source_vertex]
     failures = []
     pure_failures = []
     pairs = 0
@@ -150,9 +151,9 @@ def test_associativity_exhaustive_g2_depth2():
 
 def test_idempotents_commute_and_meet():
     for g, depth in [(corpus.g2(), 2), (corpus.g4(), 2), (corpus.g7(), 2)]:
-        ts = TruncatedSemilattice(g, depth)
-        for p in ts.paths:
-            for q in ts.paths:
+        paths = g.paths_up_to(depth)
+        for p in paths:
+            for q in paths:
                 ep, eq = SgpElement(p, p), SgpElement(q, q)
                 pq = sgp_mul(g, ep, eq)
                 assert pq == sgp_mul(g, eq, ep)
@@ -246,11 +247,11 @@ def oracle_filters(paths, g):
 
 def test_characters_are_exactly_the_filters():
     for g, depth in [(corpus.g2(), 2), (corpus.g3(), 3), (corpus.g4(), 2)]:
-        ts = TruncatedSemilattice(g, depth)
+        paths = g.paths_up_to(depth)
         principal = {frozenset(g.prefix(mu, k) for k in range(len(mu) + 1))
-                     for mu in ts.paths}
-        assert oracle_filters(ts.paths, g) == principal
-        assert len(principal) == len(ts.paths)  # one character per stem
+                     for mu in paths}
+        assert oracle_filters(paths, g) == principal
+        assert len(principal) == len(paths)  # one character per stem
 
 
 def test_character_membership():
@@ -266,46 +267,34 @@ def test_character_membership():
 
 def test_max_characters_frozen():
     g2 = corpus.g2()
-    ts = TruncatedSemilattice(g2, 2)
-    stems = g2.maximal_stems(ts.depth)
+    stems = g2.maximal_stems(2)
     assert stems == [g2.path_of("a", "a"), g2.path_of("a", "b"),
                      g2.path_of("b", "a"), g2.path_of("b", "b")]
 
     g3 = corpus.g3()
-    ts3 = TruncatedSemilattice(g3, 2)
-    stems3 = g3.maximal_stems(ts3.depth)
+    stems3 = g3.maximal_stems(2)
     assert stems3 == [g3.vertex_path("w"), g3.path_of("e")]
 
 
 def test_act_on_character_hand_checked():
     g = corpus.g2()
-    ts = TruncatedSemilattice(g, 2)
     s = SgpElement(g.path_of("a"), g.path_of("b"))
-    chi = g.path_of("b", "a")
-    assert ts.act_on_character(s, chi) == g.path_of("a", "a")
-    with pytest.raises(DomainError):
-        ts.act_on_character(s, g.path_of("a", "a"))  # not in Z(b)
-    big = SgpElement(g.path_of("a", "a"), g.vertex_path("v"))
-    with pytest.raises(DomainError):
-        ts.act_on_character(big, g.path_of("b", "a"))  # length 4 > 2
-    with pytest.raises(DomainError):
-        ts.act_on_character(ZERO, chi)
+    assert _character_image(s, g.path_of("b", "a")) == g.path_of("a", "a")
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_act_on_character_matches_strip_then_concat(corpus_graph, depth):
     """The one-step image equals the old strip_prefix-then-concat image,
-    source vertex included, wherever it is defined."""
+    source vertex included, on every stem in the domain of every pair."""
     name, g = corpus_graph
-    ts = TruncatedSemilattice(g, depth)
+    paths = g.paths_up_to(depth)
     compared = 0
-    for s in ts.elements():
-        for rho in ts.paths:
-            try:
-                img = ts.act_on_character(s, rho)
-            except DomainError:
+    for s in _pairs(paths):
+        for rho in paths:
+            if not rho.startswith(s.nu):
                 continue
-            want = reference_act_on_character(ts, s, rho)
+            img = _character_image(s, rho)
+            want = reference_character_image(g, s, rho)
             assert (img, img.source_vertex) == (want, want.source_vertex), (s, rho)
             compared += 1
     assert compared > 0
@@ -313,15 +302,15 @@ def test_act_on_character_matches_strip_then_concat(corpus_graph, depth):
 
 def test_act_on_character_matches_conjugation():
     for g, depth in [(corpus.g2(), 2), (corpus.g3(), 3), (corpus.g4(), 2)]:
-        ts = TruncatedSemilattice(g, depth)
-        for s in ts.elements():
-            for chi in ts.paths:
+        paths = g.paths_up_to(depth)
+        for s in _pairs(paths):
+            for chi in paths:
                 if not chi.startswith(s.nu):
                     continue
                 if len(s.mu) + len(chi) - len(s.nu) > depth:
                     continue
-                img = ts.act_on_character(s, chi)
-                for tau in ts.paths:
+                img = _character_image(s, chi)
+                for tau in paths:
                     t = sgp_mul(g, sgp_mul(g, sgp_star(s), SgpElement(tau, tau)), s)
                     if t is ZERO:
                         expected = False
@@ -350,15 +339,9 @@ def test_boundary_invariance_counts_skips_and_escapes():
 
 def test_boundary_invariance_catches_a_character_action_that_ignores_s(
         monkeypatch, capsys):
-    """A character action that keeps its domain and depth checks but
-    returns the stem unmoved disagrees with the boundary action."""
-    act = TruncatedSemilattice.act_on_character
-
-    def ignores_s(self, s, rho):
-        act(self, s, rho)
-        return rho
-
-    monkeypatch.setattr(TruncatedSemilattice, "act_on_character", ignores_s)
+    """A character image that returns the stem unmoved disagrees with the
+    boundary action; the escapes are still counted before it is called."""
+    monkeypatch.setattr(invsgp, "_character_image", lambda s, rho: rho)
     found = sum(len(check_boundary_invariance(corpus.by_name(name), depth)["violations"])
                 for name in ["g1", "g2", "g3", "g4"] for depth in (1, 2))
     assert found == 45

@@ -18,7 +18,7 @@ from gforge.boundary import (
     set_str,
 )
 from gforge.boundary import _absorb
-from gforge.graph import CompositionError, GraphError
+from gforge.graph import CompositionError, GraphError, Path
 from gforge.orbit import (
     Cocycle,
     OEData,
@@ -35,6 +35,7 @@ from gforge.orbit import (
     swap_cocycle_two_loops,
     swap_homeo,
 )
+from gforge.orbit import _extensions
 from gforge.words import ReducedWord, parse_word
 
 
@@ -359,6 +360,47 @@ def global_oe_to_coe(oe):
         table.setdefault(neg.inverse(), []).append(
             (Cylinder(gs.strip_prefix(stem, 1), frozenset()), value.inverse()))
     return Cocycle(homeo, table)
+
+
+def reference_extensions(g, cyl, depth):
+    """The former orbit._extensions, kept as an oracle: its own level by
+    level search from the stem's source, the exclusions barring the first
+    step only."""
+    stem, excl = cyl
+    if len(stem) >= depth:
+        return [cyl]
+    done, level = [], [stem]
+    for _ in range(depth - len(stem)):
+        nxt = []
+        for mu in level:
+            conts = g.continuations(mu.source_vertex)
+            if not conts:
+                done.append(mu)
+            nxt += [Path(mu.range_vertex, g.s_of(inst), mu.instances + (inst,))
+                    for inst in conts if inst not in excl]
+        level, excl = nxt, ()
+    return [Cylinder(mu, frozenset()) for mu in done + level]
+
+
+def test_extensions_match_the_level_search():
+    """_extensions, read off maximal_stems, gives the level search's list,
+    order and source vertices included, on random finite graphs, for stems
+    of length 0 and 1 with no exclusion or one, at depths 0-4."""
+    rng = random.Random(3)
+    cases = 0
+    for _ in range(30):
+        g = corpus.random_graph(rng, 4)
+        for stem in g.paths_up_to(1):
+            conts = g.continuations(stem.source_vertex)
+            for excl in [()] + ([(rng.choice(conts),)] if conts else []):
+                cyl = Cylinder(stem, frozenset(excl))
+                for depth in range(5):
+                    got, want = (_extensions(g, cyl, depth),
+                                 reference_extensions(g, cyl, depth))
+                    assert [(c, c.stem.source_vertex) for c in got] == [
+                        (c, c.stem.source_vertex) for c in want], (cyl, depth)
+                    cases += 1
+    assert cases > 1000
 
 
 def swap_oe_data(g, a, b):

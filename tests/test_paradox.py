@@ -33,6 +33,12 @@ def image(m):
                                  for part in pw.act_set(U).parts])
 
 
+def word_map(g, pieces):
+    """The piecewise word that moves each piece U of (U, word) by its word,
+    each map built by PartialWord.from_word."""
+    return PiecewiseWord(g, [(U, PartialWord.from_word(g, w)) for U, w in pieces])
+
+
 def test_infinite_loops_single_vertex_family():
     g = corpus.g5()
     loops = infinite_loops(g, "v")
@@ -131,7 +137,7 @@ def test_witness_words_move_points():
         img = image(m)
         for y in probe_points(g, 2):
             V = CompactOpen.cylinder(g, y.head(2))
-            moved = image(PiecewiseWord(g, [(V.intersect(P), w) for P, w in m.pieces]))
+            moved = image(word_map(g, [(V.intersect(P), w) for P, w in m.pieces]))
             assert moved.difference(img).is_empty
     assert reference_contains(U, x)
 
@@ -139,7 +145,7 @@ def test_witness_words_move_points():
 def test_verify_witness_rejects_overlap():
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    m = PiecewiseWord(g, [(U, parse_word("a"))])
+    m = word_map(g, [(U, parse_word("a"))])
     rep = verify_witness(g, U, [m, m])
     assert not rep["ok"]
     assert any("meet" in f for f in rep["failures"])
@@ -148,9 +154,9 @@ def test_verify_witness_rejects_overlap():
 def test_verify_witness_rejects_partial_cover():
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    m1 = PiecewiseWord(g, [(CompactOpen.cylinder(g, g.path_of("a")),
-                            parse_word("a.a.a^-1"))])
-    m2 = PiecewiseWord(g, [(U, parse_word("b"))])
+    m1 = word_map(g, [(CompactOpen.cylinder(g, g.path_of("a")),
+                       parse_word("a.a.a^-1"))])
+    m2 = word_map(g, [(U, parse_word("b"))])
     rep = verify_witness(g, U, [m1, m2])
     assert not rep["ok"]
     assert any("tile" in f for f in rep["failures"])
@@ -254,14 +260,14 @@ def mutations(g, m):
     """Piecewise words one edit away from m: a dropped, a duplicated and a
     shuffled piece list, and every word inverted or made the identity."""
     pieces = list(m.pieces)
-    out = [PiecewiseWord(g, pieces[1:]), PiecewiseWord(g, pieces + pieces[:1]),
-           PiecewiseWord(g, pieces[::-1] if len(pieces) > 1 else pieces),
-           PiecewiseWord(g, [(D, w.inverse()) for D, w in pieces]),
-           PiecewiseWord(g, [(D, ReducedWord()) for D, _ in pieces])]
+    out = [word_map(g, pieces[1:]), word_map(g, pieces + pieces[:1]),
+           word_map(g, pieces[::-1] if len(pieces) > 1 else pieces),
+           word_map(g, [(D, w.inverse()) for D, w in pieces]),
+           word_map(g, [(D, ReducedWord()) for D, _ in pieces])]
     rng = random.Random(len(pieces))
     shuffled = pieces[:]
     rng.shuffle(shuffled)
-    out.append(PiecewiseWord(g, shuffled))
+    out.append(word_map(g, shuffled))
     return out
 
 
@@ -293,7 +299,7 @@ def verify_witness_laws(g, seed):
     rng = random.Random(seed)
     words = reduced_words(g, 2)
     for U in witness_sets(g, rng):
-        candidates = [[PiecewiseWord(g, [(U, rng.choice(words))]) for _ in range(2)]]
+        candidates = [[word_map(g, [(U, rng.choice(words))]) for _ in range(2)]]
         pair = find_witness(g, U)
         if pair is not None:
             a, b = pair
@@ -338,7 +344,7 @@ def test_compose_builds_every_product_as_from_word():
         U = CompactOpen.whole(g)
         for t_outer in texts:
             for t_inner in texts:
-                outer, inner = (PiecewiseWord(g, [(U, parse_word(t))])
+                outer, inner = (word_map(g, [(U, parse_word(t))])
                                 for t in (t_outer, t_inner))
                 comp = outer.compose(inner)
                 assert len(comp.parts) <= 1
@@ -383,8 +389,8 @@ def z(g, stem, *excl):
 def test_verify_witness_names_a_word_that_does_not_act():
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    m0 = PiecewiseWord(g, [(U, parse_word("a^-1.b"))])
-    m1 = PiecewiseWord(g, [(U, parse_word("a"))])
+    m0 = word_map(g, [(U, parse_word("a^-1.b"))])
+    m1 = word_map(g, [(U, parse_word("a"))])
     assert verify_witness(g, U, [m0, m1])["failures"] == [
         "map 0: word a^-1.b does not act",
         "map 0: pieces do not tile the set",
@@ -394,8 +400,8 @@ def test_verify_witness_names_a_word_that_does_not_act():
 def test_verify_witness_names_a_piece_outside_the_domain():
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    m0 = PiecewiseWord(g, [(U, parse_word("a.b^-1"))])
-    m1 = PiecewiseWord(g, [(U, parse_word("b.b"))])
+    m0 = word_map(g, [(U, parse_word("a.b^-1"))])
+    m1 = word_map(g, [(U, parse_word("b.b"))])
     assert verify_witness(g, U, [m0, m1])["failures"] == [
         "map 0: piece Z(v) leaves the domain of a.b^-1",
     ]
@@ -406,10 +412,10 @@ def test_verify_witness_names_overlapping_pieces():
     # v, so only the third piece overlaps
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    m0 = PiecewiseWord(g, [(z(g, ["v"], "a"), parse_word("a.a.b^-1")),
-                           (z(g, ["v"], "b"), parse_word("a.b.a^-1")),
-                           (z(g, ["a"]), parse_word("a.b.a^-1"))])
-    m1 = PiecewiseWord(g, [(U, parse_word("b"))])
+    m0 = word_map(g, [(z(g, ["v"], "a"), parse_word("a.a.b^-1")),
+                      (z(g, ["v"], "b"), parse_word("a.b.a^-1")),
+                      (z(g, ["a"]), parse_word("a.b.a^-1"))])
+    m1 = word_map(g, [(U, parse_word("b"))])
     assert verify_witness(g, U, [m0, m1])["failures"] == [
         "map 0: pieces overlap at Z(a)",
     ]
@@ -420,8 +426,8 @@ def test_verify_witness_names_an_image_that_escapes():
     # passes through the excluded a
     g = corpus.g2()
     U = z(g, ["v"], "a")
-    m0 = PiecewiseWord(g, [(U, parse_word("b"))])
-    m1 = PiecewiseWord(g, [(U, parse_word("a"))])
+    m0 = word_map(g, [(U, parse_word("b"))])
+    m1 = word_map(g, [(U, parse_word("a"))])
     assert verify_witness(g, U, [m0, m1])["failures"] == [
         "map 1: image escapes the set",
     ]
@@ -432,8 +438,8 @@ def test_verify_witness_certifies_pieces_cut_by_exclusions():
     # domains Z(b) and Z(a) only once the exclusions are counted
     g = corpus.g2()
     U = CompactOpen.whole(g)
-    maps = [PiecewiseWord(g, [(z(g, ["v"], "a"), parse_word(f"{x}.a.b^-1")),
-                              (z(g, ["v"], "b"), parse_word(f"{x}.b.a^-1"))])
+    maps = [word_map(g, [(z(g, ["v"], "a"), parse_word(f"{x}.a.b^-1")),
+                         (z(g, ["v"], "b"), parse_word(f"{x}.b.a^-1"))])
             for x in ("a", "b")]
     rep = verify_witness(g, U, maps)
     assert rep["ok"] and rep["failures"] == []
@@ -446,8 +452,8 @@ def test_verify_witness_on_p3_cylinders():
     a, b = find_witness(g, U)
     assert verify_witness(g, U, [a, b])["failures"] == []
     # a map whose pieces sit below c only tiles Z(c), not Z(v)
-    below_c = PiecewiseWord(g, [(D, w) for D, w in a.pieces
-                                if D.parts[0].stem.instances[0].edge == "c"])
+    below_c = word_map(g, [(D, w) for D, w in a.pieces
+                           if D.parts[0].stem.instances[0].edge == "c"])
     assert verify_witness(g, U, [below_c, b])["failures"] == [
         "map 0: pieces do not tile the set",
     ]
@@ -463,7 +469,7 @@ def test_verify_witness_rejects_no_maps():
 def test_verify_witness_rejects_a_single_map():
     g = corpus.g2()
     U = CompactOpen.cylinder(g, g.vertex_path("v"))
-    rep = verify_witness(g, U, [PiecewiseWord(g, [(U, ReducedWord())])])
+    rep = verify_witness(g, U, [word_map(g, [(U, ReducedWord())])])
     assert not rep["ok"]
     assert rep["failures"] == ["a paradoxical witness needs at least 2 maps"]
 
@@ -471,7 +477,7 @@ def test_verify_witness_rejects_a_single_map():
 def test_verify_witness_rejects_the_empty_set():
     g = corpus.g2()
     U = CompactOpen.empty(g)
-    rep = verify_witness(g, U, [PiecewiseWord(g, []), PiecewiseWord(g, [])])
+    rep = verify_witness(g, U, [word_map(g, []), word_map(g, [])])
     assert not rep["ok"]
     assert rep["failures"] == ["the set is empty: nothing to duplicate"]
 

@@ -40,7 +40,7 @@ from gforge.cli import parse_set_expr
 from gforge.graph import INFINITE, EdgeInstance, Graph
 from gforge.groupoid import PTGElement, to_dr, to_ptg
 from gforge.invsgp import (
-    TruncatedSemilattice,
+    _pairs,
     check_boundary_invariance,
     sigma,
     verify_partial_hom,
@@ -134,7 +134,7 @@ def truncation_laws(g):
         "paths_up_to": [i for mu in g.paths_up_to(2) for i in mu.instances],
         "reduced_words": [i for w in reduced_words(g, 2) for i, _ in w.letters],
         "admissible_words": [i for w in admissible_words(g, 2) for i, _ in w.letters],
-        "semilattice": [i for mu in TruncatedSemilattice(g, 2).paths for i in mu.instances],
+        "semilattice": [i for s in _pairs(g.paths_up_to(2)) for i in s.nu.instances],
     }
     for name, instances in enumerations.items():
         assert infinite_copies(g, instances) == both, name
@@ -789,10 +789,10 @@ def sigma_laws(g):
     failure, and sgp_mul's one-step products equal reference_sgp_mul's on
     every pair, at depth 1 and, while the truncation stays small, depth 2."""
     depths = [1]
-    if len(TruncatedSemilattice(g, 2).elements()) <= 120:
+    if len(_pairs(g.paths_up_to(2))) <= 120:
         depths.append(2)
     for depth in depths:
-        assert_products_match_reference(g, TruncatedSemilattice(g, depth).elements())
+        assert_products_match_reference(g, _pairs(g.paths_up_to(depth)))
         rep = verify_partial_hom(g, depth)
         assert rep == reference_partial_hom(g, depth)
         assert rep["failures"] == [] and rep["idempotent_pure_failures"] == []
@@ -826,11 +826,11 @@ def pair_map_laws(g):
     validated partial word of sigma(s) does at the sample point of every
     maximal stem in Z(nu), the points the check pushes, at depths 1 and 2."""
     for depth in (1, 2):
-        ts = TruncatedSemilattice(g, depth)
+        paths = g.paths_up_to(depth)
         points = [sample_point(g, Cylinder(rho, frozenset()))
                   for rho in g.maximal_stems(depth)]
-        under = {nu: [x for x in points if x.startswith(nu)] for nu in ts.paths}
-        for s in ts.elements():
+        under = {nu: [x for x in points if x.startswith(nu)] for nu in paths}
+        for s in _pairs(paths):
             trusted = PartialWord(g, s.mu, s.nu)
             oracle = PartialWord.from_word(g, sigma(s))
             for x in under[s.nu]:
