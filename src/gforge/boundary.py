@@ -139,20 +139,22 @@ class BoundaryPoint:
 
     def startswith(self, mu: Path) -> bool:
         """mu is a head: the part t of mu past the prefix starts like the
-        cycle and repeats with its period, with no unrolled cycle built.
-        Only a vertex path compares range vertices: mu's first instance,
-        when it matches, already fixes the range vertex of a canonical
-        point."""
+        cycle and repeats with its period, read as slices of mu, so at most
+        two copies of t and no unrolled cycle are built.  Only a vertex path
+        compares range vertices: mu's first instance, when it matches,
+        already fixes the range vertex of a canonical point."""
         m, pre, cyc = mu.instances, self.prefix, self.cycle
         if not m:
             return mu.range_vertex == self.range_vertex
-        n = len(pre)
-        if len(m) <= n:
-            return pre[:len(m)] == m
+        k, n = len(m), len(pre)
+        if k <= n:
+            return pre[:k] == m
         if cyc is None or m[:n] != pre:
             return False
-        t, c = m[n:], len(cyc)
-        return t[:c] == cyc[:len(t)] and t[c:] == t[:-c]
+        c = len(cyc)
+        if k - n <= c:
+            return m[n:] == cyc[:k - n]
+        return m[n:n + c] == cyc and m[n + c:] == m[n:k - c]
 
     def shift(self, k: int) -> "BoundaryPoint":
         """Drop the first k instances; a canonical point stays canonical."""

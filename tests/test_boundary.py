@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -143,6 +145,37 @@ def test_startswith():
     assert y.prefix == () and y.startswith(g.vertex_path("v"))
     assert y.startswith(g.path_of("a", "b", "a"))
     assert not y.startswith(g.path_of("b"))
+    # cycles longer than the part of mu past the prefix, with and without
+    # a prefix, and one longer than all of mu
+    z = parse_point(g, "(a.a.b)^inf")
+    w = parse_point(g, "b.(a.a.b.b)^inf")
+    for p in (z, w):
+        n = len(p.prefix)
+        for k in range(n + 1, n + len(p.cycle) + 1):
+            assert p.startswith(p.head(k))
+            for j in range(k):
+                other = list(p.head(k).instances)
+                other[j] = g.instance("b" if g.instance_str(other[j]) == "a" else "a")
+                assert not p.startswith(g.make_path(other))
+    assert z.startswith(g.path_of("a", "a")) and not z.startswith(g.path_of("a", "b"))
+    assert w.startswith(g.path_of("b", "a", "a")) and not w.startswith(g.path_of("b", "b"))
+
+
+def test_startswith_copies_the_tail_at_most_twice():
+    """b.a^(10**6) against b.(a)^inf: the slices startswith compares peak
+    below 2.5 times the stem's own tuple; copying the tail itself as well
+    peaked at 3 times."""
+    g = corpus.g2()
+    x = BoundaryPoint.periodic(g, g.path_of("b"), g.path_of("a"))
+    b, a = g.instance("b"), g.instance("a")
+    mu = g.make_path((b,) + (a,) * 10 ** 6)
+    tracemalloc.start()
+    try:
+        assert x.startswith(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sys.getsizeof(mu.instances)
 
 
 def test_shift_prepend_roundtrip():

@@ -155,6 +155,29 @@ def test_make_path_rejects_bad_instances():
     assert g.make_path([EdgeInstance("a", 0)] * 3) == g.path_of("a", "a", "a")
 
 
+def test_make_path_validates_a_run_once():
+    """An instance that is the same object as the one before it is not
+    looked up again; an equal but distinct one is, and the first instance
+    always is."""
+    class CountingDict(dict):
+        gets = 0
+
+        def get(self, *args):
+            self.gets += 1
+            return super().get(*args)
+
+    g = corpus.g1()
+    g._ends = ends = CountingDict(g._ends)
+    a = EdgeInstance("a", 0)
+    run = g.make_path((a,) * 600)
+    assert ends.gets == 1 and run.instances == (a,) * 600
+    ends.gets = 0
+    assert g.make_path([EdgeInstance("a", 0) for _ in range(600)]) == run
+    assert ends.gets == 600
+    with pytest.raises(TypeError):
+        g.make_path((None,))
+
+
 @pytest.mark.parametrize("ids, error, msg", [
     # an invalid instance after a composition fault is still reported first
     (["c", "a", "x"], GraphError, "unknown edge 'x'"),
@@ -216,7 +239,15 @@ def path_kernel_laws(g, seed):
     a copy past a finite multiplicity, a copy that is a bool or a float,
     or an instance that does not compose, and with two such faults at once in either order.  Faults go
     at every position of a walk of up to 9 instances, and at positions 0,
-    1 and the last and three random ones of a longer walk."""
+    1 and the last and three random ones of a longer walk.
+
+    make_path checks an instance that is the same object as the one before
+    it only for composing with itself, so runs of one object get cases of
+    their own: runs of 2, 9 and 600 of a loop instance, alone, with an
+    equal but distinct object inside (a fresh copy, and a bool copy), and
+    with a fault just before or just after; each walk with one of its
+    instances (a loop or not) or one invalid instance repeated three
+    times in place; and every instance repeated twice and three times."""
     rng = random.Random(seed)
     far = [EdgeInstance(e.eid, 10 ** 6) for e in g.edges.values()
            if e.multiplicity == INFINITE]
@@ -264,6 +295,28 @@ def path_kernel_laws(g, seed):
                         twice = list(broken)
                         twice[j] = rng.choice(misfits(broken[j - 1]))
                         cases.append(twice)
+    instances = sorted({i for v in g.vertices for i in steps[v]})
+    for x in instances:
+        cases += [[x] * 2, [x] * 3]
+    loops = [x for x in instances if g.r_of(x) == g.s_of(x)]
+    for x in rng.sample(loops, min(len(loops), 3)):
+        before = [EdgeInstance(e.eid, 0) for e in edges if e.source_vertex != g.r_of(x)]
+        for n in (2, 9, 600):
+            cases.append([x] * n)
+            twins = [EdgeInstance(x.edge, x.copy)]
+            if x.copy in (0, 1):
+                twins.append(EdgeInstance(x.edge, bool(x.copy)))
+            for twin in twins:
+                assert twin == x and twin is not x
+                cases.append([x] * (n // 2) + [twin] + [x] * (n - n // 2))
+            if before:
+                cases.append([rng.choice(before)] + [x] * n)
+            if misfits(x):
+                cases.append([x] * n + [rng.choice(misfits(x))])
+    for walk in walks:
+        for i in sorted({0, len(walk) // 2, len(walk) - 1}):
+            cases.append(walk[:i] + [walk[i]] * 3 + walk[i + 1:])
+            cases.append(walk[:i] + [rng.choice(invalid)] * 3 + walk[i + 1:])
     for insts in cases:
         assert outcome(Graph.make_path, g, insts) == reference_outcome(g, insts), insts
 

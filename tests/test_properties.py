@@ -189,17 +189,20 @@ def reference_act_set(pw, U):
 
 def long_stems(g, x):
     """A finite x's whole path and its one-letter extensions; for a periodic
-    x, its head past the prefix and two turns of the cycle, and that head
-    with one instance of the second turn swapped for another received at the
-    same vertex (cut after the swap when the sources differ)."""
+    x, its head past the prefix and two turns of the cycle, its heads that
+    reach at most one turn past the prefix, and the long head with one
+    instance past the prefix swapped for another received at the same
+    vertex (cut after the swap when the sources differ).  So startswith
+    meets parts past the prefix both no longer and longer than the cycle,
+    matching and not."""
     if x.is_finite:
         mu = x.head(len(x))
         return [mu] + [g.trusted_path(mu.instances + (e,))
                        for e in g.continuations(mu.source_vertex, copies=2)]
     p, c = len(x.prefix), len(x.cycle)
     mu = x.head(p + 2 * c + 1)
-    stems = [mu]
-    for i in range(p + c, p + 2 * c + 1):
+    stems = [mu] + [x.head(k) for k in range(p + 1, p + c + 1)]
+    for i in range(p, p + 2 * c + 1):
         old = mu.instances[i]
         for e in g.continuations(g.r_of(old), copies=2):
             if e != old:
