@@ -13,11 +13,14 @@ the stems keyed by edge instances from the range vertex.  A point finds
 the cylinders that hold it by walking its own first letters, and the
 pieces that meet an earlier one, and whether the table tiles a given set,
 come from one pass over the trie and the receiver counts, with no
-CompactOpen built.
+CompactOpen built.  A PointIndex turns the question round for a list of
+points: a trie of their first letters, whose node ranges name the points
+in a cylinder without a walk per point.
 """
 from __future__ import annotations
 
 import re
+from array import array
 from typing import NamedTuple
 
 from .graph import (Graph, GraphError, Path, condition_l, first_return_profile,
@@ -523,6 +526,115 @@ class StemIndex:
         inside = StemIndex(self.graph, whole.parts)
         return (all(map(inside.covers, self.cylinders))
                 and all(map(self.covers, whole.parts)))
+
+    def containing(self, v: str, letters: tuple):
+        """The index of the first cylinder whose stem heads p, so that it
+        holds all of Z(p), or None; p is the path of the letters from v (the
+        vertex path at v when there are none).  A stem shorter than p heads
+        it when its exclusions miss p's next letter, and p itself only with
+        no exclusions.  Containment that rests on receiver counts, as Z(p) in
+        Z(p.a) when a is the one receiver at p's source, is not seen."""
+        found = []
+        node = self._roots.get(v)
+        for a in letters:
+            if node is None:
+                break
+            found += [j for j, excl in node.here if a not in excl]
+            node = node.kids.get(a)
+        else:
+            if node is not None:
+                found += [j for j, excl in node.here if not excl]
+        return min(found) if found else None
+
+
+class _Span:
+    __slots__ = ("kids", "lo", "hi", "at")
+
+    def __init__(self):
+        self.kids = {}  # edge instance -> the node one letter further
+        self.lo = self.hi = 0   # the node's range of PointIndex.order
+        self.at = 0     # points ending here, then the next free slot of them
+
+
+class PointIndex:
+    """Which points of a list lie in a cylinder: the other side of StemIndex.
+
+    A trie over the points' first letters, keyed by edge instances from the
+    range vertex, down to one letter past `depth`, the longest stem a query
+    may have; a periodic point is unrolled that far.  `order` holds the
+    point indices in trie order: at each node, the finite points that end
+    there, then each child's points, so a node's points are the range
+    order[lo:hi].  Z(s - F) is s's range less the ranges of the children in
+    F: a query walks len(s) letters and copies what it finds, with no walk
+    per point.  The index keeps one array entry per point and one node per
+    distinct head of at most depth + 1 letters.
+    """
+
+    __slots__ = ("depth", "order", "_roots")
+
+    def __init__(self, points, depth: int):
+        self.depth = depth
+        self._roots = roots = {}
+        ends = []
+        for x in points:
+            node = roots.get(x.range_vertex)
+            if node is None:
+                node = roots[x.range_vertex] = _Span()
+            letters, cyc = x.prefix, x.cycle
+            if cyc is not None and len(letters) <= depth:
+                letters += cyc * ((depth - len(letters)) // len(cyc) + 1)
+            for a in letters[:depth + 1]:
+                kids = node.kids
+                node = kids.get(a)
+                if node is None:
+                    node = kids[a] = _Span()
+            node.at += 1
+            ends.append(node)
+        cursor, todo = 0, list(roots.values())
+        while todo:
+            node = todo.pop()
+            if node is None:    # every child of the node on top is placed
+                todo.pop().hi = cursor
+                continue
+            node.lo, node.at, cursor = cursor, cursor, cursor + node.at
+            todo += [node, None]
+            todo += node.kids.values()
+        self.order = order = array("l", [0]) * cursor
+        for j, node in enumerate(ends):
+            order[node.at] = j
+            node.at += 1
+
+    def within(self, cyl: Cylinder) -> array:
+        """The indices of the points in Z(cyl), in trie order."""
+        stem, excl = cyl
+        letters = stem.instances
+        if len(letters) > self.depth:
+            raise BoundaryError(f"stem of {len(letters)} letters past index depth {self.depth}")
+        node = self._roots.get(stem.range_vertex)
+        for a in letters:
+            if node is None:
+                break
+            node = node.kids.get(a)
+        order = self.order
+        if node is None:
+            return order[:0]
+        if not excl:
+            return order[node.lo:node.hi]
+        out, lo = order[:0], node.lo
+        for start, end in sorted((kid.lo, kid.hi) for a, kid in node.kids.items() if a in excl):
+            out += order[lo:start]
+            lo = end
+        out += order[lo:node.hi]
+        return out
+
+    def first_holding(self, cylinders) -> list[int]:
+        """For each point, the index of the first cylinder that holds it,
+        or -1: the cylinders are met last to first, so the first one wins."""
+        first = [-1] * len(self.order)
+        for i in range(len(cylinders) - 1, -1, -1):
+            for j in self.within(cylinders[i]):
+                first[j] = i
+        return first
 
 
 # ---------------------------------------------------------------- partial words

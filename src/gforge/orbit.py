@@ -17,11 +17,18 @@ Rule stems, cocycle rows and shift data are tables of cylinders that must
 partition a set, and every probe point must find its piece.  Each table
 is read through one boundary.StemIndex: the homeo builds its own from the
 rule stems, the shift data from its pieces, and a cocycle one per row,
-each once at construction.  The index answers the point lookups (the
-first piece in table order that holds the point) and gives the partition
-certificate, the pieces that meet an earlier one and whether they tile
-the set, in one pass.
-Each checker maps a probe point through the homeo at most once per call.
+each once at construction.  The index gives the partition certificate,
+the pieces that meet an earlier one and whether they tile the set, in one
+pass, and PrefixHomeo.apply finds a point's rule through it.
+
+The checkers turn the point lookups around.  Each call builds one
+boundary.PointIndex over its probe points and asks each cylinder, rule
+stems included, which probe points it holds: a point's piece is the first
+in table order that holds it, and its image is its rule's map applied.  A
+point moved under a piece (by the generator in coe_check, by one shift
+step in oe_check) lies under a stem known from the piece; when one rule
+stem heads that stem, the rule's map serves every such point, and
+otherwise PrefixHomeo.apply finds each one's rule.
 """
 
 from types import MappingProxyType
@@ -33,7 +40,9 @@ from .boundary import (
     Cylinder,
     DomainError,
     PartialWord,
+    PointIndex,
     StemIndex,
+    cyl_intersect,
     point_str,
     probe_points,
     sample_point,
@@ -115,6 +124,19 @@ class PrefixHomeo:
             raise OrbitError(f"{point_str(x)} escapes the rule partition")
         return self._maps[i].act_point(x)
 
+    def apply_on(self, v: str, letters: tuple):
+        """apply, for the points of Z(p), p the path of the letters from v:
+        the act_point of the one rule map whose stem heads p, or apply
+        itself, which finds each point's rule, when no rule stem does."""
+        i = self._stems.containing(v, letters)
+        return self.apply if i is None else self._maps[i].act_point
+
+    def rule_maps(self, probes: PointIndex) -> list:
+        """The rule map of each point of probes, from one pass over the rule
+        cylinders, which partition the boundary."""
+        first = probes.first_holding([Cylinder(mu, frozenset()) for mu, _ in self.rules])
+        return [self._maps[i] for i in first]
+
 
 class Cocycle:
     """Word-valued cocycle over a homeomorphism.
@@ -138,12 +160,6 @@ class Cocycle:
 
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)
-
-    def value(self, gen: ReducedWord, x: BoundaryPoint):
-        """The value of the first piece of gen's row that holds x, or None."""
-        index = self.index.get(gen)
-        i = None if index is None else index.first(x)
-        return None if i is None else self.table[gen][i][1]
 
 
 def identity_cocycle(g: Graph) -> Cocycle:
@@ -182,42 +198,44 @@ class OEData:
         self.pieces = pieces
         self.index = StemIndex(homeo.source_graph, [c for c, _, _ in pieces])
 
-    def lookup(self, x: BoundaryPoint):
-        """The shift counts of the first piece that holds x."""
-        i = self.index.first(x)
-        if i is None:
-            raise OrbitError(f"{point_str(x)} escapes the piece partition")
-        _, k, l = self.pieces[i]
-        return k, l
-
 
 # ----------------------------------------------------------------- checkers
+
+def _probe_index(points, homeos, cylinders) -> PointIndex:
+    """The probe points' PointIndex, deep enough for the rule stems of the
+    homeos and the stems of the cylinders."""
+    stems = [mu for h in homeos for mu, _ in h.rules] + [c.stem for c in cylinders]
+    return PointIndex(points, max((len(s.instances) for s in stems), default=0))
+
 
 def coe_check(coc: Cocycle, depth: int = 3) -> dict:
     """Probe the cocycle identity on concrete points, piece by piece.
 
-    One pass over the probe points in gen's domain (gen acts only there)
-    puts each into the pieces of the row that hold it, in probe order.
+    gen acts only on its domain, which is Z(beta), the whole space or
+    empty, so at most one of its parts meets a piece, in one cylinder: the
+    piece's probed points are that cylinder's in the probe index, in probe
+    order.  The cylinder's stem starts with beta, so gen moves its points
+    under alpha + stem[len(beta):], and homeo.apply_on gives the homeo's
+    map for all of them.
     """
     homeo = coc.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
     pts = probe_points(gs, depth)
-    images = [homeo.apply(x) for x in pts]
+    gens = []
     for gen in coc.generators():
-        rep["generators"] += 1
         pw = PartialWord.from_word(gs, gen)
-        dom = pw.domain()
+        gens.append((gen, pw, pw.domain()))
+    probes = _probe_index(pts, [homeo], [c for _, _, dom in gens for c in dom.parts]
+                          + [piece for row in coc.table.values() for piece, _ in row])
+    images = [f.act_point(x) for f, x in zip(homeo.rule_maps(probes), pts)]
+    for gen, pw, dom in gens:
+        rep["generators"] += 1
         row = coc.table[gen]
         index = coc.index[gen]
         within = StemIndex(gs, dom.parts)
         inside = [within.covers(piece) for piece, _ in row]
         overlaps = set(index.overlaps)
-        probed = [[] for _ in row]
-        for j, x in enumerate(pts):
-            if within.holding(x):
-                for i in index.holding(x):
-                    probed[i].append(j)
         for i, (piece, value) in enumerate(row):
             rep["pieces"] += 1
             if not inside[i]:
@@ -225,19 +243,29 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
             if i in overlaps:
                 rep["failures"].append((str(gen), "pieces overlap"))
             vw = PartialWord.from_word(gt, value)
-            for j in probed[i]:
-                x = pts[j]
-                moved = homeo.apply(pw.act_point(x))
-                try:
-                    matched = vw.act_point(images[j])
-                except DomainError:
-                    rep["failures"].append(
-                        (str(gen), f"value undefined at {point_str(x)}"))
+            for part in dom.parts:
+                meet = cyl_intersect(piece, part)
+                if meet is None:
                     continue
-                rep["checked"] += 1
-                if moved != matched:
-                    rep["failures"].append(
-                        (str(gen), f"mismatch at {point_str(x)}"))
+                stem = meet.stem
+                if pw.beta is None:     # the identity moves nothing
+                    step = homeo.apply_on(stem.range_vertex, stem.instances)
+                else:
+                    step = homeo.apply_on(pw.alpha.range_vertex, pw.alpha.instances
+                                          + stem.instances[len(pw.beta):])
+                for j in sorted(probes.within(meet)):
+                    x = pts[j]
+                    moved = step(pw.act_point(x))
+                    try:
+                        matched = vw.act_point(images[j])
+                    except DomainError:
+                        rep["failures"].append(
+                            (str(gen), f"value undefined at {point_str(x)}"))
+                        continue
+                    rep["checked"] += 1
+                    if moved != matched:
+                        rep["failures"].append(
+                            (str(gen), f"mismatch at {point_str(x)}"))
         # the row tiles dom: every piece lies in it and they cover it
         if not (all(inside) and all(map(index.covers, dom.parts))):
             rep["failures"].append((str(gen), "pieces do not cover domain"))
@@ -245,22 +273,32 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
 
 
 def oe_check(oe: OEData, depth: int = 3) -> dict:
-    """Probe the shift identity on concrete points; undefined shifts skip."""
+    """Probe the shift identity on concrete points; undefined shifts skip.
+
+    The probe index gives each point its first piece and its rule.  The
+    shift of a point under a piece's stem m1.m2...mn lies under m2...mn, so
+    homeo.apply_on gives the homeo's map of the shifted points piece by
+    piece.
+    """
     homeo = oe.homeo
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
     rep["failures"] += [("partition", "pieces overlap")] * len(oe.index.overlaps)
     if not oe.index.tiles(CompactOpen.whole(gs)):
         rep["failures"].append(("partition", "pieces do not cover"))
-    for x in probe_points(gs, depth):
-        try:
-            k, l = oe.lookup(x)
-        except OrbitError:
+    pts = probe_points(gs, depth)
+    cyls = [c for c, _, _ in oe.pieces]
+    probes = _probe_index(pts, [homeo], cyls)
+    shifted = [homeo.apply_on(gs.s_of(stem.instances[0]), stem.instances[1:])
+               if stem.instances else homeo.apply for stem, _ in cyls]
+    for x, i, f in zip(pts, probes.first_holding(cyls), homeo.rule_maps(probes)):
+        if i < 0:
             rep["failures"].append(("partition", point_str(x)))
             continue
+        _, k, l = oe.pieces[i]
         try:
-            left = homeo.apply(x.shift(1)).shift(k)
-            right = homeo.apply(x).shift(l)
+            left = shifted[i](x.shift(1)).shift(k)
+            right = f.act_point(x).shift(l)
         except BoundaryError:
             rep["skips"] += 1
             continue
@@ -382,22 +420,32 @@ def oe_to_coe(oe: OEData) -> Cocycle:
 # ------------------------------------------------------------- agreement
 
 def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
-    """Same homeo behaviour and pointwise-equal cocycle action."""
+    """Same homeo behaviour and pointwise-equal cocycle action: at each
+    probe point, the first pieces of gen's two rows that hold it give
+    values acting alike on its image, or neither row holds it."""
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
     pts = probe_points(gs, depth)
-    images = [h1.apply(x) for x in pts]
-    if h2 is not h1 and any(h2.apply(x) != fx for x, fx in zip(pts, images)):
+    rows = {gen: (c1.table.get(gen, ()), c2.table.get(gen, ()))
+            for gen in set(c1.table) | set(c2.table)}
+    probes = _probe_index(pts, {h1, h2}, [piece for pair in rows.values()
+                                          for row in pair for piece, _ in row])
+    images = [f.act_point(x) for f, x in zip(h1.rule_maps(probes), pts)]
+    if h2 is not h1 and any(f.act_point(x) != fx for f, x, fx
+                            in zip(h2.rule_maps(probes), pts, images)):
         return False
-    for gen in set(c1.table) | set(c2.table):
-        pw = PartialWord.from_word(gs, gen)
-        if pw.is_empty_map:
+    for gen, (row0, row1) in rows.items():
+        if PartialWord.from_word(gs, gen).is_empty_map:
             return False
-        for x, fx in zip(pts, images):
-            v0, v1 = c1.value(gen, x), c2.value(gen, x)
-            if (v0 is None) != (v1 is None):
-                return False
-            if v0 is None or v0 == v1:
+        firsts = zip(probes.first_holding([piece for piece, _ in row0]),
+                     probes.first_holding([piece for piece, _ in row1]))
+        for (i0, i1), fx in zip(firsts, images):
+            if i0 < 0 or i1 < 0:
+                if i0 != i1:
+                    return False
+                continue
+            v0, v1 = row0[i0][1], row1[i1][1]
+            if v0 == v1:
                 continue
             try:
                 y0 = PartialWord.from_word(gt, v0).act_point(fx)
@@ -411,7 +459,8 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
 
 def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     """Equal homeomorphisms and pointwise-equal cocycle values l - k
-    wherever the shift is defined.
+    wherever the shift is defined, read at each probe point off the first
+    piece that holds it.
 
     The pair (k, l) itself is not an invariant: wherever (k, l) holds, so
     does (k + 1, l + 1), and a round through the cocycle reads the pair off
@@ -419,12 +468,21 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     literal comparison.
     """
     h1, h2 = o1.homeo, o2.homeo
-    for x in probe_points(h1.source_graph, depth):
-        if h2 is not h1 and h1.apply(x) != h2.apply(x):
+    pts = probe_points(h1.source_graph, depth)
+    cyls1, cyls2 = ([c for c, _, _ in o.pieces] for o in (o1, o2))
+    probes = _probe_index(pts, {h1, h2}, cyls1 + cyls2)
+    moved = [False] * len(pts) if h2 is h1 else [
+        f1.act_point(x) != f2.act_point(x)
+        for x, f1, f2 in zip(pts, h1.rule_maps(probes), h2.rule_maps(probes))]
+    for x, differs, i1, i2 in zip(pts, moved, probes.first_holding(cyls1),
+                                  probes.first_holding(cyls2)):
+        if differs:
             return False
         if x.is_finite and len(x) == 0:
             continue
-        (k1, l1), (k2, l2) = o1.lookup(x), o2.lookup(x)
+        if i1 < 0 or i2 < 0:
+            raise OrbitError(f"{point_str(x)} escapes the piece partition")
+        (_, k1, l1), (_, k2, l2) = o1.pieces[i1], o2.pieces[i2]
         if l1 - k1 != l2 - k2:
             return False
     return True

@@ -260,9 +260,13 @@ def test_oe_lookup_escape():
     g = corpus.g2()
     oe = OEData(PrefixHomeo.identity(g),
                 [(Cylinder(g.path_of("a"), frozenset()), 0, 1)])
-    with pytest.raises(OrbitError):
-        oe.lookup(parse_point(g, "(b)^inf"))
-    assert any(f[0] == "partition" for f in oe_check(oe, 2)["failures"])
+    x = parse_point(g, "(b)^inf")
+    with pytest.raises(OrbitError, match="escapes the piece partition"):
+        reference_lookup(oe, x)
+    # oe_agree reads each point's first piece and refuses a point with none
+    with pytest.raises(OrbitError, match=r"^\(b\)\^inf escapes the piece partition$"):
+        oe_agree(oe, oe, 1)
+    assert any(f == ("partition", point_str(x)) for f in oe_check(oe, 2)["failures"])
 
 
 OE_EXAMPLES = [
@@ -309,11 +313,21 @@ def test_cocycle_value_takes_the_first_piece_that_holds_the_point():
     zaa = Cylinder(g.path_of("a", "a"), frozenset())
     x = parse_point(g, "a.a.(b)^inf")
     # the row's pieces overlap on Z(a.a), so the order decides
-    assert Cocycle(homeo, {a: [(za, a), (zaa, b)]}).value(a, x) == a
-    assert Cocycle(homeo, {a: [(zaa, b), (za, a)]}).value(a, x) == b
+    first_a = Cocycle(homeo, {a: [(za, a), (zaa, b)]})
+    first_b = Cocycle(homeo, {a: [(zaa, b), (za, a)]})
+    assert reference_value(first_a, a, x) == a
+    assert reference_value(first_b, a, x) == b
     coc = Cocycle(homeo, {a: [(zaa, b)]})
-    assert coc.value(a, parse_point(g, "a.(b)^inf")) is None    # off the row
-    assert coc.value(b, x) is None                              # no row at all
+    assert reference_value(coc, a, parse_point(g, "a.(b)^inf")) is None  # off the row
+    assert reference_value(coc, b, x) is None                            # no row at all
+    # cocycles_agree reads the same first pieces: a and b act apart on Z(a.a),
+    # and a row that misses a point only agrees with one that misses it too
+    only_a = Cocycle(homeo, {a: [(za, a)]})
+    for c1, c2, agree in ((first_a, only_a, True), (first_b, only_a, False),
+                          (coc, only_a, False), (coc, coc, True)):
+        for depth in range(4):     # depth 0 probes no point of g2
+            assert cocycles_agree(c1, c2, depth) == (agree or depth == 0), (c1.table, depth)
+            assert reference_cocycles_agree(c1, c2, depth) == (agree or depth == 0)
 
 
 def test_cocycles_agree_verdicts_on_the_oe_examples():
@@ -352,7 +366,7 @@ def global_oe_to_coe(oe):
         if not stem.instances:
             continue
         x = sample_point(gs, Cylinder(stem, frozenset()))
-        k, l = oe.lookup(x)
+        k, l = reference_lookup(oe, x)
         value = ReducedWord.from_pair(homeo.apply(x.shift(1)).head(k),
                                       homeo.apply(x).head(l))
         neg = ReducedWord(((stem.instances[0], 1),)).inverse()
@@ -534,7 +548,7 @@ def test_oe_agree_compares_cocycle_values_not_shift_pairs():
     assert rep["failures"] == [] and rep["checked"] == 306
     again = coe_to_oe(oe_to_coe(oe))
     x = sample_point(g, z("b", "a", "a"))
-    assert again.lookup(x) == (0, 3) != oe.lookup(x)
+    assert reference_lookup(again, x) == (0, 3) != reference_lookup(oe, x)
     assert oe_agree(again, oe, 5) and oe_agree(oe, data(0, 3), 5)
     # a different value on the piece still disagrees
     assert not oe_agree(oe, data(1, 3), 5)
@@ -592,7 +606,7 @@ def reference_partition_faults(g, cylinders, whole):
 
 
 def reference_value(coc, gen, x):
-    """Cocycle.value as a linear scan of gen's row."""
+    """stem_value as a linear scan of gen's row."""
     for piece, value in coc.table.get(gen, ()):
         if reference_cyl_contains(piece, x):
             return value
@@ -600,11 +614,95 @@ def reference_value(coc, gen, x):
 
 
 def reference_lookup(oe, x):
-    """OEData.lookup as a linear scan of the pieces."""
+    """stem_lookup as a linear scan of the pieces."""
     for c, k, l in oe.pieces:
         if reference_cyl_contains(c, x):
             return k, l
     raise OrbitError(f"{point_str(x)} escapes the piece partition")
+
+
+def outcome(f, *args):
+    """f's result, or the message of the OrbitError it raises."""
+    try:
+        return f(*args)
+    except OrbitError as exc:
+        return str(exc)
+
+
+def stem_value(coc, gen, x):
+    """The former Cocycle.value: the value of the first piece of gen's row
+    that holds x, found by x's walk down the row's StemIndex, or None."""
+    index = coc.index.get(gen)
+    i = None if index is None else index.first(x)
+    return None if i is None else coc.table[gen][i][1]
+
+
+def stem_lookup(oe, x):
+    """The former OEData.lookup: the shift counts of the first piece that
+    holds x, found by x's walk down the pieces' StemIndex."""
+    i = oe.index.first(x)
+    if i is None:
+        raise OrbitError(f"{point_str(x)} escapes the piece partition")
+    _, k, l = oe.pieces[i]
+    return k, l
+
+
+def reference_cocycles_agree(c1, c2, depth=3):
+    """cocycles_agree as it was before the probe index: each probe point
+    walks each row's StemIndex on its own (stem_value) and the homeo's
+    rule stems (apply)."""
+    h1, h2 = c1.homeo, c2.homeo
+    gs, gt = h1.source_graph, h1.target_graph
+    pts = probe_points(gs, depth)
+    images = [h1.apply(x) for x in pts]
+    if h2 is not h1 and any(h2.apply(x) != fx for x, fx in zip(pts, images)):
+        return False
+    for gen in set(c1.table) | set(c2.table):
+        if PartialWord.from_word(gs, gen).is_empty_map:
+            return False
+        for x, fx in zip(pts, images):
+            v0, v1 = stem_value(c1, gen, x), stem_value(c2, gen, x)
+            if (v0 is None) != (v1 is None):
+                return False
+            if v0 is None or v0 == v1:
+                continue
+            try:
+                y0 = PartialWord.from_word(gt, v0).act_point(fx)
+                y1 = PartialWord.from_word(gt, v1).act_point(fx)
+            except DomainError:
+                return False
+            if y0 != y1:
+                return False
+    return True
+
+
+def reference_oe_agree(o1, o2, depth=3):
+    """oe_agree as it was before the probe index: each probe point walks
+    each table's StemIndex on its own (stem_lookup, which raises for a
+    point no piece holds) and the homeos' rule stems (apply)."""
+    h1, h2 = o1.homeo, o2.homeo
+    for x in probe_points(h1.source_graph, depth):
+        if h2 is not h1 and h1.apply(x) != h2.apply(x):
+            return False
+        if x.is_finite and len(x) == 0:
+            continue
+        (k1, l1), (k2, l2) = stem_lookup(o1, x), stem_lookup(o2, x)
+        if l1 - k1 != l2 - k2:
+            return False
+    return True
+
+
+def assert_agreement_matches_reference(pairs, depth):
+    """cocycles_agree or oe_agree on each pair gives the old verdict, or
+    raises the same OrbitError; returns the verdicts."""
+    verdicts = []
+    for a, b in pairs:
+        new, old = ((oe_agree, reference_oe_agree) if isinstance(a, OEData)
+                    else (cocycles_agree, reference_cocycles_agree))
+        verdict = outcome(new, a, b, depth)
+        assert verdict == outcome(old, a, b, depth), (a, b, depth)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def reference_coe_check(coc, depth=3):
@@ -723,6 +821,100 @@ def test_checks_match_reference_on_the_oe_examples(make):
         assert_checks_match_reference(oe_to_coe(coe_to_oe(coc)), depth)
 
 
+def mutated_cocycles(coc):
+    """coc with, in its last generator's row, the first piece dropped, the
+    first piece repeated at the end, and the first and last values
+    swapped; a row of one piece swaps its value with the first
+    generator's row."""
+    gens = coc.generators()
+    gen, other = gens[-1], gens[0]
+    row = coc.table[gen]
+    (p0, v0), (p1, v1) = row[0], row[-1]
+    if len(row) > 1:
+        swapped = {gen: ((p0, v1),) + row[1:-1] + ((p1, v0),)}
+    else:
+        (q, w), *rest = coc.table[other]
+        swapped = {gen: ((p0, w),), other: ((q, v0), *rest)}
+    return [Cocycle(coc.homeo, {**coc.table, **rows})
+            for rows in ({gen: row[1:]}, {gen: row + row[:1]}, swapped)]
+
+
+def mutated_data(oe):
+    """oe with its first piece dropped, with it repeated at the end, and
+    with its counts swapped with those of the last piece whose l - k
+    differs, when one does."""
+    pieces = list(oe.pieces)
+    out = [pieces[1:], pieces + pieces[:1]]
+    (c0, k0, l0) = pieces[0]
+    for i in range(len(pieces) - 1, 0, -1):
+        c, k, l = pieces[i]
+        if l - k != l0 - k0:
+            out.append([(c0, k, l)] + pieces[1:i] + [(c, k0, l0)] + pieces[i + 1:])
+            break
+    return [OEData(oe.homeo, p) for p in out]
+
+
+@pytest.mark.parametrize("make", OE_EXAMPLES)
+def test_agreement_matches_reference_on_the_oe_examples(make):
+    coc = make()
+    oe = coe_to_oe(coc)
+    back = oe_to_coe(oe)
+    again = coe_to_oe(back)
+    pairs = [(coc, back), (back, coc), (oe, again), (again, oe)]
+    pairs += [(coc, bad) for bad in mutated_cocycles(coc)]
+    pairs += [(bad, back) for bad in mutated_cocycles(back)]
+    pairs += [(oe, bad) for bad in mutated_data(oe)]
+    pairs += [(bad, again) for bad in mutated_data(again)]
+    for depth in (0, 1, 3, 6):
+        verdicts = assert_agreement_matches_reference(pairs, depth)
+        assert verdicts[:4] == [True] * 4
+    # at depth 6 some mutant disagrees and some dropped piece leaves a gap
+    assert False in verdicts and any(isinstance(v, str) for v in verdicts)
+
+
+def test_checks_match_reference_where_no_rule_stem_heads_a_piece():
+    # rule stems a.a, a.b and b under pieces Z(a), Z(b): the shift of a
+    # point of Z(a) lies under no one rule stem, nor does a point moved by
+    # a^-1, so the checks find each moved point's rule through apply
+    g = corpus.g2()
+    ident = identity_cocycle(g)
+    for homeo in (two_level_homeo(g), inverse_homeo(two_level_homeo(g))):
+        coc = Cocycle(homeo, ident.table)
+        oe = OEData(homeo, coe_to_oe(ident).pieces)
+        for depth in (2, 4):
+            rep = coe_check(coc, depth)
+            assert rep == reference_coe_check(coc, depth)
+            assert rep["checked"] and rep["failures"]
+            rep = oe_check(oe, depth)
+            assert rep == reference_oe_check(oe, depth) and rep["checked"]
+        assert assert_agreement_matches_reference(
+            [(coc, ident), (coc, coc), (oe, coe_to_oe(ident)), (oe, oe)], 3) \
+            == [False, True, False, True]
+
+
+def test_checks_make_no_walk_for_a_probe_point(monkeypatch):
+    # each check asks every cylinder for its probe points once, so no
+    # probe point walks a StemIndex, not even to find its homeo rule
+    coc = swap_cocycle_two_loops(corpus.g2())
+    oe = coe_to_oe(coc)
+    back = oe_to_coe(oe)
+    again = coe_to_oe(back)
+    walks = []
+    holding = StemIndex.holding
+    monkeypatch.setattr(StemIndex, "holding",
+                        lambda index, x: walks.append(x) or holding(index, x))
+    rep = coe_check(coc, 6)
+    assert rep["failures"] == [] and rep["checked"] == 918
+    rep = oe_check(oe, 6)
+    assert rep["failures"] == [] and rep["checked"] == 306
+    assert cocycles_agree(coc, back, 6) and oe_agree(oe, again, 6)
+    assert walks == []
+    oe_check(OEData(oe.homeo, oe.pieces[1:]), 6)   # a gap costs no walk either
+    assert walks == []
+    PrefixHomeo.apply(coc.homeo, parse_point(corpus.g2(), "(a)^inf"))
+    assert len(walks) == 1      # the wrapper counts
+
+
 def test_stem_index_infinite_family_is_covered_only_at_its_node():
     # g5's v receives the infinite family f: Z(v) is covered by Z(v - {f})
     # and Z(f), never by the enumerated children Z(f), Z(f[1]) alone
@@ -749,5 +941,5 @@ def test_shift_counts_must_be_integers_at_least_zero():
             OEData(homeo, [(za, 0, bad), (zb, 0, 1)])
         with pytest.raises(OrbitError, match="shift count"):
             OEData(homeo, [(za, 0, 1), (zb, bad, 1)])
-    assert OEData(homeo, [(za, 0, 1), (zb, 0, 1)]).lookup(
-        parse_point(g, "(b)^inf")) == (0, 1)
+    assert reference_lookup(OEData(homeo, [(za, 0, 1), (zb, 0, 1)]),
+                            parse_point(g, "(b)^inf")) == (0, 1)

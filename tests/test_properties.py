@@ -14,13 +14,16 @@ verify_witness_laws and the four roundtrip laws on larger graphs.
 import json
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gforge import corpus
 from gforge.boundary import (
+    BoundaryError,
     CompactOpen,
     Cylinder,
     PartialWord,
+    PointIndex,
     StemIndex,
     admissible_words,
     cyl_difference,
@@ -48,7 +51,6 @@ from gforge.invsgp import (
 from gforge.orbit import (
     Cocycle,
     OEData,
-    OrbitError,
     PrefixHomeo,
     coe_check,
     coe_to_oe,
@@ -73,19 +75,20 @@ from test_graph import graph_table_laws, path_kernel_laws
 from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
+    assert_agreement_matches_reference,
     assert_apply_matches_reference,
     assert_certificate_matches_reference,
     faulty_rows,
     inverse_homeo,
+    mutated_cocycles,
+    mutated_data,
     reference_coe_check,
     reference_contains,
     reference_cyl_contains,
     reference_instance_at,
-    reference_lookup,
     reference_oe_check,
     reference_prepend,
     reference_union,
-    reference_value,
     swap_oe_data,
 )
 from test_paradox import verify_witness_laws
@@ -632,7 +635,11 @@ def orbit_laws(g, a, b):
     turning one (1, 2) piece into (0, 1) fails oe_check with the failures
     of reference_oe_check.  The shift data with a piece dropped or repeated
     gets reference_partition_faults' certificate, and coe_check places the
-    faults of a bad identity row as reference_coe_check does."""
+    faults of a bad identity row as reference_coe_check does.  At depth 2,
+    oe_agree and cocycles_agree give reference_oe_agree's and
+    reference_cocycles_agree's verdicts on the round's shift data, the
+    mutant, and the shift data and cocycle with a piece dropped, repeated or
+    a value swapped."""
     oe = swap_oe_data(g, a, b)
     # the mutant is the (1, 2) piece with the shortest sample point, and the
     # depth reaches that point: its prefix and primitive cycle are a pair
@@ -643,7 +650,8 @@ def orbit_laws(g, a, b):
     assert rep["failures"] == [] and rep["checked"] > 0
     coc = oe_to_coe(oe)
     assert coe_check(coc)["failures"] == []
-    assert oe_agree(coe_to_oe(coc), oe)
+    again = coe_to_oe(coc)
+    assert oe_agree(again, oe)
     mutant = list(oe.pieces)
     mutant[i] = (mutant[i][0], 0, 1)
     mutant = OEData(oe.homeo, mutant)
@@ -656,6 +664,9 @@ def orbit_laws(g, a, b):
     gen = ident.generators()[-1]
     bad = Cocycle(ident.homeo, {**ident.table, gen: faulty_rows(ident, gen)[0]})
     assert coe_check(bad, 2) == reference_coe_check(bad, 2)
+    pairs = [(again, oe), (oe, mutant)] + [(oe, o) for o in mutated_data(oe)]
+    pairs += [(coc, c) for c in mutated_cocycles(coc)]
+    assert assert_agreement_matches_reference(pairs, 2)[0] is True
 
 
 @PROFILE
@@ -705,18 +716,47 @@ def random_table(g, rng):
     return parts
 
 
+def reference_containing(g, cyls, stem):
+    """The first non-empty cylinder whose stem heads stem, with exclusions
+    that miss stem's next letter, or that is Z(stem) itself."""
+    for i, (s, excl) in enumerate(cyls):
+        if cyl_is_empty(g, Cylinder(s, excl)) or not stem.startswith(s):
+            continue
+        if (stem.instances[len(s)] not in excl) if len(stem) > len(s) else not excl:
+            return i
+    return None
+
+
+def deep_cylinders(g, rng, pts):
+    """Cylinders on the heads of five or six letters of the periodic points
+    among pts, with no exclusions, one received instance excluded, or every
+    one at a regular source; past the probe points' four letters."""
+    out = []
+    for x in pts:
+        if x.cycle is None or rng.random() < 0.8:
+            continue
+        stem = x.head(rng.randint(5, 6))
+        conts = g.continuations(stem.source_vertex, 2)
+        excl = rng.choice([(), conts[:1], conts[1:2],
+                           conts if g.is_regular(stem.source_vertex) else ()])
+        out.append(Cylinder(stem, frozenset(excl)))
+    return out
+
+
 def stem_index_laws(g, seed, rounds=3):
     """StemIndex against the old scans on random tables: holding and first
-    against reference_cyl_contains over a spread of probe points up to four letters,
-    overlaps and tiles against reference_partition_faults for the whole
-    space, the table's own union and a random set, covers against a
-    CompactOpen difference, and Cocycle.value and OEData.lookup, built on
-    the index, against reference_value and reference_lookup on every
-    fourth of those points."""
+    against reference_cyl_contains over a spread of probe points up to four
+    letters, overlaps and tiles against reference_partition_faults for the
+    whole space, the table's own union and a random set, covers against a
+    CompactOpen difference, and containing against the first cylinder whose
+    stem heads a given stem, which holds that stem's cylinder.  PointIndex
+    is the same question turned round: on the table, a random set's parts
+    and deeper cylinders (deep_cylinders), the points within each cylinder
+    are those whose StemIndex.holding names it, and first_holding gives
+    every point's StemIndex.first; empty cylinders and finite points
+    included.  A stem past the index depth is refused."""
     rng = random.Random(seed)
     pts = spread(probe_points(g, 4), 200)
-    homeo = PrefixHomeo.identity(g)
-    gen = ReducedWord()
     for _ in range(rounds):
         cyls = random_table(g, rng)
         index = StemIndex(g, cyls)
@@ -725,22 +765,27 @@ def stem_index_laws(g, seed, rounds=3):
             g, cyls, [CompactOpen.whole(g), union, random_compact_open(g, rng)])
         for c in cyls + list(random_compact_open(g, rng).parts):
             assert index.covers(c) == CompactOpen(g, [c]).difference(union).is_empty, c
-        coc = Cocycle(homeo, {gen: [(c, i) for i, c in enumerate(cyls)]})
-        oe = OEData(homeo, [(c, i, 0) for i, c in enumerate(cyls)])
         for x in pts:
             held = [i for i, c in enumerate(cyls) if reference_cyl_contains(c, x)]
             assert index.holding(x) == held, (point_str(x), cyls)
             assert index.first(x) == (held[0] if held else None)
-        for x in pts[::4]:
-            assert coc.value(gen, x) == reference_value(coc, gen, x)
-            assert outcome(oe.lookup, x) == outcome(reference_lookup, oe, x)
-
-
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except OrbitError as exc:
-        return str(exc)
+        table = cyls + list(random_compact_open(g, rng).parts) + deep_cylinders(g, rng, pts)
+        index = StemIndex(g, table)
+        for stem in [c.stem for c in table[::2]]:
+            i = index.containing(stem.range_vertex, stem.instances)
+            assert i == reference_containing(g, table, stem), (stem, table)
+            assert i is None or CompactOpen.cylinder(g, stem).difference(
+                CompactOpen(g, [table[i]])).is_empty
+        deepest = max(table, key=lambda c: len(c.stem))
+        points = PointIndex(pts[::2], len(deepest.stem))
+        held = [index.holding(x) for x in pts[::2]]
+        for i, c in enumerate(table):
+            got = points.within(c)
+            assert sorted(got) == [j for j, h in enumerate(held) if i in h], c
+            assert len(set(got)) == len(got)
+        assert points.first_holding(table) == [h[0] if h else -1 for h in held]
+        with pytest.raises(BoundaryError, match="past index depth"):
+            PointIndex([], len(deepest.stem) - 1).within(deepest)
 
 
 @PROFILE
