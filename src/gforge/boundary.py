@@ -8,14 +8,13 @@ enough to close the family under intersection and difference without ever
 enumerating the receivers of a vertex.
 
 A table of cylinders that should partition a set (the rule stems, cocycle
-rows and shift data of orbit.py) is read through a StemIndex, a trie of
-the stems keyed by edge instances from the range vertex.  A point finds
-the cylinders that hold it by walking its own first letters, and the
-pieces that meet an earlier one, and whether the table tiles a given set,
-come from one pass over the trie and the receiver counts, with no
-CompactOpen built.  A PointIndex turns the question round for a list of
-points: a trie of their first letters, whose node ranges name the points
-in a cylinder without a walk per point.
+rows and shift data of orbit.py) is certified through a StemIndex, a trie
+of the stems keyed by edge instances from the range vertex: the pieces
+that meet an earlier one, which cylinders the table covers, and whether
+it covers the whole boundary come from one pass over the trie and the
+receiver counts, with no CompactOpen built.  A PointIndex answers the
+lookups for a list of points: a trie of their first letters, whose node
+ranges name the points in a cylinder without a walk per point.
 """
 from __future__ import annotations
 
@@ -404,22 +403,21 @@ class _Node:
 
     def __init__(self):
         self.kids = {}  # edge instance -> the node one letter further
-        self.here = []  # (table index, exclusions) of the cylinders ending here
+        self.here = []  # the exclusions of the cylinders ending here
 
 
 _NO_BAR = frozenset()
 
 
 class StemIndex:
-    """Which cylinders of a table hold a point, and whether they tile a set.
+    """The partition certificate of a table of cylinders: which of them
+    meet an earlier one, which cylinders their union covers, and whether
+    they cover the whole boundary.
 
     A trie over the stems, keyed by edge instances from the range vertex.
-    Each node lists, in table order, the index and exclusions of every
-    non-empty cylinder whose stem ends there; an empty one holds no point
-    and meets nothing, so it is left out.  A point walks its own first
-    letters down the trie, and a cylinder ending on that walk holds it when
-    its exclusions miss the point's next letter (a finite point that ends
-    at the node has none).
+    Each node lists the exclusions of every non-empty cylinder whose stem
+    ends there; an empty one meets nothing and covers nothing, so it is
+    left out.
 
     `overlaps` is found in the same pass that builds the trie: the indices
     of the cylinders that meet an earlier one, in order.  Two non-empty
@@ -434,11 +432,10 @@ class StemIndex:
     only a cylinder ending there covers.
     """
 
-    __slots__ = ("graph", "cylinders", "overlaps", "_roots")
+    __slots__ = ("graph", "overlaps", "_roots")
 
     def __init__(self, graph: Graph, cylinders):
         self.graph = graph
-        self.cylinders = cylinders = tuple(cylinders)
         self.overlaps = []
         self._roots = {}
         count = graph._count
@@ -451,7 +448,7 @@ class StemIndex:
                 node = self._roots[stem.range_vertex] = _Node()
             meets = False
             for a in stem.instances:
-                meets = meets or any(a not in F for _, F in node.here)
+                meets = meets or any(a not in F for F in node.here)
                 kid = node.kids.get(a)
                 if kid is None:
                     kid = node.kids[a] = _Node()
@@ -459,34 +456,10 @@ class StemIndex:
             # every node below holds a cylinder; a stem at this node meets
             # this one unless their exclusions bar every receiver together
             meets = (meets or any(a not in excl for a in node.kids)
-                     or any(not 0 < len(excl | F) == n for _, F in node.here))
-            node.here.append((i, excl))
+                     or any(not 0 < len(excl | F) == n for F in node.here))
+            node.here.append(excl)
             if meets:
                 self.overlaps.append(i)
-
-    def holding(self, x: BoundaryPoint) -> list[int]:
-        """The indices of the cylinders that hold x, in table order."""
-        out = []
-        node = self._roots.get(x.range_vertex)
-        letters, cyc, i = x.prefix, x.cycle, 0
-        while node is not None:
-            if i == len(letters):
-                if cyc is None:
-                    out += [j for j, _ in node.here]    # x ends here
-                    break
-                letters += cyc      # unroll one more turn of the cycle
-            nxt = letters[i]
-            for j, excl in node.here:
-                if nxt not in excl:
-                    out.append(j)
-            node = node.kids.get(nxt)
-            i += 1
-        return sorted(out) if len(out) > 1 else out
-
-    def first(self, x: BoundaryPoint):
-        """The index of the first cylinder that holds x, or None."""
-        held = self.holding(x)
-        return held[0] if held else None
 
     def covers(self, cyl: Cylinder) -> bool:
         """Z(cyl) lies in the union of the cylinders."""
@@ -497,7 +470,7 @@ class StemIndex:
         for a in stem.instances:
             if node is None:
                 return False
-            if any(a not in F for _, F in node.here):
+            if any(a not in F for F in node.here):
                 return True
             node = node.kids.get(a)
         return node is not None and self._covered(node, stem.source_vertex, excl)
@@ -514,37 +487,18 @@ class StemIndex:
         """
         g, kids = self.graph, node.kids
         if node.here:
-            need = frozenset.intersection(*(F for _, F in node.here)) - bar
+            need = frozenset.intersection(*node.here) - bar
             return all(a in kids and self._covered(kids[a], g.s_of(a), _NO_BAR)
                        for a in need)
         open_kids = [(a, kid) for a, kid in kids.items() if a not in bar]
         return len(open_kids) == g._count[v] - len(bar) and all(
             self._covered(kid, g.s_of(a), _NO_BAR) for a, kid in open_kids)
 
-    def tiles(self, whole: CompactOpen) -> bool:
-        """The union of the cylinders is exactly `whole`."""
-        inside = StemIndex(self.graph, whole.parts)
-        return (all(map(inside.covers, self.cylinders))
-                and all(map(self.covers, whole.parts)))
-
-    def containing(self, v: str, letters: tuple):
-        """The index of the first cylinder whose stem heads p, so that it
-        holds all of Z(p), or None; p is the path of the letters from v (the
-        vertex path at v when there are none).  A stem shorter than p heads
-        it when its exclusions miss p's next letter, and p itself only with
-        no exclusions.  Containment that rests on receiver counts, as Z(p) in
-        Z(p.a) when a is the one receiver at p's source, is not seen."""
-        found = []
-        node = self._roots.get(v)
-        for a in letters:
-            if node is None:
-                break
-            found += [j for j, excl in node.here if a not in excl]
-            node = node.kids.get(a)
-        else:
-            if node is not None:
-                found += [j for j, excl in node.here if not excl]
-        return min(found) if found else None
+    def tiles(self) -> bool:
+        """The cylinders cover the whole boundary, each vertex's cylinder."""
+        roots = self._roots
+        return all(v in roots and self._covered(roots[v], v, _NO_BAR)
+                   for v in self.graph.vertices)
 
 
 class _Span:
@@ -557,7 +511,7 @@ class _Span:
 
 
 class PointIndex:
-    """Which points of a list lie in a cylinder: the other side of StemIndex.
+    """Which points of a list lie in a cylinder.
 
     A trie over the points' first letters, keyed by edge instances from the
     range vertex, down to one letter past `depth`, the longest stem a query

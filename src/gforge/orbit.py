@@ -15,20 +15,21 @@ refuse graphs with infinite multiplicities.
 
 Rule stems, cocycle rows and shift data are tables of cylinders that must
 partition a set, and every probe point must find its piece.  Each table
-is read through one boundary.StemIndex: the homeo builds its own from the
-rule stems, the shift data from its pieces, and a cocycle one per row,
-each once at construction.  The index gives the partition certificate,
-the pieces that meet an earlier one and whether they tile the set, in one
-pass, and PrefixHomeo.apply finds a point's rule through it.
+is certified through one boundary.StemIndex: the homeo builds its own from
+the rule stems, the shift data from its pieces, and a cocycle one per row,
+each once at construction.  The index gives the pieces that meet an
+earlier one, what they cover and whether they cover the whole boundary,
+in one pass.
 
-The checkers turn the point lookups around.  Each call builds one
-boundary.PointIndex over its probe points and asks each cylinder, rule
-stems included, which probe points it holds: a point's piece is the first
-in table order that holds it, and its image is its rule's map applied.  A
-point moved under a piece (by the generator in coe_check, by one shift
-step in oe_check) lies under a stem known from the piece; when one rule
-stem heads that stem, the rule's map serves every such point, and
-otherwise PrefixHomeo.apply finds each one's rule.
+The points find their pieces the other way round.  Each checker builds
+one boundary.PointIndex over its probe points (_probes) and asks each
+cylinder, rule stems included, which probe points it holds: a point's
+piece is the first in table order that holds it, and PrefixHomeo.images
+applies each rule's map to the points of its stem.  A point moved under a
+piece (by the generator in coe_check, by one shift step in oe_check) lies
+under a stem known from the piece; when one rule stem heads that stem,
+the rule's map serves every such point, and otherwise PrefixHomeo.apply
+finds each one's rule by the stems that head its first letters.
 """
 
 from types import MappingProxyType
@@ -36,7 +37,6 @@ from types import MappingProxyType
 from .boundary import (
     BoundaryError,
     BoundaryPoint,
-    CompactOpen,
     Cylinder,
     DomainError,
     PartialWord,
@@ -84,12 +84,19 @@ class PrefixHomeo:
     The mu stems must partition the source boundary and the nu stems the
     target boundary, and each rule's stems must end at vertices whose
     downstream receiver structure matches, so tails carry over verbatim.
-    apply finds x's rule through the mu stems' StemIndex and returns the
-    act_point of the rule's map PartialWord(target_graph, nu, mu), built
-    once here: its beta is a source path, and the tails carry over.
+    A rule acts by the act_point of its map PartialWord(target_graph, nu,
+    mu), built once here: its beta is a source path.
+
+    At most one rule stem heads any path.  A rule cylinder has no
+    exclusions, so it holds the cylinder of every path its stem heads, and
+    no such cylinder is empty: a path ends at a singular vertex or extends
+    by a receiver.  Two rule stems on one path would therefore meet, which
+    the certificate refuses.  A point's rule is the one whose stem is a
+    prefix of its first R letters, R the longest rule stem, looked up in
+    one dict keyed by (range vertex, stem instances).
     """
 
-    __slots__ = ("source_graph", "target_graph", "rules", "_stems", "_maps")
+    __slots__ = ("source_graph", "target_graph", "rules", "_rule_of", "_rule_len", "_maps")
 
     def __init__(self, source_graph: Graph, target_graph: Graph, rules):
         rules = tuple((mu, nu) for mu, nu in rules)
@@ -100,17 +107,17 @@ class PrefixHomeo:
                 raise OrbitError(
                     f"rule {source_graph.path_str(mu)} -> "
                     f"{target_graph.path_str(nu)} has incompatible tails")
-        stems = [StemIndex(g, [Cylinder(rule[side], frozenset()) for rule in rules])
-                 for side, g in enumerate((source_graph, target_graph))]
-        for side, index in enumerate(stems):
+        for side, g in enumerate((source_graph, target_graph)):
+            index = StemIndex(g, [Cylinder(rule[side], frozenset()) for rule in rules])
             if index.overlaps:
                 raise OrbitError(f"rule stems overlap on side {side}")
-            if not index.tiles(CompactOpen.whole(index.graph)):
+            if not index.tiles():
                 raise OrbitError(f"rule stems do not cover side {side}")
         self.source_graph = source_graph
         self.target_graph = target_graph
         self.rules = rules
-        self._stems = stems[0]
+        self._rule_of = {(mu.range_vertex, mu.instances): i for i, (mu, _) in enumerate(rules)}
+        self._rule_len = max((len(mu) for mu, _ in rules), default=0)
         self._maps = tuple(PartialWord(target_graph, nu, mu) for mu, nu in rules)
 
     @classmethod
@@ -118,24 +125,36 @@ class PrefixHomeo:
         rules = [(g.vertex_path(v), g.vertex_path(v)) for v in g.vertices]
         return cls(g, g, rules)
 
+    def _rule(self, v: str, letters: tuple):
+        """The act_point of the rule whose stem heads the path of the
+        letters from v, read up to R of them, or None."""
+        rule_of = self._rule_of
+        for n in range(min(len(letters), self._rule_len) + 1):
+            i = rule_of.get((v, letters[:n]))
+            if i is not None:
+                return self._maps[i].act_point
+        return None
+
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
-        i = self._stems.first(x)
-        if i is None:
+        letters, cyc, r = x.prefix, x.cycle, self._rule_len
+        if cyc is not None and len(letters) < r:
+            letters += cyc * ((r - len(letters)) // len(cyc) + 1)
+        f = self._rule(x.range_vertex, letters)
+        if f is None:
             raise OrbitError(f"{point_str(x)} escapes the rule partition")
-        return self._maps[i].act_point(x)
+        return f(x)
 
     def apply_on(self, v: str, letters: tuple):
         """apply, for the points of Z(p), p the path of the letters from v:
         the act_point of the one rule map whose stem heads p, or apply
         itself, which finds each point's rule, when no rule stem does."""
-        i = self._stems.containing(v, letters)
-        return self.apply if i is None else self._maps[i].act_point
+        return self._rule(v, letters) or self.apply
 
-    def rule_maps(self, probes: PointIndex) -> list:
-        """The rule map of each point of probes, from one pass over the rule
-        cylinders, which partition the boundary."""
+    def images(self, pts, probes: PointIndex) -> list:
+        """The image of each point of pts, probes their PointIndex, under
+        the map of the one rule whose stem holds it."""
         first = probes.first_holding([Cylinder(mu, frozenset()) for mu, _ in self.rules])
-        return [self._maps[i] for i in first]
+        return [self._maps[i].act_point(x) for i, x in zip(first, pts)]
 
 
 class Cocycle:
@@ -201,11 +220,12 @@ class OEData:
 
 # ----------------------------------------------------------------- checkers
 
-def _probe_index(points, homeos, cylinders) -> PointIndex:
-    """The probe points' PointIndex, deep enough for the rule stems of the
-    homeos and the stems of the cylinders."""
-    stems = [mu for h in homeos for mu, _ in h.rules] + [c.stem for c in cylinders]
-    return PointIndex(points, max((len(s.instances) for s in stems), default=0))
+def _probes(g: Graph, depth: int, homeos, cylinders):
+    """The probe points of g to depth and their PointIndex, deep enough for
+    the rule stems of the homeos and the stems of the cylinders."""
+    pts = probe_points(g, depth)
+    return pts, PointIndex(pts, max([h._rule_len for h in homeos]
+                                    + [len(c.stem) for c in cylinders]))
 
 
 def coe_check(coc: Cocycle, depth: int = 3) -> dict:
@@ -221,14 +241,13 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
     homeo = coc.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
-    pts = probe_points(gs, depth)
     gens = []
     for gen in coc.generators():
         pw = PartialWord.from_word(gs, gen)
         gens.append((gen, pw, pw.domain()))
-    probes = _probe_index(pts, [homeo], [c for _, _, dom in gens for c in dom.parts]
+    pts, probes = _probes(gs, depth, [homeo], [c for _, _, dom in gens for c in dom.parts]
                           + [piece for row in coc.table.values() for piece, _ in row])
-    images = [f.act_point(x) for f, x in zip(homeo.rule_maps(probes), pts)]
+    images = homeo.images(pts, probes)
     for gen, pw, dom in gens:
         rep["generators"] += 1
         row = coc.table[gen]
@@ -284,21 +303,20 @@ def oe_check(oe: OEData, depth: int = 3) -> dict:
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
     rep["failures"] += [("partition", "pieces overlap")] * len(oe.index.overlaps)
-    if not oe.index.tiles(CompactOpen.whole(gs)):
+    if not oe.index.tiles():
         rep["failures"].append(("partition", "pieces do not cover"))
-    pts = probe_points(gs, depth)
     cyls = [c for c, _, _ in oe.pieces]
-    probes = _probe_index(pts, [homeo], cyls)
+    pts, probes = _probes(gs, depth, [homeo], cyls)
     shifted = [homeo.apply_on(gs.s_of(stem.instances[0]), stem.instances[1:])
                if stem.instances else homeo.apply for stem, _ in cyls]
-    for x, i, f in zip(pts, probes.first_holding(cyls), homeo.rule_maps(probes)):
+    for x, i, fx in zip(pts, probes.first_holding(cyls), homeo.images(pts, probes)):
         if i < 0:
             rep["failures"].append(("partition", point_str(x)))
             continue
         _, k, l = oe.pieces[i]
         try:
             left = shifted[i](x.shift(1)).shift(k)
-            right = f.act_point(x).shift(l)
+            right = fx.shift(l)
         except BoundaryError:
             rep["skips"] += 1
             continue
@@ -392,12 +410,11 @@ def oe_to_coe(oe: OEData) -> Cocycle:
     _assert_finite_multiplicities(gt)
     if oe.index.overlaps:
         raise OrbitError(f"shift data pieces overlap at piece {oe.index.overlaps[0]}")
-    if not oe.index.tiles(CompactOpen.whole(gs)):
+    if not oe.index.tiles():
         raise OrbitError("shift data pieces do not cover the boundary")
-    rule_len = max((len(mu) for mu, _ in homeo.rules), default=0)
     table = {}
     for piece, k, l in oe.pieces:
-        depth = 1 + rule_len + max(k, l)
+        depth = 1 + homeo._rule_len + max(k, l)
         for cyl in _extensions(gs, piece, depth):
             x = sample_point(gs, cyl)
             if x is None or not cyl.stem.instances:
@@ -425,14 +442,12 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
     values acting alike on its image, or neither row holds it."""
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
-    pts = probe_points(gs, depth)
     rows = {gen: (c1.table.get(gen, ()), c2.table.get(gen, ()))
             for gen in set(c1.table) | set(c2.table)}
-    probes = _probe_index(pts, {h1, h2}, [piece for pair in rows.values()
-                                          for row in pair for piece, _ in row])
-    images = [f.act_point(x) for f, x in zip(h1.rule_maps(probes), pts)]
-    if h2 is not h1 and any(f.act_point(x) != fx for f, x, fx
-                            in zip(h2.rule_maps(probes), pts, images)):
+    pts, probes = _probes(gs, depth, {h1, h2}, [piece for pair in rows.values()
+                                                for row in pair for piece, _ in row])
+    images = h1.images(pts, probes)
+    if h2 is not h1 and h2.images(pts, probes) != images:
         return False
     for gen, (row0, row1) in rows.items():
         if PartialWord.from_word(gs, gen).is_empty_map:
@@ -468,12 +483,10 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     literal comparison.
     """
     h1, h2 = o1.homeo, o2.homeo
-    pts = probe_points(h1.source_graph, depth)
     cyls1, cyls2 = ([c for c, _, _ in o.pieces] for o in (o1, o2))
-    probes = _probe_index(pts, {h1, h2}, cyls1 + cyls2)
+    pts, probes = _probes(h1.source_graph, depth, {h1, h2}, cyls1 + cyls2)
     moved = [False] * len(pts) if h2 is h1 else [
-        f1.act_point(x) != f2.act_point(x)
-        for x, f1, f2 in zip(pts, h1.rule_maps(probes), h2.rule_maps(probes))]
+        y1 != y2 for y1, y2 in zip(h1.images(pts, probes), h2.images(pts, probes))]
     for x, differs, i1, i2 in zip(pts, moved, probes.first_holding(cyls1),
                                   probes.first_holding(cyls2)):
         if differs:

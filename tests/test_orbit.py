@@ -606,7 +606,8 @@ def reference_partition_faults(g, cylinders, whole):
 
 
 def reference_value(coc, gen, x):
-    """stem_value as a linear scan of gen's row."""
+    """The former Cocycle.value, as a linear scan of gen's row: the value of
+    the first piece that holds x, or None."""
     for piece, value in coc.table.get(gen, ()):
         if reference_cyl_contains(piece, x):
             return value
@@ -614,7 +615,8 @@ def reference_value(coc, gen, x):
 
 
 def reference_lookup(oe, x):
-    """stem_lookup as a linear scan of the pieces."""
+    """The former OEData.lookup, as a linear scan of the pieces: the shift
+    counts of the first piece that holds x."""
     for c, k, l in oe.pieces:
         if reference_cyl_contains(c, x):
             return k, l
@@ -629,39 +631,21 @@ def outcome(f, *args):
         return str(exc)
 
 
-def stem_value(coc, gen, x):
-    """The former Cocycle.value: the value of the first piece of gen's row
-    that holds x, found by x's walk down the row's StemIndex, or None."""
-    index = coc.index.get(gen)
-    i = None if index is None else index.first(x)
-    return None if i is None else coc.table[gen][i][1]
-
-
-def stem_lookup(oe, x):
-    """The former OEData.lookup: the shift counts of the first piece that
-    holds x, found by x's walk down the pieces' StemIndex."""
-    i = oe.index.first(x)
-    if i is None:
-        raise OrbitError(f"{point_str(x)} escapes the piece partition")
-    _, k, l = oe.pieces[i]
-    return k, l
-
-
 def reference_cocycles_agree(c1, c2, depth=3):
     """cocycles_agree as it was before the probe index: each probe point
-    walks each row's StemIndex on its own (stem_value) and the homeo's
-    rule stems (apply)."""
+    scans each row on its own (reference_value) and finds its image by the
+    rule scan (reference_apply)."""
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
     pts = probe_points(gs, depth)
-    images = [h1.apply(x) for x in pts]
-    if h2 is not h1 and any(h2.apply(x) != fx for x, fx in zip(pts, images)):
+    images = [reference_apply(h1, x) for x in pts]
+    if h2 is not h1 and any(reference_apply(h2, x) != fx for x, fx in zip(pts, images)):
         return False
     for gen in set(c1.table) | set(c2.table):
         if PartialWord.from_word(gs, gen).is_empty_map:
             return False
         for x, fx in zip(pts, images):
-            v0, v1 = stem_value(c1, gen, x), stem_value(c2, gen, x)
+            v0, v1 = reference_value(c1, gen, x), reference_value(c2, gen, x)
             if (v0 is None) != (v1 is None):
                 return False
             if v0 is None or v0 == v1:
@@ -677,16 +661,16 @@ def reference_cocycles_agree(c1, c2, depth=3):
 
 
 def reference_oe_agree(o1, o2, depth=3):
-    """oe_agree as it was before the probe index: each probe point walks
-    each table's StemIndex on its own (stem_lookup, which raises for a
-    point no piece holds) and the homeos' rule stems (apply)."""
+    """oe_agree as it was before the probe index: each probe point scans
+    each table on its own (reference_lookup, which raises for a point no
+    piece holds) and finds its images by the rule scan (reference_apply)."""
     h1, h2 = o1.homeo, o2.homeo
     for x in probe_points(h1.source_graph, depth):
-        if h2 is not h1 and h1.apply(x) != h2.apply(x):
+        if h2 is not h1 and reference_apply(h1, x) != reference_apply(h2, x):
             return False
         if x.is_finite and len(x) == 0:
             continue
-        (k1, l1), (k2, l2) = stem_lookup(o1, x), stem_lookup(o2, x)
+        (k1, l1), (k2, l2) = reference_lookup(o1, x), reference_lookup(o2, x)
         if l1 - k1 != l2 - k2:
             return False
     return True
@@ -777,11 +761,12 @@ def reference_oe_check(oe, depth=3):
     return rep
 
 
-def assert_certificate_matches_reference(g, cylinders, wholes):
+def assert_certificate_matches_reference(g, cylinders):
+    """StemIndex's overlaps and tiles give reference_partition_faults'
+    certificate for the whole space."""
     index = StemIndex(g, cylinders)
-    for whole in wholes:
-        assert (index.overlaps, index.tiles(whole)) \
-            == reference_partition_faults(g, cylinders, whole), (cylinders, whole)
+    assert (index.overlaps, index.tiles()) \
+        == reference_partition_faults(g, cylinders, CompactOpen.whole(g)), cylinders
 
 
 def faulty_rows(coc, gen):
@@ -804,8 +789,7 @@ def assert_checks_match_reference(coc, depth):
     for faulty in (pieces, pieces + pieces[:1], pieces[1:], pieces[::-1]):
         data = OEData(oe.homeo, faulty)
         assert oe_check(data, depth) == reference_oe_check(data, depth)
-        assert_certificate_matches_reference(
-            g, [c for c, _, _ in faulty], [CompactOpen.whole(g)])
+        assert_certificate_matches_reference(g, [c for c, _, _ in faulty])
     gen = coc.generators()[-1]
     for row in faulty_rows(coc, gen):
         bad = Cocycle(coc.homeo, {**coc.table, gen: row})
@@ -893,26 +877,27 @@ def test_checks_match_reference_where_no_rule_stem_heads_a_piece():
 
 
 def test_checks_make_no_walk_for_a_probe_point(monkeypatch):
-    # each check asks every cylinder for its probe points once, so no
-    # probe point walks a StemIndex, not even to find its homeo rule
+    # each check asks every cylinder for its probe points once, and every
+    # stem a point is moved under has a rule stem heading it, so no probe
+    # point looks up its own rule through PrefixHomeo.apply
     coc = swap_cocycle_two_loops(corpus.g2())
     oe = coe_to_oe(coc)
     back = oe_to_coe(oe)
     again = coe_to_oe(back)
-    walks = []
-    holding = StemIndex.holding
-    monkeypatch.setattr(StemIndex, "holding",
-                        lambda index, x: walks.append(x) or holding(index, x))
+    calls = []
+    apply = PrefixHomeo.apply
+    monkeypatch.setattr(PrefixHomeo, "apply",
+                        lambda homeo, x: calls.append(x) or apply(homeo, x))
     rep = coe_check(coc, 6)
     assert rep["failures"] == [] and rep["checked"] == 918
     rep = oe_check(oe, 6)
     assert rep["failures"] == [] and rep["checked"] == 306
     assert cocycles_agree(coc, back, 6) and oe_agree(oe, again, 6)
-    assert walks == []
-    oe_check(OEData(oe.homeo, oe.pieces[1:]), 6)   # a gap costs no walk either
-    assert walks == []
-    PrefixHomeo.apply(coc.homeo, parse_point(corpus.g2(), "(a)^inf"))
-    assert len(walks) == 1      # the wrapper counts
+    assert calls == []
+    oe_check(OEData(oe.homeo, oe.pieces[1:]), 6)   # a gap costs no lookup either
+    assert calls == []
+    coc.homeo.apply(parse_point(corpus.g2(), "(a)^inf"))
+    assert len(calls) == 1      # the wrapper counts
 
 
 def test_stem_index_infinite_family_is_covered_only_at_its_node():
@@ -925,10 +910,10 @@ def test_stem_index_infinite_family_is_covered_only_at_its_node():
     kids = [Cylinder(g.path_of(f0), frozenset()), Cylinder(g.path_of(f1), frozenset())]
     pieces = [Cylinder(v, frozenset({f0, f1}))] + kids
     rest = [Cylinder(g.vertex_path(u), frozenset()) for u in g.vertices if u != "v"]
-    assert StemIndex(g, pieces + rest).tiles(whole)
-    assert not StemIndex(g, kids + rest).tiles(whole)
+    assert StemIndex(g, pieces + rest).tiles()
+    assert not StemIndex(g, kids + rest).tiles()
     for table in (pieces + rest, kids + rest):
-        assert_certificate_matches_reference(g, table, [whole])
+        assert_certificate_matches_reference(g, table)
 
 
 def test_shift_counts_must_be_integers_at_least_zero():

@@ -52,6 +52,7 @@ from gforge.orbit import (
     Cocycle,
     OEData,
     PrefixHomeo,
+    cocycles_agree,
     coe_check,
     coe_to_oe,
     identity_cocycle,
@@ -76,7 +77,6 @@ from test_groupoid import assert_germ, assert_trusted_ptg, inverse
 from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
     assert_agreement_matches_reference,
-    assert_apply_matches_reference,
     assert_certificate_matches_reference,
     faulty_rows,
     inverse_homeo,
@@ -86,6 +86,7 @@ from test_orbit import (
     reference_contains,
     reference_cyl_contains,
     reference_instance_at,
+    reference_apply,
     reference_oe_check,
     reference_prepend,
     reference_union,
@@ -658,8 +659,8 @@ def orbit_laws(g, a, b):
     rep = oe_check(mutant, depth)
     assert rep["failures"] and rep == reference_oe_check(mutant, depth)
     pieces = [c for c, _, _ in oe.pieces]
-    assert_certificate_matches_reference(g, pieces[1:], [CompactOpen.whole(g)])
-    assert_certificate_matches_reference(g, pieces + pieces[:1], [CompactOpen.whole(g)])
+    assert_certificate_matches_reference(g, pieces[1:])
+    assert_certificate_matches_reference(g, pieces + pieces[:1])
     ident = identity_cocycle(g)
     gen = ident.generators()[-1]
     bad = Cocycle(ident.homeo, {**ident.table, gen: faulty_rows(ident, gen)[0]})
@@ -716,17 +717,6 @@ def random_table(g, rng):
     return parts
 
 
-def reference_containing(g, cyls, stem):
-    """The first non-empty cylinder whose stem heads stem, with exclusions
-    that miss stem's next letter, or that is Z(stem) itself."""
-    for i, (s, excl) in enumerate(cyls):
-        if cyl_is_empty(g, Cylinder(s, excl)) or not stem.startswith(s):
-            continue
-        if (stem.instances[len(s)] not in excl) if len(stem) > len(s) else not excl:
-            return i
-    return None
-
-
 def deep_cylinders(g, rng, pts):
     """Cylinders on the heads of five or six letters of the periodic points
     among pts, with no exclusions, one received instance excluded, or every
@@ -744,46 +734,36 @@ def deep_cylinders(g, rng, pts):
 
 
 def stem_index_laws(g, seed, rounds=3):
-    """StemIndex against the old scans on random tables: holding and first
-    against reference_cyl_contains over a spread of probe points up to four
-    letters, overlaps and tiles against reference_partition_faults for the
-    whole space, the table's own union and a random set, covers against a
-    CompactOpen difference, and containing against the first cylinder whose
-    stem heads a given stem, which holds that stem's cylinder.  PointIndex
-    is the same question turned round: on the table, a random set's parts
-    and deeper cylinders (deep_cylinders), the points within each cylinder
-    are those whose StemIndex.holding names it, and first_holding gives
-    every point's StemIndex.first; empty cylinders and finite points
-    included.  A stem past the index depth is refused."""
+    """StemIndex and PointIndex against the old scans on random tables.
+    StemIndex: overlaps and tiles against reference_partition_faults for the
+    whole space, on the table and on the table grown by a random set and
+    deeper cylinders (deep_cylinders), and covers against a CompactOpen
+    difference.  PointIndex, over every other point of a spread of probe
+    points up to four letters: the points within each cylinder of the grown
+    table are those reference_cyl_contains finds, and first_holding gives
+    each point the first cylinder that holds it; empty cylinders and finite
+    points included.  A stem past the index depth is refused."""
     rng = random.Random(seed)
     pts = spread(probe_points(g, 4), 200)
     for _ in range(rounds):
         cyls = random_table(g, rng)
         index = StemIndex(g, cyls)
         union = CompactOpen(g, cyls)
-        assert_certificate_matches_reference(
-            g, cyls, [CompactOpen.whole(g), union, random_compact_open(g, rng)])
+        assert_certificate_matches_reference(g, cyls)
         for c in cyls + list(random_compact_open(g, rng).parts):
             assert index.covers(c) == CompactOpen(g, [c]).difference(union).is_empty, c
-        for x in pts:
-            held = [i for i, c in enumerate(cyls) if reference_cyl_contains(c, x)]
-            assert index.holding(x) == held, (point_str(x), cyls)
-            assert index.first(x) == (held[0] if held else None)
         table = cyls + list(random_compact_open(g, rng).parts) + deep_cylinders(g, rng, pts)
-        index = StemIndex(g, table)
-        for stem in [c.stem for c in table[::2]]:
-            i = index.containing(stem.range_vertex, stem.instances)
-            assert i == reference_containing(g, table, stem), (stem, table)
-            assert i is None or CompactOpen.cylinder(g, stem).difference(
-                CompactOpen(g, [table[i]])).is_empty
+        assert_certificate_matches_reference(g, table)
         deepest = max(table, key=lambda c: len(c.stem))
-        points = PointIndex(pts[::2], len(deepest.stem))
-        held = [index.holding(x) for x in pts[::2]]
-        for i, c in enumerate(table):
+        sample = pts[::2]
+        points = PointIndex(sample, len(deepest.stem))
+        inside = [[reference_cyl_contains(c, x) for x in sample] for c in table]
+        for c, row in zip(table, inside):
             got = points.within(c)
-            assert sorted(got) == [j for j, h in enumerate(held) if i in h], c
+            assert sorted(got) == [j for j, held in enumerate(row) if held], (c, table)
             assert len(set(got)) == len(got)
-        assert points.first_holding(table) == [h[0] if h else -1 for h in held]
+        assert points.first_holding(table) == [
+            next((i for i, row in enumerate(inside) if row[j]), -1) for j in range(len(sample))]
         with pytest.raises(BoundaryError, match="past index depth"):
             PointIndex([], len(deepest.stem) - 1).within(deepest)
 
@@ -795,14 +775,56 @@ def test_stem_index_matches_the_old_scans(seed):
     stem_index_laws(infinite_graph_of(seed), seed)
 
 
+def refined_homeo(h):
+    """h with each rule at an odd place cut one letter deeper, into a rule
+    (mu.c, nu.c) for each receiver c at the end of its stems, where there is
+    one: rule stems of two lengths, the longest one letter longer.  The
+    graphs' multiplicities must be finite, so the cut rule's Z(mu) is the
+    union of its children's."""
+    gs, gt = h.source_graph, h.target_graph
+    rules = []
+    for i, (mu, nu) in enumerate(h.rules):
+        conts = gs.continuations(mu.source_vertex) if i % 2 else ()
+        rules += [(gs.trusted_path(mu.instances + (c,), mu.range_vertex),
+                   gt.trusted_path(nu.instances + (c,), nu.range_vertex))
+                  for c in conts] or [(mu, nu)]
+    return PrefixHomeo(gs, gt, rules)
+
+
 def apply_laws(g, a, b):
-    """PrefixHomeo.apply, one act_point, equals the former shift-then-prepend
-    for the identity and for the first-letter swap of a and b both ways,
-    on every point of probe_points(g, 4)."""
+    """PrefixHomeo.apply and apply_on against linear scans of the rule
+    stems, for the identity, the first-letter swap of a and b both ways, and
+    each of those refined one letter deeper (refined_homeo).
+
+    apply, one act_point, equals the former shift-then-prepend of the rule
+    whose stem x starts with (reference_apply) on every point of
+    probe_points(g, 4), finite points and periodic prefixes shorter than
+    the longest rule stem R included.  apply_on(v, letters) for a path p of
+    up to R + 1 letters is apply itself exactly where no rule stem heads p,
+    and maps each of a spread of probe points x whose head p is as
+    reference_apply does.  A rule-free homeo on the graph with no vertices
+    builds, with R = 0, and its checks probe nothing."""
     swap = swap_homeo(g, a, b)
     points = probe_points(g, 4)
     for h in (PrefixHomeo.identity(g), swap, inverse_homeo(swap)):
-        assert_apply_matches_reference(h, points)
+        for h in (h, refined_homeo(h)):
+            images = [reference_apply(h, x) for x in points]
+            for x, y in zip(points, images):
+                fx = h.apply(x)
+                assert fx == y and fx.graph is h.target_graph, x
+            depth = max(len(mu) for mu, _ in h.rules) + 1
+            for p in g.paths_up_to(depth):
+                headed = any(p.startswith(mu) for mu, _ in h.rules)
+                assert (h.apply_on(p.range_vertex, p.instances) == h.apply) != headed, p
+            for x, y in spread(list(zip(points, images)), 300):
+                for k in range(min(depth, len(x)) + 1 if x.is_finite else depth + 1):
+                    p = x.head(k)
+                    assert h.apply_on(p.range_vertex, p.instances)(x) == y, (p, x)
+    empty = Graph([], [])
+    ident = identity_cocycle(empty)
+    assert ident.homeo.rules == () and ident.homeo.images([], PointIndex([], 0)) == []
+    assert coe_check(ident)["checked"] == oe_check(coe_to_oe(ident))["checked"] == 0
+    assert cocycles_agree(ident, ident) and oe_agree(coe_to_oe(ident), coe_to_oe(ident))
 
 
 @PROFILE
