@@ -8,13 +8,12 @@ enough to close the family under intersection and difference without ever
 enumerating the receivers of a vertex.
 
 A table of cylinders that should partition a set (the rule stems, cocycle
-rows and shift data of orbit.py) is certified through a StemIndex, a trie
-of the stems keyed by edge instances from the range vertex: the pieces
-that meet an earlier one, which cylinders the table covers, and whether
-it covers the whole boundary come from one pass over the trie and the
-receiver counts, with no CompactOpen built.  A PointIndex answers the
-lookups for a list of points: a trie of their first letters, whose node
-ranges name the points in a cylinder without a walk per point.
+rows and shift data of orbit.py, the pieces and images of a paradox
+witness) is certified by three helpers on the same algebra: cyl_meets,
+cyl_overlaps (the pieces that meet an earlier one) and cyl_inside (the
+parts that lie in a set).  A PointIndex answers the lookups for a list of
+points: a trie of their first letters, whose node ranges name the points
+in a cylinder without a walk per point.
 """
 from __future__ import annotations
 
@@ -263,18 +262,21 @@ def cyl_is_empty(g: Graph, c: Cylinder) -> bool:
 
 
 def cyl_intersect(a: Cylinder, b: Cylinder):
-    """The intersection, again a single cylinder (or None when disjoint)."""
-    if a.stem == b.stem:
-        return Cylinder(a.stem, a.excl | b.excl)
-    if a.stem.startswith(b.stem):
-        if a.stem.instances[len(b.stem)] in b.excl:
-            return None
-        return a
-    if b.stem.startswith(a.stem):
-        if b.stem.instances[len(a.stem)] in a.excl:
-            return None
-        return b
-    return None
+    """The intersection, again a single cylinder (or None when disjoint).
+    The stems are compared as slices in place of Path methods: the
+    certificates call this once per pair of pieces."""
+    s, t = a.stem, b.stem
+    if s.range_vertex != t.range_vertex:
+        return None
+    x, y = s.instances, t.instances
+    if len(x) < len(y):
+        a, b, x, y = b, a, y, x
+    n = len(y)
+    if x[:n] != y:
+        return None
+    if len(x) == n:
+        return Cylinder(s, a.excl | b.excl)
+    return None if x[n] in b.excl else a
 
 
 def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
@@ -303,6 +305,46 @@ def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
             return [c]
         return []
     return [c]
+
+
+def _cyl_within(a: Cylinder, b: Cylinder) -> bool:
+    """A test on stems alone that suffices for Z(a) within Z(b): a's stem
+    extends b's past b's exclusions, or equals it and excludes all b does."""
+    if not a.stem.startswith(b.stem):
+        return False
+    n = len(b.stem.instances)
+    if len(a.stem.instances) == n:
+        return b.excl <= a.excl
+    return a.stem.instances[n] not in b.excl
+
+
+def cyl_inside(g: Graph, parts, U: "CompactOpen") -> bool:
+    """Whether every part lies in U: by _cyl_within where it settles a part,
+    by the exact difference for the parts it leaves open."""
+    rest = []
+    for p in parts:
+        for u in U.parts:
+            if _cyl_within(p, u):
+                break
+        else:
+            rest.append(p)
+    return not rest or CompactOpen(g, rest).difference(U).is_empty
+
+
+def cyl_meets(g: Graph, parts, others) -> bool:
+    """Whether some part meets some other: a non-empty cylinder intersection
+    (the count of cyl_is_empty; Webster, Proc. AMS 142, 2014)."""
+    for a in parts:
+        for b in others:
+            ab = cyl_intersect(a, b)
+            if ab is not None and not cyl_is_empty(g, ab):
+                return True
+    return False
+
+
+def cyl_overlaps(g: Graph, cylinders) -> list[int]:
+    """The indices of the cylinders that meet an earlier one, in order."""
+    return [i for i, c in enumerate(cylinders) if cyl_meets(g, (c,), cylinders[:i])]
 
 
 class CompactOpen:
@@ -396,109 +438,6 @@ def set_str(U: CompactOpen) -> str:
             s = f"Z({s})"
         out.append(s)
     return " + ".join(out)
-
-
-class _Node:
-    __slots__ = ("kids", "here")
-
-    def __init__(self):
-        self.kids = {}  # edge instance -> the node one letter further
-        self.here = []  # the exclusions of the cylinders ending here
-
-
-_NO_BAR = frozenset()
-
-
-class StemIndex:
-    """The partition certificate of a table of cylinders: which of them
-    meet an earlier one, which cylinders their union covers, and whether
-    they cover the whole boundary.
-
-    A trie over the stems, keyed by edge instances from the range vertex.
-    Each node lists the exclusions of every non-empty cylinder whose stem
-    ends there; an empty one meets nothing and covers nothing, so it is
-    left out.
-
-    `overlaps` is found in the same pass that builds the trie: the indices
-    of the cylinders that meet an earlier one, in order.  Two non-empty
-    cylinders meet when one stem sits at or below the other on a branch the
-    upper one does not exclude, or, with one stem, when the union of their
-    exclusions leaves a receiver (the count cyl_is_empty reads; Webster,
-    Proc. AMS 142, 2014).  `covers` decides containment by the same count:
-    a node lies in the union when a cylinder ends there and every child that
-    all of them exclude lies in it below, or when its source is regular and
-    all its receiver_count children lie in it.  A node with an infinite
-    family, or with no receivers, holds a finite point of its own, which
-    only a cylinder ending there covers.
-    """
-
-    __slots__ = ("graph", "overlaps", "_roots")
-
-    def __init__(self, graph: Graph, cylinders):
-        self.graph = graph
-        self.overlaps = []
-        self._roots = {}
-        count = graph._count
-        for i, (stem, excl) in enumerate(cylinders):
-            n = count[stem.source_vertex]
-            if 0 < len(excl) == n:
-                continue
-            node = self._roots.get(stem.range_vertex)
-            if node is None:
-                node = self._roots[stem.range_vertex] = _Node()
-            meets = False
-            for a in stem.instances:
-                meets = meets or any(a not in F for F in node.here)
-                kid = node.kids.get(a)
-                if kid is None:
-                    kid = node.kids[a] = _Node()
-                node = kid
-            # every node below holds a cylinder; a stem at this node meets
-            # this one unless their exclusions bar every receiver together
-            meets = (meets or any(a not in excl for a in node.kids)
-                     or any(not 0 < len(excl | F) == n for F in node.here))
-            node.here.append(excl)
-            if meets:
-                self.overlaps.append(i)
-
-    def covers(self, cyl: Cylinder) -> bool:
-        """Z(cyl) lies in the union of the cylinders."""
-        stem, excl = cyl
-        if cyl_is_empty(self.graph, cyl):
-            return True
-        node = self._roots.get(stem.range_vertex)
-        for a in stem.instances:
-            if node is None:
-                return False
-            if any(a not in F for F in node.here):
-                return True
-            node = node.kids.get(a)
-        return node is not None and self._covered(node, stem.source_vertex, excl)
-
-    def _covered(self, node: _Node, v: str, bar: frozenset) -> bool:
-        """The node's cylinder, less the children in bar, lies in the union
-        of the cylinders at or below it; v is the stem's source.
-
-        A node where no cylinder ends lies above one, so v has receivers,
-        and every receiver outside bar must lead to a covered child.  No
-        set of children makes up an infinite count, and the finite point
-        at such a v lies in no child, so there only a cylinder ending at
-        the node covers it.
-        """
-        g, kids = self.graph, node.kids
-        if node.here:
-            need = frozenset.intersection(*node.here) - bar
-            return all(a in kids and self._covered(kids[a], g.s_of(a), _NO_BAR)
-                       for a in need)
-        open_kids = [(a, kid) for a, kid in kids.items() if a not in bar]
-        return len(open_kids) == g._count[v] - len(bar) and all(
-            self._covered(kid, g.s_of(a), _NO_BAR) for a, kid in open_kids)
-
-    def tiles(self) -> bool:
-        """The cylinders cover the whole boundary, each vertex's cylinder."""
-        roots = self._roots
-        return all(v in roots and self._covered(roots[v], v, _NO_BAR)
-                   for v in self.graph.vertices)
 
 
 class _Span:

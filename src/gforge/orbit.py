@@ -15,11 +15,11 @@ refuse graphs with infinite multiplicities.
 
 Rule stems, cocycle rows and shift data are tables of cylinders that must
 partition a set, and every probe point must find its piece.  Each table
-is certified through one boundary.StemIndex: the homeo builds its own from
-the rule stems, the shift data from its pieces, and a cocycle one per row,
-each once at construction.  The index gives the pieces that meet an
-earlier one, what they cover and whether they cover the whole boundary,
-in one pass.
+is certified where it is read, by the cylinder algebra of boundary.py:
+cyl_overlaps gives the pieces that meet an earlier one and cyl_inside
+whether the pieces lie in the set and cover it.  The homeo certifies its
+rule stems at construction, coe_check each cocycle row, and oe_check and
+oe_to_coe the shift data.
 
 The points find their pieces the other way round.  Each checker builds
 one boundary.PointIndex over its probe points (_probes) and asks each
@@ -37,12 +37,14 @@ from types import MappingProxyType
 from .boundary import (
     BoundaryError,
     BoundaryPoint,
+    CompactOpen,
     Cylinder,
     DomainError,
     PartialWord,
     PointIndex,
-    StemIndex,
+    cyl_inside,
     cyl_intersect,
+    cyl_overlaps,
     point_str,
     probe_points,
     sample_point,
@@ -53,6 +55,11 @@ from .words import ReducedWord
 
 class OrbitError(Exception):
     pass
+
+
+def _tiles(g: Graph, cylinders) -> bool:
+    """The cylinders cover the whole boundary of g."""
+    return cyl_inside(g, CompactOpen.whole(g).parts, CompactOpen(g, cylinders))
 
 
 def _assert_finite_multiplicities(g: Graph):
@@ -108,10 +115,10 @@ class PrefixHomeo:
                     f"rule {source_graph.path_str(mu)} -> "
                     f"{target_graph.path_str(nu)} has incompatible tails")
         for side, g in enumerate((source_graph, target_graph)):
-            index = StemIndex(g, [Cylinder(rule[side], frozenset()) for rule in rules])
-            if index.overlaps:
+            cyls = [Cylinder(rule[side], frozenset()) for rule in rules]
+            if cyl_overlaps(g, cyls):
                 raise OrbitError(f"rule stems overlap on side {side}")
-            if not index.tiles():
+            if not _tiles(g, cyls):
                 raise OrbitError(f"rule stems do not cover side {side}")
         self.source_graph = source_graph
         self.target_graph = target_graph
@@ -163,19 +170,16 @@ class Cocycle:
     table maps a generator word g of the source action to pieces of its
     domain with a value word each: on the piece, the homeomorphism sends
     the g-image of x to the value-image of the x-image.  The rows are fixed
-    at construction, which builds each row's stem index; table and index
-    are read-only views of them.
+    at construction, and table is a read-only view of them; coe_check
+    certifies that each row partitions its generator's domain.
     """
 
-    __slots__ = ("homeo", "table", "index")
+    __slots__ = ("homeo", "table")
 
     def __init__(self, homeo: PrefixHomeo, table):
         self.homeo = homeo
         self.table = MappingProxyType({
             gen: tuple(entries) for gen, entries in table.items()})
-        self.index = MappingProxyType({
-            gen: StemIndex(homeo.source_graph, [piece for piece, _ in row])
-            for gen, row in self.table.items()})
 
     def generators(self):
         return sorted(self.table, key=ReducedWord.sort_key)
@@ -201,11 +205,11 @@ class OEData:
     steps applied to the image of the shifted point agree with l shift
     steps applied to the image of the point itself.  Points the shift
     does not reach (length-zero finite points) are exempt.  The pieces are
-    fixed at construction, which refuses a count that is not an int >= 0
-    and builds their stem index.
+    fixed at construction, which refuses a count that is not an int >= 0;
+    oe_check and oe_to_coe certify that they partition the boundary.
     """
 
-    __slots__ = ("homeo", "pieces", "index")
+    __slots__ = ("homeo", "pieces")
 
     def __init__(self, homeo: PrefixHomeo, pieces):
         pieces = tuple((c, k, l) for c, k, l in pieces)
@@ -215,7 +219,6 @@ class OEData:
                     raise OrbitError(f"shift count {n!r} is not an integer >= 0")
         self.homeo = homeo
         self.pieces = pieces
-        self.index = StemIndex(homeo.source_graph, [c for c, _, _ in pieces])
 
 
 # ----------------------------------------------------------------- checkers
@@ -251,10 +254,9 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
     for gen, pw, dom in gens:
         rep["generators"] += 1
         row = coc.table[gen]
-        index = coc.index[gen]
-        within = StemIndex(gs, dom.parts)
-        inside = [within.covers(piece) for piece, _ in row]
-        overlaps = set(index.overlaps)
+        pieces = [piece for piece, _ in row]
+        inside = [cyl_inside(gs, (piece,), dom) for piece in pieces]
+        overlaps = set(cyl_overlaps(gs, pieces))
         for i, (piece, value) in enumerate(row):
             rep["pieces"] += 1
             if not inside[i]:
@@ -286,7 +288,7 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
                         rep["failures"].append(
                             (str(gen), f"mismatch at {point_str(x)}"))
         # the row tiles dom: every piece lies in it and they cover it
-        if not (all(inside) and all(map(index.covers, dom.parts))):
+        if not (all(inside) and cyl_inside(gs, dom.parts, CompactOpen(gs, pieces))):
             rep["failures"].append((str(gen), "pieces do not cover domain"))
     return rep
 
@@ -302,10 +304,10 @@ def oe_check(oe: OEData, depth: int = 3) -> dict:
     homeo = oe.homeo
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
-    rep["failures"] += [("partition", "pieces overlap")] * len(oe.index.overlaps)
-    if not oe.index.tiles():
-        rep["failures"].append(("partition", "pieces do not cover"))
     cyls = [c for c, _, _ in oe.pieces]
+    rep["failures"] += [("partition", "pieces overlap")] * len(cyl_overlaps(gs, cyls))
+    if not _tiles(gs, cyls):
+        rep["failures"].append(("partition", "pieces do not cover"))
     pts, probes = _probes(gs, depth, [homeo], cyls)
     shifted = [homeo.apply_on(gs.s_of(stem.instances[0]), stem.instances[1:])
                if stem.instances else homeo.apply for stem, _ in cyls]
@@ -408,9 +410,11 @@ def oe_to_coe(oe: OEData) -> Cocycle:
     gs, gt = homeo.source_graph, homeo.target_graph
     _assert_finite_multiplicities(gs)
     _assert_finite_multiplicities(gt)
-    if oe.index.overlaps:
-        raise OrbitError(f"shift data pieces overlap at piece {oe.index.overlaps[0]}")
-    if not oe.index.tiles():
+    cyls = [c for c, _, _ in oe.pieces]
+    overlaps = cyl_overlaps(gs, cyls)
+    if overlaps:
+        raise OrbitError(f"shift data pieces overlap at piece {overlaps[0]}")
+    if not _tiles(gs, cyls):
         raise OrbitError("shift data pieces do not cover the boundary")
     table = {}
     for piece, k, l in oe.pieces:

@@ -15,8 +15,8 @@ single point and admit no pair, so the search reports failure there.
 
 from itertools import count, islice
 
-from .boundary import (CompactOpen, Cylinder, PartialWord, cyl_intersect,
-                       cyl_is_empty, set_str)
+from .boundary import (CompactOpen, Cylinder, PartialWord, cyl_inside, cyl_meets,
+                       set_str)
 from .graph import EdgeInstance, Graph, INFINITE, first_return_profile
 from .invsgp import ZERO, SgpElement, sgp_mul
 
@@ -150,42 +150,15 @@ def find_witness(g: Graph, U: CompactOpen, depth_cap=None):
     return PiecewiseWord(g, side_a), PiecewiseWord(g, side_b)
 
 
-def _within(a: Cylinder, b: Cylinder) -> bool:
-    """A test on stems alone that suffices for Z(a) within Z(b): a's stem
-    extends b's past b's exclusions, or equals it and excludes all b does."""
-    if not a.stem.startswith(b.stem):
-        return False
-    n = len(b.stem.instances)
-    if len(a.stem.instances) == n:
-        return b.excl <= a.excl
-    return a.stem.instances[n] not in b.excl
-
-
-def _inside(g: Graph, parts, U: CompactOpen) -> bool:
-    """Whether every part lies in U: by _within where it settles a part, by
-    the exact difference for the parts it leaves open."""
-    rest = [p for p in parts if not any(_within(p, u) for u in U.parts)]
-    return not rest or CompactOpen(g, rest).difference(U).is_empty
-
-
-def _meet(g: Graph, parts, others) -> bool:
-    """Whether some part meets some other: a non-empty cylinder intersection."""
-    for a in parts:
-        for b in others:
-            ab = cyl_intersect(a, b)
-            if ab is not None and not cyl_is_empty(g, ab):
-                return True
-    return False
-
-
 def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
     """Certify that the maps carry U onto pairwise disjoint subsets of U.
 
-    The certificate works on the pieces' cylinders: a piece overlaps the
-    earlier pieces of its map when one of its parts meets one of theirs,
-    the parts of a map tile U when the set they make equals U, and two
-    images meet when one part of each does.  Fewer than two maps, or an
-    empty U, certify nothing and fail.
+    The certificate works on the pieces' cylinders, with boundary's
+    cyl_meets and cyl_inside: a piece overlaps the earlier pieces of its
+    map when one of its parts meets one of theirs, the parts of a map tile
+    U when the set they make equals U, and two images meet when one part
+    of each does.  Fewer than two maps, or an empty U, certify nothing and
+    fail.
     """
     rep = {"maps": len(maps), "pieces": 0, "ok": True, "failures": []}
 
@@ -206,23 +179,20 @@ def verify_witness(g: Graph, U: CompactOpen, maps) -> dict:
             if pw.is_empty_map:
                 fail(f"map {i}: word {pw.word()} does not act")
                 continue
-            # the identity acts on the whole space; any other map on Z(beta)
-            beta = pw.beta
-            if beta is not None and not (all(p.stem.startswith(beta) for p in D.parts)
-                                         or D.difference(pw.domain()).is_empty):
+            if not cyl_inside(g, D.parts, pw.domain()):
                 fail(f"map {i}: piece {set_str(D)} leaves the domain of {pw.word()}")
-            if _meet(g, D.parts, covered):
+            if cyl_meets(g, D.parts, covered):
                 fail(f"map {i}: pieces overlap at {set_str(D)}")
             covered.extend(D.parts)
             image.extend(pw.act_set(D).parts)
         if CompactOpen(g, covered) != U:
             fail(f"map {i}: pieces do not tile the set")
-        if not _inside(g, image, U):
+        if not cyl_inside(g, image, U):
             fail(f"map {i}: image escapes the set")
         images.append(image)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if _meet(g, images[i], images[j]):
+            if cyl_meets(g, images[i], images[j]):
                 fail(f"images {i} and {j} meet")
     return rep
 

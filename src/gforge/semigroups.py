@@ -100,7 +100,7 @@ class NkFamily:
         return {
             "family": self.name(),
             "kernel_is_whole_group": True,
-            "kernel_trivial": self.k == 0,
+            "kernel_trivial": False,
             "exact": True,
             "reason": "a shifted corner meets the positive cone at the "
                       "componentwise maximum with zero, in both directions",

@@ -1,8 +1,9 @@
 """The properties of test_properties.py at a deeper profile: truncation,
 emptiness, set, transport, germ, sigma, invariance, pair map,
-shift/prepend, canonical act_point, isotropy, orbit, homeo apply, stem
-index, word kernel, path kernel, graph table and witness certificate, and
-the word, set-expression, graph JSON and point text roundtrips.
+shift/prepend, canonical act_point, isotropy, orbit, homeo apply,
+cylinder table, word kernel, path kernel, graph table and witness
+certificate, and the word, set-expression, graph JSON and point text
+roundtrips.
 
     PYTHONPATH=src python -m pytest tests/properties_check.py
 
@@ -20,10 +21,11 @@ each of its graphs has an infinite edge family.  The orbit law runs on
 swap_graph_of(seed, 3): its cocycles have a piece per path of length
 1 + R + 2 and coe_check probes each against every point of its domain,
 so it too keeps three vertices, as does the apply law on the same
-graphs, which compares every point of probe_points(g, 4).  The stem
-index law compares the index with the old scans on random tables over
-graph_of(seed) and infinite_graph_of(seed, 4), at a spread of 200
-probe points of up to four letters.  The word kernel law runs on the
+graphs, which compares every point of probe_points(g, 4).  The cylinder
+table law compares the cylinder-table helpers and the PointIndex with
+the old scans on random tables over graph_of(seed) and
+infinite_graph_of(seed, 4), at a spread of 200 probe points of up to
+four letters.  The word kernel law runs on the
 four-vertex graphs of graph_of and compares spread samples of words,
 paths and points, and _absorb on heads of up to 600 letters.  The path
 kernel law, make_path against the two-pass reference on walks of up to
@@ -33,10 +35,11 @@ references, runs on graph_of(seed, 5), graphs of up to five vertices, as
 does the witness certificate law, verify_witness against the
 union-growing reference on found, expanded and mutated witnesses.  The
 file name keeps it out of the default test collection.  One run on 2
-cores with Python 3.11.7 took 155 s: act_point 33 s, germ 19 s, orbit
-18 s, pair map 12 s, word kernel 11 s, stem index 9 s, sigma 8 s, set
-7 s, and 6 s or less for each of the rest.  The host's speed drifts by
-tens of percent over an hour, so compare runs only side by side.
+cores with Python 3.11.7 took 161 s: act_point 28 s, germ 19 s, orbit
+19 s, cylinder table 16 s, apply 12 s, word kernel 10 s, sigma 9 s,
+pair map 8 s, set 7 s, and 6 s or less for each of the rest.  The
+host's speed drifts by tens of percent over an hour, so compare runs
+only side by side.
 """
 import random
 
@@ -48,6 +51,7 @@ from test_paradox import verify_witness_laws
 from test_properties import (
     act_point_canonical_laws,
     apply_laws,
+    cylinder_table_laws,
     emptiness_laws,
     germ_laws,
     graph_json_roundtrip_laws,
@@ -62,7 +66,6 @@ from test_properties import (
     set_laws,
     shift_prepend_laws,
     sigma_laws,
-    stem_index_laws,
     swap_graph_of,
     transport_laws,
     truncation_laws,
@@ -195,9 +198,9 @@ def test_apply_laws_deep(seed):
 
 @DEEP
 @given(seeds)
-def test_stem_index_laws_deep(seed):
-    stem_index_laws(graph_of(seed), seed)
-    stem_index_laws(infinite_graph_of(seed, 4), seed)
+def test_cylinder_table_laws_deep(seed):
+    cylinder_table_laws(graph_of(seed), seed)
+    cylinder_table_laws(infinite_graph_of(seed, 4), seed)
 
 
 @DEEP

@@ -10,7 +10,8 @@ from gforge.boundary import (
     Cylinder,
     DomainError,
     PartialWord,
-    StemIndex,
+    cyl_inside,
+    cyl_overlaps,
     parse_point,
     point_str,
     probe_points,
@@ -148,17 +149,26 @@ def test_swap_homeo_hand_values():
 
 def test_homeo_rejects_bad_partitions():
     g = corpus.g2()
-    with pytest.raises(OrbitError):
+    a, b = g.path_of("a"), g.path_of("b")
+    aa, ab = g.path_of("a", "a"), g.path_of("a", "b")
+    bad = [
         # covers Z(a) twice, misses Z(b)
-        PrefixHomeo(g, g, [(g.path_of("a"), g.path_of("a")),
-                           (g.path_of("a"), g.path_of("b"))])
-    with pytest.raises(OrbitError):
-        PrefixHomeo(g, g, [(g.path_of("a"), g.path_of("a"))])
+        ([(a, a), (a, b)], "rule stems overlap on side 0"),
+        ([(a, a), (b, a)], "rule stems overlap on side 1"),
+        ([(a, a)], "rule stems do not cover side 0"),
+        # the images a.a and a.b leave Z(b) uncovered
+        ([(a, aa), (b, ab)], "rule stems do not cover side 1"),
+    ]
+    for rules, message in bad:
+        with pytest.raises(OrbitError) as exc:
+            PrefixHomeo(g, g, rules)
+        assert str(exc.value) == message
     g4 = corpus.g4()
-    with pytest.raises(OrbitError):
+    with pytest.raises(OrbitError) as exc:
         # tails at v and w look different: v has receivers, w has none
         PrefixHomeo(g4, g4, [(g4.vertex_path("v"), g4.path_of("c")),
                              (g4.path_of("c"), g4.vertex_path("v"))])
+    assert str(exc.value) == "rule v -> c has incompatible tails"
 
 
 def test_swap_homeo_on_parallel_pair():
@@ -186,9 +196,7 @@ def test_coe_check_reports_piece_outside_domain():
     gen = parse_word("a^-1")
     row = [(Cylinder(g.vertex_path("v"), frozenset()), gen)]
     with pytest.raises(TypeError):
-        coc.table[gen] = row        # the rows, and so their indices, are fixed
-    with pytest.raises(TypeError):
-        coc.index[gen] = coc.index[parse_word("a")]
+        coc.table[gen] = row        # the rows are fixed
     coc = Cocycle(coc.homeo, {**coc.table, gen: row})
     rep = coe_check(coc, depth=2)
     assert rep["failures"] == [("a^-1", "piece outside domain"),
@@ -562,6 +570,14 @@ def test_oe_to_coe_refuses_overlapping_pieces():
         oe_to_coe(OEData(oe.homeo, oe.pieces + (extra,)))
     assert oe_check(OEData(oe.homeo, oe.pieces + (extra,)), 2)["failures"][0] \
         == ("partition", "pieces overlap")
+    # the first overlap, not the last piece, is named; two pieces that each
+    # meet an earlier one are two overlap entries
+    za, zb = (Cylinder(g.path_of(e), frozenset()) for e in "ab")
+    twice = OEData(oe.homeo, [(za, 0, 1), (za, 0, 1), (zb, 0, 1), (zb, 0, 1)])
+    with pytest.raises(OrbitError) as exc:
+        oe_to_coe(twice)
+    assert str(exc.value) == "shift data pieces overlap at piece 1"
+    assert oe_check(twice, 2)["failures"] == [("partition", "pieces overlap")] * 2
 
 
 def test_oe_to_coe_refuses_a_gap():
@@ -588,13 +604,13 @@ def test_coe_check_reports_overlap_in_place():
         ("a^-1", "pieces do not cover domain")]
 
 
-# ---------------------------------------- the stem index against the old scans
+# ------------------------------- the cylinder-table helpers against the old scans
 
 def reference_partition_faults(g, cylinders, whole):
     """How the cylinders fail to partition `whole`, as orbit.partition_faults
     first did it: the indices of those that meet an earlier one, in order,
     found by growing one CompactOpen piece by piece, and whether together
-    they equal whole.  The oracle for StemIndex.overlaps and tiles."""
+    they equal whole.  The oracle for cyl_overlaps and cyl_inside."""
     covered = CompactOpen.empty(g)
     overlaps = []
     for i, c in enumerate(cylinders):
@@ -762,11 +778,12 @@ def reference_oe_check(oe, depth=3):
 
 
 def assert_certificate_matches_reference(g, cylinders):
-    """StemIndex's overlaps and tiles give reference_partition_faults'
-    certificate for the whole space."""
-    index = StemIndex(g, cylinders)
-    assert (index.overlaps, index.tiles()) \
-        == reference_partition_faults(g, cylinders, CompactOpen.whole(g)), cylinders
+    """cyl_overlaps and cyl_inside, the whole space inside the cylinders'
+    union, give reference_partition_faults' certificate for the whole
+    space."""
+    whole = CompactOpen.whole(g)
+    assert (cyl_overlaps(g, cylinders), cyl_inside(g, whole.parts, CompactOpen(g, cylinders))) \
+        == reference_partition_faults(g, cylinders, whole), cylinders
 
 
 def faulty_rows(coc, gen):
@@ -900,7 +917,7 @@ def test_checks_make_no_walk_for_a_probe_point(monkeypatch):
     assert len(calls) == 1      # the wrapper counts
 
 
-def test_stem_index_infinite_family_is_covered_only_at_its_node():
+def test_infinite_family_is_covered_only_at_its_node():
     # g5's v receives the infinite family f: Z(v) is covered by Z(v - {f})
     # and Z(f), never by the enumerated children Z(f), Z(f[1]) alone
     g = corpus.g5()
@@ -910,8 +927,8 @@ def test_stem_index_infinite_family_is_covered_only_at_its_node():
     kids = [Cylinder(g.path_of(f0), frozenset()), Cylinder(g.path_of(f1), frozenset())]
     pieces = [Cylinder(v, frozenset({f0, f1}))] + kids
     rest = [Cylinder(g.vertex_path(u), frozenset()) for u in g.vertices if u != "v"]
-    assert StemIndex(g, pieces + rest).tiles()
-    assert not StemIndex(g, kids + rest).tiles()
+    assert cyl_inside(g, whole.parts, CompactOpen(g, pieces + rest))
+    assert not cyl_inside(g, whole.parts, CompactOpen(g, kids + rest))
     for table in (pieces + rest, kids + rest):
         assert_certificate_matches_reference(g, table)
 

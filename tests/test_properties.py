@@ -8,7 +8,7 @@ run checks the same examples.  tests/properties_check.py reruns
 truncation_laws, emptiness_laws, set_laws, transport_laws, germ_laws,
 sigma_laws, invariance_laws, pair_map_laws, shift_prepend_laws,
 act_point_canonical_laws, isotropy_laws, orbit_laws, apply_laws,
-stem_index_laws, word_kernel_laws, path_kernel_laws, graph_table_laws,
+cylinder_table_laws, word_kernel_laws, path_kernel_laws, graph_table_laws,
 verify_witness_laws and the four roundtrip laws on larger graphs.
 """
 import json
@@ -24,11 +24,12 @@ from gforge.boundary import (
     Cylinder,
     PartialWord,
     PointIndex,
-    StemIndex,
     admissible_words,
     cyl_difference,
+    cyl_inside,
     cyl_intersect,
     cyl_is_empty,
+    cyl_meets,
     isotropy_words,
     parse_point,
     point_str,
@@ -677,7 +678,7 @@ def test_orbit_laws(seed):
 
 
 def random_table(g, rng):
-    """A list of cylinders for the stem index: the vertex cylinders, cut by
+    """A table of cylinders to certify or look up: the vertex cylinders, cut by
     random splits, then with pieces added, dropped or emptied and shuffled.
 
     A split takes some children G out of Z(s - F), giving Z(s - F - G) and
@@ -733,11 +734,13 @@ def deep_cylinders(g, rng, pts):
     return out
 
 
-def stem_index_laws(g, seed, rounds=3):
-    """StemIndex and PointIndex against the old scans on random tables.
-    StemIndex: overlaps and tiles against reference_partition_faults for the
-    whole space, on the table and on the table grown by a random set and
-    deeper cylinders (deep_cylinders), and covers against a CompactOpen
+def cylinder_table_laws(g, seed, rounds=3):
+    """The cylinder-table helpers and PointIndex against the old scans on
+    random tables.  cyl_overlaps and the whole space's cyl_inside against
+    reference_partition_faults for the whole space, on the table and on the
+    table grown by a random set and deeper cylinders (deep_cylinders);
+    cyl_meets on each pair of the table against a CompactOpen intersection,
+    and cyl_inside of each cylinder against the exact CompactOpen
     difference.  PointIndex, over every other point of a spread of probe
     points up to four letters: the points within each cylinder of the grown
     table are those reference_cyl_contains finds, and first_holding gives
@@ -747,11 +750,15 @@ def stem_index_laws(g, seed, rounds=3):
     pts = spread(probe_points(g, 4), 200)
     for _ in range(rounds):
         cyls = random_table(g, rng)
-        index = StemIndex(g, cyls)
         union = CompactOpen(g, cyls)
         assert_certificate_matches_reference(g, cyls)
+        sets = [CompactOpen(g, [c]) for c in cyls]
+        for a, A in zip(cyls, sets):
+            for b, B in zip(cyls, sets):
+                assert cyl_meets(g, [a], [b]) == (not A.intersect(B).is_empty), (a, b)
         for c in cyls + list(random_compact_open(g, rng).parts):
-            assert index.covers(c) == CompactOpen(g, [c]).difference(union).is_empty, c
+            assert cyl_inside(g, [c], union) \
+                == CompactOpen(g, [c]).difference(union).is_empty, c
         table = cyls + list(random_compact_open(g, rng).parts) + deep_cylinders(g, rng, pts)
         assert_certificate_matches_reference(g, table)
         deepest = max(table, key=lambda c: len(c.stem))
@@ -770,9 +777,9 @@ def stem_index_laws(g, seed, rounds=3):
 
 @PROFILE
 @given(seeds)
-def test_stem_index_matches_the_old_scans(seed):
-    stem_index_laws(graph_of(seed), seed)
-    stem_index_laws(infinite_graph_of(seed), seed)
+def test_cylinder_tables_match_the_old_scans(seed):
+    cylinder_table_laws(graph_of(seed), seed)
+    cylinder_table_laws(infinite_graph_of(seed), seed)
 
 
 def refined_homeo(h):
