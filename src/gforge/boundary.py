@@ -11,14 +11,13 @@ A table of cylinders that should partition a set (the rule stems, cocycle
 rows and shift data of orbit.py, the pieces and images of a paradox
 witness) is certified by three helpers on the same algebra: cyl_meets,
 cyl_overlaps (the pieces that meet an earlier one) and cyl_inside (the
-parts that lie in a set).  A PointIndex answers the lookups for a list of
-points: a trie of their first letters, whose node ranges name the points
-in a cylinder without a walk per point.
+parts that lie in a set).  sample_point names one point of a cylinder and
+sample_pair two distinct ones, or its only point: two points are what
+the orbit checks of orbit.py evaluate on each locality cylinder.
 """
 from __future__ import annotations
 
 import re
-from array import array
 from typing import NamedTuple
 
 from .graph import (Graph, GraphError, Path, condition_l, first_return_profile,
@@ -284,26 +283,27 @@ def cyl_difference(g: Graph, c: Cylinder, r: Cylinder) -> list[Cylinder]:
 
     When r sits strictly below c the complement splits along r's spine: what
     leaves the spine at each level, plus what r itself excludes at the bottom.
+    The stems are compared as slices, as in cyl_intersect.
     """
     mu, F = c
     nu, G = r
-    if nu == mu:
-        return [Cylinder(g.trusted_path(mu.instances + (x,)), frozenset())
-                for x in sorted(G - F)]
-    if nu.startswith(mu):
-        etas = nu.instances[len(mu):]
-        if etas[0] in F:
+    if mu.range_vertex != nu.range_vertex:
+        return [c]
+    x, y = mu.instances, nu.instances
+    m, n = len(x), len(y)
+    if m <= n and y[:m] == x:
+        if m == n:
+            return [Cylinder(g.trusted_path(x + (a,)), frozenset()) for a in sorted(G - F)]
+        if y[m] in F:
             return [c]
-        parts = [Cylinder(mu, F | {etas[0]})]
-        for j in range(1, len(etas)):
-            parts.append(Cylinder(g.prefix(nu, len(mu) + j), frozenset({etas[j]})))
-        for x in sorted(G):
-            parts.append(Cylinder(g.trusted_path(nu.instances + (x,)), frozenset()))
+        parts = [Cylinder(mu, F | {y[m]})]
+        for j in range(m + 1, n):
+            parts.append(Cylinder(g.trusted_path(y[:j], mu.range_vertex), frozenset({y[j]})))
+        for a in sorted(G):
+            parts.append(Cylinder(g.trusted_path(y + (a,)), frozenset()))
         return parts
-    if mu.startswith(nu):
-        if mu.instances[len(nu)] in G:
-            return [c]
-        return []
+    if x[:n] == y:
+        return [c] if x[n] in G else []
     return [c]
 
 
@@ -438,96 +438,6 @@ def set_str(U: CompactOpen) -> str:
             s = f"Z({s})"
         out.append(s)
     return " + ".join(out)
-
-
-class _Span:
-    __slots__ = ("kids", "lo", "hi", "at")
-
-    def __init__(self):
-        self.kids = {}  # edge instance -> the node one letter further
-        self.lo = self.hi = 0   # the node's range of PointIndex.order
-        self.at = 0     # points ending here, then the next free slot of them
-
-
-class PointIndex:
-    """Which points of a list lie in a cylinder.
-
-    A trie over the points' first letters, keyed by edge instances from the
-    range vertex, down to one letter past `depth`, the longest stem a query
-    may have; a periodic point is unrolled that far.  `order` holds the
-    point indices in trie order: at each node, the finite points that end
-    there, then each child's points, so a node's points are the range
-    order[lo:hi].  Z(s - F) is s's range less the ranges of the children in
-    F: a query walks len(s) letters and copies what it finds, with no walk
-    per point.  The index keeps one array entry per point and one node per
-    distinct head of at most depth + 1 letters.
-    """
-
-    __slots__ = ("depth", "order", "_roots")
-
-    def __init__(self, points, depth: int):
-        self.depth = depth
-        self._roots = roots = {}
-        ends = []
-        for x in points:
-            node = roots.get(x.range_vertex)
-            if node is None:
-                node = roots[x.range_vertex] = _Span()
-            letters, cyc = x.prefix, x.cycle
-            if cyc is not None and len(letters) <= depth:
-                letters += cyc * ((depth - len(letters)) // len(cyc) + 1)
-            for a in letters[:depth + 1]:
-                kids = node.kids
-                node = kids.get(a)
-                if node is None:
-                    node = kids[a] = _Span()
-            node.at += 1
-            ends.append(node)
-        cursor, todo = 0, list(roots.values())
-        while todo:
-            node = todo.pop()
-            if node is None:    # every child of the node on top is placed
-                todo.pop().hi = cursor
-                continue
-            node.lo, node.at, cursor = cursor, cursor, cursor + node.at
-            todo += [node, None]
-            todo += node.kids.values()
-        self.order = order = array("l", [0]) * cursor
-        for j, node in enumerate(ends):
-            order[node.at] = j
-            node.at += 1
-
-    def within(self, cyl: Cylinder) -> array:
-        """The indices of the points in Z(cyl), in trie order."""
-        stem, excl = cyl
-        letters = stem.instances
-        if len(letters) > self.depth:
-            raise BoundaryError(f"stem of {len(letters)} letters past index depth {self.depth}")
-        node = self._roots.get(stem.range_vertex)
-        for a in letters:
-            if node is None:
-                break
-            node = node.kids.get(a)
-        order = self.order
-        if node is None:
-            return order[:0]
-        if not excl:
-            return order[node.lo:node.hi]
-        out, lo = order[:0], node.lo
-        for start, end in sorted((kid.lo, kid.hi) for a, kid in node.kids.items() if a in excl):
-            out += order[lo:start]
-            lo = end
-        out += order[lo:node.hi]
-        return out
-
-    def first_holding(self, cylinders) -> list[int]:
-        """For each point, the index of the first cylinder that holds it,
-        or -1: the cylinders are met last to first, so the first one wins."""
-        first = [-1] * len(self.order)
-        for i in range(len(cylinders) - 1, -1, -1):
-            for j in self.within(cylinders[i]):
-                first[j] = i
-        return first
 
 
 # ---------------------------------------------------------------- partial words
@@ -716,6 +626,35 @@ def sample_point(g: Graph, cyl: Cylinder):
             prefix = g.trusted_path(stem.instances + tuple(appended[:k]), x)
             return BoundaryPoint.periodic(g, prefix, cycle)
         seen_at[x] = len(appended)
+
+
+def sample_pair(g: Graph, cyl: Cylinder) -> list[BoundaryPoint]:
+    """[] for an empty cylinder, its one point when it holds one point, and
+    two distinct points of it otherwise.
+
+    A forced walk, as in sample_point, the exclusions barring the first
+    step, follows a vertex's only allowed continuation.  A source with no
+    receivers, or a vertex it left before with nothing barred, ends it at
+    the cylinder's one point.  At the first vertex with two allowed
+    continuations (two copies of an infinite family), the least two
+    each start a point that sample_point completes.
+    """
+    if cyl_is_empty(g, cyl):
+        return []
+    stem, excl = cyl
+    walk, v, seen = stem.instances, stem.source_vertex, set()
+    while v not in seen:
+        if not excl:
+            seen.add(v)
+        conts = [a for a in g.continuations(v, len(excl) + 2) if a not in excl]
+        if len(conts) > 1:
+            return [sample_point(g, Cylinder(g.trusted_path(walk + (a,)), frozenset()))
+                    for a in conts[:2]]
+        if not conts:
+            break
+        walk += conts[0],
+        v, excl = g.s_of(conts[0]), ()
+    return [sample_point(g, cyl)]
 
 
 def probe_points(g: Graph, depth: int = 3) -> list[BoundaryPoint]:

@@ -8,28 +8,23 @@ Two presentations of the same relationship between a pair of boundaries:
 * integer shift data, recording how many shift steps on each side
   reconcile the homeomorphism with one shift step at the source.
 
-Both directions of translation are provided, together with honest
-checkers that probe actual boundary points.  The translations need the
-finitely many receiver instances per vertex to be enumerable, so they
-refuse graphs with infinite multiplicities.
+Both directions of translation are provided, together with checkers
+that certify each identity on every point.  The translations and the
+checkers need the finitely many receiver instances per vertex to be
+enumerable, so they refuse graphs with infinite multiplicities.
 
 Rule stems, cocycle rows and shift data are tables of cylinders that must
-partition a set, and every probe point must find its piece.  Each table
-is certified where it is read, by the cylinder algebra of boundary.py:
-cyl_overlaps gives the pieces that meet an earlier one and cyl_inside
-whether the pieces lie in the set and cover it.  The homeo certifies its
-rule stems at construction, coe_check each cocycle row, and oe_check and
-oe_to_coe the shift data.
+partition a set.  Each table is certified where it is read, by the
+cylinder algebra of boundary.py: cyl_overlaps gives the pieces that meet
+an earlier one and cyl_inside whether the pieces lie in a set and cover
+it.  The homeo certifies its rule stems at construction, coe_check each
+cocycle row, and oe_check and oe_to_coe the shift data.
 
-The points find their pieces the other way round.  Each checker builds
-one boundary.PointIndex over its probe points (_probes) and asks each
-cylinder, rule stems included, which probe points it holds: a point's
-piece is the first in table order that holds it, and PrefixHomeo.images
-applies each rule's map to the points of its stem.  A point moved under a
-piece (by the generator in coe_check, by one shift step in oe_check) lies
-under a stem known from the piece; when one rule stem heads that stem,
-the rule's map serves every such point, and otherwise PrefixHomeo.apply
-finds each one's rule by the stems that head its first letters.
+Each check cuts its pieces into locality cylinders, whose stems fix every
+rule and word involved, and evaluates its identity with act_point,
+PrefixHomeo.apply and shift at two points of each, or at its only point:
+two prefix maps that agree at two points are equal (_samples).  The depth
+a check is given is the least depth of the cut.
 """
 
 from types import MappingProxyType
@@ -41,12 +36,12 @@ from .boundary import (
     Cylinder,
     DomainError,
     PartialWord,
-    PointIndex,
     cyl_inside,
     cyl_intersect,
+    cyl_is_empty,
     cyl_overlaps,
     point_str,
-    probe_points,
+    sample_pair,
     sample_point,
 )
 from .graph import Graph, GraphError, INFINITE, Path
@@ -132,36 +127,16 @@ class PrefixHomeo:
         rules = [(g.vertex_path(v), g.vertex_path(v)) for v in g.vertices]
         return cls(g, g, rules)
 
-    def _rule(self, v: str, letters: tuple):
-        """The act_point of the rule whose stem heads the path of the
-        letters from v, read up to R of them, or None."""
-        rule_of = self._rule_of
-        for n in range(min(len(letters), self._rule_len) + 1):
-            i = rule_of.get((v, letters[:n]))
-            if i is not None:
-                return self._maps[i].act_point
-        return None
-
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
         letters, cyc, r = x.prefix, x.cycle, self._rule_len
         if cyc is not None and len(letters) < r:
             letters += cyc * ((r - len(letters)) // len(cyc) + 1)
-        f = self._rule(x.range_vertex, letters)
-        if f is None:
-            raise OrbitError(f"{point_str(x)} escapes the rule partition")
-        return f(x)
-
-    def apply_on(self, v: str, letters: tuple):
-        """apply, for the points of Z(p), p the path of the letters from v:
-        the act_point of the one rule map whose stem heads p, or apply
-        itself, which finds each point's rule, when no rule stem does."""
-        return self._rule(v, letters) or self.apply
-
-    def images(self, pts, probes: PointIndex) -> list:
-        """The image of each point of pts, probes their PointIndex, under
-        the map of the one rule whose stem holds it."""
-        first = probes.first_holding([Cylinder(mu, frozenset()) for mu, _ in self.rules])
-        return [self._maps[i].act_point(x) for i, x in zip(first, pts)]
+        rule_of, v = self._rule_of, x.range_vertex
+        for n in range(min(len(letters), r) + 1):
+            i = rule_of.get((v, letters[:n]))
+            if i is not None:
+                return self._maps[i].act_point(x)
+        raise OrbitError(f"{point_str(x)} escapes the rule partition")
 
 
 class Cocycle:
@@ -223,36 +198,59 @@ class OEData:
 
 # ----------------------------------------------------------------- checkers
 
-def _probes(g: Graph, depth: int, homeos, cylinders):
-    """The probe points of g to depth and their PointIndex, deep enough for
-    the rule stems of the homeos and the stems of the cylinders."""
-    pts = probe_points(g, depth)
-    return pts, PointIndex(pts, max([h._rule_len for h in homeos]
-                                    + [len(c.stem) for c in cylinders]))
+def _samples(g: Graph, parts, depth: int, tails: dict):
+    """sample_pair's points of each locality cylinder of the parts: the
+    cylinders of the stems that _extensions cuts them into.
+
+    Why they decide an identity.  Let the first len(t) letters of Z(t - F)
+    fix every rule, generator and value involved.  Then each side sends
+    x = t.y to P.y for one path P of its own.  Two such maps that agree at
+    two distinct tails y are equal: if |P| = |Q|, P = Q; if |P| < |Q|, then
+    Q = P.q, and P.y = P.q.y gives y = q^inf, one tail and not two.
+
+    The tails of Z(v - F) serve every stem with source v, so tails keeps
+    them per (v, F) for the call; a sample t.y is built by act_point.
+    """
+    for part in parts:
+        for cyl in _extensions(g, part, depth):
+            stem, excl = cyl
+            v = stem.source_vertex
+            ys = tails.get((v, excl))
+            if ys is None:
+                ys = tails[v, excl] = sample_pair(g, Cylinder(Path(v, v), excl))
+            if stem.instances:
+                put = PartialWord(g, stem, Path(v, v)).act_point
+                ys = [put(y) for y in ys]
+            yield from ys
+
+
+def _regions(g: Graph, cylinders) -> list:
+    """The parts of each cylinder less the earlier ones that it meets: where
+    it is the first cylinder that holds a point."""
+    return [CompactOpen(g, [c]).difference(CompactOpen(g, [
+        d for d in cylinders[:i] if cyl_intersect(c, d) is not None])).parts
+            for i, c in enumerate(cylinders)]
 
 
 def coe_check(coc: Cocycle, depth: int = 3) -> dict:
-    """Probe the cocycle identity on concrete points, piece by piece.
+    """Certify the cocycle identity h(gen(x)) = value(h(x)), each piece on
+    its own, on its meets with gen's domain (Z(beta), all or nothing).
 
-    gen acts only on its domain, which is Z(beta), the whole space or
-    empty, so at most one of its parts meets a piece, in one cylinder: the
-    piece's probed points are that cylinder's in the probe index, in probe
-    order.  The cylinder's stem starts with beta, so gen moves its points
-    under alpha + stem[len(beta):], and homeo.apply_on gives the homeo's
-    map for all of them.
+    A meet is cut to D = max(depth, R + max(|beta|, |beta'|)) letters, R
+    the longest rule stem and beta' the value's beta.  On a stem t of D
+    letters, gen(x) = alpha.t[|beta|:].y keeps R or more letters of t,
+    which fix its rule, and h(x) = nu.t[|mu|:].y keeps |beta'| or more,
+    which decide how the value acts: both sides are prefix maps of y.
     """
     homeo = coc.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
+    _assert_finite_multiplicities(gs)
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
-    gens = []
+    tails = {}
     for gen in coc.generators():
-        pw = PartialWord.from_word(gs, gen)
-        gens.append((gen, pw, pw.domain()))
-    pts, probes = _probes(gs, depth, [homeo], [c for _, _, dom in gens for c in dom.parts]
-                          + [piece for row in coc.table.values() for piece, _ in row])
-    images = homeo.images(pts, probes)
-    for gen, pw, dom in gens:
         rep["generators"] += 1
+        pw = PartialWord.from_word(gs, gen)
+        dom = pw.domain()
         row = coc.table[gen]
         pieces = [piece for piece, _ in row]
         inside = [cyl_inside(gs, (piece,), dom) for piece in pieces]
@@ -264,29 +262,18 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
             if i in overlaps:
                 rep["failures"].append((str(gen), "pieces overlap"))
             vw = PartialWord.from_word(gt, value)
-            for part in dom.parts:
-                meet = cyl_intersect(piece, part)
-                if meet is None:
+            meets = [m for part in dom.parts if (m := cyl_intersect(piece, part)) is not None]
+            cut = max(depth, homeo._rule_len + max(len(pw.beta or ()), len(vw.beta or ())))
+            for x in _samples(gs, meets, cut, tails):
+                moved = homeo.apply(pw.act_point(x))
+                try:
+                    matched = vw.act_point(homeo.apply(x))
+                except DomainError:
+                    rep["failures"].append((str(gen), f"value undefined at {point_str(x)}"))
                     continue
-                stem = meet.stem
-                if pw.beta is None:     # the identity moves nothing
-                    step = homeo.apply_on(stem.range_vertex, stem.instances)
-                else:
-                    step = homeo.apply_on(pw.alpha.range_vertex, pw.alpha.instances
-                                          + stem.instances[len(pw.beta):])
-                for j in sorted(probes.within(meet)):
-                    x = pts[j]
-                    moved = step(pw.act_point(x))
-                    try:
-                        matched = vw.act_point(images[j])
-                    except DomainError:
-                        rep["failures"].append(
-                            (str(gen), f"value undefined at {point_str(x)}"))
-                        continue
-                    rep["checked"] += 1
-                    if moved != matched:
-                        rep["failures"].append(
-                            (str(gen), f"mismatch at {point_str(x)}"))
+                rep["checked"] += 1
+                if moved != matched:
+                    rep["failures"].append((str(gen), f"mismatch at {point_str(x)}"))
         # the row tiles dom: every piece lies in it and they cover it
         if not (all(inside) and cyl_inside(gs, dom.parts, CompactOpen(gs, pieces))):
             rep["failures"].append((str(gen), "pieces do not cover domain"))
@@ -294,37 +281,37 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
 
 
 def oe_check(oe: OEData, depth: int = 3) -> dict:
-    """Probe the shift identity on concrete points; undefined shifts skip.
+    """Certify the shift identity h(x.shift(1)).shift(k) = h(x).shift(l);
+    a sample point whose shift is undefined is a skip.
 
-    The probe index gives each point its first piece and its rule.  The
-    shift of a point under a piece's stem m1.m2...mn lies under m2...mn, so
-    homeo.apply_on gives the homeo's map of the shifted points piece by
-    piece.
+    The first piece that holds a point gives its counts, so piece i is
+    checked on its region, the piece less the earlier pieces, cut to
+    D = max(depth, 1 + R + max(k, l)) letters, the bound oe_to_coe proves
+    fixes both sides as prefix maps, decided by _samples.  A sample point
+    names each cylinder of the gap the pieces leave.
     """
     homeo = oe.homeo
     gs = homeo.source_graph
+    _assert_finite_multiplicities(gs)
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
     cyls = [c for c, _, _ in oe.pieces]
     rep["failures"] += [("partition", "pieces overlap")] * len(cyl_overlaps(gs, cyls))
     if not _tiles(gs, cyls):
         rep["failures"].append(("partition", "pieces do not cover"))
-    pts, probes = _probes(gs, depth, [homeo], cyls)
-    shifted = [homeo.apply_on(gs.s_of(stem.instances[0]), stem.instances[1:])
-               if stem.instances else homeo.apply for stem, _ in cyls]
-    for x, i, fx in zip(pts, probes.first_holding(cyls), homeo.images(pts, probes)):
-        if i < 0:
-            rep["failures"].append(("partition", point_str(x)))
-            continue
-        _, k, l = oe.pieces[i]
-        try:
-            left = shifted[i](x.shift(1)).shift(k)
-            right = fx.shift(l)
-        except BoundaryError:
-            rep["skips"] += 1
-            continue
-        rep["checked"] += 1
-        if left != right:
-            rep["failures"].append((point_str(x), f"k={k} l={l}"))
+        gap = CompactOpen.whole(gs).difference(CompactOpen(gs, cyls))
+        rep["failures"] += [("partition", point_str(sample_point(gs, c))) for c in gap.parts]
+    tails = {}
+    for (_, k, l), region in zip(oe.pieces, _regions(gs, cyls)):
+        for x in _samples(gs, region, max(depth, 1 + homeo._rule_len + max(k, l)), tails):
+            try:
+                left = homeo.apply(x.shift(1)).shift(k)
+                right = homeo.apply(x).shift(l)
+            except BoundaryError:
+                rep["skips"] += 1
+                continue
+            rep["checked"] += 1
+            if left != right:
+                rep["failures"].append((point_str(x), f"k={k} l={l}"))
     return rep
 
 
@@ -440,46 +427,66 @@ def oe_to_coe(oe: OEData) -> Cocycle:
 
 # ------------------------------------------------------------- agreement
 
+def _same_homeo(h1: PrefixHomeo, h2: PrefixHomeo, depth: int, tails: dict) -> bool:
+    """h1 and h2 agree on every point: cut to max(depth, R1, R2) letters,
+    a stem fixes the rules of both, so both are prefix maps of the tail."""
+    g = h1.source_graph
+    cut = max(depth, h1._rule_len, h2._rule_len)
+    return all(h1.apply(x) == h2.apply(x)
+               for x in _samples(g, CompactOpen.whole(g).parts, cut, tails))
+
+
 def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
-    """Same homeo behaviour and pointwise-equal cocycle action: at each
-    probe point, the first pieces of gen's two rows that hold it give
-    values acting alike on its image, or neither row holds it."""
+    """Same homeo behaviour and equal cocycle action: gen's two rows cover
+    the same set, and wherever the first pieces that hold a point carry
+    different values, the values act alike on its image h(x).
+
+    The values are compared on the meets of the rows' regions (each piece
+    less the earlier pieces of its row), cut to D = max(depth, R +
+    max(|beta0|, |beta1|)) letters: h(x) = nu.t[|mu|:].y starts with the
+    letters of t that decide how each value acts, as in coe_check.
+    """
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
-    rows = {gen: (c1.table.get(gen, ()), c2.table.get(gen, ()))
-            for gen in set(c1.table) | set(c2.table)}
-    pts, probes = _probes(gs, depth, {h1, h2}, [piece for pair in rows.values()
-                                                for row in pair for piece, _ in row])
-    images = h1.images(pts, probes)
-    if h2 is not h1 and h2.images(pts, probes) != images:
+    _assert_finite_multiplicities(gs)
+    tails = {}
+    if h2 is not h1 and not _same_homeo(h1, h2, depth, tails):
         return False
-    for gen, (row0, row1) in rows.items():
+    for gen in set(c1.table) | set(c2.table):
         if PartialWord.from_word(gs, gen).is_empty_map:
             return False
-        firsts = zip(probes.first_holding([piece for piece, _ in row0]),
-                     probes.first_holding([piece for piece, _ in row1]))
-        for (i0, i1), fx in zip(firsts, images):
-            if i0 < 0 or i1 < 0:
-                if i0 != i1:
-                    return False
-                continue
-            v0, v1 = row0[i0][1], row1[i1][1]
-            if v0 == v1:
-                continue
-            try:
-                y0 = PartialWord.from_word(gt, v0).act_point(fx)
-                y1 = PartialWord.from_word(gt, v1).act_point(fx)
-            except DomainError:
-                return False
-            if y0 != y1:
-                return False
+        rows = c1.table.get(gen, ()), c2.table.get(gen, ())
+        pieces = [[piece for piece, _ in row] for row in rows]
+        if CompactOpen(gs, pieces[0]) != CompactOpen(gs, pieces[1]):
+            return False
+        regions = [_regions(gs, p) for p in pieces]
+        for (_, v0), parts0 in zip(rows[0], regions[0]):
+            for (_, v1), parts1 in zip(rows[1], regions[1]):
+                if v0 == v1:
+                    continue
+                w0, w1 = PartialWord.from_word(gt, v0), PartialWord.from_word(gt, v1)
+                meets = [m for a in parts0 for b in parts1
+                         if (m := cyl_intersect(a, b)) is not None]
+                cut = max(depth, h1._rule_len + max(len(w0.beta or ()), len(w1.beta or ())))
+                for x in _samples(gs, meets, cut, tails):
+                    fx = h1.apply(x)
+                    try:
+                        if w0.act_point(fx) != w1.act_point(fx):
+                            return False
+                    except DomainError:
+                        return False
     return True
 
 
 def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
-    """Equal homeomorphisms and pointwise-equal cocycle values l - k
-    wherever the shift is defined, read at each probe point off the first
-    piece that holds it.
+    """Equal homeomorphisms and equal cocycle values l - k wherever the
+    shift is defined, read off the first piece that holds a point.
+
+    l - k is constant on each meet of a region of o1 (a piece less the
+    earlier pieces) with one of o2, so a meet that holds a point of
+    positive length, which the shift reaches, decides it.  A point that
+    one table misses is refused, named by a sample point of the gap,
+    unless it has length zero.
 
     The pair (k, l) itself is not an invariant: wherever (k, l) holds, so
     does (k + 1, l + 1), and a round through the cocycle reads the pair off
@@ -487,21 +494,25 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     literal comparison.
     """
     h1, h2 = o1.homeo, o2.homeo
-    cyls1, cyls2 = ([c for c, _, _ in o.pieces] for o in (o1, o2))
-    pts, probes = _probes(h1.source_graph, depth, {h1, h2}, cyls1 + cyls2)
-    moved = [False] * len(pts) if h2 is h1 else [
-        y1 != y2 for y1, y2 in zip(h1.images(pts, probes), h2.images(pts, probes))]
-    for x, differs, i1, i2 in zip(pts, moved, probes.first_holding(cyls1),
-                                  probes.first_holding(cyls2)):
-        if differs:
-            return False
-        if x.is_finite and len(x) == 0:
-            continue
-        if i1 < 0 or i2 < 0:
-            raise OrbitError(f"{point_str(x)} escapes the piece partition")
-        (_, k1, l1), (_, k2, l2) = o1.pieces[i1], o2.pieces[i2]
-        if l1 - k1 != l2 - k2:
-            return False
+    g = h1.source_graph
+    _assert_finite_multiplicities(g)
+    if h2 is not h1 and not _same_homeo(h1, h2, depth, {}):
+        return False
+
+    def shifts(c):      # c holds a point of positive length
+        return c.stem.instances or g.is_regular(c.stem.source_vertex)
+    regions = []
+    for o in (o1, o2):
+        cyls = [c for c, _, _ in o.pieces]
+        for c in filter(shifts, CompactOpen.whole(g).difference(CompactOpen(g, cyls)).parts):
+            raise OrbitError(f"{point_str(sample_point(g, c))} escapes the piece partition")
+        regions.append(_regions(g, cyls))
+    for (_, k1, l1), parts1 in zip(o1.pieces, regions[0]):
+        for (_, k2, l2), parts2 in zip(o2.pieces, regions[1]):
+            if l1 - k1 != l2 - k2 and any(
+                    m is not None and not cyl_is_empty(g, m) and shifts(m)
+                    for a in parts1 for b in parts2 for m in [cyl_intersect(a, b)]):
+                return False
     return True
 
 

@@ -19,13 +19,14 @@ keep the three-vertex graphs of the default profile and gain only
 examples; the act_point law runs on infinite_graph_of(seed, 3), so
 each of its graphs has an infinite edge family.  The orbit law runs on
 swap_graph_of(seed, 3): its cocycles have a piece per path of length
-1 + R + 2 and coe_check probes each against every point of its domain,
-so it too keeps three vertices, as does the apply law on the same
-graphs, which compares every point of probe_points(g, 4).  The cylinder
-table law compares the cylinder-table helpers and the PointIndex with
-the old scans on random tables over graph_of(seed) and
-infinite_graph_of(seed, 4), at a spread of 200 probe points of up to
-four letters.  The word kernel law runs on the
+1 + R + 2, and the linear references it compares the certificates with
+evaluate every point of reference_points at the locality depth, two per
+maximal stem of four letters, so it too keeps three vertices, as does
+the apply law on the same graphs, which compares every point of
+probe_points(g, 4).  The cylinder table law compares the cylinder-table
+helpers with the old scans on random tables over graph_of(seed) and
+infinite_graph_of(seed, 4), grown by cylinders on the heads of a spread
+of 200 probe points of up to four letters.  The word kernel law runs on the
 four-vertex graphs of graph_of and compares spread samples of words,
 paths and points, and _absorb on heads of up to 600 letters.  The path
 kernel law, make_path against the two-pass reference on walks of up to

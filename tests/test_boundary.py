@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from gforge.boundary import (
     point_str,
     probe_points,
     reduced_words,
+    sample_pair,
     sample_point,
     topological_freeness_report,
     verify_partial_action,
@@ -443,6 +445,44 @@ def test_sample_point_lands_inside():
                 assert x is not None and reference_cyl_contains(part, x)
         for x in sample_points(g, CompactOpen.whole(g)):
             assert reference_contains(CompactOpen.whole(g), x)
+
+
+FINITE_CORPUS = [name for name in sorted(corpus.BUILDERS)
+                 if all(e.multiplicity != INFINITE for e in corpus.by_name(name).edges.values())]
+
+
+@pytest.mark.parametrize("name", FINITE_CORPUS)
+def test_sample_pair_laws(name):
+    """sample_pair on the cylinder of every stem of up to two letters, with
+    every set of exclusions at its source: [] exactly when cyl_is_empty;
+    one point exactly when fewer than two probe points of depth
+    len(stem) + 3|V| lie in the cylinder, and then that probe point;
+    otherwise two distinct points of the cylinder.  The depth reaches two
+    points of a cylinder that has them: a forced walk of fewer than |V|
+    letters, one letter where it branches, and sample_point's walk of at
+    most |V| letters spell each."""
+    g = corpus.by_name(name)
+    cases = {}
+    probes = [probe_points(g, n + 3 * len(g.vertices)) for n in range(3)]
+    for stem in g.paths_up_to(2):
+        pts = probes[len(stem)]
+        conts = g.continuations(stem.source_vertex)
+        for r in range(len(conts) + 1):
+            for excl in itertools.combinations(conts, r):
+                cyl = Cylinder(stem, frozenset(excl))
+                got = sample_pair(g, cyl)
+                if cyl_is_empty(g, cyl):
+                    assert got == [], cyl
+                    continue
+                inside = list(itertools.islice(
+                    (x for x in pts if reference_cyl_contains(cyl, x)), 2))
+                if len(inside) < 2:
+                    assert got == inside, cyl
+                else:
+                    assert len(got) == 2 and got[0] != got[1], cyl
+                    assert all(reference_cyl_contains(cyl, x) for x in got), cyl
+                cases[len(got)] = cases.get(len(got), 0) + 1
+    assert cases.get(2) or name in ("g1", "g3"), cases
 
 
 def reference_probe_points(g, depth=3):

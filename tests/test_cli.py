@@ -191,12 +191,24 @@ def test_oe_examples(capsys):
         assert rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"]
 
 
-def test_oe_probing_no_point_is_inconclusive(capsys):
+def test_oe_certifies_at_depth_zero(capsys):
+    # depth is only the least depth of the cut: each check still evaluates
+    # two points of every locality cylinder
     for name in ("identity-g2", "swap-g2", "parallel-p2"):
         code, rep = run_json(capsys, "oe", name, "--depth", "0")
-        assert code == 2, name
+        assert code == 0, name
         assert rep["cocycle_roundtrip_agrees"] and rep["orbit_roundtrip_agrees"]
-        assert rep["orbit_check"]["checked"] == 0
+        assert rep["cocycle_check"]["checked"] > 0 and rep["orbit_check"]["checked"] > 0
+
+
+def test_oe_that_checks_no_point_is_inconclusive(capsys, monkeypatch):
+    # a clean report that evaluated nothing is no pass
+    def nothing(oe, depth=3):
+        return {**oe_check(oe, depth), "checked": 0}
+    monkeypatch.setattr("gforge.cli.oe_check", nothing)
+    code, rep = run_json(capsys, "oe", "swap-g2", "--depth", "3")
+    assert code == 2
+    assert rep["orbit_check"]["checked"] == 0 and rep["orbit_check"]["failures"] == []
 
 
 def test_depth_zero_truncation_checks_are_inconclusive(capsys):

@@ -15,6 +15,7 @@ from gforge.boundary import (
     parse_point,
     point_str,
     probe_points,
+    sample_pair,
     sample_point,
     set_str,
 )
@@ -215,7 +216,10 @@ def test_swap_cocycle_two_loops_checks_clean():
     rep = coe_check(coc, depth=3)
     assert rep["failures"] == []
     assert rep["generators"] == 4 and rep["pieces"] == 8
-    assert rep["checked"] > 50
+    # each piece cut to 3 letters (R + |beta| = 1 + 2 for a^-1 and b^-1):
+    # 4 cylinders under Z(a) and Z(b) for a and b, 2 under each piece of
+    # a^-1 and b^-1, and two sample points in each
+    assert rep["checked"] == 2 * (4 * 4 + 4 * 2)
 
 
 def test_swap_cocycle_value_spot_check():
@@ -333,8 +337,8 @@ def test_cocycle_value_takes_the_first_piece_that_holds_the_point():
     only_a = Cocycle(homeo, {a: [(za, a)]})
     for c1, c2, agree in ((first_a, only_a, True), (first_b, only_a, False),
                           (coc, only_a, False), (coc, coc, True)):
-        for depth in range(4):     # depth 0 probes no point of g2
-            assert cocycles_agree(c1, c2, depth) == (agree or depth == 0), (c1.table, depth)
+        for depth in range(4):     # the reference probes no point of g2 at depth 0
+            assert cocycles_agree(c1, c2, depth) == agree, (c1.table, depth)
             assert reference_cocycles_agree(c1, c2, depth) == (agree or depth == 0)
 
 
@@ -352,10 +356,10 @@ def test_cocycles_agree_verdicts_on_the_oe_examples():
             assert cocycles_agree(coc, back, depth)
             assert cocycles_agree(back, coc, depth)
             assert cocycles_agree(coc, coc, depth)
-        # depth 0 probes no point of g2, so nothing can disagree there
-        assert cocycles_agree(examples[0], swap, depth) == (depth == 0)
-        assert cocycles_agree(swap, crossed, depth) == (depth == 0)
-        assert cocycles_agree(crossed, swap, depth) == (depth == 0)
+        # the certificate decides at every depth, depth 0 included
+        assert not cocycles_agree(examples[0], swap, depth)
+        assert not cocycles_agree(swap, crossed, depth)
+        assert not cocycles_agree(crossed, swap, depth)
 
 
 # ------------------------------------------- per-piece refinement and oracles
@@ -527,7 +531,11 @@ def test_refinement_under_rule_stems_of_two_lengths():
                         (z("a", "b"), 2, 2), (z("b", "a", "a"), 0, 3),
                         (z("b", "a", "b"), 2, 4), (z("b", "b"), 0, 1)])
     rep = oe_check(oe, 6)
-    assert rep["failures"] == [] and rep["checked"] == 306
+    # each piece cut to max(6, 1 + R + max(k, l)) letters, R = 2: 6 but for
+    # Z(b.a.b)'s 7, so 2^4 cylinders under each piece of two letters, 2^3
+    # under the other three of three letters and 2^4 under Z(b.a.b), with
+    # two sample points in each
+    assert rep["failures"] == [] and rep["checked"] == 2 * (2 * 16 + 3 * 8 + 16)
     sizes, coc = round_trip_sizes(oe, 2)
     assert sizes == [6, 84, 42, 84, 42]     # the global refinement: 16,384
     assert coe_check(coc, 4)["failures"] == []
@@ -553,7 +561,8 @@ def test_oe_agree_compares_cocycle_values_not_shift_pairs():
                               (z("b", "a", "b"), 2, 4), (z("b", "b"), 0, 1)])
     oe = data(1, 4)
     rep = oe_check(oe, 6)
-    assert rep["failures"] == [] and rep["checked"] == 306
+    # as there, but Z(b.a.a) too is cut to 1 + 2 + 4 = 7 letters
+    assert rep["failures"] == [] and rep["checked"] == 2 * (2 * 16 + 2 * 8 + 2 * 16)
     again = coe_to_oe(oe_to_coe(oe))
     x = sample_point(g, z("b", "a", "a"))
     assert reference_lookup(again, x) == (0, 3) != reference_lookup(oe, x)
@@ -647,13 +656,14 @@ def outcome(f, *args):
         return str(exc)
 
 
-def reference_cocycles_agree(c1, c2, depth=3):
-    """cocycles_agree as it was before the probe index: each probe point
-    scans each row on its own (reference_value) and finds its image by the
-    rule scan (reference_apply)."""
+def reference_cocycles_agree(c1, c2, depth=3, points=None):
+    """cocycles_agree as first written, on the probe points of depth or on
+    the given points: each point scans each row on its own
+    (reference_value) and finds its image by the rule scan
+    (reference_apply)."""
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
-    pts = probe_points(gs, depth)
+    pts = probe_points(gs, depth) if points is None else points
     images = [reference_apply(h1, x) for x in pts]
     if h2 is not h1 and any(reference_apply(h2, x) != fx for x, fx in zip(pts, images)):
         return False
@@ -676,12 +686,13 @@ def reference_cocycles_agree(c1, c2, depth=3):
     return True
 
 
-def reference_oe_agree(o1, o2, depth=3):
-    """oe_agree as it was before the probe index: each probe point scans
-    each table on its own (reference_lookup, which raises for a point no
-    piece holds) and finds its images by the rule scan (reference_apply)."""
+def reference_oe_agree(o1, o2, depth=3, points=None):
+    """oe_agree as first written, on the probe points of depth or on the
+    given points: each point scans each table on its own
+    (reference_lookup, which raises for a point no piece holds) and finds
+    its images by the rule scan (reference_apply)."""
     h1, h2 = o1.homeo, o2.homeo
-    for x in probe_points(h1.source_graph, depth):
+    for x in probe_points(h1.source_graph, depth) if points is None else points:
         if h2 is not h1 and reference_apply(h1, x) != reference_apply(h2, x):
             return False
         if x.is_finite and len(x) == 0:
@@ -692,27 +703,146 @@ def reference_oe_agree(o1, o2, depth=3):
     return True
 
 
+def beta_len(g, w):
+    """The letters of a point that decide whether w acts on it: |beta|."""
+    beta = PartialWord.from_word(g, w).beta
+    return 0 if beta is None else len(beta)
+
+
+def locality_depth(tables, depth):
+    """A depth L past the locality cylinders into which the orbit checks
+    cut the tables (cocycles or shift data) at this depth: each has a stem
+    of fewer than L letters, or of L letters and no exclusions.
+
+    A check cuts a piece, a part of a piece's region (the piece less the
+    earlier pieces), or a meet of such a part with another or with a
+    generator's domain Z(beta), into the stems of D letters with no
+    exclusions (_extensions), and keeps it whole when its stem has D
+    letters or more.  D is at least the depth and at least the letters that
+    fix every rule and word involved: R for a homeo, R its longest rule
+    stem, R + |beta| for each generator and value of a cocycle, and
+    1 + R + max(k, l) for shift data.  A part kept whole has a stem no
+    longer than a piece's, with exclusions only where a piece has some or
+    meets an earlier one, or one letter longer, with no exclusions, where
+    an earlier piece with exclusions lies under it (boundary.cyl_difference);
+    a meet has the longer of two such stems, or beta, shorter than D.
+    """
+    out = depth
+    for t in tables:
+        h = t.homeo
+        g = h.source_graph
+        rule_len = max((len(mu) for mu, _ in h.rules), default=0)
+        if isinstance(t, OEData):
+            rows = [[c for c, _, _ in t.pieces]]
+            reach = [1 + max(k, l) for _, k, l in t.pieces]
+        else:
+            rows = [[c for c, _ in row] for row in t.table.values()]
+            reach = [beta_len(g, gen) for gen in t.table]
+            reach += [beta_len(h.target_graph, v) for row in t.table.values() for _, v in row]
+        for cyls in rows:
+            # two pieces meet only where one stem heads the other
+            stems = {(c.stem.range_vertex, c.stem.instances) for c in cyls}
+            nested = len(stems) < len(cyls) or any(
+                c.excl or (c.stem.range_vertex, c.stem.instances[:k]) in stems
+                for c in cyls for k in range(len(c.stem)))
+            out = max([out] + [len(c.stem) + nested for c in cyls])
+        out = max([out, rule_len] + [rule_len + r for r in reach])
+    return out
+
+
+def reference_points(g, depth):
+    """Points of g, two distinct ones in every cylinder Z(s - F) whose stem
+    has fewer than `depth` letters, or `depth` letters and no exclusions,
+    or its only point: sample_pair's points of the cylinder of each maximal
+    stem of `depth` letters.
+
+    Proof, for a graph with finite multiplicities.  The maximal stems t of
+    depth letters that extend s, the first letter past s outside F, are s
+    itself when s has depth letters and no exclusions, or ends at a source
+    with no receivers (and F is empty), and are longer than s otherwise;
+    their cylinders partition Z(s - F).  If Z(s - F) holds one point, one
+    Z(t) holds it and nothing else, and sample_pair gives that point.  If
+    it holds two or more, either one Z(t) does, and sample_pair gives two
+    of its points, or two of the Z(t) are non-empty, and sample_pair gives
+    a point of each (test_sample_pair_laws in test_boundary.py).
+    """
+    return [x for t in g.maximal_stems(depth) for x in sample_pair(g, Cylinder(t, frozenset()))]
+
+
+STRUCTURAL = {"piece outside domain", "pieces overlap", "pieces do not cover domain",
+              "pieces do not cover"}
+
+
+def named_point(failure):
+    """The text of the point a check failure names, or None for a fault of
+    the table that names no point."""
+    a, b = failure
+    if b in STRUCTURAL:
+        return None
+    if " at " in b:
+        return b.split(" at ", 1)[1]
+    return b if a == "partition" else a
+
+
+def assert_check_matches_reference(check, reference, table, depth):
+    """check (coe_check or oe_check) on the table at depth against its
+    reference at reference_points past every locality cylinder
+    (locality_depth): failures alike empty or not, the table faults that
+    name no point equal and in order, and each failure that names a point
+    also a failure of the reference's own evaluation at that point.
+
+    By _samples' lemma the identity fails on a locality cylinder at all of
+    its points but at most one, so the reference, which evaluates two
+    points of every locality cylinder or its only point, sees a failure
+    wherever the certificate does; each failure it sees is one.  Returns
+    the report."""
+    g = table.homeo.source_graph
+    rep = check(table, depth)
+    ref = reference(table, points=reference_points(g, locality_depth([table], depth)))
+    assert bool(rep["failures"]) == bool(ref["failures"]), (rep, depth)
+    assert [f for f in rep["failures"] if named_point(f) is None] \
+        == [f for f in ref["failures"] if named_point(f) is None], (rep, depth)
+    for f in rep["failures"]:
+        text = named_point(f)
+        if text is not None:
+            pt = parse_point(g, text)
+            assert f in reference(table, points=[pt])["failures"], (f, depth)
+    return rep
+
+
 def assert_agreement_matches_reference(pairs, depth):
-    """cocycles_agree or oe_agree on each pair gives the old verdict, or
-    raises the same OrbitError; returns the verdicts."""
-    verdicts = []
+    """cocycles_agree or oe_agree on each pair at depth gives the verdict
+    of its reference at reference_points past every locality cylinder of
+    both tables (locality_depth), or refuses a point where the reference
+    does, naming a point that escapes one table's pieces.  Returns the
+    verdicts, a refusal as its message."""
+    verdicts, known = [], {}
     for a, b in pairs:
         new, old = ((oe_agree, reference_oe_agree) if isinstance(a, OEData)
                     else (cocycles_agree, reference_cocycles_agree))
+        g = a.homeo.source_graph
+        key = (id(g), locality_depth([a, b], depth))
+        points = known[key] = known.get(key) or reference_points(g, key[1])
         verdict = outcome(new, a, b, depth)
-        assert verdict == outcome(old, a, b, depth), (a, b, depth)
+        want = outcome(old, a, b, depth, points)
+        assert isinstance(verdict, str) == isinstance(want, str), (verdict, want, depth)
+        if isinstance(verdict, str):
+            x = parse_point(g, verdict.removesuffix(" escapes the piece partition"))
+            assert any(isinstance(outcome(reference_lookup, o, x), str) for o in (a, b))
+        else:
+            assert verdict == want, (a, b, depth)
         verdicts.append(verdict)
     return verdicts
 
 
-def reference_coe_check(coc, depth=3):
+def reference_coe_check(coc, depth=3, points=None):
     """coe_check as first written: per piece, CompactOpen differences and
-    a scan of every in-domain probe point, the homeo applied by the rule
-    scan."""
+    a scan of every in-domain probe point of depth, or of the given points,
+    the homeo applied by the rule scan."""
     homeo = coc.homeo
     gs, gt = homeo.source_graph, homeo.target_graph
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
-    pts = probe_points(gs, depth)
+    pts = probe_points(gs, depth) if points is None else points
     for gen in coc.generators():
         rep["generators"] += 1
         pw = PartialWord.from_word(gs, gen)
@@ -748,9 +878,10 @@ def reference_coe_check(coc, depth=3):
     return rep
 
 
-def reference_oe_check(oe, depth=3):
+def reference_oe_check(oe, depth=3, points=None):
     """oe_check as first written, on reference_partition_faults,
-    reference_lookup and the rule scan."""
+    reference_lookup and the rule scan, at the probe points of depth or at
+    the given points."""
     homeo = oe.homeo
     gs = homeo.source_graph
     rep = {"pieces": len(oe.pieces), "checked": 0, "skips": 0, "failures": []}
@@ -759,7 +890,7 @@ def reference_oe_check(oe, depth=3):
     rep["failures"] += [("partition", "pieces overlap")] * len(overlaps)
     if not covers:
         rep["failures"].append(("partition", "pieces do not cover"))
-    for x in probe_points(gs, depth):
+    for x in probe_points(gs, depth) if points is None else points:
         try:
             k, l = reference_lookup(oe, x)
         except OrbitError:
@@ -796,28 +927,29 @@ def faulty_rows(coc, gen):
 
 
 def assert_checks_match_reference(coc, depth):
-    """coe_check and oe_check give the old checkers' reports, failures in
-    the same order, on the cocycle, on its shift data and on faulty rows
-    and pieces; oe_to_coe reads the same certificate as the oracle."""
-    assert coe_check(coc, depth) == reference_coe_check(coc, depth)
+    """coe_check and oe_check give their references' verdicts
+    (assert_check_matches_reference) on the cocycle, on its shift data and
+    on faulty rows and pieces; oe_to_coe reads the same certificate as the
+    oracle."""
+    assert_check_matches_reference(coe_check, reference_coe_check, coc, depth)
     oe = coe_to_oe(coc)
     g = oe.homeo.source_graph
     pieces = list(oe.pieces)
     for faulty in (pieces, pieces + pieces[:1], pieces[1:], pieces[::-1]):
         data = OEData(oe.homeo, faulty)
-        assert oe_check(data, depth) == reference_oe_check(data, depth)
+        assert_check_matches_reference(oe_check, reference_oe_check, data, depth)
         assert_certificate_matches_reference(g, [c for c, _, _ in faulty])
     gen = coc.generators()[-1]
     for row in faulty_rows(coc, gen):
         bad = Cocycle(coc.homeo, {**coc.table, gen: row})
-        assert coe_check(bad, depth) == reference_coe_check(bad, depth)
-        assert coe_check(bad, depth)["failures"]
+        rep = assert_check_matches_reference(coe_check, reference_coe_check, bad, depth)
+        assert rep["failures"]
 
 
 @pytest.mark.parametrize("make", OE_EXAMPLES)
 def test_checks_match_reference_on_the_oe_examples(make):
     coc = make()
-    for depth in (2, 4):
+    for depth in (0, 3):
         assert_checks_match_reference(coc, depth)
         assert_checks_match_reference(oe_to_coe(coe_to_oe(coc)), depth)
 
@@ -874,47 +1006,22 @@ def test_agreement_matches_reference_on_the_oe_examples(make):
 
 
 def test_checks_match_reference_where_no_rule_stem_heads_a_piece():
-    # rule stems a.a, a.b and b under pieces Z(a), Z(b): the shift of a
-    # point of Z(a) lies under no one rule stem, nor does a point moved by
-    # a^-1, so the checks find each moved point's rule through apply
+    # rule stems a.a, a.b and b under pieces Z(a), Z(b): the identity's
+    # table does not fit these homeos, and the checks find the faults the
+    # references find
     g = corpus.g2()
     ident = identity_cocycle(g)
     for homeo in (two_level_homeo(g), inverse_homeo(two_level_homeo(g))):
         coc = Cocycle(homeo, ident.table)
         oe = OEData(homeo, coe_to_oe(ident).pieces)
-        for depth in (2, 4):
-            rep = coe_check(coc, depth)
-            assert rep == reference_coe_check(coc, depth)
+        for depth in (0, 2, 4):
+            rep = assert_check_matches_reference(coe_check, reference_coe_check, coc, depth)
             assert rep["checked"] and rep["failures"]
-            rep = oe_check(oe, depth)
-            assert rep == reference_oe_check(oe, depth) and rep["checked"]
+            rep = assert_check_matches_reference(oe_check, reference_oe_check, oe, depth)
+            assert rep["checked"]
         assert assert_agreement_matches_reference(
             [(coc, ident), (coc, coc), (oe, coe_to_oe(ident)), (oe, oe)], 3) \
             == [False, True, False, True]
-
-
-def test_checks_make_no_walk_for_a_probe_point(monkeypatch):
-    # each check asks every cylinder for its probe points once, and every
-    # stem a point is moved under has a rule stem heading it, so no probe
-    # point looks up its own rule through PrefixHomeo.apply
-    coc = swap_cocycle_two_loops(corpus.g2())
-    oe = coe_to_oe(coc)
-    back = oe_to_coe(oe)
-    again = coe_to_oe(back)
-    calls = []
-    apply = PrefixHomeo.apply
-    monkeypatch.setattr(PrefixHomeo, "apply",
-                        lambda homeo, x: calls.append(x) or apply(homeo, x))
-    rep = coe_check(coc, 6)
-    assert rep["failures"] == [] and rep["checked"] == 918
-    rep = oe_check(oe, 6)
-    assert rep["failures"] == [] and rep["checked"] == 306
-    assert cocycles_agree(coc, back, 6) and oe_agree(oe, again, 6)
-    assert calls == []
-    oe_check(OEData(oe.homeo, oe.pieces[1:]), 6)   # a gap costs no lookup either
-    assert calls == []
-    coc.homeo.apply(parse_point(corpus.g2(), "(a)^inf"))
-    assert len(calls) == 1      # the wrapper counts
 
 
 def test_infinite_family_is_covered_only_at_its_node():
@@ -945,3 +1052,59 @@ def test_shift_counts_must_be_integers_at_least_zero():
             OEData(homeo, [(za, 0, 1), (zb, bad, 1)])
     assert reference_lookup(OEData(homeo, [(za, 0, 1), (zb, 0, 1)]),
                             parse_point(g, "(b)^inf")) == (0, 1)
+
+
+def test_two_sample_points_catch_a_map_that_agrees_at_one():
+    # a valued a.a on Z(a): h(a.x) = a.x and a.a.x agree only where x = a.x,
+    # at (a)^inf, the least sample point of Z(a); the second names the fault
+    g = corpus.g2()
+    ident = identity_cocycle(g)
+    a = parse_word("a")
+    za, zb = (Cylinder(g.path_of(e), frozenset()) for e in "ab")
+    coc = Cocycle(ident.homeo, {**ident.table, a: [(za, parse_word("a.a")), (zb, a)]})
+    for depth in (0, 3):
+        failures = coe_check(coc, depth)["failures"]
+        assert ("a", "mismatch at a.b.(a)^inf") in failures
+        assert all(f[0] == "a" and f[1].startswith("mismatch at a.") for f in failures)
+        assert ("a", "mismatch at (a)^inf") not in failures
+        assert_check_matches_reference(coe_check, reference_coe_check, coc, depth)
+
+
+def test_a_deep_sub_piece_fails_where_the_probe_points_do_not_reach():
+    # swap-g2's round-tripped cocycle, with the sub-piece Z(a.b.b.a.a.b) of
+    # Z(a.b.b.a) given the value of a^-1's first piece: no probe point of
+    # depth 3 (prefix and cycle of at most 3 letters) lies under its six
+    # letters, so the probes miss it, and the certificate finds it at depth 0
+    g = corpus.g2()
+    back = oe_to_coe(coe_to_oe(swap_cocycle_two_loops(g)))
+    gen = parse_word("a^-1")
+    row = list(back.table[gen])
+    i = next(i for i, (c, _) in enumerate(row) if c.stem == g.path_of("a", "b", "b", "a"))
+    piece, value = row[i]
+    other = row[0][1]
+    assert other != value
+    subs = [(c, other if c.stem == g.path_of("a", "b", "b", "a", "a", "b") else value)
+            for c in _extensions(g, piece, 6)]
+    mutant = Cocycle(back.homeo, {**back.table, gen: row[:i] + subs + row[i + 1:]})
+    assert coe_check(back, 0)["failures"] == []
+    failures = coe_check(mutant, 0)["failures"]
+    assert failures and all(" at a.b.b.a.a.b." in f[1] for f in failures)
+    assert reference_coe_check(mutant, 3)["failures"] == []
+    assert_check_matches_reference(coe_check, reference_coe_check, mutant, 0)
+
+
+def test_one_letter_short_of_the_cut_misses_a_swap_of_late_letters():
+    # found by a seeded search over random_graph swaps: on
+    # random_graph(Random(5), 4), v0 receives e0, e1, e2, e3 and e4, and the
+    # swap of e3 and e4 moves the shift of a point of Z(e0) only where its
+    # second letter is e3 or e4.  So the identity row of e0^-1 fails under
+    # the swap, and coe_check's cut to R + |beta| = 2 letters finds it; cut
+    # one letter short, Z(e0) stays whole, and its two sample points, under
+    # e0.e0 and e0.e1, both pass
+    g = corpus.random_graph(random.Random(5), 4)
+    gen = parse_word("e0^-1")
+    coc = Cocycle(swap_homeo(g, "e3", "e4"), {gen: identity_cocycle(g).table[gen]})
+    rep = assert_check_matches_reference(coe_check, reference_coe_check, coc, 0)
+    assert ("e0^-1", "mismatch at e0.e3.e6.(e0)^inf") in rep["failures"]
+    (piece, _), = coc.table[gen]
+    assert reference_coe_check(coc, points=sample_pair(g, piece))["failures"] == []

@@ -14,16 +14,13 @@ verify_witness_laws and the four roundtrip laws on larger graphs.
 import json
 import random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gforge import corpus
 from gforge.boundary import (
-    BoundaryError,
     CompactOpen,
     Cylinder,
     PartialWord,
-    PointIndex,
     admissible_words,
     cyl_difference,
     cyl_inside,
@@ -79,13 +76,13 @@ from test_invsgp import assert_products_match_reference, reference_partial_hom
 from test_orbit import (
     assert_agreement_matches_reference,
     assert_certificate_matches_reference,
+    assert_check_matches_reference,
     faulty_rows,
     inverse_homeo,
     mutated_cocycles,
     mutated_data,
     reference_coe_check,
     reference_contains,
-    reference_cyl_contains,
     reference_instance_at,
     reference_apply,
     reference_oe_check,
@@ -627,48 +624,44 @@ def swap_graph_of(seed, max_vertices=3):
                     return g, a.eid, b.eid
 
 
-def point_size(x):
-    return len(x.prefix) + len(x.cycle or ())
-
-
 def orbit_laws(g, a, b):
     """The first-letter swap of a and b against its closed-form shift data:
-    oe_check is clean, the data survives a coe -> oe -> coe round, and
-    turning one (1, 2) piece into (0, 1) fails oe_check with the failures
-    of reference_oe_check.  The shift data with a piece dropped or repeated
-    gets reference_partition_faults' certificate, and coe_check places the
-    faults of a bad identity row as reference_coe_check does.  At depth 2,
-    oe_agree and cocycles_agree give reference_oe_agree's and
-    reference_cocycles_agree's verdicts on the round's shift data, the
-    mutant, and the shift data and cocycle with a piece dropped, repeated or
-    a value swapped."""
+    oe_check certifies it clean, the data survives a coe -> oe -> coe round,
+    and turning one (1, 2) piece into (0, 1) fails oe_check.  At depth 0,
+    oe_check on the data and the mutant, coe_check on a bad identity row,
+    and oe_agree and cocycles_agree on the round's shift data, the mutant,
+    and the data and cocycle with a piece dropped, repeated or a value
+    swapped give their references' verdicts at reference points past every
+    locality cylinder (assert_check_matches_reference,
+    assert_agreement_matches_reference), the cocycles on the rows the
+    mutant changes.  The shift data with a piece dropped or repeated gets
+    reference_partition_faults' certificate."""
     oe = swap_oe_data(g, a, b)
-    # the mutant is the (1, 2) piece with the shortest sample point, and the
-    # depth reaches that point: its prefix and primitive cycle are a pair
-    # probe_points builds
-    depth, i = min((max(3, point_size(sample_point(g, c))), i)
-                   for i, (c, k, l) in enumerate(oe.pieces) if (k, l) == (1, 2))
-    rep = oe_check(oe, depth)
+    rep = assert_check_matches_reference(oe_check, reference_oe_check, oe, 0)
     assert rep["failures"] == [] and rep["checked"] > 0
     coc = oe_to_coe(oe)
-    assert coe_check(coc)["failures"] == []
+    assert coe_check(coc, 0)["failures"] == []
     again = coe_to_oe(coc)
-    assert oe_agree(again, oe)
+    i = next(i for i, (_, k, l) in enumerate(oe.pieces) if (k, l) == (1, 2))
     mutant = list(oe.pieces)
     mutant[i] = (mutant[i][0], 0, 1)
     mutant = OEData(oe.homeo, mutant)
-    rep = oe_check(mutant, depth)
-    assert rep["failures"] and rep == reference_oe_check(mutant, depth)
+    assert assert_check_matches_reference(oe_check, reference_oe_check, mutant, 0)["failures"]
     pieces = [c for c, _, _ in oe.pieces]
     assert_certificate_matches_reference(g, pieces[1:])
     assert_certificate_matches_reference(g, pieces + pieces[:1])
     ident = identity_cocycle(g)
     gen = ident.generators()[-1]
     bad = Cocycle(ident.homeo, {**ident.table, gen: faulty_rows(ident, gen)[0]})
-    assert coe_check(bad, 2) == reference_coe_check(bad, 2)
+    assert assert_check_matches_reference(coe_check, reference_coe_check, bad, 0)["failures"]
     pairs = [(again, oe), (oe, mutant)] + [(oe, o) for o in mutated_data(oe)]
-    pairs += [(coc, c) for c in mutated_cocycles(coc)]
-    assert assert_agreement_matches_reference(pairs, 2)[0] is True
+    for c in mutated_cocycles(coc):
+        # two cocycles agree when each generator's rows do, so the round's
+        # cocycle and a mutant are compared on the rows the mutant changes
+        gens = [gen for gen, row in coc.table.items() if c.table[gen] != row]
+        pairs.append(tuple(Cocycle(t.homeo, {gen: t.table[gen] for gen in gens})
+                           for t in (coc, c)))
+    assert assert_agreement_matches_reference(pairs, 0)[0] is True
 
 
 @PROFILE
@@ -721,7 +714,7 @@ def random_table(g, rng):
 def deep_cylinders(g, rng, pts):
     """Cylinders on the heads of five or six letters of the periodic points
     among pts, with no exclusions, one received instance excluded, or every
-    one at a regular source; past the probe points' four letters."""
+    one at a regular source."""
     out = []
     for x in pts:
         if x.cycle is None or rng.random() < 0.8:
@@ -735,17 +728,13 @@ def deep_cylinders(g, rng, pts):
 
 
 def cylinder_table_laws(g, seed, rounds=3):
-    """The cylinder-table helpers and PointIndex against the old scans on
-    random tables.  cyl_overlaps and the whole space's cyl_inside against
+    """The cylinder-table helpers against the old scans on random tables.
+    cyl_overlaps and the whole space's cyl_inside against
     reference_partition_faults for the whole space, on the table and on the
-    table grown by a random set and deeper cylinders (deep_cylinders);
-    cyl_meets on each pair of the table against a CompactOpen intersection,
-    and cyl_inside of each cylinder against the exact CompactOpen
-    difference.  PointIndex, over every other point of a spread of probe
-    points up to four letters: the points within each cylinder of the grown
-    table are those reference_cyl_contains finds, and first_holding gives
-    each point the first cylinder that holds it; empty cylinders and finite
-    points included.  A stem past the index depth is refused."""
+    table grown by a random set and deeper cylinders (deep_cylinders, on
+    the heads of a spread of probe points up to four letters); cyl_meets on
+    each pair of the table against a CompactOpen intersection, and
+    cyl_inside of each cylinder against the exact CompactOpen difference."""
     rng = random.Random(seed)
     pts = spread(probe_points(g, 4), 200)
     for _ in range(rounds):
@@ -761,18 +750,6 @@ def cylinder_table_laws(g, seed, rounds=3):
                 == CompactOpen(g, [c]).difference(union).is_empty, c
         table = cyls + list(random_compact_open(g, rng).parts) + deep_cylinders(g, rng, pts)
         assert_certificate_matches_reference(g, table)
-        deepest = max(table, key=lambda c: len(c.stem))
-        sample = pts[::2]
-        points = PointIndex(sample, len(deepest.stem))
-        inside = [[reference_cyl_contains(c, x) for x in sample] for c in table]
-        for c, row in zip(table, inside):
-            got = points.within(c)
-            assert sorted(got) == [j for j, held in enumerate(row) if held], (c, table)
-            assert len(set(got)) == len(got)
-        assert points.first_holding(table) == [
-            next((i for i, row in enumerate(inside) if row[j]), -1) for j in range(len(sample))]
-        with pytest.raises(BoundaryError, match="past index depth"):
-            PointIndex([], len(deepest.stem) - 1).within(deepest)
 
 
 @PROFILE
@@ -799,37 +776,25 @@ def refined_homeo(h):
 
 
 def apply_laws(g, a, b):
-    """PrefixHomeo.apply and apply_on against linear scans of the rule
-    stems, for the identity, the first-letter swap of a and b both ways, and
-    each of those refined one letter deeper (refined_homeo).
+    """PrefixHomeo.apply against a linear scan of the rule stems, for the
+    identity, the first-letter swap of a and b both ways, and each of those
+    refined one letter deeper (refined_homeo).
 
     apply, one act_point, equals the former shift-then-prepend of the rule
     whose stem x starts with (reference_apply) on every point of
     probe_points(g, 4), finite points and periodic prefixes shorter than
-    the longest rule stem R included.  apply_on(v, letters) for a path p of
-    up to R + 1 letters is apply itself exactly where no rule stem heads p,
-    and maps each of a spread of probe points x whose head p is as
-    reference_apply does.  A rule-free homeo on the graph with no vertices
-    builds, with R = 0, and its checks probe nothing."""
+    the longest rule stem R included.  A rule-free homeo on the graph with
+    no vertices builds, with R = 0, and its checks evaluate nothing."""
     swap = swap_homeo(g, a, b)
     points = probe_points(g, 4)
     for h in (PrefixHomeo.identity(g), swap, inverse_homeo(swap)):
         for h in (h, refined_homeo(h)):
-            images = [reference_apply(h, x) for x in points]
-            for x, y in zip(points, images):
+            for x in points:
                 fx = h.apply(x)
-                assert fx == y and fx.graph is h.target_graph, x
-            depth = max(len(mu) for mu, _ in h.rules) + 1
-            for p in g.paths_up_to(depth):
-                headed = any(p.startswith(mu) for mu, _ in h.rules)
-                assert (h.apply_on(p.range_vertex, p.instances) == h.apply) != headed, p
-            for x, y in spread(list(zip(points, images)), 300):
-                for k in range(min(depth, len(x)) + 1 if x.is_finite else depth + 1):
-                    p = x.head(k)
-                    assert h.apply_on(p.range_vertex, p.instances)(x) == y, (p, x)
+                assert fx == reference_apply(h, x) and fx.graph is h.target_graph, x
     empty = Graph([], [])
     ident = identity_cocycle(empty)
-    assert ident.homeo.rules == () and ident.homeo.images([], PointIndex([], 0)) == []
+    assert ident.homeo.rules == ()
     assert coe_check(ident)["checked"] == oe_check(coe_to_oe(ident))["checked"] == 0
     assert cocycles_agree(ident, ident) and oe_agree(coe_to_oe(ident), coe_to_oe(ident))
 
