@@ -21,7 +21,7 @@ each of its graphs has an infinite edge family.  The orbit law runs on
 swap_graph_of(seed, 3): its cocycles have a piece per path of length
 1 + R + 2, and the linear references it compares the certificates with
 evaluate every point of reference_points at the locality depth, two per
-maximal stem of four letters, so it too keeps three vertices, as does
+maximal stem of four or five letters, so it too keeps three vertices, as does
 the apply law on the same graphs, which compares every point of
 probe_points(g, 4).  The cylinder table law compares the cylinder-table
 helpers with the old scans on random tables over graph_of(seed) and
@@ -35,10 +35,15 @@ kernel law, make_path against the two-pass reference on walks of up to
 references, runs on graph_of(seed, 5), graphs of up to five vertices, as
 does the witness certificate law, verify_witness against the
 union-growing reference on found, expanded and mutated witnesses.  The
-file name keeps it out of the default test collection.  One run on 2
-cores with Python 3.11.7 took 161 s: act_point 28 s, germ 19 s, orbit
-19 s, cylinder table 16 s, apply 12 s, word kernel 10 s, sigma 9 s,
-pair map 8 s, set 7 s, and 6 s or less for each of the rest.  The
+file name keeps it out of the default test collection.  On 2 cores with
+Python 3.11.7 it took 160 s: orbit 44 s, act_point 26 s, germ 14 s,
+cylinder table 9 s, set 8 s, pair map 8 s, word kernel 8 s, apply 8 s,
+sigma 7 s, and 4 s or less for each of the rest.  Its previous version,
+with the probe-point orbit checks, took 163 s in the same hour: act_point
+31 s, germ 19 s, orbit 18 s, cylinder table 15 s, apply 13 s.  The
+certificate's references evaluate two points of every locality cylinder
+where the old law compared reports at depth 2, and the PointIndex and
+apply_on halves of the cylinder table and apply laws are gone.  The
 host's speed drifts by tens of percent over an hour, so compare runs
 only side by side.
 """
