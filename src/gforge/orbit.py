@@ -485,8 +485,8 @@ def oe_agree(o1: OEData, o2: OEData, depth: int = 3) -> bool:
     l - k is constant on each meet of a region of o1 (a piece less the
     earlier pieces) with one of o2, so a meet that holds a point of
     positive length, which the shift reaches, decides it.  A point that
-    one table misses is refused, named by a sample point of the gap,
-    unless it has length zero.
+    one table misses is refused before any value is compared, named by a
+    sample point of the gap, unless it has length zero.
 
     The pair (k, l) itself is not an invariant: wherever (k, l) holds, so
     does (k + 1, l + 1), and a round through the cocycle reads the pair off
