@@ -8,6 +8,7 @@ the truncated meet-semilattice are exactly the prefix chains of single paths.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import product
 
 # DomainError lives in boundary, where act_point raises it, so that
@@ -109,6 +110,13 @@ def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
     idempotents to the empty word.  The law binds only nonzero products,
     and s.t is nonzero exactly when s.nu and t.mu are comparable, so only
     those pairs are visited, in the order of the full product.
+
+    Many pairs share a product, so each product's sigma is evaluated once
+    per run of pairs with one s.mu, and the memo is cleared when s.mu
+    changes: it never holds more than one run's distinct products.  The
+    key is the product's two instance tuples and no vertex, since
+    ReducedWord.from_pair reads only instances: every vertex pair (v, v)
+    maps to the empty word.
     """
     els = _pairs(g.paths_up_to(depth))
     table = [(s, sigma(s)) for s in els]
@@ -123,11 +131,21 @@ def verify_partial_hom(g: Graph, depth: int = 2) -> dict:
                 for nu in by_mu}
     failures = []
     pairs = 0
+    memo = {}
+    mu = None
     for s, ws in table:
+        if s.mu is not mu:
+            mu = s.mu
+            memo.clear()
         rows = partners[s.nu]
         pairs += len(rows)
         for t, wt in rows:
-            if ws * wt != sigma(sgp_mul(g, s, t)):
+            st = sgp_mul(g, s, t)
+            key = st.mu.instances, st.nu.instances
+            w = memo.get(key)
+            if w is None:
+                w = memo[key] = sigma(st)
+            if ws * wt != w:
                 failures.append((s, t))
     pure_failures = [s for s, ws in table
                      if ws.is_identity and not s.is_idempotent]
@@ -156,24 +174,32 @@ def check_boundary_invariance(g: Graph, depth: int = 2) -> dict:
     nothing about maximality inside a truncation (the cut hides their
     continuations), so they are counted as skips; they are still compared.
     Overflowing images are counted as escapes and not compared.
+
+    An image overflows when len(rho) > depth - len(mu) + len(nu).  The
+    stems under each nu keep the order of maximal_stems, which is
+    paths_up_to's sort_key order, so their lengths never decrease: the
+    escapes of a pair are the tail of its list, counted by one bisection,
+    and only the rows before it are walked.
     """
     paths = g.paths_up_to(depth)
     stems = [(rho, sample_point(g, Cylinder(rho, frozenset())))
              for rho in g.maximal_stems(depth)]
     # many pairs share a nu, so find the stems under each path once
-    under = {nu: [(rho, x) for rho, x in stems if rho.startswith(nu)]
-             for nu in paths}
+    under = {}
+    for nu in paths:
+        rows = [(rho, x) for rho, x in stems if rho.startswith(nu)]
+        under[nu] = rows, [len(rho) for rho, _ in rows]
     checked = skips = escapes = 0
     violations = []
     for s in _pairs(paths):
-        if not under[s.nu]:
+        rows, lengths = under[s.nu]
+        cut = bisect_right(lengths, depth - len(s.mu) + len(s.nu))
+        checked += len(rows)
+        escapes += len(rows) - cut
+        if not cut:
             continue
         pw = PartialWord(g, s.mu, s.nu)
-        for rho, x in under[s.nu]:
-            checked += 1
-            if len(s.mu) + len(rho) - len(s.nu) > depth:
-                escapes += 1
-                continue
+        for rho, x in rows[:cut]:
             img = _character_image(s, rho)
             dead_end = not g.receivers(img.source_vertex)
             if len(img) < depth and not dead_end:

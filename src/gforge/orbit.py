@@ -198,7 +198,7 @@ class OEData:
 
 # ----------------------------------------------------------------- checkers
 
-def _samples(g: Graph, parts, depth: int, tails: dict):
+def _samples(g: Graph, parts, depth: int, memo: dict):
     """sample_pair's points of each locality cylinder of the parts: the
     cylinders of the stems that _extensions cuts them into.
 
@@ -208,16 +208,17 @@ def _samples(g: Graph, parts, depth: int, tails: dict):
     two distinct tails y are equal: if |P| = |Q|, P = Q; if |P| < |Q|, then
     Q = P.q, and P.y = P.q.y gives y = q^inf, one tail and not two.
 
-    The tails of Z(v - F) serve every stem with source v, so tails keeps
-    them per (v, F) for the call; a sample t.y is built by act_point.
+    The tails of Z(v - F) serve every stem with source v, so memo keeps
+    them under the key (v, F) for the call, beside _extensions' stems under
+    their remaining depth; a sample t.y is built by act_point.
     """
     for part in parts:
-        for cyl in _extensions(g, part, depth):
+        for cyl in _extensions(g, part, depth, memo):
             stem, excl = cyl
             v = stem.source_vertex
-            ys = tails.get((v, excl))
+            ys = memo.get((v, excl))
             if ys is None:
-                ys = tails[v, excl] = sample_pair(g, Cylinder(Path(v, v), excl))
+                ys = memo[v, excl] = sample_pair(g, Cylinder(Path(v, v), excl))
             if stem.instances:
                 put = PartialWord(g, stem, Path(v, v)).act_point
                 ys = [put(y) for y in ys]
@@ -246,7 +247,7 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
     gs, gt = homeo.source_graph, homeo.target_graph
     _assert_finite_multiplicities(gs)
     rep = {"generators": 0, "pieces": 0, "checked": 0, "failures": []}
-    tails = {}
+    memo = {}
     for gen in coc.generators():
         rep["generators"] += 1
         pw = PartialWord.from_word(gs, gen)
@@ -264,7 +265,7 @@ def coe_check(coc: Cocycle, depth: int = 3) -> dict:
             vw = PartialWord.from_word(gt, value)
             meets = [m for part in dom.parts if (m := cyl_intersect(piece, part)) is not None]
             cut = max(depth, homeo._rule_len + max(len(pw.beta or ()), len(vw.beta or ())))
-            for x in _samples(gs, meets, cut, tails):
+            for x in _samples(gs, meets, cut, memo):
                 moved = homeo.apply(pw.act_point(x))
                 try:
                     matched = vw.act_point(homeo.apply(x))
@@ -300,9 +301,9 @@ def oe_check(oe: OEData, depth: int = 3) -> dict:
         rep["failures"].append(("partition", "pieces do not cover"))
         gap = CompactOpen.whole(gs).difference(CompactOpen(gs, cyls))
         rep["failures"] += [("partition", point_str(sample_point(gs, c))) for c in gap.parts]
-    tails = {}
+    memo = {}
     for (_, k, l), region in zip(oe.pieces, _regions(gs, cyls)):
-        for x in _samples(gs, region, max(depth, 1 + homeo._rule_len + max(k, l)), tails):
+        for x in _samples(gs, region, max(depth, 1 + homeo._rule_len + max(k, l)), memo):
             try:
                 left = homeo.apply(x.shift(1)).shift(k)
                 right = homeo.apply(x).shift(l)
@@ -358,20 +359,28 @@ def coe_to_oe(coc: Cocycle) -> OEData:
     return OEData(homeo, pieces)
 
 
-def _extensions(g: Graph, cyl: Cylinder, depth: int) -> list[Cylinder]:
+def _extensions(g: Graph, cyl: Cylinder, depth: int, memo: dict) -> list[Cylinder]:
     """cyl cut into the cylinders of the stems that extend its stem to
     `depth` letters, or stop earlier at a source with no receivers, the
     first letter past the stem avoiding its exclusions; cyl itself when its
     stem already has `depth` letters.  The extensions are the maximal stems
-    of the remaining depth that start at the stem's source."""
+    of the remaining depth that start at the stem's source.
+
+    Those stems are enumerated once per remaining depth n and grouped by
+    range vertex, kept under the key n of the caller's per-call memo."""
     stem, excl = cyl
-    if len(stem) >= depth:
+    n = depth - len(stem)
+    if n <= 0:
         return [cyl]
-    v = stem.source_vertex
+    by_range = memo.get(n)
+    if by_range is None:
+        by_range = memo[n] = {}
+        for mu in g.maximal_stems(n):
+            by_range.setdefault(mu.range_vertex, []).append(mu)
     return [Cylinder(Path(stem.range_vertex, mu.source_vertex,
                           stem.instances + mu.instances), frozenset())
-            for mu in g.maximal_stems(depth - len(stem))
-            if mu.range_vertex == v and not (mu.instances and mu.instances[0] in excl)]
+            for mu in by_range.get(stem.source_vertex, ())
+            if not (mu.instances and mu.instances[0] in excl)]
 
 
 def oe_to_coe(oe: OEData) -> Cocycle:
@@ -404,9 +413,10 @@ def oe_to_coe(oe: OEData) -> Cocycle:
     if not _tiles(gs, cyls):
         raise OrbitError("shift data pieces do not cover the boundary")
     table = {}
+    memo = {}
     for piece, k, l in oe.pieces:
         depth = 1 + homeo._rule_len + max(k, l)
-        for cyl in _extensions(gs, piece, depth):
+        for cyl in _extensions(gs, piece, depth, memo):
             x = sample_point(gs, cyl)
             if x is None or not cyl.stem.instances:
                 continue    # empty, or a lone vertex the shift does not reach
@@ -427,13 +437,13 @@ def oe_to_coe(oe: OEData) -> Cocycle:
 
 # ------------------------------------------------------------- agreement
 
-def _same_homeo(h1: PrefixHomeo, h2: PrefixHomeo, depth: int, tails: dict) -> bool:
+def _same_homeo(h1: PrefixHomeo, h2: PrefixHomeo, depth: int, memo: dict) -> bool:
     """h1 and h2 agree on every point: cut to max(depth, R1, R2) letters,
     a stem fixes the rules of both, so both are prefix maps of the tail."""
     g = h1.source_graph
     cut = max(depth, h1._rule_len, h2._rule_len)
     return all(h1.apply(x) == h2.apply(x)
-               for x in _samples(g, CompactOpen.whole(g).parts, cut, tails))
+               for x in _samples(g, CompactOpen.whole(g).parts, cut, memo))
 
 
 def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
@@ -449,8 +459,8 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
     h1, h2 = c1.homeo, c2.homeo
     gs, gt = h1.source_graph, h1.target_graph
     _assert_finite_multiplicities(gs)
-    tails = {}
-    if h2 is not h1 and not _same_homeo(h1, h2, depth, tails):
+    memo = {}
+    if h2 is not h1 and not _same_homeo(h1, h2, depth, memo):
         return False
     for gen in set(c1.table) | set(c2.table):
         if PartialWord.from_word(gs, gen).is_empty_map:
@@ -468,7 +478,7 @@ def cocycles_agree(c1: Cocycle, c2: Cocycle, depth: int = 3) -> bool:
                 meets = [m for a in parts0 for b in parts1
                          if (m := cyl_intersect(a, b)) is not None]
                 cut = max(depth, h1._rule_len + max(len(w0.beta or ()), len(w1.beta or ())))
-                for x in _samples(gs, meets, cut, tails):
+                for x in _samples(gs, meets, cut, memo):
                     fx = h1.apply(x)
                     try:
                         if w0.act_point(fx) != w1.act_point(fx):

@@ -1,9 +1,11 @@
 import json
 from itertools import product
+from random import Random
 
 import pytest
 
 from gforge import corpus, invsgp
+from gforge.boundary import Cylinder, PartialWord, sample_point
 from gforge.cli import main
 from gforge.invsgp import (
     DomainError,
@@ -93,6 +95,62 @@ def reference_partial_hom(g, depth):
         "failures": failures,
         "idempotent_pure_failures": pure_failures,
     }
+
+
+def reference_boundary_invariance(g, depth):
+    """check_boundary_invariance as first written: every stem under s.nu is
+    visited, and an escape is found by its length, one stem at a time.
+    The image comes from invsgp._character_image, so a patched image
+    reaches both this loop and the check."""
+    paths = g.paths_up_to(depth)
+    stems = [(rho, sample_point(g, Cylinder(rho, frozenset())))
+             for rho in g.maximal_stems(depth)]
+    under = {nu: [(rho, x) for rho, x in stems if rho.startswith(nu)]
+             for nu in paths}
+    checked = skips = escapes = 0
+    violations = []
+    for s in _pairs(paths):
+        if not under[s.nu]:
+            continue
+        pw = PartialWord(g, s.mu, s.nu)
+        for rho, x in under[s.nu]:
+            checked += 1
+            if len(s.mu) + len(rho) - len(s.nu) > depth:
+                escapes += 1
+                continue
+            img = invsgp._character_image(s, rho)
+            dead_end = not g.receivers(img.source_vertex)
+            if len(img) < depth and not dead_end:
+                skips += 1
+            try:
+                y = pw.act_point(x)
+                ok = y.startswith(img) and (
+                    not dead_end or (y.is_finite and len(y) == len(img)))
+            except DomainError:
+                ok = False
+            if not ok:
+                violations.append((s, rho))
+    return {
+        "checked": checked,
+        "skips": skips,
+        "escapes": escapes,
+        "violations": violations,
+    }
+
+
+def oracle_cases():
+    """The truncations the two oracles are compared on: every corpus graph
+    at depths 0-3, and seeded random graphs with infinite families at the
+    depths 0-3 whose truncation has at most 20 paths (reference_partial_hom
+    visits the square of the elements, whose number grows as the square
+    of the paths)."""
+    cases = [(name, corpus.by_name(name), depth)
+             for name in sorted(corpus.BUILDERS) for depth in range(4)]
+    for seed in range(12):
+        g = corpus.random_graph(Random(seed), 4, allow_infinite=True)
+        cases += [(f"random {seed}", g, depth) for depth in range(4)
+                  if len(g.paths_up_to(depth)) <= 20]
+    return cases
 
 
 # ---------------------------------------------------------------- algebra
@@ -190,6 +248,34 @@ def test_sigma_check_visits_only_nonzero_products():
     # p3 at depth 3: 969 elements, so 938,961 pairs, of which these are nonzero
     rep = verify_partial_hom(corpus.p3(), 3)
     assert rep["elements"] == 969 and rep["pairs_checked"] == 107097
+
+
+def test_sigma_check_matches_reference():
+    """The whole report, failures in order, equals the per-pair loop's."""
+    compared = 0
+    for name, g, depth in oracle_cases():
+        assert verify_partial_hom(g, depth) == reference_partial_hom(g, depth), (
+            name, depth)
+        compared += 1
+    assert compared > 40
+
+
+def test_sigma_memo_evaluates_each_runs_products_once(monkeypatch):
+    """p3 at depth 3 calls sigma 969 times for the table and once for each
+    distinct product in each run of pairs with one s.mu: 22,221.  Without
+    the memo it would call it 108,066 times; a memo that is never cleared
+    would call it 969 + 15,753 = 16,722 times."""
+    real = invsgp.sigma
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(invsgp, "sigma", counting)
+    rep = verify_partial_hom(corpus.p3(), 3)
+    assert rep["failures"] == [] and rep["pairs_checked"] == 107097
+    assert len(calls) == 969 + 22221
 
 
 @pytest.mark.parametrize("name, depth", [
@@ -328,6 +414,27 @@ def test_boundary_invariance_corpus():
             rep = check_boundary_invariance(corpus.by_name(name), depth)
             assert rep["violations"] == [], (name, depth)
             assert rep["checked"] > 0
+
+
+def test_boundary_invariance_matches_reference():
+    """The whole report equals the per-stem loop's, on sound images and on
+    images that ignore s, whose violations come in the loop's order."""
+    compared = 0
+    for name, g, depth in oracle_cases():
+        assert check_boundary_invariance(g, depth) == reference_boundary_invariance(
+            g, depth), (name, depth)
+        compared += 1
+    assert compared > 40
+
+
+def test_boundary_invariance_violations_match_reference(monkeypatch):
+    monkeypatch.setattr(invsgp, "_character_image", lambda s, rho: rho)
+    violations = 0
+    for name, g, depth in oracle_cases():
+        rep = check_boundary_invariance(g, depth)
+        assert rep == reference_boundary_invariance(g, depth), (name, depth)
+        violations += len(rep["violations"])
+    assert violations > 100
 
 
 def test_boundary_invariance_counts_skips_and_escapes():

@@ -411,20 +411,24 @@ def reference_extensions(g, cyl, depth):
 def test_extensions_match_the_level_search():
     """_extensions, read off maximal_stems, gives the level search's list,
     order and source vertices included, on random finite graphs, for stems
-    of length 0 and 1 with no exclusion or one, at depths 0-4."""
+    of length 0 and 1 with no exclusion or one, at depths 0-4, both with a
+    fresh memo and with one memo that every cut of the graph shares."""
     rng = random.Random(3)
     cases = 0
     for _ in range(30):
         g = corpus.random_graph(rng, 4)
+        memo = {}
         for stem in g.paths_up_to(1):
             conts = g.continuations(stem.source_vertex)
             for excl in [()] + ([(rng.choice(conts),)] if conts else []):
                 cyl = Cylinder(stem, frozenset(excl))
                 for depth in range(5):
-                    got, want = (_extensions(g, cyl, depth),
-                                 reference_extensions(g, cyl, depth))
-                    assert [(c, c.stem.source_vertex) for c in got] == [
-                        (c, c.stem.source_vertex) for c in want], (cyl, depth)
+                    want = [(c, c.stem.source_vertex)
+                            for c in reference_extensions(g, cyl, depth)]
+                    for got in (_extensions(g, cyl, depth, {}),
+                                _extensions(g, cyl, depth, memo)):
+                        assert [(c, c.stem.source_vertex) for c in got] == want, (
+                            cyl, depth)
                     cases += 1
     assert cases > 1000
 
@@ -1084,7 +1088,7 @@ def test_a_deep_sub_piece_fails_where_the_probe_points_do_not_reach():
     other = row[0][1]
     assert other != value
     subs = [(c, other if c.stem == g.path_of("a", "b", "b", "a", "a", "b") else value)
-            for c in _extensions(g, piece, 6)]
+            for c in _extensions(g, piece, 6, {})]
     mutant = Cocycle(back.homeo, {**back.table, gen: row[:i] + subs + row[i + 1:]})
     assert coe_check(back, 0)["failures"] == []
     failures = coe_check(mutant, 0)["failures"]
